@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="64-bit master seed")
     common.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: DICHROMA_THREADS or CPU count)")
+                        help="worker threads (default: DICHROMA_THREADS, else 1)")
     common.add_argument("--timeout-s", type=int, default=120, dest="timeout_s")
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument("--out", default=None, help="write output to this path")
@@ -245,6 +245,10 @@ def _budget(args) -> SolveBudget:
     return SolveBudget(timeout=float(args.timeout_s))
 
 
+def _threads(args) -> int:
+    return args.threads if args.threads is not None else default_threads()
+
+
 def _load_collection(args, d: Digraph) -> SetCollection:
     """Collection from an explicit JSON file, or the rook construction
     inferred from the digraph's vertex count and --beta."""
@@ -268,7 +272,12 @@ def _load_collection(args, d: Digraph) -> SetCollection:
 
 
 def _suite_payload(args, result: SuiteResult, started: float) -> tuple[str, int]:
-    code = EXIT_OK if result.ok else EXIT_VIOLATED
+    if not result.ok:
+        code, status = EXIT_VIOLATED, "VIOLATED"
+    elif result.unknown:
+        code, status = EXIT_BUDGET, f"unknown ({result.unknown} rows over budget)"
+    else:
+        code, status = EXIT_OK, "ok"
     if args.format == "csv":
         buf = io.StringIO()
         keys = sorted({k for row in result.rows for k in row})
@@ -283,11 +292,11 @@ def _suite_payload(args, result: SuiteResult, started: float) -> tuple[str, int]
             {"seed": args.seed, **result.summary},
             seed=args.seed,
             runtime_ms=(time.perf_counter() - started) * 1000.0,
-            ok=result.ok,
+            ok=code == EXIT_OK,
             rows=result.rows,
         )
         return record_json(record), code
-    lines = [f"verify {result.name}: {'ok' if result.ok else 'VIOLATED'}"]
+    lines = [f"verify {result.name}: {status}"]
     for key, value in sorted(result.summary.items()):
         lines.append(f"  {key}: {value}")
     return "\n".join(lines) + "\n", code
@@ -378,7 +387,7 @@ def _mc_command(args) -> int:
         if args.l is None:
             raise GraphFormatError("mc biclique needs --l")
         est = estimate_biclique_event(g, args.l, args.trials, rng,
-                                      threads=args.threads or 1)
+                                      threads=_threads(args))
         payload = {
             "estimate": est.estimate,
             "ci_low": est.ci_low,
@@ -398,7 +407,7 @@ def _mc_command(args) -> int:
         L1 = ListAssignment.uniform(d.n, range(1, args.l1 + 1))
         est = estimate_acceptance_probability(
             d, collection, L1, args.l2, args.trials, rng,
-            threads=args.threads or 1,
+            threads=_threads(args),
         )
         payload = {
             "estimate": est.event.estimate,
@@ -538,7 +547,7 @@ def _dispatch(args) -> int:
 
     started = time.perf_counter()
     budget = _budget(args)
-    threads = args.threads if args.threads is not None else default_threads()
+    threads = _threads(args)
     if args.cmd == "sabidussi":
         result = sabidussi_suite(max_n=args.max_n, random_pairs=args.pairs,
                                  pair_max_n=args.pair_max_n, seed=args.seed,

@@ -17,13 +17,15 @@ __all__ = ["default_threads", "parallel_map"]
 
 
 def default_threads() -> int:
+    """DICHROMA_THREADS when set to an integer, else 1: the work is pure
+    Python under the GIL, and on a 2-core host 2 threads ran slower than 1."""
     env = os.environ.get("DICHROMA_THREADS")
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             pass
-    return os.cpu_count() or 1
+    return 1
 
 
 def parallel_map(fn: Callable[[T], R], items: Iterable[T], threads: int | None) -> list[R]:

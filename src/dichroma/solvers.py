@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Iterator, Optional
 
@@ -252,25 +253,19 @@ def _digon_graph(d: Digraph) -> Graph:
     return Graph(d.n, edges)
 
 
-def _dichromatic_lower_bound(d: Digraph, deadline: _Deadline) -> int:
-    """Sound lower bounds: 2 once any directed cycle exists, and the
-    chromatic number of the digon graph (digon endpoints cannot share a
-    class)."""
-    lower = 1 if is_acyclic(d) else 2
+def _digon_lower_bound(d: Digraph, deadline: _Deadline) -> int:
+    """Chromatic number of the digon graph: digon endpoints cannot share a
+    class."""
     dg = _digon_graph(d)
-    if dg.m:
-        order = _degree_order(dg.adj)
-        clique = _greedy_clique(dg.adj)
-        greedy = _greedy_graph_coloring(dg.adj, order)
-        lo, hi = max(1, len(clique)), max(greedy) + 1
-        k = lo
-        while k < hi:
-            if _search_graph_coloring(dg.adj, order, k, deadline) is not None:
-                hi = k
-                break
-            k += 1
-        lower = max(lower, k)
-    return lower
+    if not dg.m:
+        return 1
+    order = _degree_order(dg.adj)
+    clique = _greedy_clique(dg.adj)
+    greedy = _greedy_graph_coloring(dg.adj, order)
+    k, hi = max(1, len(clique)), max(greedy) + 1
+    while k < hi and _search_graph_coloring(dg.adj, order, k, deadline) is None:
+        k += 1
+    return k
 
 
 def dichromatic_number(d: Digraph, b: SolveBudget = DEFAULT_BUDGET) -> Certificate:
@@ -284,13 +279,14 @@ def dichromatic_number(d: Digraph, b: SolveBudget = DEFAULT_BUDGET) -> Certifica
     outs, ins = d.outs, d.ins
     total = [outs[v] | ins[v] for v in range(d.n)]
     order = _degree_order(total)
+    greedy = _greedy_dicoloring(outs, ins, order)
+    upper = max(greedy) + 1
+    # 2 once any directed cycle exists
+    k = lower = 1 if is_acyclic(d) else 2
     try:
-        lower = _dichromatic_lower_bound(d, deadline)
-        greedy = _greedy_dicoloring(outs, ins, order)
-        upper = max(greedy) + 1
+        k = lower = max(lower, _digon_lower_bound(d, deadline))
         if lower >= upper:
             return _exact_certificate(upper, greedy, "lower bound meets greedy")
-        k = lower
         while k < upper:
             found = _search_dicoloring(outs, ins, order, k, deadline)
             if found is not None:
@@ -298,7 +294,11 @@ def dichromatic_number(d: Digraph, b: SolveBudget = DEFAULT_BUDGET) -> Certifica
             k += 1
         return _exact_certificate(upper, greedy, f"all k in [{lower},{upper}) refuted")
     except _TimeUp:
-        return Certificate(None, False, 1, None, detail="timeout")
+        witness = Coloring(tuple(range(upper)), tuple(greedy))
+        return Certificate(
+            None, False, k, upper, witness=witness,
+            detail=f"timeout while testing {k} colours",
+        )
 
 
 def dichromatic_number_of_graph(g: Graph, b: SolveBudget = DEFAULT_BUDGET) -> Certificate:
@@ -357,11 +357,15 @@ def dichromatic_number_of_graph(g: Graph, b: SolveBudget = DEFAULT_BUDGET) -> Ce
     )
 
 
-def _degeneracy_order(adj) -> list[int]:
-    """Smallest-last elimination order of the underlying graph."""
-    n = len(adj)
+def _smallest_last(outs, ins) -> tuple[list[int], int]:
+    """Smallest-last elimination by min(d+, d-) in what remains (lowest
+    index first on ties): the reversed removal order, and the largest
+    minimum met at a removal, the in/out-degeneracy. A graph passes
+    outs = ins = adj and gets its degeneracy."""
+    n = len(outs)
     alive = (1 << n) - 1
     removed = []
+    worst = 0
     for _ in range(n):
         best_v, best_d = -1, n + 1
         rest = alive
@@ -369,70 +373,91 @@ def _degeneracy_order(adj) -> list[int]:
             low = rest & -rest
             v = low.bit_length() - 1
             rest ^= low
-            dv = (adj[v] & alive).bit_count()
+            dv = min((outs[v] & alive).bit_count(), (ins[v] & alive).bit_count())
             if dv < best_d:
                 best_v, best_d = v, dv
         removed.append(best_v)
+        worst = max(worst, best_d)
         alive &= ~(1 << best_v)
     removed.reverse()
-    return removed
+    return removed, worst
 
 
-def _find_from_lists(adj_or_masks, order, lists, class_test) -> Optional[list[int]]:
-    """Backtracking search for an accepted colouring; colours restricted to
-    the per-vertex lists, classes validated incrementally by class_test."""
-    n = len(order)
-    colour: list[Optional[int]] = [None] * n
-    class_masks: dict[int, int] = {}
-
-    def rec(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        for c in sorted(lists[v]):
-            cm = class_masks.get(c, 0)
-            if class_test(cm, v):
-                colour[v] = c
-                class_masks[c] = cm | 1 << v
-                if rec(i + 1):
-                    return True
-                class_masks[c] = cm
-        colour[v] = None
-        return False
-
-    return list(colour) if rec(0) else None
+def _degeneracy_order(adj) -> list[int]:
+    """Smallest-last elimination order of the underlying graph."""
+    return _smallest_last(adj, adj)[0]
 
 
-def find_acceptable_dicoloring(d: Digraph, L: ListAssignment) -> Optional[Coloring]:
-    """A proper dicolouring drawn from the lists, or a verified None."""
-    if L.n != d.n:
+class _ListSearch:
+    """List colouring of one structure, set up once: the search order, the
+    class test clash(class mask, v) (true when v may not join the class)
+    and the solve's deadline, polled at every node when given. A graph is
+    the symmetric case outs = ins = adj with independent classes."""
+
+    __slots__ = ("outs", "ins", "order", "clash", "deadline")
+
+    def __init__(self, obj, deadline: Optional[_Deadline] = None):
+        if isinstance(obj, Graph):
+            adj = self.outs = self.ins = obj.adj
+            self.clash = lambda cm, v: cm & adj[v]
+        else:
+            self.outs, self.ins = obj.outs, obj.ins
+            self.clash = partial(_extension_cyclic, obj.outs, obj.ins)
+        self.order = _degeneracy_order([o | i for o, i in zip(self.outs, self.ins)])
+        self.deadline = deadline
+
+    def find(self, lists) -> Optional[list[int]]:
+        """Backtracking search for a colouring drawn from the per-vertex
+        lists whose classes all pass the class test."""
+        order, clash, deadline = self.order, self.clash, self.deadline
+        n = len(order)
+        colour: list[Optional[int]] = [None] * n
+        class_masks: dict[int, int] = {}
+
+        def rec(i: int) -> bool:
+            if deadline is not None and deadline.check():
+                raise _TimeUp
+            if i == n:
+                return True
+            v = order[i]
+            for c in sorted(lists[v]):
+                cm = class_masks.get(c, 0)
+                if not clash(cm, v):
+                    colour[v] = c
+                    class_masks[c] = cm | 1 << v
+                    if rec(i + 1):
+                        return True
+                    class_masks[c] = cm
+            colour[v] = None
+            return False
+
+        return list(colour) if rec(0) else None
+
+
+def _find_acceptable(obj, L: ListAssignment, search: Optional[_ListSearch]) -> Optional[Coloring]:
+    if L.n != obj.n:
         raise ValueError("list assignment does not cover the vertex set")
-    if d.n == 0:
+    if obj.n == 0:
         return Coloring(L.palette, ())
-    outs, ins = d.outs, d.ins
-    under = [outs[v] | ins[v] for v in range(d.n)]
-    order = _degeneracy_order(under)
-    found = _find_from_lists(
-        under, order, L.lists,
-        lambda cm, v: not _extension_cyclic(outs, ins, cm, v),
-    )
+    found = (search or _ListSearch(obj)).find(L.lists)
     if found is None:
         return None
     return Coloring(L.palette, tuple(found))
 
 
-def find_acceptable_coloring(g: Graph, L: ListAssignment) -> Optional[Coloring]:
+def find_acceptable_dicoloring(
+    d: Digraph, L: ListAssignment, search: Optional[_ListSearch] = None
+) -> Optional[Coloring]:
+    """A proper dicolouring drawn from the lists, or a verified None.
+    search, when given, is the set-up a list solve made once for d."""
+    return _find_acceptable(d, L, search)
+
+
+def find_acceptable_coloring(
+    g: Graph, L: ListAssignment, search: Optional[_ListSearch] = None
+) -> Optional[Coloring]:
     """Proper-colouring counterpart of find_acceptable_dicoloring."""
-    if L.n != g.n:
-        raise ValueError("list assignment does not cover the vertex set")
-    if g.n == 0:
-        return Coloring(L.palette, ())
-    adj = g.adj
-    order = _degeneracy_order(adj)
-    found = _find_from_lists(adj, order, L.lists, lambda cm, v: not cm & adj[v])
-    if found is None:
-        return None
-    return Coloring(L.palette, tuple(found))
+    return _find_acceptable(g, L, search)
 
 
 def canonical_list_assignments(n: int, k: int) -> Iterator[ListAssignment]:
@@ -454,9 +479,9 @@ def canonical_list_assignments(n: int, k: int) -> Iterator[ListAssignment]:
 
     lists: list[frozenset[int]] = []
 
-    def rec(i: int, top: int) -> Iterator[tuple[frozenset[int], ...]]:
+    def rec(i: int, top: int) -> Iterator[tuple[tuple[frozenset[int], ...], int]]:
         if i == n:
-            yield tuple(lists)
+            yield tuple(lists), top
             return
         for fresh in range(0, k + 1):
             if k - fresh > top:
@@ -467,42 +492,52 @@ def canonical_list_assignments(n: int, k: int) -> Iterator[ListAssignment]:
                 yield from rec(i + 1, top + fresh)
                 lists.pop()
 
-    for chosen in rec(0, 0):
-        palette = tuple(range(1, max(max(s) for s in chosen) + 1))
-        yield ListAssignment(palette, chosen, k)
+    for chosen, top in rec(0, 0):
+        yield ListAssignment(tuple(range(1, top + 1)), chosen, k)
 
 
 def _list_number(obj, b: SolveBudget, finder) -> Certificate:
+    """Smallest k at which every canonical k-assignment accepts, with
+    chi_l <= 1 + in/out-degeneracy (Bensmail, Harutyunyan and Le, 2018)
+    closing the search: k levels below it end at their first rejecting
+    assignment, and the level that reaches it needs no sweep."""
     n = obj.n
     if n == 0:
         return Certificate(0, True, 0, 0, detail="empty")
     deadline = _Deadline(b.timeout)
+    search = _ListSearch(obj, deadline)
+    bound = "degeneracy" if isinstance(obj, Graph) else "in/out-degeneracy"
+    upper = 1 + _smallest_last(search.outs, search.ins)[1]
     rejecting: Optional[ListAssignment] = None
     k = 1
     while True:
-        if n * k > b.assignment_limit:
-            return Certificate(
-                None, False, k, None, rejecting_assignment=rejecting,
-                detail=f"palette n*k={n * k} exceeds the assignment budget",
-            )
-        bad = None
-        tested = 0
-        for L in canonical_list_assignments(n, k):
-            tested += 1
-            if time.monotonic() > deadline.at:
-                return Certificate(
-                    None, False, k, None, rejecting_assignment=rejecting,
-                    detail=f"timeout at k={k} after {tested} assignments",
-                )
-            if finder(obj, L) is None:
-                bad = L
-                break
-        if bad is None:
+        if k >= upper:
             return Certificate(
                 k, True, k, k, rejecting_assignment=rejecting,
-                detail=f"every canonical {k}-assignment accepts a colouring",
+                detail=f"{k} meets the upper bound 1 + {bound}",
             )
-        rejecting = bad
+        if n * k > b.assignment_limit:
+            return Certificate(
+                None, False, k, upper, rejecting_assignment=rejecting,
+                detail=f"palette n*k={n * k} exceeds the assignment budget",
+            )
+        tested = 0
+        try:
+            for L in canonical_list_assignments(n, k):
+                tested += 1
+                if finder(obj, L, search) is None:
+                    rejecting = L
+                    break
+            else:
+                return Certificate(
+                    k, True, k, k, rejecting_assignment=rejecting,
+                    detail=f"every canonical {k}-assignment accepts a colouring",
+                )
+        except _TimeUp:
+            return Certificate(
+                None, False, k, upper, rejecting_assignment=rejecting,
+                detail=f"timeout at k={k} after {tested} assignments",
+            )
         k += 1
 
 

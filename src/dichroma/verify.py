@@ -58,10 +58,32 @@ _DOM_SIZE = 0x51
 
 @dataclass
 class SuiteResult:
+    """ok means no row violates the property; unknown counts the rows a
+    solve left undecided on its budget, which are neither passed nor
+    violated."""
+
     name: str
     ok: bool
     rows: list[dict] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
+    unknown: int = 0
+
+
+def _exact_value(cert) -> Optional[int]:
+    return cert.value if cert.exact else None
+
+
+def _tally(rows: list[dict], *checks: str) -> tuple[int, int]:
+    """Rows failing some check (violations), and rows with none failed but
+    some left undecided (None)."""
+    violations = unknown = 0
+    for r in rows:
+        results = [r[c] for c in checks]
+        if False in results:
+            violations += 1
+        elif None in results:
+            unknown += 1
+    return violations, unknown
 
 
 def _set_partitions(items: list[int]):
@@ -157,14 +179,17 @@ def _product_rows(
     budget: SolveBudget,
     threads: int,
 ) -> list[dict]:
-    cache: dict[tuple[int, tuple], int] = {}
+    """One row per pair; a row whose factor or product solve ran out of
+    budget keeps None for what it could not decide, with equal (or
+    within_bound) None."""
+    cache: dict[tuple[int, tuple], Optional[int]] = {}
     witnesses: dict[tuple[int, tuple], Coloring] = {}
 
-    def chi(d: Digraph) -> int:
+    def chi(d: Digraph) -> Optional[int]:
         key = (d.n, d.arcs)
         if key not in cache:
             cert = dichromatic_number(d, budget)
-            cache[key] = cert.value
+            cache[key] = _exact_value(cert)
             witnesses[key] = cert.witness
         return cache[key]
 
@@ -175,37 +200,32 @@ def _product_rows(
     def solve(task: tuple[str, Digraph, Digraph]) -> dict:
         tag, g, h = task
         cg, ch = chi(g), chi(h)
+        row = {"pair": tag, "n_left": g.n, "n_right": h.n, "chi_left": cg, "chi_right": ch}
+        known = cg is not None and ch is not None
         if kind == "cartesian":
-            prod = cartesian_product(g, h)
-            expected = max(cg, ch)
-            cert = dichromatic_number(prod, budget)
-            fg = witnesses[(g.n, g.arcs)]
-            fh = witnesses[(h.n, h.arcs)]
-            modular = sabidussi_coloring(fg, fh, max(expected, 1))
-            proper = is_proper_dicoloring(prod, modular)
+            value = expected = proper = None
+            if known:
+                prod = cartesian_product(g, h)
+                value = _exact_value(dichromatic_number(prod, budget))
+                expected = max(cg, ch)
+                fg = witnesses[(g.n, g.arcs)]
+                fh = witnesses[(h.n, h.arcs)]
+                modular = sabidussi_coloring(fg, fh, max(expected, 1))
+                proper = is_proper_dicoloring(prod, modular)
             return {
-                "pair": tag,
-                "n_left": g.n,
-                "n_right": h.n,
-                "chi_left": cg,
-                "chi_right": ch,
-                "chi_product": cert.value,
+                **row,
+                "chi_product": value,
                 "expected": expected,
-                "equal": cert.value == expected,
+                "equal": None if value is None else value == expected,
                 "modular_proper": proper,
             }
-        prod = tensor_product(g, h)
-        bound = min(cg, ch)
-        cert = dichromatic_number(prod, budget)
+        value = _exact_value(dichromatic_number(tensor_product(g, h), budget)) if known else None
+        bound = min(cg, ch) if known else None
         return {
-            "pair": tag,
-            "n_left": g.n,
-            "n_right": h.n,
-            "chi_left": cg,
-            "chi_right": ch,
-            "chi_product": cert.value,
+            **row,
+            "chi_product": value,
             "bound": bound,
-            "within_bound": cert.value <= bound,
+            "within_bound": None if value is None else value <= bound,
         }
 
     return parallel_map(solve, pairs, threads)
@@ -237,18 +257,20 @@ def sabidussi_suite(
     colourings is proper."""
     pairs = _catalogue_pairs(max_n, random_pairs, pair_max_n, seed)
     rows = _product_rows("cartesian", pairs, budget, threads)
-    bad = [r for r in rows if not (r["equal"] and r["modular_proper"])]
+    violations, unknown = _tally(rows, "equal", "modular_proper")
     return SuiteResult(
         "sabidussi",
-        not bad,
+        not violations,
         rows,
         {
             "pairs": len(rows),
-            "violations": len(bad),
+            "violations": violations,
+            "unknown": unknown,
             "catalogue_max_n": max_n,
             "random_pairs": random_pairs,
             "seed": seed,
         },
+        unknown,
     )
 
 
@@ -264,12 +286,14 @@ def tensor_upper_bound_suite(
     of the factors (an optimal factor colouring pulls back)."""
     pairs = _catalogue_pairs(max_n, random_pairs, pair_max_n, seed)
     rows = _product_rows("tensor", pairs, budget, threads)
-    bad = [r for r in rows if not r["within_bound"]]
+    violations, unknown = _tally(rows, "within_bound")
     return SuiteResult(
         "tensor-upper-bound",
-        not bad,
+        not violations,
         rows,
-        {"pairs": len(rows), "violations": len(bad), "catalogue_max_n": max_n},
+        {"pairs": len(rows), "violations": violations, "unknown": unknown,
+         "catalogue_max_n": max_n},
+        unknown,
     )
 
 
@@ -282,18 +306,20 @@ def bidirect_suite(
 
     def solve(item: tuple[int, Graph]) -> dict:
         idx, g = item
-        chi = chromatic_number(g, budget).value
-        dchi = dichromatic_number(bidirect(g), budget).value
+        chi = _exact_value(chromatic_number(g, budget))
+        dchi = _exact_value(dichromatic_number(bidirect(g), budget))
+        equal = None if chi is None or dchi is None else chi == dchi
         return {"graph": idx, "n": g.n, "m": g.m, "chi": chi, "dichi": dchi,
-                "equal": chi == dchi}
+                "equal": equal}
 
     rows = parallel_map(solve, list(enumerate(graphs)), threads)
-    bad = [r for r in rows if not r["equal"]]
+    violations, unknown = _tally(rows, "equal")
     return SuiteResult(
         "bidirect",
-        not bad,
+        not violations,
         rows,
-        {"graphs": len(rows), "violations": len(bad), "max_n": max_n},
+        {"graphs": len(rows), "violations": violations, "unknown": unknown, "max_n": max_n},
+        unknown,
     )
 
 
@@ -304,19 +330,21 @@ def kneser_chi_suite(
     rows = []
     for n, k in cases:
         g = kneser(n, k)
-        cert = chromatic_number(g, budget)
+        chi = _exact_value(chromatic_number(g, budget))
         rows.append(
             {
                 "n": n,
                 "k": k,
                 "vertices": g.n,
-                "chi": cert.value,
+                "chi": chi,
                 "expected": n - 2 * k + 2,
-                "equal": cert.value == n - 2 * k + 2,
+                "equal": None if chi is None else chi == n - 2 * k + 2,
             }
         )
-    bad = [r for r in rows if not r["equal"]]
-    return SuiteResult("kneser-chi", not bad, rows, {"cases": len(rows), "violations": len(bad)})
+    violations, unknown = _tally(rows, "equal")
+    return SuiteResult("kneser-chi", not violations, rows,
+                       {"cases": len(rows), "violations": violations, "unknown": unknown},
+                       unknown)
 
 
 def _mohar_wu_bound(n: int, k: int) -> int:
@@ -338,7 +366,6 @@ def catalogue_suite(
     evidence that chromatic number >= 3 forces dichromatic number >= 2,
     and consistency with the known Kneser lower bound."""
     rows: list[dict] = []
-    ok = True
 
     # Strategy agreement on the catalogue plus random digraphs.
     dual_targets = [(f"cat:{i}", d) for i, d in enumerate(digraph_catalogue(dual_max_n))]
@@ -349,24 +376,23 @@ def catalogue_suite(
 
     def dual(item: tuple[str, Digraph]) -> dict:
         tag, d = item
-        a = dichromatic_number(d, budget).value
+        a = _exact_value(dichromatic_number(d, budget))
         b = exhaustive_dichromatic(d)
         return {"check": "dual-strategy", "instance": tag, "backtracking": a,
-                "partitions": b, "equal": a == b}
+                "partitions": b, "equal": None if a is None else a == b}
 
-    dual_rows = parallel_map(dual, dual_targets, threads)
-    ok &= all(r["equal"] for r in dual_rows)
-    rows.extend(dual_rows)
+    rows.extend(parallel_map(dual, dual_targets, threads))
 
     # Monotonicity chains on small digraphs.
     for i, d in enumerate(digraph_catalogue(list_max_n)):
         under = d.underlying_graph()
-        dichi = dichromatic_number(d, budget).value
-        ldichi = list_dichromatic_number(d, budget).value
-        lchi = list_chromatic_number(under, budget).value
-        chi = chromatic_number(under, budget).value
-        good = dichi <= ldichi <= lchi and dichi <= chi
-        ok &= good
+        dichi = _exact_value(dichromatic_number(d, budget))
+        ldichi = _exact_value(list_dichromatic_number(d, budget))
+        lchi = _exact_value(list_chromatic_number(under, budget))
+        chi = _exact_value(chromatic_number(under, budget))
+        good = None
+        if None not in (dichi, ldichi, lchi, chi):
+            good = dichi <= ldichi <= lchi and dichi <= chi
         rows.append(
             {"check": "monotonicity", "instance": f"cat:{i}", "dichi": dichi,
              "list_dichi": ldichi, "list_chi": lchi, "chi": chi, "equal": good}
@@ -375,35 +401,38 @@ def catalogue_suite(
     # chi >= 3 forces a cycle, hence an orientation of dichromatic number 2.
     enl_checked = 0
     for i, g in enumerate(graphs_up_to(enl_max_n)):
-        chi = chromatic_number(g, budget).value
-        if chi < 3:
+        chi = _exact_value(chromatic_number(g, budget))
+        if chi is not None and chi < 3:
             continue
-        enl_checked += 1
-        o = cycle_orientation(g)
-        good = o is not None
-        if good:
-            d = apply_orientation(g, o)
-            good = not is_acyclic(d) and dichromatic_number(d, budget).value >= 2
-        ok &= good
+        good = None
+        if chi is not None:
+            enl_checked += 1
+            o = cycle_orientation(g)
+            good = o is not None
+            if good:
+                d = apply_orientation(g, o)
+                # a sound lower bound, so an inexact certificate decides too
+                good = not is_acyclic(d) and dichromatic_number(d, budget).lower >= 2
         if not good:
             rows.append({"check": "enl-evidence", "instance": f"graph:{i}",
-                         "chi": chi, "equal": False})
+                         "chi": chi, "equal": good})
     rows.append({"check": "enl-evidence", "instance": f"all<= {enl_max_n}",
                  "count": enl_checked, "equal": True})
 
     # Known Kneser lower bound never exceeds the exact value.
     for n, k in ((2, 1), (3, 1), (4, 1), (5, 1), (4, 2), (6, 3)):
         g = kneser(n, k)
-        value = dichromatic_number_of_graph(g, budget).value
+        value = _exact_value(dichromatic_number_of_graph(g, budget))
         bound = _mohar_wu_bound(n, k)
-        good = value >= bound
-        ok &= good
         rows.append({"check": "kneser-lower-bound", "instance": f"KG({n},{k})",
-                     "value": value, "bound": bound, "equal": good})
+                     "value": value, "bound": bound,
+                     "equal": None if value is None else value >= bound})
 
+    violations, unknown = _tally(rows, "equal")
     return SuiteResult(
         "catalogue",
-        bool(ok),
+        not violations,
         rows,
-        {"checks": len(rows), "seed": seed},
+        {"checks": len(rows), "unknown": unknown, "seed": seed},
+        unknown,
     )

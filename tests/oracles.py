@@ -163,3 +163,55 @@ def brute_min_acyclic_parts(n, arcs):
         if all(acyclic_by_dfs(*relabel(arcs, b)) for b in part):
             best = len(part)
     return best
+
+
+def _column_multisets(n, k):
+    """Every k-list assignment on n vertices up to renaming colours: the
+    multiset of colour columns (the vertex set whose lists hold a colour),
+    listed in non-increasing order, covering each vertex exactly k times."""
+    def rec(limit, cols, cover):
+        if all(c == k for c in cover):
+            yield list(cols)
+            return
+        for col in range(limit, 0, -1):
+            members = [v for v in range(n) if col >> v & 1]
+            if any(cover[v] == k for v in members):
+                continue
+            for v in members:
+                cover[v] += 1
+            cols.append(col)
+            yield from rec(col, cols, cover)
+            cols.pop()
+            for v in members:
+                cover[v] -= 1
+
+    yield from rec((1 << n) - 1, [], [0] * n)
+
+
+def _brute_list_number(n, class_ok):
+    """Smallest k at which every k-list assignment admits a choice of one
+    colour per vertex whose colour classes all pass class_ok."""
+    if n == 0:
+        return 0
+    for k in range(1, n + 1):
+        accepts_all = True
+        for cols in _column_multisets(n, k):
+            options = [[j for j, col in enumerate(cols) if col >> v & 1] for v in range(n)]
+            if not any(
+                all(class_ok([v for v in range(n) if pick[v] == j]) for j in set(pick))
+                for pick in product(*options)
+            ):
+                accepts_all = False
+                break
+        if accepts_all:
+            return k
+    raise AssertionError("no list size up to n accepts")
+
+
+def brute_list_dichromatic(n, arcs):
+    return _brute_list_number(n, lambda block: acyclic_by_dfs(*relabel(arcs, block)))
+
+
+def brute_list_chromatic(n, edges):
+    return _brute_list_number(
+        n, lambda block: not any(u in block and v in block for u, v in edges))

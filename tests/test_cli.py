@@ -243,13 +243,52 @@ def test_cli_verify_catalogue(capsys):
     assert json.loads(out)["ok"] is True
 
 
-def test_cli_threads_env_fallback(monkeypatch):
+def test_cli_threads_env_fallback(monkeypatch, capsys):
+    import dichroma.cli as cli
     from dichroma.parallel import default_threads
 
     monkeypatch.setenv("DICHROMA_THREADS", "3")
     assert default_threads() == 3
     monkeypatch.setenv("DICHROMA_THREADS", "junk")
-    assert default_threads() >= 1
+    assert default_threads() == 1
+    monkeypatch.delenv("DICHROMA_THREADS")
+    assert default_threads() == 1
+
+    seen = []
+    original = cli.estimate_biclique_event
+
+    def spy(*args, threads):
+        seen.append(threads)
+        return original(*args, threads=threads)
+
+    monkeypatch.setattr(cli, "estimate_biclique_event", spy)
+    mc = ["mc", "biclique", "--graph", "K4", "--l", "1", "--trials", "4"]
+    monkeypatch.setenv("DICHROMA_THREADS", "2")
+    assert run(mc) == 0
+    assert run(mc + ["--threads", "3"]) == 0
+    monkeypatch.delenv("DICHROMA_THREADS")
+    assert run(mc) == 0
+    assert seen == [2, 3, 1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "sabidussi", "--max-n", "4", "--pairs", "5", "--threads", "1"],
+    ["verify", "tensor-bound"],
+    ["verify", "bidirect", "--max-n", "5"],
+    ["verify", "kneser-chi"],
+    ["verify", "catalogue"],
+])
+def test_cli_verify_budget_is_not_a_violation(monkeypatch, capsys, argv):
+    from dichroma.solvers import _Deadline
+
+    monkeypatch.setattr(_Deadline, "check", lambda self: True)
+    code, out = _run(capsys, argv)
+    assert code == 3
+    assert "VIOLATED" not in out and "unknown" in out
+    code, out = _run(capsys, argv + ["--format", "json"])
+    record = json.loads(out)
+    assert code == 3 and record["ok"] is False
+    assert record["params"].get("violations", 0) == 0 and record["params"]["unknown"] > 0
 
 
 def test_cli_gen_borsuk_round_trip(tmp_path, capsys):

@@ -1,8 +1,8 @@
-from itertools import combinations, product as iproduct
+from itertools import combinations, count, product as iproduct
 
 import pytest
 
-from dichroma.catalogue import digraph_catalogue, random_digraph
+from dichroma.catalogue import digraph_catalogue, graph_catalogue, random_digraph
 from dichroma.core import (
     Coloring,
     Digraph,
@@ -16,9 +16,10 @@ from dichroma.core import (
 from dichroma.errors import LimitExceededError
 from dichroma.generators import complete_graph, cycle_graph, kneser, path_graph
 from dichroma.products import cartesian_product
-from dichroma.randomized import RngSpec
+from dichroma.randomized import RngSpec, random_orientation
 from dichroma.solvers import (
     SolveBudget,
+    _Deadline,
     canonical_list_assignments,
     chromatic_number,
     dichromatic_number,
@@ -30,7 +31,12 @@ from dichroma.solvers import (
     sabidussi_coloring,
 )
 
-from oracles import brute_chromatic, brute_min_acyclic_parts
+from oracles import (
+    brute_chromatic,
+    brute_list_chromatic,
+    brute_list_dichromatic,
+    brute_min_acyclic_parts,
+)
 
 C3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 BUDGET = SolveBudget(timeout=300)
@@ -179,6 +185,96 @@ def test_canonical_enumeration_matches_full_enumeration():
                 for L in canonical_list_assignments(d.n, k)
             )
             assert canonical_all == _accepts_all_brute(d, k)
+
+
+def _full_sweep(obj, finder) -> int:
+    """List number by sweeping canonical assignments level by level, with
+    the search set up afresh for every assignment and no bound."""
+    if obj.n == 0:
+        return 0
+    for k in count(1):
+        if all(finder(obj, L) is not None for L in canonical_list_assignments(obj.n, k)):
+            return k
+
+
+def _check_list_certificate(obj, cert, finder, expected):
+    assert cert.exact and cert.value == cert.lower == cert.upper == expected
+    if expected > 1:
+        rej = cert.rejecting_assignment
+        assert rej is not None and rej.k == expected - 1
+        assert finder(obj, rej) is None
+
+
+def test_list_dichromatic_matches_full_sweep():
+    for d in digraph_catalogue(4):
+        cert = list_dichromatic_number(d, BUDGET)
+        expected = _full_sweep(d, find_acceptable_dicoloring)
+        _check_list_certificate(d, cert, find_acceptable_dicoloring, expected)
+
+
+def test_list_chromatic_matches_full_sweep():
+    for g in graph_catalogue(4):
+        cert = list_chromatic_number(g, BUDGET)
+        expected = _full_sweep(g, find_acceptable_coloring)
+        _check_list_certificate(g, cert, find_acceptable_coloring, expected)
+
+
+def test_list_numbers_against_brute_force():
+    for d in digraph_catalogue(3):
+        _check_list_certificate(d, list_dichromatic_number(d, BUDGET),
+                                find_acceptable_dicoloring,
+                                brute_list_dichromatic(d.n, d.arcs))
+        g = d.underlying_graph()
+        _check_list_certificate(g, list_chromatic_number(g, BUDGET),
+                                find_acceptable_coloring,
+                                brute_list_chromatic(g.n, g.edges))
+
+
+def test_list_bound_closes_without_sweep():
+    # chi = 1 + degeneracy = 4: the levels below end at their first
+    # (uniform) assignment, and k = 4 needs no sweep
+    cert = list_chromatic_number(complete_graph(4), BUDGET)
+    assert cert.value == 4 and "1 + degeneracy" in cert.detail
+    cert = list_dichromatic_number(bidirect(complete_graph(4)), BUDGET)
+    assert cert.value == 4 and "1 + in/out-degeneracy" in cert.detail
+    # C4 is 2-choosable below its bound 3, so the k = 2 sweep decides
+    cert = list_chromatic_number(cycle_graph(4), BUDGET)
+    assert cert.value == 2 and "every canonical 2-assignment" in cert.detail
+
+
+def _fire_after(monkeypatch, calls: int) -> None:
+    """Make every solve deadline report time up from the given poll on."""
+    polls = count(1)
+    monkeypatch.setattr(_Deadline, "check", lambda self: next(polls) >= calls)
+
+
+def test_list_search_polls_deadline(monkeypatch):
+    d = bidirect(cycle_graph(4))  # bracket [2, 3] once k = 1 is rejected
+    _fire_after(monkeypatch, 1)
+    cert = list_dichromatic_number(d, BUDGET)
+    assert not cert.exact and (cert.lower, cert.upper) == (1, 3)
+    assert "timeout at k=1" in cert.detail
+    _fire_after(monkeypatch, 200)  # inside the k = 2 sweep
+    cert = list_dichromatic_number(d, BUDGET)
+    assert not cert.exact and cert.value is None
+    assert (cert.lower, cert.upper) == (2, 3) and "timeout at k=2" in cert.detail
+    assert cert.rejecting_assignment.k == 1
+    _fire_after(monkeypatch, 1)
+    cert = list_chromatic_number(cycle_graph(4), BUDGET)
+    assert not cert.exact and (cert.lower, cert.upper) == (1, 3)
+
+
+def test_dichromatic_timeout_keeps_bracket(monkeypatch):
+    tournament = random_orientation(complete_graph(12), RngSpec(3))
+    full = dichromatic_number(tournament, BUDGET)
+    _fire_after(monkeypatch, 1)
+    for d, lower in ((tournament, 2), (bidirect(cycle_graph(5)), 2)):
+        cert = dichromatic_number(d, BUDGET)
+        assert not cert.exact and cert.value is None
+        assert cert.lower == lower and cert.upper is not None
+        assert is_proper_dicoloring(d, cert.witness)
+        assert cert.witness.class_count() <= cert.upper
+    assert dichromatic_number(tournament, BUDGET).lower <= full.value
 
 
 def test_sabidussi_coloring_examples():
