@@ -387,7 +387,8 @@ def _mc_command(args) -> int:
         if args.l is None:
             raise GraphFormatError("mc biclique needs --l")
         est = estimate_biclique_event(g, args.l, args.trials, rng,
-                                      threads=_threads(args))
+                                      threads=_threads(args),
+                                      timeout=_budget(args).timeout)
         payload = {
             "estimate": est.estimate,
             "ci_low": est.ci_low,
@@ -515,7 +516,8 @@ def _dispatch(args) -> int:
             d = certified_breaking_orientation(
                 g, args.l, RngSpec(args.seed),
                 max_attempts=args.max_attempts,
-                break_cliques=args.break_cliques)
+                break_cliques=args.break_cliques,
+                timeout=_budget(args).timeout)
             _emit(args, format_graph(d))
             return EXIT_OK
         g = _need_graph(_read_structure(args.input))

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Optional
 
 from .core import (
@@ -23,6 +22,7 @@ from .core import (
     mask_of,
 )
 from .errors import BudgetExceededError, CertificationError, LimitExceededError
+from .solvers import _Deadline
 
 __all__ = [
     "RngSpec",
@@ -175,22 +175,82 @@ def _cross_arcs_acyclic(d: Digraph, s_mask: int, t_mask: int) -> bool:
     return _subset_acyclic(ins, (1 << len(verts)) - 1)
 
 
+def _first_chain(cols: list[Optional[int]], l: int) -> Optional[list[int]]:
+    """Positions of the lexicographically first l entries of cols that are
+    pairwise comparable under inclusion, skipping None entries, or None.
+
+    Comparability is pairwise, so the search is a clique search in the
+    comparability graph, cut as soon as too few positions remain."""
+    usable = 0
+    comp = [0] * len(cols)
+    for i, ci in enumerate(cols):
+        if ci is None:
+            continue
+        for j in iter_bits(usable):
+            cj = cols[j]
+            both = ci & cj
+            if both == ci or both == cj:
+                comp[i] |= 1 << j
+                comp[j] |= 1 << i
+        usable |= 1 << i
+
+    def rec(chosen: list[int], allowed: int) -> Optional[list[int]]:
+        need = l - len(chosen)
+        if not need:
+            return chosen
+        while allowed.bit_count() >= need:
+            low = allowed & -allowed
+            allowed ^= low
+            i = low.bit_length() - 1
+            hit = rec(chosen + [i], allowed & comp[i])
+            if hit is not None:
+                return hit
+        return None
+
+    return rec([], usable)
+
+
+def _combination_rank(positions: list[int], c: int) -> int:
+    """1-based rank of a sorted position tuple among combinations(range(c),
+    len(positions)) in lexicographic order."""
+    l = len(positions)
+    rank, prev = 1, -1
+    for j, p in enumerate(positions):
+        for x in range(prev + 1, p):
+            rank += math.comb(c - 1 - x, l - 1 - j)
+        prev = p
+    return rank
+
+
 def find_acyclic_biclique(
     d: Digraph,
     l: int,
     partition_hint: Optional[tuple[Iterable[int], Iterable[int]]] = None,
     max_pairs: int = 2_000_000,
+    deadline: Optional[_Deadline] = None,
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Search for disjoint S, T of size l, complete bipartite in the
     underlying graph, whose arcs between the sides are acyclic.
 
     The scan is exhaustive; ``partition_hint`` restricts S to the first and
-    T to the second given side. Returns (S, T) or None for a verified miss.
+    T to the second given side. Returns the lexicographically first (S, T)
+    or None for a verified miss.
+
+    The arcs between S and T form a bipartite tournament once no vertex of
+    T has a digon into S, and a bipartite tournament is acyclic iff it has
+    no directed 4-cycle, i.e. iff the sets N-(t) & S over t in T form a
+    chain under inclusion (Bang-Jensen and Gutin, Digraphs, 2009). S is
+    grown one vertex at a time while at least l common neighbours remain;
+    T is grown only while the chain condition holds. ``max_pairs`` bounds
+    the (S, T) pairs covered, pruned ones included, and ``deadline`` (a
+    solvers._Deadline shared by one command) is polled at every S node;
+    either raises BudgetExceededError.
     """
     if l < 1:
         raise ValueError("l must be at least 1")
     g = d.underlying_graph()
     n = g.n
+    adj, ins, outs = g.adj, d.ins, d.outs
     if partition_hint is not None:
         side_s = sorted(set(partition_hint[0]))
         side_t_mask = mask_of(partition_hint[1])
@@ -200,32 +260,50 @@ def find_acyclic_biclique(
         side_t_mask = (1 << n) - 1
         ordered = False
     examined = 0
-    for s_tuple in combinations(side_s, l):
-        common = side_t_mask
-        for v in s_tuple:
-            common &= g.adj[v]
-        common &= ~mask_of(s_tuple)
-        if not ordered:
-            # Unordered {S, T}: demand min(T) > min(S) to see each pair once.
-            common &= ~((1 << (s_tuple[0] + 1)) - 1)
-        candidates = list(iter_bits(common))
-        if len(candidates) < l:
-            continue
-        s_mask = mask_of(s_tuple)
-        for t_tuple in combinations(candidates, l):
-            examined += 1
-            if examined > max_pairs:
-                raise BudgetExceededError(
-                    "unknown: biclique scan exceeded its pair budget"
-                )
-            if _cross_arcs_acyclic(d, s_mask, mask_of(t_tuple)):
-                return (s_tuple, t_tuple)
-    return None
+
+    def scan_t(s_mask: int, common: int) -> Optional[tuple[int, ...]]:
+        nonlocal examined
+        cands = list(iter_bits(common))
+        cols = [None if ins[t] & outs[t] & s_mask else ins[t] & s_mask for t in cands]
+        pos = _first_chain(cols, l)
+        # the pairs combinations(cands, l) visits up to the hit, or all of them
+        c = len(cands)
+        examined += math.comb(c, l) if pos is None else _combination_rank(pos, c)
+        if examined > max_pairs:
+            raise BudgetExceededError("unknown: biclique scan exceeded its pair budget")
+        return None if pos is None else tuple(cands[i] for i in pos)
+
+    def scan_s(start: int, s_tuple: tuple[int, ...], s_mask: int, common: int):
+        if deadline is not None and deadline.check():
+            raise BudgetExceededError("unknown: biclique scan ran out of time")
+        if len(s_tuple) == l:
+            t_tuple = scan_t(s_mask, common)
+            return None if t_tuple is None else (s_tuple, t_tuple)
+        for i in range(start, len(side_s) - (l - len(s_tuple)) + 1):
+            v = side_s[i]
+            c = common & adj[v]
+            if not s_tuple and not ordered:
+                # Unordered {S, T}: demand min(T) > min(S) to see each pair once.
+                c &= ~((2 << v) - 1)
+            # adj[v] excludes v, so S never meets its own common neighbours
+            if c.bit_count() >= l:
+                hit = scan_s(i + 1, s_tuple + (v,), s_mask | 1 << v, c)
+                if hit is not None:
+                    return hit
+        return None
+
+    hit = scan_s(0, (), 0, side_t_mask)
+    if hit is not None and not _cross_arcs_acyclic(d, mask_of(hit[0]), mask_of(hit[1])):
+        raise RuntimeError(f"chain test and Kahn's algorithm disagree on {hit}")
+    return hit
 
 
-def find_acyclic_clique(d: Digraph, l: int, max_cliques: int = 2_000_000):
+def find_acyclic_clique(
+    d: Digraph, l: int, max_cliques: int = 2_000_000, deadline: Optional[_Deadline] = None
+):
     """Search for an l-clique of the underlying graph whose induced
-    orientation in d is acyclic (i.e. a transitive tournament)."""
+    orientation in d is acyclic (i.e. a transitive tournament).
+    ``deadline`` is polled at every node, as in find_acyclic_biclique."""
     if l < 1:
         raise ValueError("l must be at least 1")
     g = d.underlying_graph()
@@ -234,6 +312,8 @@ def find_acyclic_clique(d: Digraph, l: int, max_cliques: int = 2_000_000):
 
     def rec(clique: list[int], allowed: int):
         nonlocal examined
+        if deadline is not None and deadline.check():
+            raise BudgetExceededError("unknown: clique scan ran out of time")
         if len(clique) == l:
             examined += 1
             if examined > max_cliques:
@@ -257,19 +337,23 @@ def certified_breaking_orientation(
     rng: RngSpec,
     max_attempts: int = 200,
     break_cliques: bool = False,
+    timeout: Optional[float] = None,
 ) -> Digraph:
     """Rejection-sample an orientation in which every complete bipartite
     l+l subgraph (and, optionally, every l-clique) contains a directed
     cycle, verified exhaustively.
 
     Raises CertificationError when the attempts run out, which signals
-    parameters outside the regime where such orientations are plentiful.
+    parameters outside the regime where such orientations are plentiful,
+    and BudgetExceededError when ``timeout`` seconds, shared by all
+    attempts, run out.
     """
+    deadline = None if timeout is None else _Deadline(timeout)
     for attempt in range(max_attempts):
         d = random_orientation(g, rng.derive(attempt))
-        if find_acyclic_biclique(d, l) is not None:
+        if find_acyclic_biclique(d, l, deadline=deadline) is not None:
             continue
-        if break_cliques and find_acyclic_clique(d, l) is not None:
+        if break_cliques and find_acyclic_clique(d, l, deadline=deadline) is not None:
             continue
         return d
     raise CertificationError(
@@ -278,17 +362,24 @@ def certified_breaking_orientation(
 
 
 def estimate_biclique_event(
-    g: Graph, l: int, trials: int, rng: RngSpec, threads: int = 1
+    g: Graph, l: int, trials: int, rng: RngSpec, threads: int = 1,
+    timeout: Optional[float] = None,
 ) -> EventEstimate:
     """Monte Carlo frequency of 'some acyclic l+l biclique survives' under
-    uniformly random orientations of g."""
+    uniformly random orientations of g. When ``timeout`` seconds, shared
+    by all trials, run out, raises BudgetExceededError instead of
+    returning a partial count."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     from .parallel import parallel_map
 
+    # Worker threads share the deadline; a lost update of its tick counter
+    # only delays the next clock poll.
+    deadline = None if timeout is None else _Deadline(timeout)
+
     def one(i: int) -> bool:
         d = random_orientation(g, rng.derive(DOMAIN_TRIAL, i))
-        return find_acyclic_biclique(d, l) is not None
+        return find_acyclic_biclique(d, l, deadline=deadline) is not None
 
     hits = parallel_map(one, range(trials), threads)
     return EventEstimate.from_counts(sum(hits), trials)

@@ -217,13 +217,17 @@ def _exact_certificate(k: int, assignment: list[int], detail: str) -> Certificat
     return Certificate(k, True, k, k, witness=witness, detail=detail)
 
 
-def chromatic_number(g: Graph, b: SolveBudget = DEFAULT_BUDGET) -> Certificate:
-    """Exact chromatic number with a proper-colouring witness."""
+def chromatic_number(
+    g: Graph, b: SolveBudget = DEFAULT_BUDGET, deadline: Optional[_Deadline] = None
+) -> Certificate:
+    """Exact chromatic number with a proper-colouring witness. deadline,
+    when given, is shared with an enclosing solve and replaces b.timeout."""
     if g.n > b.vertex_limit:
         raise LimitExceededError(f"{g.n} vertices exceed budget {b.vertex_limit}")
     if g.n == 0:
         return Certificate(0, True, 0, 0, witness=Coloring((), ()), detail="empty")
-    deadline = _Deadline(b.timeout)
+    if deadline is None:
+        deadline = _Deadline(b.timeout)
     adj = g.adj
     order = _degree_order(adj)
     clique = _greedy_clique(adj)
@@ -268,14 +272,18 @@ def _digon_lower_bound(d: Digraph, deadline: _Deadline) -> int:
     return k
 
 
-def dichromatic_number(d: Digraph, b: SolveBudget = DEFAULT_BUDGET) -> Certificate:
+def dichromatic_number(
+    d: Digraph, b: SolveBudget = DEFAULT_BUDGET, deadline: Optional[_Deadline] = None
+) -> Certificate:
     """Exact dichromatic number: smallest k admitting a partition into k
-    acyclic classes, found by k-ascending backtracking."""
+    acyclic classes, found by k-ascending backtracking. deadline as in
+    chromatic_number."""
     if d.n > b.vertex_limit:
         raise LimitExceededError(f"{d.n} vertices exceed budget {b.vertex_limit}")
     if d.n == 0:
         return Certificate(0, True, 0, 0, witness=Coloring((), ()), detail="empty")
-    deadline = _Deadline(b.timeout)
+    if deadline is None:
+        deadline = _Deadline(b.timeout)
     outs, ins = d.outs, d.ins
     total = [outs[v] | ins[v] for v in range(d.n)]
     order = _degree_order(total)
@@ -306,13 +314,15 @@ def dichromatic_number_of_graph(g: Graph, b: SolveBudget = DEFAULT_BUDGET) -> Ce
 
     Orientations paired by full reversal have equal value, so only one of
     each pair is solved. Stops early once the chromatic number of g (an
-    upper bound for every orientation) is reached.
+    upper bound for every orientation) is reached. One deadline of
+    b.timeout covers the chromatic solve and every orientation solve.
     """
     if g.m > b.orientation_limit:
         raise LimitExceededError(
             f"{g.m} edges exceed the orientation budget {b.orientation_limit}"
         )
-    chi = chromatic_number(g, b)
+    deadline = _Deadline(b.timeout)
+    chi = chromatic_number(g, b, deadline)
     if g.m == 0:
         value = 1 if g.n else 0
         witness = Coloring((0,), (0,) * g.n) if g.n else Coloring((), ())
@@ -320,7 +330,6 @@ def dichromatic_number_of_graph(g: Graph, b: SolveBudget = DEFAULT_BUDGET) -> Ce
             value, True, value, value, witness=witness,
             witness_orientation=Orientation(g, ()), detail="no edges",
         )
-    deadline = _Deadline(b.timeout)
     best = 0
     best_orientation = None
     best_witness = None
@@ -332,10 +341,10 @@ def dichromatic_number_of_graph(g: Graph, b: SolveBudget = DEFAULT_BUDGET) -> Ce
         direction = tuple(bool(code >> (m - 1 - j) & 1) for j in range(m))
         o = Orientation(g, direction)
         d = apply_orientation(g, o)
-        cert = dichromatic_number(d, b)
+        cert = dichromatic_number(d, b, deadline)
         if not cert.exact:
             return Certificate(
-                None, False, best, chi.value,
+                None, False, max(best, cert.lower), chi.upper,
                 detail="timeout inside an orientation solve",
             )
         if cert.value > best:
@@ -344,9 +353,9 @@ def dichromatic_number_of_graph(g: Graph, b: SolveBudget = DEFAULT_BUDGET) -> Ce
             best_witness = cert.witness
         if chi.exact and best == chi.value:
             break
-        if time.monotonic() > deadline.at:
+        if deadline.check():
             return Certificate(
-                None, False, best, chi.value, witness=best_witness,
+                None, False, best, chi.upper, witness=best_witness,
                 witness_orientation=best_orientation,
                 detail="timeout during the orientation sweep",
             )
@@ -496,7 +505,7 @@ def canonical_list_assignments(n: int, k: int) -> Iterator[ListAssignment]:
         yield ListAssignment(tuple(range(1, top + 1)), chosen, k)
 
 
-def _list_number(obj, b: SolveBudget, finder) -> Certificate:
+def _list_number(obj, b: SolveBudget) -> Certificate:
     """Smallest k at which every canonical k-assignment accepts, with
     chi_l <= 1 + in/out-degeneracy (Bensmail, Harutyunyan and Le, 2018)
     closing the search: k levels below it end at their first rejecting
@@ -525,7 +534,7 @@ def _list_number(obj, b: SolveBudget, finder) -> Certificate:
         try:
             for L in canonical_list_assignments(n, k):
                 tested += 1
-                if finder(obj, L, search) is None:
+                if search.find(L.lists) is None:
                     rejecting = L
                     break
             else:
@@ -544,13 +553,13 @@ def _list_number(obj, b: SolveBudget, finder) -> Certificate:
 def list_dichromatic_number(d: Digraph, b: SolveBudget = DEFAULT_BUDGET) -> Certificate:
     """Exact list dichromatic number by canonical assignment enumeration;
     the certificate keeps a rejecting assignment for the value below."""
-    return _list_number(d, b, find_acceptable_dicoloring)
+    return _list_number(d, b)
 
 
 def list_chromatic_number(g: Graph, b: SolveBudget = DEFAULT_BUDGET) -> Certificate:
     """Exact list chromatic (choice) number, same machinery with
     independent-set classes."""
-    return _list_number(g, b, find_acceptable_coloring)
+    return _list_number(g, b)
 
 
 def sabidussi_coloring(fG: Coloring, fH: Coloring, N: int) -> Coloring:

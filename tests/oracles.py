@@ -215,3 +215,21 @@ def brute_list_dichromatic(n, arcs):
 def brute_list_chromatic(n, edges):
     return _brute_list_number(
         n, lambda block: not any(u in block and v in block for u, v in edges))
+
+
+def brute_acyclic_biclique(n, arcs, l):
+    """Every unordered pair {S, T} of disjoint l-sets, complete bipartite in
+    the underlying graph, whose arcs between S and T form no directed
+    cycle, as a set of frozensets of two frozensets."""
+    arcs = list(arcs)
+    linked = {frozenset(a) for a in arcs}
+    found = set()
+    for s in combinations(range(n), l):
+        rest = [v for v in range(n) if v not in s]
+        for t in combinations(rest, l):
+            if any(frozenset((u, v)) not in linked for u in s for v in t):
+                continue
+            cross = [(u, v) for u, v in arcs if (u in s and v in t) or (u in t and v in s)]
+            if acyclic_by_dfs(n, cross):
+                found.add(frozenset((frozenset(s), frozenset(t))))
+    return found

@@ -257,9 +257,9 @@ def test_cli_threads_env_fallback(monkeypatch, capsys):
     seen = []
     original = cli.estimate_biclique_event
 
-    def spy(*args, threads):
+    def spy(*args, threads, **kwargs):
         seen.append(threads)
-        return original(*args, threads=threads)
+        return original(*args, threads=threads, **kwargs)
 
     monkeypatch.setattr(cli, "estimate_biclique_event", spy)
     mc = ["mc", "biclique", "--graph", "K4", "--l", "1", "--trials", "4"]
@@ -289,6 +289,28 @@ def test_cli_verify_budget_is_not_a_violation(monkeypatch, capsys, argv):
     record = json.loads(out)
     assert code == 3 and record["ok"] is False
     assert record["params"].get("violations", 0) == 0 and record["params"]["unknown"] > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc", "biclique", "--l", "2", "--trials", "3", "--threads", "1"],
+    ["mc", "biclique", "--l", "2", "--trials", "3", "--threads", "2"],
+    ["orient", "certified", "--l", "2", "--seed", "3"],  # certifies C4 in time
+])
+def test_cli_biclique_commands_honour_timeout(monkeypatch, tmp_path, capsys, argv):
+    from dichroma.generators import complete_bipartite, cycle_graph
+    from dichroma.solvers import _Deadline
+
+    g = complete_bipartite(4, 4) if argv[0] == "mc" else cycle_graph(4)
+    path = tmp_path / "input.g"
+    path.write_text(format_graph(g))
+    assert run(argv[:2] + [str(path)] + argv[2:]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(_Deadline, "check", lambda self: True)
+    for fmt in ("text", "json"):
+        code = run(argv[:2] + [str(path)] + argv[2:] + ["--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert "budget exceeded" in captured.err and "Traceback" not in captured.err
 
 
 def test_cli_gen_borsuk_round_trip(tmp_path, capsys):

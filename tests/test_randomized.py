@@ -1,11 +1,22 @@
 import math
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from dichroma.catalogue import graph_catalogue
-from dichroma.core import Digraph, Graph, bidirect, is_acyclic
-from dichroma.errors import CertificationError, LimitExceededError
+from dichroma.catalogue import graph_catalogue, random_digraph
+from dichroma.core import (
+    Digraph,
+    Graph,
+    apply_orientation,
+    bidirect,
+    enumerate_orientations,
+    is_acyclic,
+    iter_bits,
+    mask_of,
+)
+from dichroma.errors import BudgetExceededError, CertificationError, LimitExceededError
 from dichroma.generators import (
     complete_bipartite,
     complete_graph,
@@ -15,6 +26,7 @@ from dichroma.generators import (
 )
 from dichroma.randomized import (
     DOMAIN_ORIENTATION,
+    _cross_arcs_acyclic,
     ExpectationParams,
     GBoundParams,
     RngSpec,
@@ -31,7 +43,14 @@ from dichroma.randomized import (
     wilson_interval,
 )
 
-from oracles import brute_count_acyclic_orientations, chromatic_polynomial
+from dichroma.solvers import _Deadline
+
+from oracles import (
+    acyclic_by_dfs,
+    brute_acyclic_biclique,
+    brute_count_acyclic_orientations,
+    chromatic_polynomial,
+)
 
 
 def test_random_orientation_edgeless():
@@ -92,6 +111,103 @@ def test_find_acyclic_biclique_partition_hint():
         (2, 3),
         (0, 1),
     )
+
+
+def _reference_biclique_scan(d, l, partition_hint=None, max_pairs=2_000_000):
+    """The scan find_acyclic_biclique replaced: every (S, T) pair in
+    lexicographic order, each tested by Kahn's algorithm."""
+    g = d.underlying_graph()
+    if partition_hint is not None:
+        side_s = sorted(set(partition_hint[0]))
+        side_t_mask = mask_of(partition_hint[1])
+    else:
+        side_s = list(range(g.n))
+        side_t_mask = (1 << g.n) - 1
+    examined = 0
+    for s_tuple in combinations(side_s, l):
+        common = side_t_mask
+        for v in s_tuple:
+            common &= g.adj[v]
+        common &= ~mask_of(s_tuple)
+        if partition_hint is None:
+            common &= ~((1 << (s_tuple[0] + 1)) - 1)
+        for t_tuple in combinations(list(iter_bits(common)), l):
+            examined += 1
+            if examined > max_pairs:
+                raise BudgetExceededError("pair budget")
+            if _cross_arcs_acyclic(d, mask_of(s_tuple), mask_of(t_tuple)):
+                return (s_tuple, t_tuple)
+    return None
+
+
+def _scan_outcome(scan, *args):
+    try:
+        return scan(*args)
+    except BudgetExceededError:
+        return "budget"
+
+
+def test_find_acyclic_biclique_matches_reference_scan():
+    # digons, partial hints (overlapping sides included) and pair budgets
+    # that cut the scan before, at and after a hit
+    pick = random.Random(20)
+    for seed in range(1000):
+        n = pick.randint(1, 9)
+        d = random_digraph(n, RngSpec(seed))
+        hints = [None, (pick.sample(range(n), pick.randint(1, n)),
+                        pick.sample(range(n), pick.randint(1, n)))]
+        for l in (1, 2, 3):
+            for hint in hints:
+                for max_pairs in (2_000_000, pick.randint(0, 40)):
+                    args = (d, l, hint, max_pairs)
+                    assert _scan_outcome(find_acyclic_biclique, *args) == \
+                        _scan_outcome(_reference_biclique_scan, *args), (seed, l, hint)
+
+
+def test_find_acyclic_biclique_oracle_all_orientations():
+    for g in (complete_bipartite(2, 3), complete_bipartite(3, 3)):
+        for o in enumerate_orientations(g):
+            d = apply_orientation(g, o)
+            expected = brute_acyclic_biclique(d.n, d.arcs, 2)
+            hit = find_acyclic_biclique(d, 2)
+            if hit is None:
+                assert not expected
+            else:
+                assert frozenset(map(frozenset, hit)) in expected
+
+
+def test_find_acyclic_biclique_k10_10():
+    k = complete_bipartite(10, 10)
+    d = random_orientation(k, RngSpec(3))
+    hit = ((0, 3, 4, 5, 6, 8), (10, 11, 14, 17, 18, 19))
+    assert find_acyclic_biclique(d, 6) == hit
+    cross = [(u, v) for u, v in d.arcs if {u, v} <= set(hit[0] + hit[1])]
+    assert acyclic_by_dfs(d.n, cross)
+    # the reference scan meets this hit at its 22,325th pair
+    assert find_acyclic_biclique(d, 6, max_pairs=22_325) == hit
+    with pytest.raises(BudgetExceededError):
+        find_acyclic_biclique(d, 6, max_pairs=22_324)
+    miss = random_orientation(k, RngSpec(5))
+    assert find_acyclic_biclique(miss, 6) is None
+    # a verified miss covers all C(10, 6)^2 = 44,100 pairs, pruned or not
+    assert find_acyclic_biclique(miss, 6, max_pairs=44_100) is None
+    with pytest.raises(BudgetExceededError):
+        find_acyclic_biclique(miss, 6, max_pairs=44_099)
+
+
+def test_biclique_scans_poll_deadline(monkeypatch):
+    monkeypatch.setattr(_Deadline, "check", lambda self: True)
+    d = random_orientation(complete_bipartite(3, 3), RngSpec(0))
+    with pytest.raises(BudgetExceededError):
+        find_acyclic_biclique(d, 2, deadline=_Deadline(60))
+    with pytest.raises(BudgetExceededError):
+        find_acyclic_clique(d, 2, deadline=_Deadline(60))
+    with pytest.raises(BudgetExceededError):
+        estimate_biclique_event(complete_bipartite(3, 3), 2, 4, RngSpec(1), timeout=60)
+    with pytest.raises(BudgetExceededError):
+        certified_breaking_orientation(complete_bipartite(3, 3), 2, RngSpec(1), timeout=60)
+    # without a deadline the scans never poll one
+    assert find_acyclic_biclique(d, 1) is not None
 
 
 def test_find_acyclic_clique():

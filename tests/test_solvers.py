@@ -277,6 +277,22 @@ def test_dichromatic_timeout_keeps_bracket(monkeypatch):
     assert dichromatic_number(tournament, BUDGET).lower <= full.value
 
 
+def test_graph_dichromatic_timeout_keeps_bracket(monkeypatch):
+    # Petersen: chi = 3 needs a search past the clique bound 2, and every
+    # orientation has dichromatic number 2
+    petersen = kneser(5, 2)
+    _fire_after(monkeypatch, 1)
+    cert = dichromatic_number_of_graph(petersen, BUDGET)
+    assert not cert.exact and cert.value is None
+    assert cert.upper == chromatic_number(petersen, BUDGET).upper == 3
+    assert cert.lower <= 2 <= cert.upper
+    # a deadline that fires during the sweep keeps the maximum so far
+    _fire_after(monkeypatch, 2000)
+    cert = dichromatic_number_of_graph(petersen, BUDGET)
+    assert not cert.exact and cert.lower == 2 and cert.upper == 3
+    assert "timeout" in cert.detail
+
+
 def test_sabidussi_coloring_examples():
     single = Coloring((0,), (0,))
     prod = sabidussi_coloring(single, single, 1)
