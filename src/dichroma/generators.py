@@ -1,7 +1,9 @@
 """Constructors for the graph families the toolkit studies.
 
 Kneser vertices are indexed colexicographically so indices are stable
-across runs; coordinates and subsets are preserved in labels.
+across runs; coordinates and subsets are preserved in labels. numpy is
+imported inside the sphere-sample and simplex functions, the only ones
+that use it, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -10,13 +12,14 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .core import Coloring, Graph, induced_subgraph
 from .errors import DichromaError, LimitExceededError
 from .randomized import mix64
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BorsukSampleConfig",
@@ -189,6 +192,8 @@ class BorsukSampleConfig:
 
 def _unit_hash_direction(key: tuple[int, ...], dim: int) -> np.ndarray:
     """Deterministic pseudo-random unit vector keyed by lattice coordinates."""
+    import numpy as np
+
     h = 0x5D1C_E5E5
     for c in key:
         h = mix64(h ^ mix64(c & ((1 << 64) - 1)))
@@ -212,6 +217,8 @@ def borsuk_points(cfg: BorsukSampleConfig) -> tuple[list[tuple[int, ...]], np.nd
     in the closed ball of radius 1+2*delta, perturbs each centre and
     projects it radially onto the sphere.
     """
+    import numpy as np
+
     dim = cfg.n + 1
     c = cfg.cube_side
     radius = 1.0 + 2.0 * cfg.delta
@@ -251,6 +258,8 @@ def borsuk_points(cfg: BorsukSampleConfig) -> tuple[list[tuple[int, ...]], np.nd
 
 def borsuk_sample(cfg: BorsukSampleConfig) -> Graph:
     """Finite induced sample of the sphere graph described by cfg."""
+    import numpy as np
+
     keys, points = borsuk_points(cfg)
     seen: dict[tuple[float, ...], int] = {}
     for idx, p in enumerate(points):
@@ -275,6 +284,8 @@ def borsuk_sample(cfg: BorsukSampleConfig) -> Graph:
 
 def regular_simplex(dim: int) -> np.ndarray:
     """dim+1 unit vectors in R^dim with pairwise inner product -1/dim."""
+    import numpy as np
+
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     v = np.zeros((dim + 1, dim))
@@ -289,6 +300,8 @@ def simplex_coloring(points: Sequence[Sequence[float]]) -> Coloring:
     """Colour unit vectors in R^(n+1) by the nearest-facet rule of a fixed
     inscribed regular simplex: colour = argmin_i <x, s_i>, ties to the
     lowest index. Uses n+2 colours."""
+    import numpy as np
+
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("need a nonempty 2d array of points")

@@ -97,6 +97,10 @@ class _Deadline:
         self.ticks += 1
         if self.ticks & 1023:
             return False
+        return self.expired()
+
+    def expired(self) -> bool:
+        """True when time is up, reading the clock now."""
         return time.monotonic() > self.at
 
 
@@ -309,19 +313,23 @@ def dichromatic_number(
         )
 
 
-def dichromatic_number_of_graph(g: Graph, b: SolveBudget = DEFAULT_BUDGET) -> Certificate:
+def dichromatic_number_of_graph(
+    g: Graph, b: SolveBudget = DEFAULT_BUDGET, deadline: Optional[_Deadline] = None
+) -> Certificate:
     """Maximum dichromatic number over all orientations of g.
 
     Orientations paired by full reversal have equal value, so only one of
     each pair is solved. Stops early once the chromatic number of g (an
-    upper bound for every orientation) is reached. One deadline of
-    b.timeout covers the chromatic solve and every orientation solve.
+    upper bound for every orientation) is reached. One deadline, of
+    b.timeout unless an enclosing deadline is given, covers the chromatic
+    solve and every orientation solve.
     """
     if g.m > b.orientation_limit:
         raise LimitExceededError(
             f"{g.m} edges exceed the orientation budget {b.orientation_limit}"
         )
-    deadline = _Deadline(b.timeout)
+    if deadline is None:
+        deadline = _Deadline(b.timeout)
     chi = chromatic_number(g, b, deadline)
     if g.m == 0:
         value = 1 if g.n else 0
@@ -505,7 +513,7 @@ def canonical_list_assignments(n: int, k: int) -> Iterator[ListAssignment]:
         yield ListAssignment(tuple(range(1, top + 1)), chosen, k)
 
 
-def _list_number(obj, b: SolveBudget) -> Certificate:
+def _list_number(obj, b: SolveBudget, deadline: Optional[_Deadline]) -> Certificate:
     """Smallest k at which every canonical k-assignment accepts, with
     chi_l <= 1 + in/out-degeneracy (Bensmail, Harutyunyan and Le, 2018)
     closing the search: k levels below it end at their first rejecting
@@ -513,7 +521,8 @@ def _list_number(obj, b: SolveBudget) -> Certificate:
     n = obj.n
     if n == 0:
         return Certificate(0, True, 0, 0, detail="empty")
-    deadline = _Deadline(b.timeout)
+    if deadline is None:
+        deadline = _Deadline(b.timeout)
     search = _ListSearch(obj, deadline)
     bound = "degeneracy" if isinstance(obj, Graph) else "in/out-degeneracy"
     upper = 1 + _smallest_last(search.outs, search.ins)[1]
@@ -550,16 +559,21 @@ def _list_number(obj, b: SolveBudget) -> Certificate:
         k += 1
 
 
-def list_dichromatic_number(d: Digraph, b: SolveBudget = DEFAULT_BUDGET) -> Certificate:
+def list_dichromatic_number(
+    d: Digraph, b: SolveBudget = DEFAULT_BUDGET, deadline: Optional[_Deadline] = None
+) -> Certificate:
     """Exact list dichromatic number by canonical assignment enumeration;
-    the certificate keeps a rejecting assignment for the value below."""
-    return _list_number(d, b)
+    the certificate keeps a rejecting assignment for the value below.
+    deadline as in chromatic_number."""
+    return _list_number(d, b, deadline)
 
 
-def list_chromatic_number(g: Graph, b: SolveBudget = DEFAULT_BUDGET) -> Certificate:
+def list_chromatic_number(
+    g: Graph, b: SolveBudget = DEFAULT_BUDGET, deadline: Optional[_Deadline] = None
+) -> Certificate:
     """Exact list chromatic (choice) number, same machinery with
     independent-set classes."""
-    return _list_number(g, b)
+    return _list_number(g, b, deadline)
 
 
 def sabidussi_coloring(fG: Coloring, fH: Coloring, N: int) -> Coloring:

@@ -30,7 +30,9 @@ from .products import cartesian_product, tensor_product
 from .randomized import RngSpec, uniform_below
 from .solvers import (
     DEFAULT_BUDGET,
+    Certificate,
     SolveBudget,
+    _Deadline,
     chromatic_number,
     dichromatic_number,
     dichromatic_number_of_graph,
@@ -69,8 +71,27 @@ class SuiteResult:
     unknown: int = 0
 
 
-def _exact_value(cert) -> Optional[int]:
-    return cert.value if cert.exact else None
+def _exact_value(cert: Optional[Certificate]) -> Optional[int]:
+    return cert.value if cert is not None and cert.exact else None
+
+
+class _SuiteSolves:
+    """Runs every solve of one suite call under a single deadline of
+    budget.timeout, shared across worker threads. A solve due after the
+    deadline is not started: it gives None, so its row reads unknown."""
+
+    def __init__(self, budget: SolveBudget):
+        self.budget = budget
+        self.deadline = _Deadline(budget.timeout)
+
+    def cert(self, solver, obj) -> Optional[Certificate]:
+        if self.deadline.expired():
+            return None
+        return solver(obj, self.budget, self.deadline)
+
+    def value(self, solver, obj) -> Optional[int]:
+        """The exact value, or None when the solve was cut short."""
+        return _exact_value(self.cert(solver, obj))
 
 
 def _tally(rows: list[dict], *checks: str) -> tuple[int, int]:
@@ -176,21 +197,21 @@ def _random_pair(rng: RngSpec, i: int, max_n: int) -> tuple[Digraph, Digraph]:
 def _product_rows(
     kind: str,
     pairs: list[tuple[str, Digraph, Digraph]],
-    budget: SolveBudget,
+    solves: _SuiteSolves,
     threads: int,
 ) -> list[dict]:
     """One row per pair; a row whose factor or product solve ran out of
-    budget keeps None for what it could not decide, with equal (or
-    within_bound) None."""
+    budget, or that comes after the deadline, keeps None for what it
+    could not decide, with equal (or within_bound) None."""
     cache: dict[tuple[int, tuple], Optional[int]] = {}
     witnesses: dict[tuple[int, tuple], Coloring] = {}
 
     def chi(d: Digraph) -> Optional[int]:
         key = (d.n, d.arcs)
         if key not in cache:
-            cert = dichromatic_number(d, budget)
+            cert = solves.cert(dichromatic_number, d)
             cache[key] = _exact_value(cert)
-            witnesses[key] = cert.witness
+            witnesses[key] = cert.witness if cert is not None else None
         return cache[key]
 
     for _, g, h in pairs:
@@ -201,12 +222,12 @@ def _product_rows(
         tag, g, h = task
         cg, ch = chi(g), chi(h)
         row = {"pair": tag, "n_left": g.n, "n_right": h.n, "chi_left": cg, "chi_right": ch}
-        known = cg is not None and ch is not None
+        known = cg is not None and ch is not None and not solves.deadline.expired()
         if kind == "cartesian":
             value = expected = proper = None
             if known:
                 prod = cartesian_product(g, h)
-                value = _exact_value(dichromatic_number(prod, budget))
+                value = solves.value(dichromatic_number, prod)
                 expected = max(cg, ch)
                 fg = witnesses[(g.n, g.arcs)]
                 fh = witnesses[(h.n, h.arcs)]
@@ -219,7 +240,7 @@ def _product_rows(
                 "equal": None if value is None else value == expected,
                 "modular_proper": proper,
             }
-        value = _exact_value(dichromatic_number(tensor_product(g, h), budget)) if known else None
+        value = solves.value(dichromatic_number, tensor_product(g, h)) if known else None
         bound = min(cg, ch) if known else None
         return {
             **row,
@@ -255,8 +276,9 @@ def sabidussi_suite(
     """Dichromatic number of every Cartesian product equals the maximum of
     the factors, and the modular sum colouring of optimal factor
     colourings is proper."""
+    solves = _SuiteSolves(budget)
     pairs = _catalogue_pairs(max_n, random_pairs, pair_max_n, seed)
-    rows = _product_rows("cartesian", pairs, budget, threads)
+    rows = _product_rows("cartesian", pairs, solves, threads)
     violations, unknown = _tally(rows, "equal", "modular_proper")
     return SuiteResult(
         "sabidussi",
@@ -284,8 +306,9 @@ def tensor_upper_bound_suite(
 ) -> SuiteResult:
     """Dichromatic number of every tensor product stays below the minimum
     of the factors (an optimal factor colouring pulls back)."""
+    solves = _SuiteSolves(budget)
     pairs = _catalogue_pairs(max_n, random_pairs, pair_max_n, seed)
-    rows = _product_rows("tensor", pairs, budget, threads)
+    rows = _product_rows("tensor", pairs, solves, threads)
     violations, unknown = _tally(rows, "within_bound")
     return SuiteResult(
         "tensor-upper-bound",
@@ -302,12 +325,13 @@ def bidirect_suite(
 ) -> SuiteResult:
     """Chromatic number of each catalogue graph equals the dichromatic
     number of its bidirected digraph."""
+    solves = _SuiteSolves(budget)
     graphs = graphs_up_to(max_n)
 
     def solve(item: tuple[int, Graph]) -> dict:
         idx, g = item
-        chi = _exact_value(chromatic_number(g, budget))
-        dchi = _exact_value(dichromatic_number(bidirect(g), budget))
+        chi = solves.value(chromatic_number, g)
+        dchi = solves.value(dichromatic_number, bidirect(g))
         equal = None if chi is None or dchi is None else chi == dchi
         return {"graph": idx, "n": g.n, "m": g.m, "chi": chi, "dichi": dchi,
                 "equal": equal}
@@ -327,10 +351,11 @@ def kneser_chi_suite(
     cases=KNESER_CHI_CASES, budget: SolveBudget = DEFAULT_BUDGET
 ) -> SuiteResult:
     """Exact chromatic numbers of the disjointness graphs match n-2k+2."""
+    solves = _SuiteSolves(budget)
     rows = []
     for n, k in cases:
         g = kneser(n, k)
-        chi = _exact_value(chromatic_number(g, budget))
+        chi = solves.value(chromatic_number, g)
         rows.append(
             {
                 "n": n,
@@ -365,6 +390,7 @@ def catalogue_suite(
     partition enumeration, list/ordinary monotonicity, the small-graph
     evidence that chromatic number >= 3 forces dichromatic number >= 2,
     and consistency with the known Kneser lower bound."""
+    solves = _SuiteSolves(budget)
     rows: list[dict] = []
 
     # Strategy agreement on the catalogue plus random digraphs.
@@ -376,7 +402,7 @@ def catalogue_suite(
 
     def dual(item: tuple[str, Digraph]) -> dict:
         tag, d = item
-        a = _exact_value(dichromatic_number(d, budget))
+        a = solves.value(dichromatic_number, d)
         b = exhaustive_dichromatic(d)
         return {"check": "dual-strategy", "instance": tag, "backtracking": a,
                 "partitions": b, "equal": None if a is None else a == b}
@@ -386,10 +412,10 @@ def catalogue_suite(
     # Monotonicity chains on small digraphs.
     for i, d in enumerate(digraph_catalogue(list_max_n)):
         under = d.underlying_graph()
-        dichi = _exact_value(dichromatic_number(d, budget))
-        ldichi = _exact_value(list_dichromatic_number(d, budget))
-        lchi = _exact_value(list_chromatic_number(under, budget))
-        chi = _exact_value(chromatic_number(under, budget))
+        dichi = solves.value(dichromatic_number, d)
+        ldichi = solves.value(list_dichromatic_number, d)
+        lchi = solves.value(list_chromatic_number, under)
+        chi = solves.value(chromatic_number, under)
         good = None
         if None not in (dichi, ldichi, lchi, chi):
             good = dichi <= ldichi <= lchi and dichi <= chi
@@ -401,7 +427,7 @@ def catalogue_suite(
     # chi >= 3 forces a cycle, hence an orientation of dichromatic number 2.
     enl_checked = 0
     for i, g in enumerate(graphs_up_to(enl_max_n)):
-        chi = _exact_value(chromatic_number(g, budget))
+        chi = solves.value(chromatic_number, g)
         if chi is not None and chi < 3:
             continue
         good = None
@@ -412,7 +438,10 @@ def catalogue_suite(
             if good:
                 d = apply_orientation(g, o)
                 # a sound lower bound, so an inexact certificate decides too
-                good = not is_acyclic(d) and dichromatic_number(d, budget).lower >= 2
+                good = not is_acyclic(d)
+                if good:
+                    cert = solves.cert(dichromatic_number, d)
+                    good = None if cert is None else cert.lower >= 2
         if not good:
             rows.append({"check": "enl-evidence", "instance": f"graph:{i}",
                          "chi": chi, "equal": good})
@@ -422,7 +451,7 @@ def catalogue_suite(
     # Known Kneser lower bound never exceeds the exact value.
     for n, k in ((2, 1), (3, 1), (4, 1), (5, 1), (4, 2), (6, 3)):
         g = kneser(n, k)
-        value = _exact_value(dichromatic_number_of_graph(g, budget))
+        value = solves.value(dichromatic_number_of_graph, g)
         bound = _mohar_wu_bound(n, k)
         rows.append({"check": "kneser-lower-bound", "instance": f"KG({n},{k})",
                      "value": value, "bound": bound,

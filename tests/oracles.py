@@ -3,7 +3,8 @@
 Everything here is deliberately brute-force and shares no code with the
 package: acyclicity by topological permutation search or by three-state
 depth-first search, colouring numbers by assignment enumeration, acyclic
-orientation counts by the chromatic polynomial.
+orientation counts by the chromatic polynomial, canonical forms of
+graph and digraph masks by trying every relabelling.
 """
 
 from collections import defaultdict
@@ -233,3 +234,22 @@ def brute_acyclic_biclique(n, arcs, l):
             if acyclic_by_dfs(n, cross):
                 found.add(frozenset((frozenset(s), frozenset(t))))
     return found
+
+
+def brute_canonical_masks(n, masks, positions, symmetric):
+    """Least mask over all vertex relabellings, for each input mask. Bit i
+    of a mask stands for the vertex pair positions[i], unordered when
+    symmetric."""
+    index = {p: i for i, p in enumerate(positions)}
+    bits = [[i for i in range(len(positions)) if mask >> i & 1] for mask in masks]
+    best = list(masks)
+    for perm in permutations(range(n)):
+        image = []
+        for u, v in positions:
+            a, b = perm[u], perm[v]
+            if symmetric and a > b:
+                a, b = b, a
+            image.append(1 << index[(a, b)])
+        for j, on in enumerate(bits):
+            best[j] = min(best[j], sum(map(image.__getitem__, on)))
+    return best

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import dichroma
 from dichroma.cli import run
 from dichroma.core import Digraph, Graph, bidirect
 from dichroma.errors import GraphFormatError
@@ -289,6 +295,28 @@ def test_cli_verify_budget_is_not_a_violation(monkeypatch, capsys, argv):
     record = json.loads(out)
     assert code == 3 and record["ok"] is False
     assert record["params"].get("violations", 0) == 0 and record["params"]["unknown"] > 0
+
+
+def test_cli_verify_stops_at_one_deadline(capsys):
+    # every row of the exhaustive 5-vertex check, 232,221 products, takes
+    # about a minute in all; one deadline of a second cuts it short
+    started = time.perf_counter()
+    code, out = _run(capsys, ["verify", "sabidussi", "--max-n", "5", "--pairs", "0",
+                              "--timeout-s", "1", "--threads", "1"])
+    assert code == 3
+    assert "unknown" in out and "VIOLATED" not in out
+    assert time.perf_counter() - started < 30
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # catalogues up to 5 vertices (4 oriented) are canonicalised without it
+    src = str(Path(dichroma.__file__).resolve().parents[1])
+    probe = ("import sys, dichroma.cli; print('numpy' in sys.modules); "
+             "from dichroma.catalogue import digraph_catalogue, graphs_up_to; "
+             "digraph_catalogue(4); graphs_up_to(5); print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.split() == ["False", "False"]
 
 
 @pytest.mark.parametrize("argv", [

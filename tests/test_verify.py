@@ -1,13 +1,18 @@
+import pytest
+
 from dichroma.catalogue import digraph_catalogue, random_digraph
 from dichroma.core import apply_orientation, is_acyclic
 from dichroma.generators import complete_graph, cycle_graph, path_graph
 from dichroma.randomized import RngSpec
-from dichroma.solvers import dichromatic_number
+from dichroma.solvers import _Deadline, dichromatic_number
 from dichroma.verify import (
+    bidirect_suite,
     catalogue_suite,
     cycle_orientation,
     exhaustive_dichromatic,
+    kneser_chi_suite,
     sabidussi_suite,
+    tensor_upper_bound_suite,
 )
 
 from oracles import brute_min_acyclic_parts
@@ -60,3 +65,34 @@ def test_sabidussi_suite_row_shape():
     row = result.rows[0]
     assert {"pair", "chi_left", "chi_right", "chi_product", "expected",
             "equal", "modular_proper"} <= set(row)
+
+
+@pytest.mark.parametrize("suite, kwargs", [
+    (sabidussi_suite, {"max_n": 3, "random_pairs": 20, "threads": 1}),
+    (sabidussi_suite, {"max_n": 3, "random_pairs": 20, "threads": 2}),
+    (tensor_upper_bound_suite, {"max_n": 4, "threads": 2}),
+    (bidirect_suite, {"max_n": 6, "threads": 2}),
+    (kneser_chi_suite, {}),
+    (catalogue_suite, {"dual_random": 10, "threads": 2}),
+])
+def test_suite_solves_share_one_deadline(monkeypatch, suite, kwargs):
+    polled = []
+
+    def check(deadline):
+        polled.append(deadline)
+        return len(polled) > 3
+
+    monkeypatch.setattr(_Deadline, "check", check)
+    result = suite(**kwargs)
+    assert len({id(d) for d in polled}) == 1
+    assert result.ok and result.unknown > 0
+    assert result.summary["unknown"] == result.unknown
+
+
+def test_suite_rows_after_the_deadline_read_unknown(monkeypatch):
+    monkeypatch.setattr(_Deadline, "expired", lambda self: True)
+    result = sabidussi_suite(max_n=2, random_pairs=5, pair_max_n=3)
+    assert result.ok and result.unknown == len(result.rows)
+    assert all(row["chi_product"] is None for row in result.rows)
+    result = catalogue_suite(dual_random=3)
+    assert result.ok and result.unknown > 0
