@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import sys
@@ -81,7 +82,10 @@ EXIT_BUDGET = 3
 EXIT_VIOLATED = 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process; parsing leaves it
+    unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="64-bit master seed")
     common.add_argument("--threads", type=int, default=None,

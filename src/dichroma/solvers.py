@@ -186,9 +186,13 @@ def _search_graph_coloring(adj, order, k, deadline) -> Optional[list[int]]:
     return list(colour) if rec(0, 0) else None
 
 
-def _search_dicoloring(outs, ins, order, k, deadline) -> Optional[list[int]]:
+def _search_dicoloring(
+    outs, ins, order, k, deadline, clash=_extension_cyclic
+) -> Optional[list[int]]:
     """Digraph analogue of _search_graph_coloring with incremental
-    per-class cycle detection."""
+    per-class cycle detection. clash(outs, ins, class mask, v), true when
+    v may not join the class, is the class test; _forest_test with
+    outs = ins = adj partitions a graph into induced forests instead."""
     n = len(outs)
     colour = [-1] * n
     class_masks = [0] * k
@@ -202,7 +206,7 @@ def _search_dicoloring(outs, ins, order, k, deadline) -> Optional[list[int]]:
         bit = 1 << v
         cap = used + 1 if used < k else k
         for c in range(cap):
-            if _extension_cyclic(outs, ins, class_masks[c], v):
+            if clash(outs, ins, class_masks[c], v):
                 continue
             colour[v] = c
             class_masks[c] |= bit
@@ -256,22 +260,17 @@ def chromatic_number(
     return _exact_certificate(upper, greedy, f"all k in [{lower},{upper}) refuted")
 
 
-def _digon_graph(d: Digraph) -> Graph:
-    edges = [(u, v) for u, v in d.arcs if u < v and d.has_arc(v, u)]
-    return Graph(d.n, edges)
-
-
-def _digon_lower_bound(d: Digraph, deadline: _Deadline) -> int:
-    """Chromatic number of the digon graph: digon endpoints cannot share a
-    class."""
-    dg = _digon_graph(d)
-    if not dg.m:
+def _digon_lower_bound(outs, ins, deadline: _Deadline) -> int:
+    """Chromatic number of the digon graph, whose neighbourhoods are
+    outs[v] & ins[v]: digon endpoints cannot share a class."""
+    digons = [o & i for o, i in zip(outs, ins)]
+    if not any(digons):
         return 1
-    order = _degree_order(dg.adj)
-    clique = _greedy_clique(dg.adj)
-    greedy = _greedy_graph_coloring(dg.adj, order)
+    order = _degree_order(digons)
+    clique = _greedy_clique(digons)
+    greedy = _greedy_graph_coloring(digons, order)
     k, hi = max(1, len(clique)), max(greedy) + 1
-    while k < hi and _search_graph_coloring(dg.adj, order, k, deadline) is None:
+    while k < hi and _search_graph_coloring(digons, order, k, deadline) is None:
         k += 1
     return k
 
@@ -296,7 +295,7 @@ def dichromatic_number(
     # 2 once any directed cycle exists
     k = lower = 1 if is_acyclic(d) else 2
     try:
-        k = lower = max(lower, _digon_lower_bound(d, deadline))
+        k = lower = max(lower, _digon_lower_bound(outs, ins, deadline))
         if lower >= upper:
             return _exact_certificate(upper, greedy, "lower bound meets greedy")
         while k < upper:
@@ -313,16 +312,54 @@ def dichromatic_number(
         )
 
 
+def _forest_clash(adj, mask: int, v: int) -> bool:
+    """True iff adding v to the induced forest on mask closes a cycle: v
+    has two neighbours in one tree of that forest."""
+    rest = adj[v] & mask
+    while rest & (rest - 1):
+        low = rest & -rest
+        tree = frontier = low
+        while frontier:
+            if tree & rest != low:
+                return True
+            nxt = 0
+            while frontier:
+                bit = frontier & -frontier
+                nxt |= adj[bit.bit_length() - 1]
+                frontier ^= bit
+            frontier = nxt & mask & ~tree
+            tree |= frontier
+        rest &= ~tree
+    return False
+
+
+def _forest_test(adj, _ins, mask: int, v: int) -> bool:
+    return _forest_clash(adj, mask, v)
+
+
+def _vertex_arboricity(adj, below: int, deadline: _Deadline) -> int:
+    """The fewest induced forests partitioning the vertices, searched
+    upward from 1; below when fewer than below do not suffice."""
+    order = _degree_order(adj)
+    for k in range(1, below):
+        if _search_dicoloring(adj, adj, order, k, deadline, _forest_test) is not None:
+            return k
+    return below
+
+
 def dichromatic_number_of_graph(
     g: Graph, b: SolveBudget = DEFAULT_BUDGET, deadline: Optional[_Deadline] = None
 ) -> Certificate:
     """Maximum dichromatic number over all orientations of g.
 
     Orientations paired by full reversal have equal value, so only one of
-    each pair is solved. Stops early once the chromatic number of g (an
-    upper bound for every orientation) is reached. One deadline, of
-    b.timeout unless an enclosing deadline is given, covers the chromatic
-    solve and every orientation solve.
+    each pair is solved, in lexicographic order. The sweep stops once the
+    maximum meets the smaller of two bounds on every orientation: the
+    chromatic number of g, and its vertex arboricity, the fewest induced
+    forests partitioning V (a forest is acyclic under every orientation;
+    Chartrand, Kronk and Wall, 1968), searched only below the first. One
+    deadline, of b.timeout unless an enclosing deadline is given, covers
+    the chromatic, arboricity and orientation solves.
     """
     if g.m > b.orientation_limit:
         raise LimitExceededError(
@@ -331,18 +368,20 @@ def dichromatic_number_of_graph(
     if deadline is None:
         deadline = _Deadline(b.timeout)
     chi = chromatic_number(g, b, deadline)
-    if g.m == 0:
-        value = 1 if g.n else 0
-        witness = Coloring((0,), (0,) * g.n) if g.n else Coloring((), ())
+    try:
+        bound = _vertex_arboricity(g.adj, chi.upper, deadline)
+    except _TimeUp:
         return Certificate(
-            value, True, value, value, witness=witness,
-            witness_orientation=Orientation(g, ()), detail="no edges",
+            None, False, 1, chi.upper,
+            detail="timeout while partitioning into induced forests",
         )
-    best = 0
+    closer = "vertex-arboricity" if bound < chi.upper else "chromatic"
+    best = -1  # the empty graph's one orientation still becomes the witness
     best_orientation = None
     best_witness = None
     full = (1 << g.m) - 1
     m = g.m
+    solved = 0
     for code in range(1 << m):
         if code > full ^ code:
             continue
@@ -350,27 +389,31 @@ def dichromatic_number_of_graph(
         o = Orientation(g, direction)
         d = apply_orientation(g, o)
         cert = dichromatic_number(d, b, deadline)
+        solved += 1
         if not cert.exact:
             return Certificate(
-                None, False, max(best, cert.lower), chi.upper,
-                detail="timeout inside an orientation solve",
+                None, False, max(best, cert.lower), bound,
+                detail=f"timeout inside orientation solve {solved}",
             )
         if cert.value > best:
             best = cert.value
             best_orientation = o
             best_witness = cert.witness
-        if chi.exact and best == chi.value:
+        if best == bound:
+            detail = f"stopped at the {closer} bound {bound}"
             break
         if deadline.check():
             return Certificate(
-                None, False, best, chi.upper, witness=best_witness,
+                None, False, best, bound, witness=best_witness,
                 witness_orientation=best_orientation,
-                detail="timeout during the orientation sweep",
+                detail=f"timeout during the orientation sweep after {solved} orientations",
             )
+    else:
+        detail = "full sweep"
     return Certificate(
         best, True, best, best, witness=best_witness,
         witness_orientation=best_orientation,
-        detail="maximum over all orientations (reversal pairs merged)",
+        detail=f"{detail} after {solved} orientations (reversal pairs merged)",
     )
 
 

@@ -2,9 +2,10 @@
 
 Everything here is deliberately brute-force and shares no code with the
 package: acyclicity by topological permutation search or by three-state
-depth-first search, colouring numbers by assignment enumeration, acyclic
-orientation counts by the chromatic polynomial, canonical forms of
-graph and digraph masks by trying every relabelling.
+depth-first search, colouring numbers by assignment enumeration, induced
+forests by counting edges against components, acyclic orientation counts
+by the chromatic polynomial, canonical forms of graph and digraph masks
+by trying every relabelling.
 """
 
 from collections import defaultdict
@@ -89,6 +90,27 @@ def brute_dichromatic(n, arcs, acyclic=acyclic_by_dfs):
             if all(acyclic(*relabel(arcs, b)) for b in blocks.values()):
                 return k
     raise AssertionError("no dicolouring found")
+
+
+def induces_forest(edges, subset):
+    """S induces a forest iff |E(S)| = |S| - components(S), with the
+    components found by union-find."""
+    subset = set(subset)
+    inside = [(u, v) for u, v in edges if u in subset and v in subset]
+    parent = {v: v for v in subset}
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    components = len(subset)
+    for u, v in inside:
+        ru, rv = root(u), root(v)
+        if ru != rv:
+            parent[ru] = rv
+            components -= 1
+    return len(inside) == len(subset) - components
 
 
 def brute_count_acyclic_orientations(n, edges):

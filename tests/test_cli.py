@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -362,3 +363,37 @@ def test_cli_orient_enumerate(tmp_path, capsys):
 
 def test_cli_version(capsys):
     assert run(["--version"]) == 0
+
+
+def test_cli_commands_share_one_parser(tmp_path, capsys):
+    # the argument tree is built once per process: a usage error and
+    # --version in between leave a repeated solve byte-identical
+    path = tmp_path / "petersen.g"
+    path.write_text(format_graph(kneser(5, 2)))
+    solve = ["solve", "graph-dichromatic", str(path), "--format", "json"]
+    outputs = []
+    for argv, expected in ((solve, 0), (["solve", "nonsense"], 2),
+                           (["--version"], 0), (solve, 0)):
+        assert run(argv) == expected
+        outputs.append(capsys.readouterr().out)
+    first, last = (re.sub(r'\n  "runtime_ms": [^\n]*', "", out) for out in (outputs[0], outputs[3]))
+    assert first == last and '"runtime_ms"' not in first
+    assert json.loads(first)["certificate"]["value"] == 2
+    assert outputs[2].strip() == f"dichroma {dichroma.__version__}"
+
+
+def test_cli_timeout_in_arboricity_search(monkeypatch, tmp_path, capsys):
+    from dichroma import solvers
+
+    path = tmp_path / "petersen.g"
+    path.write_text(format_graph(kneser(5, 2)))
+    armed = []
+    forest_test = solvers._forest_test
+    monkeypatch.setattr(solvers, "_forest_test",
+                        lambda *args: armed.append(True) or forest_test(*args))
+    monkeypatch.setattr(solvers._Deadline, "check", lambda self: bool(armed))
+    code = run(["solve", "graph-dichromatic", str(path), "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 3 and "Traceback" not in captured.err
+    cert = json.loads(captured.out)["certificate"]
+    assert not cert["exact"] and cert["lower"] <= 2 <= cert["upper"] == 3

@@ -8,18 +8,30 @@ from dichroma.core import (
     Digraph,
     Graph,
     ListAssignment,
+    Orientation,
+    apply_orientation,
     bidirect,
     is_acyclic,
     is_proper_coloring,
     is_proper_dicoloring,
 )
 from dichroma.errors import LimitExceededError
-from dichroma.generators import complete_graph, cycle_graph, kneser, path_graph
+from dichroma.generators import (
+    complete_bipartite,
+    complete_graph,
+    complete_multipartite,
+    cycle_graph,
+    kneser,
+    path_graph,
+)
 from dichroma.products import cartesian_product
 from dichroma.randomized import RngSpec, random_orientation
+from dichroma import solvers
 from dichroma.solvers import (
     SolveBudget,
     _Deadline,
+    _forest_clash,
+    _vertex_arboricity,
     canonical_list_assignments,
     chromatic_number,
     dichromatic_number,
@@ -36,6 +48,7 @@ from oracles import (
     brute_list_chromatic,
     brute_list_dichromatic,
     brute_min_acyclic_parts,
+    induces_forest,
 )
 
 C3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
@@ -110,6 +123,81 @@ def test_dichromatic_number_of_graph_against_full_sweep():
             d = apply_orientation(g, o)
             brute = max(brute, brute_min_acyclic_parts(d.n, d.arcs))
         assert dichromatic_number_of_graph(g, BUDGET).value == brute
+
+
+def _reference_sweep(g):
+    """The orientation sweep without the arboricity bound: one orientation
+    of each reversal pair in lexicographic order, stopping only once the
+    chromatic number is reached."""
+    chi = chromatic_number(g, BUDGET)
+    if g.m == 0:
+        value = 1 if g.n else 0
+        return value, True, Orientation(g, ()), Coloring((0,), (0,) * g.n)
+    best, best_orientation, best_witness = 0, None, None
+    m, full = g.m, (1 << g.m) - 1
+    for code in range(1 << m):
+        if code > full ^ code:
+            continue
+        o = Orientation(g, tuple(bool(code >> (m - 1 - j) & 1) for j in range(m)))
+        cert = dichromatic_number(apply_orientation(g, o), BUDGET)
+        if cert.value > best:
+            best, best_orientation, best_witness = cert.value, o, cert.witness
+        if chi.exact and best == chi.value:
+            break
+    return best, True, best_orientation, best_witness
+
+
+def test_dichromatic_number_of_graph_matches_reference_sweep():
+    from dichroma.catalogue import graphs_up_to
+
+    named = [kneser(5, 2), complete_multipartite(2, 3), complete_bipartite(3, 3),
+             complete_graph(5), complete_graph(6)]
+    for g in graphs_up_to(6) + named:
+        cert = dichromatic_number_of_graph(g, BUDGET)
+        got = (cert.value, cert.exact, cert.witness_orientation, cert.witness)
+        assert got == _reference_sweep(g), g
+
+
+def test_dichromatic_number_of_graph_names_its_bound():
+    cert = dichromatic_number_of_graph(kneser(5, 2), BUDGET)
+    assert cert.detail.startswith("stopped at the vertex-arboricity bound 2 after 26 ")
+    cert = dichromatic_number_of_graph(complete_multipartite(2, 3), BUDGET)
+    assert cert.detail.startswith("stopped at the vertex-arboricity bound 2 after 7 ")
+    # K_{3,3}: the chromatic number 2 is below any further arboricity level
+    cert = dichromatic_number_of_graph(complete_bipartite(3, 3), BUDGET)
+    assert cert.detail.startswith("stopped at the chromatic bound 2 after ")
+    cert = dichromatic_number_of_graph(complete_graph(6), BUDGET)
+    assert cert.value == 2 and cert.detail.startswith("full sweep after 16384 ")
+
+
+def test_forest_clash_against_oracle():
+    from dichroma.catalogue import graphs_up_to
+
+    for g in graphs_up_to(5):
+        for mask in range(1 << g.n):
+            members = [u for u in range(g.n) if mask >> u & 1]
+            if not induces_forest(g.edges, members):
+                continue
+            for v in range(g.n):
+                if not mask >> v & 1:
+                    grown = induces_forest(g.edges, members + [v])
+                    assert _forest_clash(g.adj, mask, v) == (not grown), (g, mask, v)
+
+
+def _arboricity(g):
+    return _vertex_arboricity(g.adj, g.n + 1, _Deadline(300))
+
+
+def test_vertex_arboricity_known_values():
+    for n in range(1, 8):
+        assert _arboricity(complete_graph(n)) == (n + 1) // 2
+    for n in range(3, 9):
+        assert _arboricity(cycle_graph(n)) == 2
+    star = complete_bipartite(1, 5)
+    for tree in (path_graph(1), path_graph(6), star):
+        assert _arboricity(tree) == 1
+    for g in (kneser(5, 2), complete_multipartite(2, 3), complete_bipartite(3, 3)):
+        assert _arboricity(g) == 2
 
 
 def test_dichromatic_number_of_graph_limit():
@@ -286,10 +374,33 @@ def test_graph_dichromatic_timeout_keeps_bracket(monkeypatch):
     assert not cert.exact and cert.value is None
     assert cert.upper == chromatic_number(petersen, BUDGET).upper == 3
     assert cert.lower <= 2 <= cert.upper
-    # a deadline that fires during the sweep keeps the maximum so far
+    # a deadline that fires during the sweep keeps the maximum so far; K6
+    # sweeps in full (a(K6) = 3 > 2), and its bracket ends at a, not chi = 6
     _fire_after(monkeypatch, 2000)
-    cert = dichromatic_number_of_graph(petersen, BUDGET)
+    cert = dichromatic_number_of_graph(complete_graph(6), BUDGET)
     assert not cert.exact and cert.lower == 2 and cert.upper == 3
+    assert "timeout" in cert.detail
+
+
+def _fire_in_arboricity_search(monkeypatch) -> None:
+    """Make the deadline fire from the first forest class test on."""
+    armed = []
+    forest_test = solvers._forest_test
+
+    def arm(*args):
+        armed.append(True)
+        return forest_test(*args)
+
+    monkeypatch.setattr(solvers, "_forest_test", arm)
+    monkeypatch.setattr(_Deadline, "check", lambda self: bool(armed))
+
+
+def test_graph_dichromatic_timeout_in_arboricity_search(monkeypatch):
+    petersen = kneser(5, 2)
+    _fire_in_arboricity_search(monkeypatch)
+    cert = dichromatic_number_of_graph(petersen, BUDGET)
+    assert not cert.exact and cert.value is None
+    assert cert.lower <= 2 <= cert.upper == 3
     assert "timeout" in cert.detail
 
 
@@ -330,4 +441,6 @@ def test_list_budget_flags():
 def test_empty_structures():
     assert chromatic_number(Graph(0)).value == 0
     assert dichromatic_number(Digraph(0)).value == 0
+    cert = dichromatic_number_of_graph(Graph(0))
+    assert cert.value == 0 and cert.witness_orientation == Orientation(Graph(0), ())
     assert list_chromatic_number(Graph(0)).value == 0
