@@ -439,39 +439,26 @@ def maximal_acyclic_sets(d: Digraph, limit: int = 24) -> list[frozenset[int]]:
     return [frozenset(iter_bits(m)) for m in found]
 
 
-def induced_subdigraph(d: Digraph, s: Iterable[int]) -> Digraph:
-    """Subdigraph on the vertices of s, re-indexed in increasing order.
+def induced_subdigraph(x: Digraph | Graph, s: Iterable[int]) -> Digraph | Graph:
+    """Subdigraph, or for a Graph subgraph, on the vertices of s,
+    re-indexed in increasing order; induced_subgraph is the same function.
 
     The original identity of each vertex survives in the labels (the old
-    label when d is labelled, the old index otherwise).
+    label when x is labelled, the old index otherwise).
     """
     keep = sorted(set(s))
     for v in keep:
-        if not 0 <= v < d.n:
+        if not 0 <= v < x.n:
             raise ValueError(f"vertex {v} out of range")
     index = {v: i for i, v in enumerate(keep)}
     keep_mask = mask_of(keep)
-    arcs = [
+    pairs = [
         (index[u], index[v])
-        for u, v in d.arcs
+        for u, v in (x.edges if isinstance(x, Graph) else x.arcs)
         if keep_mask >> u & 1 and keep_mask >> v & 1
     ]
-    labels = [d.label(v) for v in keep]
-    return Digraph(len(keep), arcs, labels=labels)
+    labels = [x.label(v) for v in keep]
+    return type(x)(len(keep), pairs, labels=labels)
 
 
-def induced_subgraph(g: Graph, s: Iterable[int]) -> Graph:
-    """Undirected counterpart of induced_subdigraph."""
-    keep = sorted(set(s))
-    for v in keep:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-    index = {v: i for i, v in enumerate(keep)}
-    keep_mask = mask_of(keep)
-    edges = [
-        (index[u], index[v])
-        for u, v in g.edges
-        if keep_mask >> u & 1 and keep_mask >> v & 1
-    ]
-    labels = [g.label(v) for v in keep]
-    return Graph(len(keep), edges, labels=labels)
+induced_subgraph = induced_subdigraph

@@ -18,43 +18,37 @@ def _pair_labels(x, y) -> list[str]:
     ]
 
 
+def _factor_pairs(x, y, name: str):
+    """The edges, or arcs, of two factors of the same kind."""
+    if isinstance(x, Graph) and isinstance(y, Graph):
+        return x.edges, y.edges
+    if isinstance(x, Digraph) and isinstance(y, Digraph):
+        return x.arcs, y.arcs
+    raise TypeError(f"{name} product needs two graphs or two digraphs")
+
+
 def cartesian_product(x, y):
     """Move along one coordinate at a time: adjacency in one factor with
     equality in the other."""
-    if isinstance(x, Graph) and isinstance(y, Graph):
-        edges = []
-        for u in range(x.n):
-            for a, b in y.edges:
-                edges.append((u * y.n + a, u * y.n + b))
-        for a, b in x.edges:
-            for v in range(y.n):
-                edges.append((a * y.n + v, b * y.n + v))
-        return Graph(x.n * y.n, edges, labels=_pair_labels(x, y))
-    if isinstance(x, Digraph) and isinstance(y, Digraph):
-        arcs = []
-        for u in range(x.n):
-            for a, b in y.arcs:
-                arcs.append((u * y.n + a, u * y.n + b))
-        for a, b in x.arcs:
-            for v in range(y.n):
-                arcs.append((a * y.n + v, b * y.n + v))
-        return Digraph(x.n * y.n, arcs, labels=_pair_labels(x, y))
-    raise TypeError("cartesian product needs two graphs or two digraphs")
+    xs, ys = _factor_pairs(x, y, "cartesian")
+    pairs = []
+    for u in range(x.n):
+        for a, b in ys:
+            pairs.append((u * y.n + a, u * y.n + b))
+    for a, b in xs:
+        for v in range(y.n):
+            pairs.append((a * y.n + v, b * y.n + v))
+    return type(x)(x.n * y.n, pairs, labels=_pair_labels(x, y))
 
 
 def tensor_product(x, y):
-    """Move along both coordinates at once: componentwise adjacency."""
-    if isinstance(x, Graph) and isinstance(y, Graph):
-        edges = []
-        for a, b in x.edges:
-            for c, d in y.edges:
-                edges.append((a * y.n + c, b * y.n + d))
-                edges.append((a * y.n + d, b * y.n + c))
-        return Graph(x.n * y.n, edges, labels=_pair_labels(x, y))
-    if isinstance(x, Digraph) and isinstance(y, Digraph):
-        arcs = []
-        for a, b in x.arcs:
-            for c, d in y.arcs:
-                arcs.append((a * y.n + c, b * y.n + d))
-        return Digraph(x.n * y.n, arcs, labels=_pair_labels(x, y))
-    raise TypeError("tensor product needs two graphs or two digraphs")
+    """Move along both coordinates at once: componentwise adjacency. An
+    edge of a graph y counts as an arc in each direction."""
+    xs, ys = _factor_pairs(x, y, "tensor")
+    if isinstance(y, Graph):
+        ys += tuple((d, c) for c, d in ys)
+    pairs = []
+    for a, b in xs:
+        for c, d in ys:
+            pairs.append((a * y.n + c, b * y.n + d))
+    return type(x)(x.n * y.n, pairs, labels=_pair_labels(x, y))

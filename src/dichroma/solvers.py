@@ -123,12 +123,28 @@ def _greedy_clique(adj) -> list[int]:
     return clique
 
 
-def _greedy_graph_coloring(adj, order) -> list[int]:
-    colour = [-1] * len(adj)
+def _class_test(outs, ins=None, forests=False):
+    """The class test clash(class mask, v), true when v may not join the
+    class: v has a neighbour in it (a graph, outs = adj), v closes a
+    directed cycle in it (a digraph, outs and ins), or, with forests, v
+    closes a cycle in the forest it induces (outs = adj). Closures, not
+    partial objects: Python-to-Python calls are cheaper, and
+    _extension_cyclic and _forest_clash are looked up at each call."""
+    if forests:
+        return lambda mask, v: _forest_clash(outs, mask, v)
+    if ins is None:
+        return lambda mask, v: outs[v] & mask
+    return lambda mask, v: _extension_cyclic(outs, ins, mask, v)
+
+
+def _greedy_coloring(clash, order) -> list[int]:
+    """First fit in the given order: each vertex joins the first class
+    that passes clash, or opens a new one."""
+    colour = [-1] * len(order)
     class_masks: list[int] = []
     for v in order:
         for c, cm in enumerate(class_masks):
-            if not cm & adj[v]:
+            if not clash(cm, v):
                 colour[v] = c
                 class_masks[c] |= 1 << v
                 break
@@ -138,29 +154,17 @@ def _greedy_graph_coloring(adj, order) -> list[int]:
     return colour
 
 
-def _greedy_dicoloring(outs, ins, order) -> list[int]:
-    colour = [-1] * len(outs)
-    class_masks: list[int] = []
-    for v in order:
-        for c, cm in enumerate(class_masks):
-            if not _extension_cyclic(outs, ins, cm, v):
-                colour[v] = c
-                class_masks[c] |= 1 << v
-                break
-        else:
-            colour[v] = len(class_masks)
-            class_masks.append(1 << v)
-    return colour
-
-
-def _search_graph_coloring(adj, order, k, deadline) -> Optional[list[int]]:
-    """Find a proper k-colouring or prove none exists.
+def _search_dicoloring(clash, order, k, deadline) -> Optional[list[int]]:
+    """Find a colouring of the vertices of order with k classes that all
+    pass clash, or prove none exists; with the tests of _class_test it
+    colours a graph, dicolours a digraph or partitions a graph into
+    induced forests.
 
     Branches over vertices in the given order; a vertex may use at most
     one colour beyond those already used, which breaks class-permutation
     symmetry.
     """
-    n = len(adj)
+    n = len(order)
     colour = [-1] * n
     class_masks = [0] * k
 
@@ -173,44 +177,11 @@ def _search_graph_coloring(adj, order, k, deadline) -> Optional[list[int]]:
         bit = 1 << v
         cap = used + 1 if used < k else k
         for c in range(cap):
-            if class_masks[c] & adj[v]:
+            if clash(class_masks[c], v):
                 continue
             colour[v] = c
             class_masks[c] |= bit
-            if rec(i + 1, max(used, c + 1)):
-                return True
-            class_masks[c] &= ~bit
-        colour[v] = -1
-        return False
-
-    return list(colour) if rec(0, 0) else None
-
-
-def _search_dicoloring(
-    outs, ins, order, k, deadline, clash=_extension_cyclic
-) -> Optional[list[int]]:
-    """Digraph analogue of _search_graph_coloring with incremental
-    per-class cycle detection. clash(outs, ins, class mask, v), true when
-    v may not join the class, is the class test; _forest_test with
-    outs = ins = adj partitions a graph into induced forests instead."""
-    n = len(outs)
-    colour = [-1] * n
-    class_masks = [0] * k
-
-    def rec(i: int, used: int) -> bool:
-        if deadline.check():
-            raise _TimeUp
-        if i == n:
-            return True
-        v = order[i]
-        bit = 1 << v
-        cap = used + 1 if used < k else k
-        for c in range(cap):
-            if clash(outs, ins, class_masks[c], v):
-                continue
-            colour[v] = c
-            class_masks[c] |= bit
-            if rec(i + 1, max(used, c + 1)):
+            if rec(i + 1, used if c < used else c + 1):
                 return True
             class_masks[c] &= ~bit
         colour[v] = -1
@@ -220,34 +191,28 @@ def _search_dicoloring(
 
 
 def _exact_certificate(k: int, assignment: list[int], detail: str) -> Certificate:
-    palette = tuple(range(max(k, 1)))
-    witness = Coloring(palette, tuple(assignment)) if assignment is not None else None
+    witness = Coloring(tuple(range(k)), tuple(assignment))
     return Certificate(k, True, k, k, witness=witness, detail=detail)
 
 
-def chromatic_number(
-    g: Graph, b: SolveBudget = DEFAULT_BUDGET, deadline: Optional[_Deadline] = None
-) -> Certificate:
-    """Exact chromatic number with a proper-colouring witness. deadline,
-    when given, is shared with an enclosing solve and replaces b.timeout."""
-    if g.n > b.vertex_limit:
-        raise LimitExceededError(f"{g.n} vertices exceed budget {b.vertex_limit}")
-    if g.n == 0:
+def _least_classes(clash, order, lower, deadline, raise_lower=None) -> Certificate:
+    """The fewest classes passing clash that partition the vertices of
+    order, searched upward from lower (first raised to raise_lower() when
+    given) to the class count of the first-fit colouring in order. On a
+    timeout the bracket is [classes under test, first fit], with the
+    first-fit colouring as witness."""
+    if not order:
         return Certificate(0, True, 0, 0, witness=Coloring((), ()), detail="empty")
-    if deadline is None:
-        deadline = _Deadline(b.timeout)
-    adj = g.adj
-    order = _degree_order(adj)
-    clique = _greedy_clique(adj)
-    lower = max(1, len(clique))
-    greedy = _greedy_graph_coloring(adj, order)
+    greedy = _greedy_coloring(clash, order)
     upper = max(greedy) + 1
-    if lower == upper:
-        return _exact_certificate(upper, greedy, f"clique of {lower} meets greedy")
     k = lower
     try:
+        if raise_lower is not None:
+            k = lower = max(lower, raise_lower())
+        if lower >= upper:
+            return _exact_certificate(upper, greedy, f"lower bound {lower} meets greedy")
         while k < upper:
-            found = _search_graph_coloring(adj, order, k, deadline)
+            found = _search_dicoloring(clash, order, k, deadline)
             if found is not None:
                 return _exact_certificate(k, found, f"refuted {k - 1}" if k > lower else "found at lower bound")
             k += 1
@@ -260,56 +225,55 @@ def chromatic_number(
     return _exact_certificate(upper, greedy, f"all k in [{lower},{upper}) refuted")
 
 
+def _exact_value(cert: Certificate) -> int:
+    """The value of an exact certificate; _TimeUp for a timed-out one."""
+    if not cert.exact:
+        raise _TimeUp
+    return cert.value
+
+
+def chromatic_number(
+    g: Graph, b: SolveBudget = DEFAULT_BUDGET, deadline: Optional[_Deadline] = None
+) -> Certificate:
+    """Exact chromatic number with a proper-colouring witness, searched up
+    from a greedy clique. deadline, when given, is shared with an
+    enclosing solve and replaces b.timeout."""
+    if g.n > b.vertex_limit:
+        raise LimitExceededError(f"{g.n} vertices exceed budget {b.vertex_limit}")
+    adj = g.adj
+    return _least_classes(
+        _class_test(adj), _degree_order(adj), len(_greedy_clique(adj)),
+        deadline or _Deadline(b.timeout),
+    )
+
+
 def _digon_lower_bound(outs, ins, deadline: _Deadline) -> int:
     """Chromatic number of the digon graph, whose neighbourhoods are
     outs[v] & ins[v]: digon endpoints cannot share a class."""
     digons = [o & i for o, i in zip(outs, ins)]
     if not any(digons):
         return 1
-    order = _degree_order(digons)
-    clique = _greedy_clique(digons)
-    greedy = _greedy_graph_coloring(digons, order)
-    k, hi = max(1, len(clique)), max(greedy) + 1
-    while k < hi and _search_graph_coloring(digons, order, k, deadline) is None:
-        k += 1
-    return k
+    return _exact_value(_least_classes(
+        _class_test(digons), _degree_order(digons), len(_greedy_clique(digons)), deadline
+    ))
 
 
 def dichromatic_number(
     d: Digraph, b: SolveBudget = DEFAULT_BUDGET, deadline: Optional[_Deadline] = None
 ) -> Certificate:
     """Exact dichromatic number: smallest k admitting a partition into k
-    acyclic classes, found by k-ascending backtracking. deadline as in
+    acyclic classes, searched up from 2 once any directed cycle exists
+    and from the digon graph's chromatic number. deadline as in
     chromatic_number."""
     if d.n > b.vertex_limit:
         raise LimitExceededError(f"{d.n} vertices exceed budget {b.vertex_limit}")
-    if d.n == 0:
-        return Certificate(0, True, 0, 0, witness=Coloring((), ()), detail="empty")
-    if deadline is None:
-        deadline = _Deadline(b.timeout)
     outs, ins = d.outs, d.ins
-    total = [outs[v] | ins[v] for v in range(d.n)]
-    order = _degree_order(total)
-    greedy = _greedy_dicoloring(outs, ins, order)
-    upper = max(greedy) + 1
-    # 2 once any directed cycle exists
-    k = lower = 1 if is_acyclic(d) else 2
-    try:
-        k = lower = max(lower, _digon_lower_bound(outs, ins, deadline))
-        if lower >= upper:
-            return _exact_certificate(upper, greedy, "lower bound meets greedy")
-        while k < upper:
-            found = _search_dicoloring(outs, ins, order, k, deadline)
-            if found is not None:
-                return _exact_certificate(k, found, f"exact at k={k}")
-            k += 1
-        return _exact_certificate(upper, greedy, f"all k in [{lower},{upper}) refuted")
-    except _TimeUp:
-        witness = Coloring(tuple(range(upper)), tuple(greedy))
-        return Certificate(
-            None, False, k, upper, witness=witness,
-            detail=f"timeout while testing {k} colours",
-        )
+    deadline = deadline or _Deadline(b.timeout)
+    return _least_classes(
+        _class_test(outs, ins), _degree_order([o | i for o, i in zip(outs, ins)]),
+        1 if is_acyclic(d) else 2, deadline,
+        partial(_digon_lower_bound, outs, ins, deadline),
+    )
 
 
 def _forest_clash(adj, mask: int, v: int) -> bool:
@@ -333,18 +297,11 @@ def _forest_clash(adj, mask: int, v: int) -> bool:
     return False
 
 
-def _forest_test(adj, _ins, mask: int, v: int) -> bool:
-    return _forest_clash(adj, mask, v)
-
-
-def _vertex_arboricity(adj, below: int, deadline: _Deadline) -> int:
-    """The fewest induced forests partitioning the vertices, searched
-    upward from 1; below when fewer than below do not suffice."""
-    order = _degree_order(adj)
-    for k in range(1, below):
-        if _search_dicoloring(adj, adj, order, k, deadline, _forest_test) is not None:
-            return k
-    return below
+def _vertex_arboricity(adj, deadline: _Deadline) -> int:
+    """The fewest induced forests partitioning the vertices."""
+    return _exact_value(_least_classes(
+        _class_test(adj, forests=True), _degree_order(adj), 1, deadline
+    ))
 
 
 def dichromatic_number_of_graph(
@@ -357,9 +314,9 @@ def dichromatic_number_of_graph(
     maximum meets the smaller of two bounds on every orientation: the
     chromatic number of g, and its vertex arboricity, the fewest induced
     forests partitioning V (a forest is acyclic under every orientation;
-    Chartrand, Kronk and Wall, 1968), searched only below the first. One
-    deadline, of b.timeout unless an enclosing deadline is given, covers
-    the chromatic, arboricity and orientation solves.
+    Chartrand, Kronk and Wall, 1968). One deadline, of b.timeout unless
+    an enclosing deadline is given, covers the chromatic, arboricity and
+    orientation solves.
     """
     if g.m > b.orientation_limit:
         raise LimitExceededError(
@@ -369,7 +326,7 @@ def dichromatic_number_of_graph(
         deadline = _Deadline(b.timeout)
     chi = chromatic_number(g, b, deadline)
     try:
-        bound = _vertex_arboricity(g.adj, chi.upper, deadline)
+        bound = min(_vertex_arboricity(g.adj, deadline), chi.upper)
     except _TimeUp:
         return Certificate(
             None, False, 1, chi.upper,
@@ -458,11 +415,11 @@ class _ListSearch:
 
     def __init__(self, obj, deadline: Optional[_Deadline] = None):
         if isinstance(obj, Graph):
-            adj = self.outs = self.ins = obj.adj
-            self.clash = lambda cm, v: cm & adj[v]
+            self.outs = self.ins = obj.adj
+            self.clash = _class_test(obj.adj)
         else:
             self.outs, self.ins = obj.outs, obj.ins
-            self.clash = partial(_extension_cyclic, obj.outs, obj.ins)
+            self.clash = _class_test(obj.outs, obj.ins)
         self.order = _degeneracy_order([o | i for o, i in zip(self.outs, self.ins)])
         self.deadline = deadline
 

@@ -5,7 +5,8 @@ package: acyclicity by topological permutation search or by three-state
 depth-first search, colouring numbers by assignment enumeration, induced
 forests by counting edges against components, acyclic orientation counts
 by the chromatic polynomial, canonical forms of graph and digraph masks
-by trying every relabelling.
+by trying every relabelling, digraph products by testing every pair of
+product vertices against the definition.
 """
 
 from collections import defaultdict
@@ -275,3 +276,25 @@ def brute_canonical_masks(n, masks, positions, symmetric):
         for j, on in enumerate(bits):
             best[j] = min(best[j], sum(map(image.__getitem__, on)))
     return best
+
+
+def brute_digraph_product(kind, n1, arcs1, labels1, n2, arcs2, labels2):
+    """Sorted arcs and labels of the "cartesian" or "tensor" product of two
+    digraphs. Vertex (u, v) is numbered u * n2 + v and labelled
+    "(label of u,label of v)". (u, v) -> (x, y) is an arc of the
+    cartesian product when one coordinate is equal and the other moves
+    along an arc of its factor, and of the tensor product when both move
+    along arcs."""
+    a1, a2 = set(arcs1), set(arcs2)
+    pairs = list(product(range(n1), range(n2)))
+    arcs = []
+    for i, (u, v) in enumerate(pairs):
+        for j, (x, y) in enumerate(pairs):
+            if kind == "cartesian":
+                joined = (u == x and (v, y) in a2) or (v == y and (u, x) in a1)
+            else:
+                joined = (u, x) in a1 and (v, y) in a2
+            if joined:
+                arcs.append((i, j))
+    labels = [f"({labels1[u]},{labels2[v]})" for u, v in pairs]
+    return arcs, labels

@@ -320,6 +320,23 @@ def test_cli_import_leaves_numpy_unloaded():
     assert out.split() == ["False", "False"]
 
 
+def test_traced_layer_targets_resolve():
+    # the benchmark's tracer wraps each (module, attribute) of TARGETS in
+    # bench/layers.py by getattr after importing dichroma.cli, so a rename
+    # there would crash every traced run
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(dichroma.__file__).resolve().parents[1])
+    probe = ("import importlib.util, sys, dichroma.cli; "
+             "spec = importlib.util.spec_from_file_location('layers', sys.argv[1]); "
+             "layers = importlib.util.module_from_spec(spec); spec.loader.exec_module(layers); "
+             "print([(m, a) for m, a, *_ in layers.TARGETS "
+             "if not callable(getattr(sys.modules.get(m), a, None))])")
+    out = subprocess.run([sys.executable, "-c", probe, str(root / "bench" / "layers.py")],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.strip() == "[]"
+
+
 @pytest.mark.parametrize("argv", [
     ["mc", "biclique", "--l", "2", "--trials", "3", "--threads", "1"],
     ["mc", "biclique", "--l", "2", "--trials", "3", "--threads", "2"],
@@ -388,9 +405,9 @@ def test_cli_timeout_in_arboricity_search(monkeypatch, tmp_path, capsys):
     path = tmp_path / "petersen.g"
     path.write_text(format_graph(kneser(5, 2)))
     armed = []
-    forest_test = solvers._forest_test
-    monkeypatch.setattr(solvers, "_forest_test",
-                        lambda *args: armed.append(True) or forest_test(*args))
+    forest_clash = solvers._forest_clash
+    monkeypatch.setattr(solvers, "_forest_clash",
+                        lambda *args: armed.append(True) or forest_clash(*args))
     monkeypatch.setattr(solvers._Deadline, "check", lambda self: bool(armed))
     code = run(["solve", "graph-dichromatic", str(path), "--format", "json"])
     captured = capsys.readouterr()

@@ -155,8 +155,9 @@ def test_induced_subdigraph():
     k4 = bidirect(Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]))
     sub3 = induced_subdigraph(k4, [0, 2, 3])
     assert sub3.m == 6
-    with pytest.raises(ValueError):
-        induced_subdigraph(C3, [5])
+    for induce, x in ((induced_subdigraph, C3), (induced_subgraph, Graph(3))):
+        with pytest.raises(ValueError):
+            induce(x, [5])
 
 
 def test_induced_subgraph_labels():

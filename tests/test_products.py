@@ -1,10 +1,13 @@
 import pytest
 
-from dichroma.catalogue import graphs_up_to
+from dichroma.catalogue import digraph_catalogue, graphs_up_to, random_digraph
 from dichroma.core import Digraph, Graph, bidirect
 from dichroma.generators import complete_graph, rook
 from dichroma.products import cartesian_product, tensor_product
+from dichroma.randomized import RngSpec
 from dichroma.solvers import dichromatic_number
+
+from oracles import brute_digraph_product
 
 C3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 K2 = complete_graph(2)
@@ -80,3 +83,22 @@ def test_row_major_labels():
     h = Graph(2, [], labels=["0", "1"])
     p = cartesian_product(g, h)
     assert p.labels == ("(x,0)", "(x,1)", "(y,0)", "(y,1)")
+
+
+def test_digraph_products_against_oracle():
+    # every pair of digraphs on at most 3 vertices, plus random pairs with
+    # digons, labelled so that the labels of both factors show
+    pairs = [(x, y) for x in digraph_catalogue(3) for y in digraph_catalogue(3)]
+    rng = RngSpec(11)
+    for i in range(40):
+        x = random_digraph(1 + i % 5, rng.derive(2 * i))
+        y = random_digraph(1 + i // 8, rng.derive(2 * i + 1))
+        pairs.append((x, Digraph(y.n, y.arcs, labels=[f"y{v}" for v in range(y.n)])))
+    assert sum(any(d.digon_mask(v) for v in range(d.n)) for _, d in pairs[-40:]) > 20
+    for x, y in pairs:
+        for kind, product in (("cartesian", cartesian_product), ("tensor", tensor_product)):
+            p = product(x, y)
+            labels = [[d.label(v) for v in range(d.n)] for d in (x, y)]
+            arcs, want = brute_digraph_product(kind, x.n, x.arcs, labels[0], y.n, y.arcs, labels[1])
+            assert isinstance(p, Digraph) and p.n == x.n * y.n
+            assert list(p.arcs) == arcs and list(p.labels) == want, (kind, x, y)

@@ -185,7 +185,7 @@ def test_forest_clash_against_oracle():
 
 
 def _arboricity(g):
-    return _vertex_arboricity(g.adj, g.n + 1, _Deadline(300))
+    return _vertex_arboricity(g.adj, _Deadline(300))
 
 
 def test_vertex_arboricity_known_values():
@@ -385,13 +385,13 @@ def test_graph_dichromatic_timeout_keeps_bracket(monkeypatch):
 def _fire_in_arboricity_search(monkeypatch) -> None:
     """Make the deadline fire from the first forest class test on."""
     armed = []
-    forest_test = solvers._forest_test
+    forest_clash = solvers._forest_clash
 
     def arm(*args):
         armed.append(True)
-        return forest_test(*args)
+        return forest_clash(*args)
 
-    monkeypatch.setattr(solvers, "_forest_test", arm)
+    monkeypatch.setattr(solvers, "_forest_clash", arm)
     monkeypatch.setattr(_Deadline, "check", lambda self: bool(armed))
 
 
