@@ -9,7 +9,6 @@ Exit codes: 0 success, 2 usage or malformed input, 3 budget exceeded,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import math
@@ -89,7 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="64-bit master seed")
     common.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: DICHROMA_THREADS, else 1)")
+                        help="worker processes, at most one per CPU "
+                             "(default: DICHROMA_THREADS, else 1)")
     common.add_argument("--timeout-s", type=int, default=120, dest="timeout_s")
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument("--out", default=None, help="write output to this path")
@@ -283,6 +283,8 @@ def _suite_payload(args, result: SuiteResult, started: float) -> tuple[str, int]
     else:
         code, status = EXIT_OK, "ok"
     if args.format == "csv":
+        import csv
+
         buf = io.StringIO()
         keys = sorted({k for row in result.rows for k in row})
         writer = csv.DictWriter(buf, fieldnames=keys)
@@ -481,6 +483,10 @@ def _embed_command(args) -> int:
 
 
 def _dispatch(args) -> int:
+    if args.format == "csv" and (args.group in ("check", "bound", "embed")
+                                 or (args.group, args.cmd) == ("orient", "enumerate")):
+        print(f"dichroma: {args.group} {args.cmd} has no csv output", file=sys.stderr)
+        return EXIT_USAGE
     if args.group == "gen":
         if args.cmd == "kneser":
             g = kneser(args.n, args.k)

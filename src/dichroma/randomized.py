@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .core import (
     Digraph,
@@ -23,6 +22,9 @@ from .core import (
 )
 from .errors import BudgetExceededError, CertificationError, LimitExceededError
 from .solvers import _Deadline
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "RngSpec",
@@ -373,8 +375,8 @@ def estimate_biclique_event(
         raise ValueError("trials must be positive")
     from .parallel import parallel_map
 
-    # Worker threads share the deadline; a lost update of its tick counter
-    # only delays the next clock poll.
+    # Forked workers share the deadline: its instant is an absolute clock
+    # reading, and each worker polls its own copy.
     deadline = None if timeout is None else _Deadline(timeout)
 
     def one(i: int) -> bool:
@@ -441,6 +443,8 @@ class ExpectationParams:
 
 def expected_avoiding_count(p: ExpectationParams) -> Fraction:
     """Exact rational m * C(u-a, k) / C(u, k); zero when a + k > u."""
+    from fractions import Fraction
+
     if p.a + p.k > p.u:
         return Fraction(0)
     return Fraction(p.m) * Fraction(math.comb(p.u - p.a, p.k), math.comb(p.u, p.k))

@@ -77,8 +77,9 @@ def _exact_value(cert: Optional[Certificate]) -> Optional[int]:
 
 class _SuiteSolves:
     """Runs every solve of one suite call under a single deadline of
-    budget.timeout, shared across worker threads. A solve due after the
-    deadline is not started: it gives None, so its row reads unknown."""
+    budget.timeout, shared by forked workers because its instant is an
+    absolute clock reading. A solve due after the deadline is not started:
+    it gives None, so its row reads unknown."""
 
     def __init__(self, budget: SolveBudget):
         self.budget = budget

@@ -310,14 +310,18 @@ def test_cli_verify_stops_at_one_deadline(capsys):
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # catalogues up to 5 vertices (4 oriented) are canonicalised without it
+    # catalogues up to 5 vertices (4 oriented) are canonicalised without it;
+    # the worker pool, exact bounds and CSV output import their modules
+    # only when a command runs them
     src = str(Path(dichroma.__file__).resolve().parents[1])
     probe = ("import sys, dichroma.cli; print('numpy' in sys.modules); "
+             "print([m for m in ('concurrent.futures', 'fractions', 'csv', 'pickle') "
+             "if m in sys.modules]); "
              "from dichroma.catalogue import digraph_catalogue, graphs_up_to; "
              "digraph_catalogue(4); graphs_up_to(5); print('numpy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
-    assert out.split() == ["False", "False"]
+    assert out.split() == ["False", "[]", "False"]
 
 
 def test_traced_layer_targets_resolve():
@@ -376,6 +380,27 @@ def test_cli_orient_enumerate(tmp_path, capsys):
     record = json.loads(out)
     assert record["count"] == 4
     assert record["orientations"][0] == "00"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "coloring", "{graph}", "--coloring", "{colouring}"],
+    ["bound", "g", "--n", "10", "--s", "2", "--t", "2", "--u", "3", "--l1", "3", "--l2", "2"],
+    ["embed", "rook-in-kneser", "--n", "6", "--k", "2"],
+    ["orient", "enumerate", "{graph}"],
+])
+def test_cli_commands_without_csv_refuse_it(tmp_path, capsys, argv):
+    graph = tmp_path / "k3.g"
+    graph.write_text(format_graph(kneser(3, 1)))
+    colouring = tmp_path / "colours.json"
+    colouring.write_text(json.dumps({"palette": [0, 1, 2], "assignment": [0, 1, 2]}))
+    argv = [a.format(graph=graph, colouring=colouring) for a in argv]
+    assert run(argv + ["--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "has no csv output" in captured.err
+    code, out = _run(capsys, argv)
+    assert code == 0 and out and not out.startswith("{")
+    code, out = _run(capsys, argv + ["--format", "json"])
+    assert code == 0 and json.loads(out)["command"] == " ".join(argv[:2])
 
 
 def test_cli_version(capsys):

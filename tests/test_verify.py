@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from dichroma.catalogue import digraph_catalogue, random_digraph
@@ -90,9 +92,11 @@ def test_suite_solves_share_one_deadline(monkeypatch, suite, kwargs):
 
 
 def test_suite_rows_after_the_deadline_read_unknown(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(_Deadline, "expired", lambda self: True)
-    result = sabidussi_suite(max_n=2, random_pairs=5, pair_max_n=3)
-    assert result.ok and result.unknown == len(result.rows)
-    assert all(row["chi_product"] is None for row in result.rows)
-    result = catalogue_suite(dual_random=3)
-    assert result.ok and result.unknown > 0
+    for threads in (1, 2):  # forked workers see the same deadline
+        result = sabidussi_suite(max_n=2, random_pairs=5, pair_max_n=3, threads=threads)
+        assert result.ok and result.unknown == len(result.rows)
+        assert all(row["chi_product"] is None for row in result.rows)
+        result = catalogue_suite(dual_random=3, threads=threads)
+        assert result.ok and result.unknown > 0
