@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Generation commands print the graph text format so they pipe straight
-into solve/check commands; analysis commands render text, JSON, or CSV.
+into solve/check commands. Each analysis command returns its record, its
+text and its CSV rows, and _dispatch writes the one --format asks for.
 Exit codes: 0 success, 2 usage or malformed input, 3 budget exceeded,
 4 property violated by a verification suite.
 """
@@ -10,10 +11,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import math
 import sys
 import time
+from dataclasses import asdict
 
 from . import __version__
 from .core import Digraph, Graph, enumerate_orientations
@@ -43,7 +44,7 @@ from .generators import (
     named_graph,
     rook,
 )
-from .graphio import format_graph, parse_graph_text
+from .graphio import format_graph, parse_graph_file, parse_graph_text
 from .parallel import default_threads
 from .products import cartesian_product, tensor_product
 from .randomized import (
@@ -67,7 +68,6 @@ from .solvers import (
     list_dichromatic_number,
 )
 from .verify import (
-    SuiteResult,
     bidirect_suite,
     catalogue_suite,
     kneser_chi_suite,
@@ -88,7 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="64-bit master seed")
     common.add_argument("--threads", type=int, default=None,
-                        help="worker processes, at most one per CPU "
+                        help="worker processes for verify sabidussi, verify "
+                             "tensor-bound and mc, at most one per CPU "
                              "(default: DICHROMA_THREADS, else 1)")
     common.add_argument("--timeout-s", type=int, default=120, dest="timeout_s")
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -221,8 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _read_structure(path: str):
     if path in (None, "-"):
         return parse_graph_text(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph_text(fh.read())
+    return parse_graph_file(path)
 
 
 def _need_graph(obj) -> Graph:
@@ -237,12 +237,27 @@ def _need_digraph(obj) -> Digraph:
     return obj
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _read_json(path: str, n: int, **fields: int) -> dict:
+    """The JSON object in path. Each keyword names a required field and
+    its depth: 0 an integer, 1 a list of integers, 2 a list of lists of
+    vertices in 0..n-1. Any other shape raises GraphFormatError."""
+    import json
+
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+
+    def fits(value, depth: int, vertex: bool) -> bool:
+        if depth == 0:
+            return type(value) is int and (not vertex or 0 <= value < n)
+        return isinstance(value, list) and all(fits(x, depth - 1, vertex) for x in value)
+
+    if not isinstance(payload, dict) or not all(
+            key in payload and fits(payload[key], depth, depth == 2)
+            for key, depth in fields.items()):
+        shapes = ("an integer", "a list of integers", f"a list of lists of vertices in 0..{n - 1}")
+        wanted = ", ".join(f"{key} {shapes[depth]}" for key, depth in fields.items())
+        raise GraphFormatError(f"{path}: expected a JSON object with {wanted}")
+    return payload
 
 
 def _budget(args) -> SolveBudget:
@@ -253,14 +268,15 @@ def _threads(args) -> int:
     return args.threads if args.threads is not None else default_threads()
 
 
+def _runtime_ms(started: float) -> float:
+    return (time.perf_counter() - started) * 1000.0
+
+
 def _load_collection(args, d: Digraph) -> SetCollection:
     """Collection from an explicit JSON file, or the rook construction
     inferred from the digraph's vertex count and --beta."""
-    import json
-
     if args.collection_path:
-        with open(args.collection_path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = _read_json(args.collection_path, d.n, members=2, s=0, t=0)
         return SetCollection(
             tuple(frozenset(m) for m in payload["members"]),
             payload["s"],
@@ -275,41 +291,65 @@ def _load_collection(args, d: Digraph) -> SetCollection:
     return build_rook_collection(RookCollectionParams(side, args.beta))
 
 
-def _suite_payload(args, result: SuiteResult, started: float) -> tuple[str, int]:
-    if not result.ok:
-        code, status = EXIT_VIOLATED, "VIOLATED"
-    elif result.unknown:
-        code, status = EXIT_BUDGET, f"unknown ({result.unknown} rows over budget)"
+# Each handler takes the parsed arguments and the command's start time and
+# returns (record, text, CSV rows or None, exit code). Graph commands return
+# no record: their text is the graph, whatever the format.
+
+
+def _gen_command(args, started: float):
+    if args.cmd == "kneser":
+        g = kneser(args.n, args.k)
+    elif args.cmd == "multipartite":
+        g = complete_multipartite(args.m, args.r)
+    elif args.cmd == "rook":
+        g = rook(args.n)
+    elif args.cmd == "borsuk":
+        g = borsuk_sample(BorsukSampleConfig(
+            n=args.n, a=args.a, cube_side=args.cube_side, delta=args.delta,
+            perturbation_scale=args.perturbation_scale,
+            max_points=args.max_points))
     else:
-        code, status = EXIT_OK, "ok"
-    if args.format == "csv":
-        import csv
-
-        buf = io.StringIO()
-        keys = sorted({k for row in result.rows for k in row})
-        writer = csv.DictWriter(buf, fieldnames=keys)
-        writer.writeheader()
-        for row in result.rows:
-            writer.writerow(row)
-        return buf.getvalue(), code
-    if args.format == "json":
-        record = make_record(
-            f"verify {result.name}",
-            {"seed": args.seed, **result.summary},
-            seed=args.seed,
-            runtime_ms=(time.perf_counter() - started) * 1000.0,
-            ok=code == EXIT_OK,
-            rows=result.rows,
-        )
-        return record_json(record), code
-    lines = [f"verify {result.name}: {status}"]
-    for key, value in sorted(result.summary.items()):
-        lines.append(f"  {key}: {value}")
-    return "\n".join(lines) + "\n", code
+        g = named_graph(args.name)
+    return None, format_graph(g), None, EXIT_OK
 
 
-def _solve_command(args) -> int:
-    started = time.perf_counter()
+def _product_command(args, started: float):
+    left = _read_structure(args.left)
+    right = _read_structure(args.right)
+    fn = cartesian_product if args.cmd == "cartesian" else tensor_product
+    try:
+        product = fn(left, right)
+    except TypeError as exc:
+        raise GraphFormatError(str(exc))
+    return None, format_graph(product), None, EXIT_OK
+
+
+def _orient_command(args, started: float):
+    g = _need_graph(_read_structure(args.input))
+    if args.cmd == "random":
+        return None, format_graph(random_orientation(g, RngSpec(args.seed))), None, EXIT_OK
+    if args.cmd == "certified":
+        if args.l is None:
+            raise GraphFormatError("orient certified needs --l")
+        d = certified_breaking_orientation(
+            g, args.l, RngSpec(args.seed),
+            max_attempts=args.max_attempts,
+            break_cliques=args.break_cliques,
+            timeout=_budget(args).timeout)
+        return None, format_graph(d), None, EXIT_OK
+    count = 0
+    listed = []
+    for o in enumerate_orientations(g, limit=args.limit):
+        if count < args.max_list:
+            listed.append("".join("1" if b else "0" for b in o.direction))
+        count += 1
+    record = make_record("orient enumerate",
+                         {"limit": args.limit, "max_list": args.max_list},
+                         count=count, orientations=listed)
+    return record, f"orientations {count}\n", None, EXIT_OK
+
+
+def _solve_command(args, started: float):
     obj = _read_structure(args.input)
     budget = _budget(args)
     if args.cmd == "chromatic":
@@ -322,34 +362,26 @@ def _solve_command(args) -> int:
         cert = list_chromatic_number(_need_graph(obj), budget)
     else:
         cert = list_dichromatic_number(_need_digraph(obj), budget)
-    runtime = (time.perf_counter() - started) * 1000.0
-    if args.format == "json":
-        record = make_record(
-            f"solve {args.cmd}",
-            {"timeout_s": args.timeout_s},
-            runtime_ms=runtime,
-            certificate=certificate_payload(cert),
-        )
-        _emit(args, record_json(record))
-    elif args.format == "csv":
-        _emit(args, f"command,value,exact,lower,upper\nsolve {args.cmd},"
-                    f"{cert.value},{cert.exact},{cert.lower},{cert.upper}\n")
-    else:
-        _emit(args, f"{args.cmd} {cert.value if cert.exact else f'in [{cert.lower},{cert.upper}]'}\n")
-    return EXIT_OK if cert.exact else EXIT_BUDGET
+    record = make_record(
+        f"solve {args.cmd}",
+        {"timeout_s": args.timeout_s},
+        runtime_ms=_runtime_ms(started),
+        certificate=certificate_payload(cert),
+    )
+    row = {"command": record["command"], "value": cert.value, "exact": cert.exact,
+           "lower": cert.lower, "upper": cert.upper}
+    shown = cert.value if cert.exact else f"in [{cert.lower},{cert.upper}]"
+    return record, f"{args.cmd} {shown}\n", [row], EXIT_OK if cert.exact else EXIT_BUDGET
 
 
-def _check_command(args) -> int:
-    import json
-
+def _check_command(args, started: float):
     from .core import is_proper_coloring, is_proper_dicoloring
     from .records import coloring_from_payload
 
     obj = _read_structure(args.input)
     if args.cmd in ("coloring", "dicoloring"):
-        with open(args.coloring_path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        colouring = coloring_from_payload(payload)
+        colouring = coloring_from_payload(
+            _read_json(args.coloring_path, obj.n, palette=1, assignment=1))
         if args.cmd == "coloring":
             ok = is_proper_coloring(_need_graph(obj), colouring)
         else:
@@ -358,10 +390,7 @@ def _check_command(args) -> int:
     elif args.cmd == "cover":
         d = _need_digraph(obj)
         report = verify_cover_all_acyclic(d, _load_collection(args, d))
-        ok = report.ok
-        detail = {"covers_all_acyclic": ok}
-        if report.counterexample is not None:
-            detail["counterexample"] = sorted(report.counterexample)
+        detail = {"covers_all_acyclic": report.ok}
     else:
         d = _need_digraph(obj)
         collection = _load_collection(args, d)
@@ -370,20 +399,14 @@ def _check_command(args) -> int:
         if lam is None:
             lam = (2 ** 13) * math.log(max(side, 2)) ** 2
         report = verify_semicover_all_acyclic(d, SemicoverSpec(collection, lam))
-        ok = report.ok
-        detail = {"semicovers_all_acyclic": ok, "lambda": lam}
-        if report.counterexample is not None:
-            detail["counterexample"] = sorted(report.counterexample)
-    if args.format == "json":
-        record = make_record(f"check {args.cmd}", {}, **detail)
-        _emit(args, record_json(record))
-    else:
-        _emit(args, "".join(f"{k} {v}\n" for k, v in detail.items()))
-    return EXIT_OK
+        detail = {"semicovers_all_acyclic": report.ok, "lambda": lam}
+    if args.cmd in ("cover", "semicover") and report.counterexample is not None:
+        detail["counterexample"] = sorted(report.counterexample)
+    record = make_record(f"check {args.cmd}", {}, **detail)
+    return record, "".join(f"{k} {v}\n" for k, v in detail.items()), None, EXIT_OK
 
 
-def _mc_command(args) -> int:
-    started = time.perf_counter()
+def _mc_command(args, started: float):
     rng = RngSpec(args.seed)
     if args.cmd == "biclique":
         if args.graph:
@@ -392,16 +415,9 @@ def _mc_command(args) -> int:
             g = _need_graph(_read_structure(args.input or "-"))
         if args.l is None:
             raise GraphFormatError("mc biclique needs --l")
-        est = estimate_biclique_event(g, args.l, args.trials, rng,
-                                      threads=_threads(args),
-                                      timeout=_budget(args).timeout)
-        payload = {
-            "estimate": est.estimate,
-            "ci_low": est.ci_low,
-            "ci_high": est.ci_high,
-            "successes": est.successes,
-            "trials": est.trials,
-        }
+        payload = asdict(estimate_biclique_event(g, args.l, args.trials, rng,
+                                                 threads=_threads(args),
+                                                 timeout=_budget(args).timeout))
         params = {"l": args.l, "trials": args.trials,
                   "graph": args.graph or "stdin"}
     else:
@@ -417,30 +433,18 @@ def _mc_command(args) -> int:
             threads=_threads(args),
         )
         payload = {
-            "estimate": est.event.estimate,
-            "ci_low": est.event.ci_low,
-            "ci_high": est.event.ci_high,
-            "successes": est.event.successes,
-            "trials": est.event.trials,
+            **asdict(est.event),
             "bound": est.bound if math.isfinite(est.bound) else None,
             "hypothesis_ok": est.hypothesis_ok,
         }
         params = {"l1": args.l1, "l2": args.l2, "trials": args.trials}
-    runtime = (time.perf_counter() - started) * 1000.0
-    if args.format == "json":
-        record = make_record(f"mc {args.cmd}", params, seed=args.seed,
-                             runtime_ms=runtime, **payload)
-        _emit(args, record_json(record))
-    elif args.format == "csv":
-        keys = sorted(payload)
-        _emit(args, ",".join(keys) + "\n"
-              + ",".join(str(payload[k]) for k in keys) + "\n")
-    else:
-        _emit(args, "".join(f"{k} {v}\n" for k, v in sorted(payload.items())))
-    return EXIT_OK
+    record = make_record(f"mc {args.cmd}", params, seed=args.seed,
+                         runtime_ms=_runtime_ms(started), **payload)
+    text = "".join(f"{k} {v}\n" for k, v in sorted(payload.items()))
+    return record, text, [payload], EXIT_OK
 
 
-def _bound_command(args) -> int:
+def _bound_command(args, started: float):
     if args.cmd == "g":
         if args.l1 is None or args.l2 is None:
             raise GraphFormatError("bound g needs --l1 and --l2")
@@ -454,32 +458,62 @@ def _bound_command(args) -> int:
         value = float(expected_avoiding_count(
             ExpectationParams(args.m, args.u, args.k, args.a)))
         params = {"m": args.m, "u": args.u, "k": args.k, "a": args.a}
-    if args.format == "json":
-        _emit(args, record_json(make_record(f"bound {args.cmd}", params, value=value)))
-    else:
-        _emit(args, f"{value!r}\n")
-    return EXIT_OK
+    return make_record(f"bound {args.cmd}", params, value=value), f"{value!r}\n", None, EXIT_OK
 
 
-def _embed_command(args) -> int:
+def _embed_command(args, started: float):
     if args.cmd == "rook-in-kneser":
         witness = embed_rook_in_kneser(args.n, args.k)
         params = {"n": args.n, "k": args.k}
     else:
         witness = embed_kneser_tensor(args.n, args.k, args.n1, args.k1)
         params = {"n": args.n, "k": args.k, "n1": args.n1, "k1": args.k1}
-    payload = {
-        "source_vertices": witness.source.n,
-        "target_vertices": witness.target.n,
-        "mapping": list(witness.mapping),
-        "verified": True,
-    }
-    if args.format == "json":
-        _emit(args, record_json(make_record(f"embed {args.cmd}", params, **payload)))
+    record = make_record(f"embed {args.cmd}", params,
+                         source_vertices=witness.source.n,
+                         target_vertices=witness.target.n,
+                         mapping=list(witness.mapping), verified=True)
+    text = (f"embedded {witness.source.n} vertices into "
+            f"{witness.target.n}; adjacency preserved\n")
+    return record, text, None, EXIT_OK
+
+
+def _verify_command(args, started: float):
+    budget = _budget(args)
+    if args.cmd == "sabidussi":
+        result = sabidussi_suite(max_n=args.max_n, random_pairs=args.pairs,
+                                 pair_max_n=args.pair_max_n, seed=args.seed,
+                                 threads=_threads(args), budget=budget)
+    elif args.cmd == "bidirect":
+        result = bidirect_suite(max_n=args.max_n, budget=budget)
+    elif args.cmd == "kneser-chi":
+        result = kneser_chi_suite(budget=budget)
+    elif args.cmd == "tensor-bound":
+        result = tensor_upper_bound_suite(max_n=args.max_n, threads=_threads(args),
+                                          budget=budget)
     else:
-        _emit(args, f"embedded {witness.source.n} vertices into "
-                    f"{witness.target.n}; adjacency preserved\n")
-    return EXIT_OK
+        result = catalogue_suite(seed=args.seed, budget=budget)
+    if not result.ok:
+        code, status = EXIT_VIOLATED, "VIOLATED"
+    elif result.unknown:
+        code, status = EXIT_BUDGET, f"unknown ({result.unknown} rows over budget)"
+    else:
+        code, status = EXIT_OK, "ok"
+    record = make_record(
+        f"verify {result.name}",
+        {"seed": args.seed, **result.summary},
+        seed=args.seed,
+        runtime_ms=_runtime_ms(started),
+        ok=code == EXIT_OK,
+        rows=result.rows,
+    )
+    text = "".join([f"verify {result.name}: {status}\n"]
+                   + [f"  {k}: {v}\n" for k, v in sorted(result.summary.items())])
+    return record, text, result.rows, code
+
+
+_HANDLERS = {"gen": _gen_command, "product": _product_command, "orient": _orient_command,
+             "solve": _solve_command, "check": _check_command, "mc": _mc_command,
+             "bound": _bound_command, "embed": _embed_command, "verify": _verify_command}
 
 
 def _dispatch(args) -> int:
@@ -487,94 +521,23 @@ def _dispatch(args) -> int:
                                  or (args.group, args.cmd) == ("orient", "enumerate")):
         print(f"dichroma: {args.group} {args.cmd} has no csv output", file=sys.stderr)
         return EXIT_USAGE
-    if args.group == "gen":
-        if args.cmd == "kneser":
-            g = kneser(args.n, args.k)
-        elif args.cmd == "multipartite":
-            g = complete_multipartite(args.m, args.r)
-        elif args.cmd == "rook":
-            g = rook(args.n)
-        elif args.cmd == "borsuk":
-            g = borsuk_sample(BorsukSampleConfig(
-                n=args.n, a=args.a, cube_side=args.cube_side, delta=args.delta,
-                perturbation_scale=args.perturbation_scale,
-                max_points=args.max_points))
-        else:
-            g = named_graph(args.name)
-        _emit(args, format_graph(g))
-        return EXIT_OK
+    record, text, rows, code = _HANDLERS[args.group](args, time.perf_counter())
+    if record is not None and args.format == "json":
+        text = record_json(record)
+    elif record is not None and args.format == "csv":
+        import csv
+        import io
 
-    if args.group == "product":
-        left = _read_structure(args.left)
-        right = _read_structure(args.right)
-        fn = cartesian_product if args.cmd == "cartesian" else tensor_product
-        try:
-            _emit(args, format_graph(fn(left, right)))
-        except TypeError as exc:
-            raise GraphFormatError(str(exc))
-        return EXIT_OK
-
-    if args.group == "orient":
-        if args.cmd == "random":
-            g = _need_graph(_read_structure(args.input))
-            _emit(args, format_graph(random_orientation(g, RngSpec(args.seed))))
-            return EXIT_OK
-        if args.cmd == "certified":
-            g = _need_graph(_read_structure(args.input))
-            if args.l is None:
-                raise GraphFormatError("orient certified needs --l")
-            d = certified_breaking_orientation(
-                g, args.l, RngSpec(args.seed),
-                max_attempts=args.max_attempts,
-                break_cliques=args.break_cliques,
-                timeout=_budget(args).timeout)
-            _emit(args, format_graph(d))
-            return EXIT_OK
-        g = _need_graph(_read_structure(args.input))
-        count = 0
-        listed = []
-        for o in enumerate_orientations(g, limit=args.limit):
-            if count < args.max_list:
-                listed.append("".join("1" if b else "0" for b in o.direction))
-            count += 1
-        record = make_record("orient enumerate",
-                             {"limit": args.limit, "max_list": args.max_list},
-                             count=count, orientations=listed)
-        if args.format == "json":
-            _emit(args, record_json(record))
-        else:
-            _emit(args, f"orientations {count}\n")
-        return EXIT_OK
-
-    if args.group == "solve":
-        return _solve_command(args)
-    if args.group == "check":
-        return _check_command(args)
-    if args.group == "mc":
-        return _mc_command(args)
-    if args.group == "bound":
-        return _bound_command(args)
-    if args.group == "embed":
-        return _embed_command(args)
-
-    started = time.perf_counter()
-    budget = _budget(args)
-    threads = _threads(args)
-    if args.cmd == "sabidussi":
-        result = sabidussi_suite(max_n=args.max_n, random_pairs=args.pairs,
-                                 pair_max_n=args.pair_max_n, seed=args.seed,
-                                 threads=threads, budget=budget)
-    elif args.cmd == "bidirect":
-        result = bidirect_suite(max_n=args.max_n, threads=threads, budget=budget)
-    elif args.cmd == "kneser-chi":
-        result = kneser_chi_suite(budget=budget)
-    elif args.cmd == "tensor-bound":
-        result = tensor_upper_bound_suite(max_n=args.max_n, threads=threads,
-                                          budget=budget)
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=sorted({k for row in rows for k in row}))
+        writer.writeheader()
+        writer.writerows(rows)
+        text = buf.getvalue()
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
-        result = catalogue_suite(seed=args.seed, threads=threads, budget=budget)
-    text, code = _suite_payload(args, result, started)
-    _emit(args, text)
+        sys.stdout.write(text)
     return code
 
 
@@ -590,10 +553,7 @@ def run(argv) -> int:
     except (BudgetExceededError, LimitExceededError, CertificationError) as exc:
         print(f"dichroma: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (GraphFormatError, ValueError) as exc:
-        print(f"dichroma: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DichromaError as exc:
+    except (DichromaError, ValueError, OSError) as exc:
         print(f"dichroma: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -13,7 +13,7 @@ from typing import Union
 from .core import Digraph, Graph
 from .errors import GraphFormatError
 
-__all__ = ["parse_graph_text", "parse_graph_file", "format_graph", "write_graph_file"]
+__all__ = ["parse_graph_text", "parse_graph_file", "format_graph"]
 
 
 def parse_graph_text(text: str) -> Union[Graph, Digraph]:
@@ -115,8 +115,3 @@ def format_graph(obj: Union[Graph, Digraph]) -> str:
     for u, v in links:
         lines.append(f"{tag} {u} {v}")
     return "\n".join(lines) + "\n"
-
-
-def write_graph_file(path, obj: Union[Graph, Digraph]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_graph(obj))

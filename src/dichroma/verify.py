@@ -321,9 +321,7 @@ def tensor_upper_bound_suite(
     )
 
 
-def bidirect_suite(
-    max_n: int = 6, threads: int = 1, budget: SolveBudget = DEFAULT_BUDGET
-) -> SuiteResult:
+def bidirect_suite(max_n: int = 6, budget: SolveBudget = DEFAULT_BUDGET) -> SuiteResult:
     """Chromatic number of each catalogue graph equals the dichromatic
     number of its bidirected digraph."""
     solves = _SuiteSolves(budget)
@@ -337,7 +335,7 @@ def bidirect_suite(
         return {"graph": idx, "n": g.n, "m": g.m, "chi": chi, "dichi": dchi,
                 "equal": equal}
 
-    rows = parallel_map(solve, list(enumerate(graphs)), threads)
+    rows = [solve(item) for item in enumerate(graphs)]
     violations, unknown = _tally(rows, "equal")
     return SuiteResult(
         "bidirect",
@@ -384,7 +382,6 @@ def catalogue_suite(
     dual_random_n: int = 5,
     list_max_n: int = 3,
     enl_max_n: int = 7,
-    threads: int = 1,
     budget: SolveBudget = DEFAULT_BUDGET,
 ) -> SuiteResult:
     """Cross-checks among the solvers: backtracking versus exhaustive
@@ -408,7 +405,7 @@ def catalogue_suite(
         return {"check": "dual-strategy", "instance": tag, "backtracking": a,
                 "partitions": b, "equal": None if a is None else a == b}
 
-    rows.extend(parallel_map(dual, dual_targets, threads))
+    rows.extend(dual(item) for item in dual_targets)
 
     # Monotonicity chains on small digraphs.
     for i, d in enumerate(digraph_catalogue(list_max_n)):

@@ -439,3 +439,105 @@ def test_cli_timeout_in_arboricity_search(monkeypatch, tmp_path, capsys):
     assert code == 3 and "Traceback" not in captured.err
     cert = json.loads(captured.out)["certificate"]
     assert not cert["exact"] and cert["lower"] <= 2 <= cert["upper"] == 3
+
+
+def test_cli_output_is_pinned(tmp_path, capsys):
+    # the exact bytes each analysis command writes, as text and as JSON
+    # (runtime_ms stripped), so a change to the shared renderer shows here
+    for name, obj in (("k3.g", kneser(3, 1)), ("p3.g", Graph(3, [(0, 1), (1, 2)])),
+                      ("petersen.g", kneser(5, 2))):
+        (tmp_path / name).write_text(format_graph(obj))
+    colouring = tmp_path / "colours.json"
+    colouring.write_text(json.dumps({"palette": [0, 1, 2], "assignment": [0, 1, 2]}))
+    check = ["check", "coloring", str(tmp_path / "k3.g"), "--coloring", str(colouring)]
+    bound = ["bound", "g", "--l1", "2", "--l2", "1", "--n", "4", "--s", "1", "--t", "1",
+             "--u", "2"]
+    version = dichroma.__version__
+    cases = [
+        (["solve", "chromatic", str(tmp_path / "petersen.g")], "chromatic 3\n"),
+        (check, "proper True\n"),
+        (["mc", "biclique", "--graph", "K4", "--l", "2", "--trials", "50", "--seed", "1"],
+         "ci_high 1.0\nci_low 0.9286524008666414\nestimate 1.0\nsuccesses 50\ntrials 50\n"),
+        (bound, "0.6065306597126334\n"),
+        (["embed", "rook-in-kneser", "--n", "6", "--k", "2"],
+         "embedded 9 vertices into 15; adjacency preserved\n"),
+        (["orient", "enumerate", str(tmp_path / "p3.g")], "orientations 4\n"),
+        (["verify", "kneser-chi"],
+         "verify kneser-chi: ok\n  cases: 6\n  unknown: 0\n  violations: 0\n"),
+        (bound + ["--format", "json"],
+         '{\n  "command": "bound g",\n  "params": {\n    "l1": 2,\n    "l2": 1,\n'
+         '    "n": 4,\n    "s": 1,\n    "t": 1,\n    "u": 2\n  },\n'
+         f'  "schema": "dichroma.result.v1",\n  "tool_version": "{version}",\n'
+         '  "value": 0.6065306597126334\n}\n'),
+        (check + ["--format", "json"],
+         '{\n  "command": "check coloring",\n  "params": {},\n  "proper": true,\n'
+         f'  "schema": "dichroma.result.v1",\n  "tool_version": "{version}"\n}}\n'),
+    ]
+    for argv, expected in cases:
+        code, out = _run(capsys, argv)
+        assert code == 0
+        assert re.sub(r'\n  "runtime_ms": [^\n]*', "", out) == expected, argv
+
+
+def test_cli_solve_csv_reads_back(monkeypatch, tmp_path, capsys):
+    import csv
+
+    from dichroma.solvers import _Deadline
+
+    path = tmp_path / "petersen.g"
+    path.write_text(format_graph(kneser(5, 2)))
+    solve = ["solve", "graph-dichromatic", str(path), "--format", "csv"]
+    code, out = _run(capsys, solve)
+    reader = csv.DictReader(out.splitlines())
+    assert code == 0 and reader.fieldnames == ["command", "exact", "lower", "upper", "value"]
+    assert list(reader) == [{"command": "solve graph-dichromatic", "exact": "True",
+                             "lower": "2", "upper": "2", "value": "2"}]
+    monkeypatch.setattr(_Deadline, "check", lambda self: True)
+    code, out = _run(capsys, solve)
+    assert code == 3
+    assert list(csv.DictReader(out.splitlines())) == [
+        {"command": "solve graph-dichromatic", "exact": "False",
+         "lower": "1", "upper": "3", "value": ""}]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "chromatic", "{missing}"],
+    ["solve", "chromatic", "{dir}"],
+    ["check", "coloring", "{graph}", "--coloring", "{missing}"],
+    ["check", "cover", "{digraph}", "--collection", "{missing}"],
+    ["solve", "chromatic", "{graph}", "--out", "{missing}/out.txt"],
+])
+def test_cli_file_errors_exit_2(tmp_path, capsys, argv):
+    (tmp_path / "k3.g").write_text(format_graph(kneser(3, 1)))
+    (tmp_path / "c3.d").write_text("d 3 3\na 0 1\na 1 2\na 2 0\n")
+    argv = [a.format(missing=tmp_path / "missing", dir=tmp_path, graph=tmp_path / "k3.g",
+                     digraph=tmp_path / "c3.d") for a in argv]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("dichroma: ")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("flag, payload", [
+    ("--collection", {"s": 1}),
+    ("--collection", [1, 2]),
+    ("--collection", {"members": [1, 2], "s": 2, "t": 1}),
+    ("--collection", {"members": [[0, 3]], "s": 1, "t": 2}),
+    ("--collection", {"members": [[0, -1]], "s": 1, "t": 2}),
+    ("--collection", {"members": [[0]], "s": "1", "t": 1}),
+    ("--coloring", {"palette": 5, "assignment": [0, 1, 2]}),
+    ("--coloring", {"palette": [0, 1, 2], "assignment": [0, [1], 2]}),
+    ("--coloring", {"palette": [0, 1, 2]}),
+    ("--coloring", [0, 1, 2]),
+    ("--coloring", {"palette": [0, 1, 2], "assignment": [0, 1, True]}),
+])
+def test_cli_malformed_json_inputs_exit_2(tmp_path, capsys, flag, payload):
+    (tmp_path / "c3.d").write_text("d 3 3\na 0 1\na 1 2\na 2 0\n")
+    data = tmp_path / "input.json"
+    data.write_text(json.dumps(payload))
+    cmd = ["check", "cover"] if flag == "--collection" else ["check", "dicoloring"]
+    assert run(cmd + [str(tmp_path / "c3.d"), flag, str(data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith(f"dichroma: {data}: expected a JSON object with ")

@@ -73,9 +73,9 @@ def test_sabidussi_suite_row_shape():
     (sabidussi_suite, {"max_n": 3, "random_pairs": 20, "threads": 1}),
     (sabidussi_suite, {"max_n": 3, "random_pairs": 20, "threads": 2}),
     (tensor_upper_bound_suite, {"max_n": 4, "threads": 2}),
-    (bidirect_suite, {"max_n": 6, "threads": 2}),
+    (bidirect_suite, {"max_n": 6}),
     (kneser_chi_suite, {}),
-    (catalogue_suite, {"dual_random": 10, "threads": 2}),
+    (catalogue_suite, {"dual_random": 10}),
 ])
 def test_suite_solves_share_one_deadline(monkeypatch, suite, kwargs):
     polled = []
@@ -98,5 +98,5 @@ def test_suite_rows_after_the_deadline_read_unknown(monkeypatch):
         result = sabidussi_suite(max_n=2, random_pairs=5, pair_max_n=3, threads=threads)
         assert result.ok and result.unknown == len(result.rows)
         assert all(row["chi_product"] is None for row in result.rows)
-        result = catalogue_suite(dual_random=3, threads=threads)
-        assert result.ok and result.unknown > 0
+    result = catalogue_suite(dual_random=3)
+    assert result.ok and result.unknown > 0
