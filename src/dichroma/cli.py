@@ -15,6 +15,7 @@ import math
 import sys
 import time
 from dataclasses import asdict
+from itertools import islice
 
 from . import __version__
 from .core import Digraph, Graph, enumerate_orientations
@@ -139,7 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?", default="-")
     p = orient.add_parser("enumerate", parents=[common])
     p.add_argument("input", nargs="?", default="-")
-    p.add_argument("--limit", type=int, default=24)
     p.add_argument("--max-list", type=int, default=64, dest="max_list")
     p = orient.add_parser("certified", parents=[common])
     p.add_argument("input", nargs="?", default="-")
@@ -337,14 +337,10 @@ def _orient_command(args, started: float):
             break_cliques=args.break_cliques,
             timeout=_budget(args).timeout)
         return None, format_graph(d), None, EXIT_OK
-    count = 0
-    listed = []
-    for o in enumerate_orientations(g, limit=args.limit):
-        if count < args.max_list:
-            listed.append("".join("1" if b else "0" for b in o.direction))
-        count += 1
-    record = make_record("orient enumerate",
-                         {"limit": args.limit, "max_list": args.max_list},
+    count = 1 << g.m
+    listed = ["".join("1" if b else "0" for b in o.direction)
+              for o in islice(enumerate_orientations(g), max(args.max_list, 0))]
+    record = make_record("orient enumerate", {"max_list": args.max_list},
                          count=count, orientations=listed)
     return record, f"orientations {count}\n", None, EXIT_OK
 
@@ -430,7 +426,7 @@ def _mc_command(args, started: float):
         L1 = ListAssignment.uniform(d.n, range(1, args.l1 + 1))
         est = estimate_acceptance_probability(
             d, collection, L1, args.l2, args.trials, rng,
-            threads=_threads(args),
+            threads=_threads(args), timeout=_budget(args).timeout,
         )
         payload = {
             **asdict(est.event),

@@ -158,9 +158,6 @@ class Digraph:
     def m(self) -> int:
         return len(self.arcs)
 
-    def has_arc(self, u: int, v: int) -> bool:
-        return bool(self.outs[u] >> v & 1)
-
     def digon_mask(self, v: int) -> int:
         """Vertices joined to v by arcs in both directions."""
         return self.outs[v] & self.ins[v]
@@ -375,15 +372,14 @@ def apply_orientation(g: Graph, o: Orientation) -> Digraph:
     return Digraph(g.n, o.arcs(), labels=g.labels)
 
 
-def enumerate_orientations(g: Graph, limit: int = 24) -> Iterator[Orientation]:
+def enumerate_orientations(g: Graph) -> Iterator[Orientation]:
     """Stream all 2^m orientations of g in lexicographic direction order.
 
     The direction tuple is read as a binary word with edge 0 as the most
     significant bit, so consecutive orientations differ like a counter.
+    The stream is lazy: a caller takes as many as it can afford.
     """
     m = g.m
-    if m > limit:
-        raise LimitExceededError(f"{m} edges exceed the orientation limit {limit}")
     for code in range(1 << m):
         direction = tuple(bool(code >> (m - 1 - j) & 1) for j in range(m))
         yield Orientation(g, direction)

@@ -33,6 +33,7 @@ from .randomized import (
     g_bound,
     uniform_below,
 )
+from .solvers import DEFAULT_BUDGET, _Deadline
 
 __all__ = [
     "SetCollection",
@@ -173,7 +174,7 @@ class CheckReport:
 
 
 def verify_cover_all_acyclic(
-    d: Digraph, C: SetCollection, limit: int = 24
+    d: Digraph, C: SetCollection
 ) -> CheckReport:
     """Decide whether every acyclic partition of d is covered by C.
 
@@ -182,7 +183,7 @@ def verify_cover_all_acyclic(
     singleton parts and therefore presumes a palette of at least n colours.
     """
     masks = C.member_masks()
-    for aset in maximal_acyclic_sets(d, limit=limit):
+    for aset in maximal_acyclic_sets(d):
         am = mask_of(aset)
         if not any(am & ~m == 0 for m in masks):
             return CheckReport(False, aset)
@@ -230,7 +231,7 @@ def is_semicovered(P: Partition, spec: SemicoverSpec) -> bool:
 
 
 def verify_semicover_all_acyclic(
-    d: Digraph, spec: SemicoverSpec, limit: int = 24
+    d: Digraph, spec: SemicoverSpec
 ) -> CheckReport:
     """Decide whether every acyclic partition of d (on {1,2} x V(H)) is
     semicovered. The semicover condition is inherited by subsets, so
@@ -239,7 +240,7 @@ def verify_semicover_all_acyclic(
         raise ValueError("vertex set must split into two equal sides")
     n_half = d.n // 2
     masks = spec.collection.member_masks()
-    for aset in maximal_acyclic_sets(d, limit=limit):
+    for aset in maximal_acyclic_sets(d):
         if not _part_semicovered(aset, n_half, masks, spec.lam):
             return CheckReport(False, aset)
     return CheckReport(True, None)
@@ -280,7 +281,7 @@ def exists_accepted_covered_partition(
     d: Digraph,
     C: SetCollection,
     L: ListAssignment,
-    max_nodes: int = 2_000_000,
+    deadline: Optional[_Deadline] = None,
 ) -> tuple[bool, Optional[Partition]]:
     """Search for a palette-indexed partition that is covered by C,
     accepted by L, and acyclic per part.
@@ -289,6 +290,8 @@ def exists_accepted_covered_partition(
     its vertices (colours with empty classes stay unconstrained, matching
     partitions with empty parts); backtracking assigns vertices in index
     order with incremental class-acyclicity and member filtering.
+    ``deadline`` (else one of the default solve timeout) is polled at
+    every node and raises BudgetExceededError.
     """
     if L.n != d.n:
         raise ValueError("list assignment does not cover the vertex set")
@@ -309,13 +312,11 @@ def exists_accepted_covered_partition(
     alive = [all_members] * u
     class_masks = [0] * u
     assignment: list[Optional[int]] = [None] * n
-    nodes = 0
+    deadline = deadline or _Deadline(DEFAULT_BUDGET.timeout)
 
     def rec(v: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > max_nodes:
-            raise BudgetExceededError("unknown: partition search budget exhausted")
+        if deadline.check():
+            raise BudgetExceededError("unknown: partition search ran out of time")
         if v == n:
             return True
         for colour in sorted(L.lists[v]):
@@ -363,13 +364,15 @@ def estimate_acceptance_probability(
     l2: int,
     trials: int,
     rng: RngSpec,
-    max_nodes: int = 2_000_000,
     threads: int = 1,
+    timeout: Optional[float] = None,
 ) -> AcceptanceEstimate:
     """Sample l2-sublists of L1 and measure how often some covered acyclic
     partition is accepted; reports the Wilson interval and the bound
     g(l1, l2, n, s, t, u) with its applicability hypothesis
-    4*t*u <= (l1-l2)*n."""
+    4*t*u <= (l1-l2)*n. When ``timeout`` seconds (else the default solve
+    timeout), shared by all trials, run out, raises BudgetExceededError
+    instead of returning a partial count."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     if l2 < L1.k:
@@ -382,9 +385,12 @@ def estimate_acceptance_probability(
         hypothesis_ok = False
     from .parallel import parallel_map
 
+    # shared by forked workers, as in estimate_biclique_event
+    deadline = _Deadline(DEFAULT_BUDGET.timeout if timeout is None else timeout)
+
     def one(i: int) -> bool:
         L2 = sample_sublists(L1, l2, rng.derive(i))
-        ok, _ = exists_accepted_covered_partition(d, C, L2, max_nodes=max_nodes)
+        ok, _ = exists_accepted_covered_partition(d, C, L2, deadline)
         return ok
 
     hits = parallel_map(one, range(trials), threads)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import TYPE_CHECKING, Sequence
 
-from .core import Coloring, Graph, induced_subgraph
+from .core import Coloring, Graph
 from .errors import DichromaError, LimitExceededError
 from .randomized import mix64
 
@@ -342,9 +342,6 @@ class EmbeddingWitness:
                     raise ValueError(
                         f"map does not preserve adjacency on ({u},{v})"
                     )
-
-    def induced_image(self) -> Graph:
-        return induced_subgraph(self.target, self.mapping)
 
 
 def embed_rook_in_kneser(n: int, k: int) -> EmbeddingWitness:

@@ -21,7 +21,7 @@ from .core import (
     mask_of,
 )
 from .errors import BudgetExceededError, CertificationError, LimitExceededError
-from .solvers import _Deadline
+from .solvers import DEFAULT_BUDGET, _Deadline
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -212,23 +212,10 @@ def _first_chain(cols: list[Optional[int]], l: int) -> Optional[list[int]]:
     return rec([], usable)
 
 
-def _combination_rank(positions: list[int], c: int) -> int:
-    """1-based rank of a sorted position tuple among combinations(range(c),
-    len(positions)) in lexicographic order."""
-    l = len(positions)
-    rank, prev = 1, -1
-    for j, p in enumerate(positions):
-        for x in range(prev + 1, p):
-            rank += math.comb(c - 1 - x, l - 1 - j)
-        prev = p
-    return rank
-
-
 def find_acyclic_biclique(
     d: Digraph,
     l: int,
     partition_hint: Optional[tuple[Iterable[int], Iterable[int]]] = None,
-    max_pairs: int = 2_000_000,
     deadline: Optional[_Deadline] = None,
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Search for disjoint S, T of size l, complete bipartite in the
@@ -243,10 +230,9 @@ def find_acyclic_biclique(
     no directed 4-cycle, i.e. iff the sets N-(t) & S over t in T form a
     chain under inclusion (Bang-Jensen and Gutin, Digraphs, 2009). S is
     grown one vertex at a time while at least l common neighbours remain;
-    T is grown only while the chain condition holds. ``max_pairs`` bounds
-    the (S, T) pairs covered, pruned ones included, and ``deadline`` (a
-    solvers._Deadline shared by one command) is polled at every S node;
-    either raises BudgetExceededError.
+    T is grown only while the chain condition holds. ``deadline`` (a
+    solvers._Deadline shared by one command, else one of the default solve
+    timeout) is polled at every S node and raises BudgetExceededError.
     """
     if l < 1:
         raise ValueError("l must be at least 1")
@@ -261,22 +247,16 @@ def find_acyclic_biclique(
         side_s = list(range(n))
         side_t_mask = (1 << n) - 1
         ordered = False
-    examined = 0
+    deadline = deadline or _Deadline(DEFAULT_BUDGET.timeout)
 
     def scan_t(s_mask: int, common: int) -> Optional[tuple[int, ...]]:
-        nonlocal examined
         cands = list(iter_bits(common))
         cols = [None if ins[t] & outs[t] & s_mask else ins[t] & s_mask for t in cands]
         pos = _first_chain(cols, l)
-        # the pairs combinations(cands, l) visits up to the hit, or all of them
-        c = len(cands)
-        examined += math.comb(c, l) if pos is None else _combination_rank(pos, c)
-        if examined > max_pairs:
-            raise BudgetExceededError("unknown: biclique scan exceeded its pair budget")
         return None if pos is None else tuple(cands[i] for i in pos)
 
     def scan_s(start: int, s_tuple: tuple[int, ...], s_mask: int, common: int):
-        if deadline is not None and deadline.check():
+        if deadline.check():
             raise BudgetExceededError("unknown: biclique scan ran out of time")
         if len(s_tuple) == l:
             t_tuple = scan_t(s_mask, common)
@@ -300,9 +280,7 @@ def find_acyclic_biclique(
     return hit
 
 
-def find_acyclic_clique(
-    d: Digraph, l: int, max_cliques: int = 2_000_000, deadline: Optional[_Deadline] = None
-):
+def find_acyclic_clique(d: Digraph, l: int, deadline: Optional[_Deadline] = None):
     """Search for an l-clique of the underlying graph whose induced
     orientation in d is acyclic (i.e. a transitive tournament).
     ``deadline`` is polled at every node, as in find_acyclic_biclique."""
@@ -310,16 +288,12 @@ def find_acyclic_clique(
         raise ValueError("l must be at least 1")
     g = d.underlying_graph()
     n = g.n
-    examined = 0
+    deadline = deadline or _Deadline(DEFAULT_BUDGET.timeout)
 
     def rec(clique: list[int], allowed: int):
-        nonlocal examined
-        if deadline is not None and deadline.check():
+        if deadline.check():
             raise BudgetExceededError("unknown: clique scan ran out of time")
         if len(clique) == l:
-            examined += 1
-            if examined > max_cliques:
-                raise BudgetExceededError("unknown: clique scan exceeded its budget")
             if _subset_acyclic(d.ins, mask_of(clique)):
                 return tuple(clique)
             return None
@@ -347,10 +321,10 @@ def certified_breaking_orientation(
 
     Raises CertificationError when the attempts run out, which signals
     parameters outside the regime where such orientations are plentiful,
-    and BudgetExceededError when ``timeout`` seconds, shared by all
-    attempts, run out.
+    and BudgetExceededError when ``timeout`` seconds (else the default
+    solve timeout), shared by all attempts, run out.
     """
-    deadline = None if timeout is None else _Deadline(timeout)
+    deadline = _Deadline(DEFAULT_BUDGET.timeout if timeout is None else timeout)
     for attempt in range(max_attempts):
         d = random_orientation(g, rng.derive(attempt))
         if find_acyclic_biclique(d, l, deadline=deadline) is not None:
@@ -368,16 +342,16 @@ def estimate_biclique_event(
     timeout: Optional[float] = None,
 ) -> EventEstimate:
     """Monte Carlo frequency of 'some acyclic l+l biclique survives' under
-    uniformly random orientations of g. When ``timeout`` seconds, shared
-    by all trials, run out, raises BudgetExceededError instead of
-    returning a partial count."""
+    uniformly random orientations of g. When ``timeout`` seconds (else
+    the default solve timeout), shared by all trials, run out, raises
+    BudgetExceededError instead of returning a partial count."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     from .parallel import parallel_map
 
     # Forked workers share the deadline: its instant is an absolute clock
     # reading, and each worker polls its own copy.
-    deadline = None if timeout is None else _Deadline(timeout)
+    deadline = _Deadline(DEFAULT_BUDGET.timeout if timeout is None else timeout)
 
     def one(i: int) -> bool:
         d = random_orientation(g, rng.derive(DOMAIN_TRIAL, i))

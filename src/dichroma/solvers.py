@@ -23,9 +23,9 @@ from .core import (
     Orientation,
     _extension_cyclic,
     apply_orientation,
+    enumerate_orientations,
     is_acyclic,
 )
-from .errors import LimitExceededError
 
 __all__ = [
     "SolveBudget",
@@ -44,20 +44,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolveBudget:
-    """Resource limits for the exact solvers.
+    """The seconds a solve may take: the one budget of every search, which
+    polls it as a _Deadline and returns a flagged bracket when it ends."""
 
-    orientation_limit caps edge counts for orientation sweeps (2^m work),
-    assignment_limit caps n*k for canonical list enumeration.
-    """
-
-    vertex_limit: int = 64
-    orientation_limit: int = 24
-    assignment_limit: int = 64
     timeout: float = 120.0
 
     def __post_init__(self):
-        if min(self.vertex_limit, self.orientation_limit, self.assignment_limit) < 1:
-            raise ValueError("limits must be positive")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
 
@@ -238,8 +230,6 @@ def chromatic_number(
     """Exact chromatic number with a proper-colouring witness, searched up
     from a greedy clique. deadline, when given, is shared with an
     enclosing solve and replaces b.timeout."""
-    if g.n > b.vertex_limit:
-        raise LimitExceededError(f"{g.n} vertices exceed budget {b.vertex_limit}")
     adj = g.adj
     return _least_classes(
         _class_test(adj), _degree_order(adj), len(_greedy_clique(adj)),
@@ -265,8 +255,6 @@ def dichromatic_number(
     acyclic classes, searched up from 2 once any directed cycle exists
     and from the digon graph's chromatic number. deadline as in
     chromatic_number."""
-    if d.n > b.vertex_limit:
-        raise LimitExceededError(f"{d.n} vertices exceed budget {b.vertex_limit}")
     outs, ins = d.outs, d.ins
     deadline = deadline or _Deadline(b.timeout)
     return _least_classes(
@@ -318,10 +306,6 @@ def dichromatic_number_of_graph(
     an enclosing deadline is given, covers the chromatic, arboricity and
     orientation solves.
     """
-    if g.m > b.orientation_limit:
-        raise LimitExceededError(
-            f"{g.m} edges exceed the orientation budget {b.orientation_limit}"
-        )
     if deadline is None:
         deadline = _Deadline(b.timeout)
     chi = chromatic_number(g, b, deadline)
@@ -336,14 +320,10 @@ def dichromatic_number_of_graph(
     best = -1  # the empty graph's one orientation still becomes the witness
     best_orientation = None
     best_witness = None
-    full = (1 << g.m) - 1
-    m = g.m
     solved = 0
-    for code in range(1 << m):
-        if code > full ^ code:
-            continue
-        direction = tuple(bool(code >> (m - 1 - j) & 1) for j in range(m))
-        o = Orientation(g, direction)
+    # the first half of the lexicographic order holds one of each pair;
+    # range, unlike islice, takes a stop beyond sys.maxsize (m >= 64)
+    for _, o in zip(range(((1 << g.m) + 1) // 2), enumerate_orientations(g)):
         d = apply_orientation(g, o)
         cert = dichromatic_number(d, b, deadline)
         solved += 1
@@ -533,11 +513,6 @@ def _list_number(obj, b: SolveBudget, deadline: Optional[_Deadline]) -> Certific
             return Certificate(
                 k, True, k, k, rejecting_assignment=rejecting,
                 detail=f"{k} meets the upper bound 1 + {bound}",
-            )
-        if n * k > b.assignment_limit:
-            return Certificate(
-                None, False, k, upper, rejecting_assignment=rejecting,
-                detail=f"palette n*k={n * k} exceeds the assignment budget",
             )
         tested = 0
         try:

@@ -22,6 +22,7 @@ from .core import (
     bidirect,
     is_acyclic,
     is_proper_dicoloring,
+    iter_bits,
     mask_of,
 )
 from .generators import kneser
@@ -142,8 +143,6 @@ def _find_cycle(g: Graph) -> Optional[list[int]]:
     In an undirected depth-first search every non-tree edge reaches an
     ancestor, so the parent chain from v closes the cycle at w.
     """
-    from .core import iter_bits
-
     visited = [False] * g.n
     parent = [-1] * g.n
 

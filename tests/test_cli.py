@@ -79,9 +79,32 @@ def test_cli_usage_errors(capsys):
 def test_cli_budget_exit_code(tmp_path, capsys):
     code, out = _run(capsys, ["gen", "kneser", "6", "2", "--out", str(tmp_path / "g.g")])
     assert code == 0
-    # 45 edges exceed the default 24-edge orientation budget
-    code, _ = _run(capsys, ["solve", "graph-dichromatic", str(tmp_path / "g.g")])
+    # 2^44 reversal pairs of 45 edges: the deadline ends the sweep, and
+    # chi = 4 and a = 3 leave the bracket [2, 3]
+    code, out = _run(capsys, ["solve", "graph-dichromatic", str(tmp_path / "g.g"),
+                              "--timeout-s", "1", "--format", "json"])
     assert code == 3
+    cert = json.loads(out)["certificate"]
+    assert cert["exact"] is False and (cert["lower"], cert["upper"]) == (2, 3)
+
+
+def test_cli_budget_exit_code_past_64_edges(tmp_path, capsys):
+    code, out = _run(capsys, ["gen", "multipartite", "1", "12",
+                              "--out", str(tmp_path / "k12.g")])
+    assert code == 0
+    # K12's 66 edges: 2^65 reversal pairs, bracketed by a = 6 at the deadline
+    code, out = _run(capsys, ["solve", "graph-dichromatic", str(tmp_path / "k12.g"),
+                              "--timeout-s", "1", "--format", "json"])
+    assert code == 3
+    cert = json.loads(out)["certificate"]
+    assert cert["exact"] is False and cert["upper"] == 6 and 1 <= cert["lower"] <= 6
+
+
+def test_cli_solve_has_no_size_cap(tmp_path, capsys):
+    code, out = _run(capsys, ["gen", "rook", "9", "--out", str(tmp_path / "rook9.g")])
+    assert code == 0
+    code, out = _run(capsys, ["solve", "chromatic", str(tmp_path / "rook9.g")])
+    assert code == 0 and out == "chromatic 9\n"
 
 
 def test_cli_solve_json_certificate_revalidates(tmp_path, capsys):
@@ -345,12 +368,15 @@ def test_traced_layer_targets_resolve():
     ["mc", "biclique", "--l", "2", "--trials", "3", "--threads", "1"],
     ["mc", "biclique", "--l", "2", "--trials", "3", "--threads", "2"],
     ["orient", "certified", "--l", "2", "--seed", "3"],  # certifies C4 in time
+    ["mc", "acceptance", "--l1", "2", "--l2", "1", "--beta", "1", "--trials", "3"],
 ])
 def test_cli_biclique_commands_honour_timeout(monkeypatch, tmp_path, capsys, argv):
     from dichroma.generators import complete_bipartite, cycle_graph
+    from dichroma.randomized import RngSpec, random_orientation
     from dichroma.solvers import _Deadline
 
-    g = complete_bipartite(4, 4) if argv[0] == "mc" else cycle_graph(4)
+    g = {"biclique": complete_bipartite(4, 4), "certified": cycle_graph(4),
+         "acceptance": random_orientation(rook(3), RngSpec(0))}[argv[1]]
     path = tmp_path / "input.g"
     path.write_text(format_graph(g))
     assert run(argv[:2] + [str(path)] + argv[2:]) == 0
@@ -380,6 +406,14 @@ def test_cli_orient_enumerate(tmp_path, capsys):
     record = json.loads(out)
     assert record["count"] == 4
     assert record["orientations"][0] == "00"
+    # the count is 2^m, and only --max-list orientations are listed
+    (tmp_path / "kg62.g").write_text(format_graph(kneser(6, 2)))
+    code, out = _run(capsys, ["orient", "enumerate", str(tmp_path / "kg62.g")])
+    assert code == 0 and out == "orientations 35184372088832\n"
+    code, out = _run(capsys, ["orient", "enumerate", str(tmp_path / "kg62.g"),
+                              "--format", "json"])
+    listed = json.loads(out)["orientations"]
+    assert len(listed) == 64 and listed[:2] == ["0" * 45, "0" * 44 + "1"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 
 from dichroma.catalogue import graph_catalogue, graphs_up_to, random_digraph
@@ -100,8 +102,11 @@ def test_enumerate_orientations_order_and_limit():
     first, second = list(enumerate_orientations(P3))[:2]
     assert first.direction == (False, False)
     assert second.direction == (False, True)
-    with pytest.raises(LimitExceededError):
-        list(enumerate_orientations(K3, limit=2))
+    # the stream is lazy, so a caller takes a prefix of any size
+    big = Graph(20, [(u, v) for u in range(10) for v in range(10, 20)])
+    prefix = list(islice(enumerate_orientations(big), 3))
+    assert [o.direction[-2:] for o in prefix] == [(False, False), (False, True), (True, False)]
+    assert not any(prefix[0].direction[:-2])
 
 
 def test_is_proper_coloring():

@@ -25,9 +25,11 @@ from dichroma.covers import (
     verify_cover_all_acyclic,
     verify_semicover_all_acyclic,
 )
+from dichroma.errors import BudgetExceededError
 from dichroma.generators import complete_graph, rook
 from dichroma.products import tensor_product
 from dichroma.randomized import RngSpec, random_orientation
+from dichroma.solvers import _Deadline
 
 from oracles import acyclic_by_dfs, relabel
 
@@ -263,6 +265,20 @@ def test_exists_accepted_covered_partition_examples():
     assert accepts(lists12, partition)
     for part in partition.parts:
         assert acyclic_by_dfs(*relabel(C3.arcs, part))
+
+
+def test_acceptance_search_polls_deadline(monkeypatch):
+    whole = SetCollection((frozenset(range(3)),), 1, 3)
+    L1 = ListAssignment.uniform(3, (1, 2))
+    ok, _ = exists_accepted_covered_partition(C3, whole, L1, _Deadline(60))
+    assert ok
+    monkeypatch.setattr(_Deadline, "check", lambda self: True)
+    # a given deadline, and without one the default solve timeout
+    for deadline in (_Deadline(60), None):
+        with pytest.raises(BudgetExceededError):
+            exists_accepted_covered_partition(C3, whole, L1, deadline)
+    with pytest.raises(BudgetExceededError):
+        estimate_acceptance_probability(C3, whole, L1, 1, 4, RngSpec(1), timeout=60)
 
 
 def _exact_acceptance(d: Digraph, col: SetCollection, L1: ListAssignment, l2: int):

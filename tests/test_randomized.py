@@ -113,7 +113,7 @@ def test_find_acyclic_biclique_partition_hint():
     )
 
 
-def _reference_biclique_scan(d, l, partition_hint=None, max_pairs=2_000_000):
+def _reference_biclique_scan(d, l, partition_hint=None):
     """The scan find_acyclic_biclique replaced: every (S, T) pair in
     lexicographic order, each tested by Kahn's algorithm."""
     g = d.underlying_graph()
@@ -123,7 +123,6 @@ def _reference_biclique_scan(d, l, partition_hint=None, max_pairs=2_000_000):
     else:
         side_s = list(range(g.n))
         side_t_mask = (1 << g.n) - 1
-    examined = 0
     for s_tuple in combinations(side_s, l):
         common = side_t_mask
         for v in s_tuple:
@@ -132,24 +131,13 @@ def _reference_biclique_scan(d, l, partition_hint=None, max_pairs=2_000_000):
         if partition_hint is None:
             common &= ~((1 << (s_tuple[0] + 1)) - 1)
         for t_tuple in combinations(list(iter_bits(common)), l):
-            examined += 1
-            if examined > max_pairs:
-                raise BudgetExceededError("pair budget")
             if _cross_arcs_acyclic(d, mask_of(s_tuple), mask_of(t_tuple)):
                 return (s_tuple, t_tuple)
     return None
 
 
-def _scan_outcome(scan, *args):
-    try:
-        return scan(*args)
-    except BudgetExceededError:
-        return "budget"
-
-
 def test_find_acyclic_biclique_matches_reference_scan():
-    # digons, partial hints (overlapping sides included) and pair budgets
-    # that cut the scan before, at and after a hit
+    # digons and partial hints, overlapping sides included
     pick = random.Random(20)
     for seed in range(1000):
         n = pick.randint(1, 9)
@@ -158,10 +146,8 @@ def test_find_acyclic_biclique_matches_reference_scan():
                         pick.sample(range(n), pick.randint(1, n)))]
         for l in (1, 2, 3):
             for hint in hints:
-                for max_pairs in (2_000_000, pick.randint(0, 40)):
-                    args = (d, l, hint, max_pairs)
-                    assert _scan_outcome(find_acyclic_biclique, *args) == \
-                        _scan_outcome(_reference_biclique_scan, *args), (seed, l, hint)
+                assert find_acyclic_biclique(d, l, hint) == \
+                    _reference_biclique_scan(d, l, hint), (seed, l, hint)
 
 
 def test_find_acyclic_biclique_oracle_all_orientations():
@@ -183,16 +169,8 @@ def test_find_acyclic_biclique_k10_10():
     assert find_acyclic_biclique(d, 6) == hit
     cross = [(u, v) for u, v in d.arcs if {u, v} <= set(hit[0] + hit[1])]
     assert acyclic_by_dfs(d.n, cross)
-    # the reference scan meets this hit at its 22,325th pair
-    assert find_acyclic_biclique(d, 6, max_pairs=22_325) == hit
-    with pytest.raises(BudgetExceededError):
-        find_acyclic_biclique(d, 6, max_pairs=22_324)
     miss = random_orientation(k, RngSpec(5))
     assert find_acyclic_biclique(miss, 6) is None
-    # a verified miss covers all C(10, 6)^2 = 44,100 pairs, pruned or not
-    assert find_acyclic_biclique(miss, 6, max_pairs=44_100) is None
-    with pytest.raises(BudgetExceededError):
-        find_acyclic_biclique(miss, 6, max_pairs=44_099)
 
 
 def test_biclique_scans_poll_deadline(monkeypatch):
@@ -206,8 +184,11 @@ def test_biclique_scans_poll_deadline(monkeypatch):
         estimate_biclique_event(complete_bipartite(3, 3), 2, 4, RngSpec(1), timeout=60)
     with pytest.raises(BudgetExceededError):
         certified_breaking_orientation(complete_bipartite(3, 3), 2, RngSpec(1), timeout=60)
-    # without a deadline the scans never poll one
-    assert find_acyclic_biclique(d, 1) is not None
+    # without a deadline the scans poll one of the default solve timeout
+    with pytest.raises(BudgetExceededError):
+        find_acyclic_biclique(d, 1)
+    with pytest.raises(BudgetExceededError):
+        find_acyclic_clique(d, 2)
 
 
 def test_find_acyclic_clique():

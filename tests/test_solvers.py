@@ -15,7 +15,6 @@ from dichroma.core import (
     is_proper_coloring,
     is_proper_dicoloring,
 )
-from dichroma.errors import LimitExceededError
 from dichroma.generators import (
     complete_bipartite,
     complete_graph,
@@ -23,6 +22,7 @@ from dichroma.generators import (
     cycle_graph,
     kneser,
     path_graph,
+    rook,
 )
 from dichroma.products import cartesian_product
 from dichroma.randomized import RngSpec, random_orientation
@@ -200,9 +200,25 @@ def test_vertex_arboricity_known_values():
         assert _arboricity(g) == 2
 
 
-def test_dichromatic_number_of_graph_limit():
-    with pytest.raises(LimitExceededError):
-        dichromatic_number_of_graph(kneser(5, 2), SolveBudget(orientation_limit=10))
+def test_dichromatic_number_of_graph_limit(monkeypatch):
+    # no edge cap: the deadline alone stops KG(6,2)'s sweep of 2^44
+    # reversal pairs, with chi = 4 and a = 3 bounding every orientation
+    _fire_after(monkeypatch, 3000)
+    cert = dichromatic_number_of_graph(kneser(6, 2), BUDGET)
+    assert not cert.exact and (cert.lower, cert.upper) == (2, 3)
+    assert "timeout during the orientation sweep" in cert.detail
+    d = apply_orientation(kneser(6, 2), cert.witness_orientation)
+    assert is_proper_dicoloring(d, cert.witness) and cert.witness.class_count() == 2
+
+
+def test_dichromatic_number_of_graph_past_64_edges(monkeypatch):
+    # 66 edges: the sweep's 2^65 reversal pairs exceed sys.maxsize, and the
+    # deadline still ends it with chi = 12 and a = 6 bounding every orientation
+    g = complete_graph(12)
+    _fire_after(monkeypatch, 5000)
+    cert = dichromatic_number_of_graph(g, BUDGET)
+    assert not cert.exact and (cert.lower, cert.upper) == (2, 6)
+    assert "timeout inside orientation solve" in cert.detail
 
 
 def test_find_acceptable_dicoloring_examples():
@@ -426,16 +442,21 @@ def test_budget_flags_instead_of_lying():
     if not cert.exact:
         assert cert.lower <= 6 <= cert.upper
         assert "timeout" in cert.detail
-    with pytest.raises(LimitExceededError):
-        chromatic_number(g, SolveBudget(vertex_limit=10))
+    # no vertex cap: the clique bound closes the 81-vertex rook graph
+    big = rook(9)
+    cert = chromatic_number(big, BUDGET)
+    assert cert.exact and cert.value == 9
+    assert is_proper_coloring(big, cert.witness)
 
 
-def test_list_budget_flags():
+def test_list_budget_flags(monkeypatch):
+    # no palette cap: the deadline stops the k = 3 level (n*k = 12)
     d = bidirect(complete_graph(4))
-    cert = list_dichromatic_number(d, SolveBudget(assignment_limit=8))
-    assert not cert.exact
-    assert cert.lower >= 2
-    assert "budget" in cert.detail
+    _fire_after(monkeypatch, 8)
+    cert = list_dichromatic_number(d, BUDGET)
+    assert not cert.exact and (cert.lower, cert.upper) == (3, 4)
+    assert "timeout at k=3" in cert.detail
+    assert cert.rejecting_assignment.k == 2
 
 
 def test_empty_structures():
