@@ -4,6 +4,7 @@ __version__ = "0.1.0"
 
 from .core import (
     Coloring,
+    Deadline,
     Digraph,
     Graph,
     ListAssignment,
@@ -29,6 +30,7 @@ from .errors import (
 
 __all__ = [
     "__version__",
+    "Deadline",
     "Graph",
     "Digraph",
     "Orientation",

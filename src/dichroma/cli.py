@@ -18,7 +18,7 @@ from dataclasses import asdict
 from itertools import islice
 
 from . import __version__
-from .core import Digraph, Graph, enumerate_orientations
+from .core import Deadline, Digraph, Graph, enumerate_orientations
 from .covers import (
     RookCollectionParams,
     SemicoverSpec,
@@ -61,7 +61,6 @@ from .randomized import (
 )
 from .records import certificate_payload, make_record, record_json
 from .solvers import (
-    SolveBudget,
     chromatic_number,
     dichromatic_number,
     dichromatic_number_of_graph,
@@ -260,10 +259,6 @@ def _read_json(path: str, n: int, **fields: int) -> dict:
     return payload
 
 
-def _budget(args) -> SolveBudget:
-    return SolveBudget(timeout=float(args.timeout_s))
-
-
 def _threads(args) -> int:
     return args.threads if args.threads is not None else default_threads()
 
@@ -335,7 +330,7 @@ def _orient_command(args, started: float):
             g, args.l, RngSpec(args.seed),
             max_attempts=args.max_attempts,
             break_cliques=args.break_cliques,
-            timeout=_budget(args).timeout)
+            deadline=Deadline(args.timeout_s))
         return None, format_graph(d), None, EXIT_OK
     count = 1 << g.m
     listed = ["".join("1" if b else "0" for b in o.direction)
@@ -347,17 +342,17 @@ def _orient_command(args, started: float):
 
 def _solve_command(args, started: float):
     obj = _read_structure(args.input)
-    budget = _budget(args)
+    deadline = Deadline(args.timeout_s)
     if args.cmd == "chromatic":
-        cert = chromatic_number(_need_graph(obj), budget)
+        cert = chromatic_number(_need_graph(obj), deadline)
     elif args.cmd == "graph-dichromatic":
-        cert = dichromatic_number_of_graph(_need_graph(obj), budget)
+        cert = dichromatic_number_of_graph(_need_graph(obj), deadline)
     elif args.cmd == "dichromatic":
-        cert = dichromatic_number(_need_digraph(obj), budget)
+        cert = dichromatic_number(_need_digraph(obj), deadline)
     elif args.cmd == "list-chromatic":
-        cert = list_chromatic_number(_need_graph(obj), budget)
+        cert = list_chromatic_number(_need_graph(obj), deadline)
     else:
-        cert = list_dichromatic_number(_need_digraph(obj), budget)
+        cert = list_dichromatic_number(_need_digraph(obj), deadline)
     record = make_record(
         f"solve {args.cmd}",
         {"timeout_s": args.timeout_s},
@@ -385,7 +380,8 @@ def _check_command(args, started: float):
         detail = {"proper": ok}
     elif args.cmd == "cover":
         d = _need_digraph(obj)
-        report = verify_cover_all_acyclic(d, _load_collection(args, d))
+        report = verify_cover_all_acyclic(d, _load_collection(args, d),
+                                          Deadline(args.timeout_s))
         detail = {"covers_all_acyclic": report.ok}
     else:
         d = _need_digraph(obj)
@@ -394,7 +390,8 @@ def _check_command(args, started: float):
         lam = args.lam
         if lam is None:
             lam = (2 ** 13) * math.log(max(side, 2)) ** 2
-        report = verify_semicover_all_acyclic(d, SemicoverSpec(collection, lam))
+        report = verify_semicover_all_acyclic(d, SemicoverSpec(collection, lam),
+                                              Deadline(args.timeout_s))
         detail = {"semicovers_all_acyclic": report.ok, "lambda": lam}
     if args.cmd in ("cover", "semicover") and report.counterexample is not None:
         detail["counterexample"] = sorted(report.counterexample)
@@ -413,7 +410,7 @@ def _mc_command(args, started: float):
             raise GraphFormatError("mc biclique needs --l")
         payload = asdict(estimate_biclique_event(g, args.l, args.trials, rng,
                                                  threads=_threads(args),
-                                                 timeout=_budget(args).timeout))
+                                                 deadline=Deadline(args.timeout_s)))
         params = {"l": args.l, "trials": args.trials,
                   "graph": args.graph or "stdin"}
     else:
@@ -426,7 +423,7 @@ def _mc_command(args, started: float):
         L1 = ListAssignment.uniform(d.n, range(1, args.l1 + 1))
         est = estimate_acceptance_probability(
             d, collection, L1, args.l2, args.trials, rng,
-            threads=_threads(args), timeout=_budget(args).timeout,
+            threads=_threads(args), deadline=Deadline(args.timeout_s),
         )
         payload = {
             **asdict(est.event),
@@ -474,20 +471,20 @@ def _embed_command(args, started: float):
 
 
 def _verify_command(args, started: float):
-    budget = _budget(args)
+    deadline = Deadline(args.timeout_s)
     if args.cmd == "sabidussi":
         result = sabidussi_suite(max_n=args.max_n, random_pairs=args.pairs,
                                  pair_max_n=args.pair_max_n, seed=args.seed,
-                                 threads=_threads(args), budget=budget)
+                                 threads=_threads(args), deadline=deadline)
     elif args.cmd == "bidirect":
-        result = bidirect_suite(max_n=args.max_n, budget=budget)
+        result = bidirect_suite(max_n=args.max_n, deadline=deadline)
     elif args.cmd == "kneser-chi":
-        result = kneser_chi_suite(budget=budget)
+        result = kneser_chi_suite(deadline=deadline)
     elif args.cmd == "tensor-bound":
         result = tensor_upper_bound_suite(max_n=args.max_n, threads=_threads(args),
-                                          budget=budget)
+                                          deadline=deadline)
     else:
-        result = catalogue_suite(seed=args.seed, budget=budget)
+        result = catalogue_suite(seed=args.seed, deadline=deadline)
     if not result.ok:
         code, status = EXIT_VIOLATED, "VIOLATED"
     elif result.unknown:

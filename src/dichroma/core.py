@@ -1,20 +1,23 @@
-"""Graph and digraph primitives.
+"""Graph and digraph primitives, and the Deadline every search polls.
 
 Vertices are dense indices 0..n-1; any semantic identity (a k-subset, a
 lattice point, a coordinate pair) lives in an optional per-vertex label.
 Adjacency is kept as one integer bitmask per vertex so that subset and
-neighbourhood tests are single machine operations. All values here are
-immutable after construction and safe to share between threads.
+neighbourhood tests are single machine operations. All values here but a
+Deadline's poll counter are immutable after construction and safe to
+share between threads.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import LimitExceededError
+from .errors import BudgetExceededError
 
 __all__ = [
+    "Deadline",
     "Graph",
     "Digraph",
     "Orientation",
@@ -49,6 +52,32 @@ def mask_of(vertices: Iterable[int]) -> int:
     for v in vertices:
         m |= 1 << v
     return m
+
+
+class Deadline:
+    """The one budget of every search: an instant seconds from now. A
+    command makes one and passes it down; searches poll it and stop with
+    a flagged bracket or BudgetExceededError. at is an absolute clock
+    reading, so forked workers share it."""
+
+    __slots__ = ("at", "ticks")
+
+    def __init__(self, seconds: float = 120.0):
+        if seconds <= 0:
+            raise ValueError("timeout must be positive")
+        self.at = time.monotonic() + seconds
+        self.ticks = 0
+
+    def check(self) -> bool:
+        """True when time is up; polls the clock every 1024 calls."""
+        self.ticks += 1
+        if self.ticks & 1023:
+            return False
+        return self.expired()
+
+    def expired(self) -> bool:
+        """True when time is up, reading the clock now."""
+        return time.monotonic() > self.at
 
 
 def _check_labels(n: int, labels) -> tuple[str, ...] | None:
@@ -403,21 +432,23 @@ def is_proper_dicoloring(d: Digraph, f: Coloring) -> bool:
     return all(_subset_acyclic(d.ins, m) for m in masks.values())
 
 
-def maximal_acyclic_sets(d: Digraph, limit: int = 24) -> list[frozenset[int]]:
+def maximal_acyclic_sets(d: Digraph, deadline: Optional[Deadline] = None) -> list[frozenset[int]]:
     """All inclusion-maximal vertex sets inducing acyclic subdigraphs.
 
     Depth-first extension in increasing vertex order visits every acyclic
     set exactly once (acyclicity is hereditary); a set is kept when no
     single vertex can be added without closing a cycle. Exactness matters
-    more than speed at these sizes.
+    more than speed at these sizes. deadline (else Deadline()) is polled
+    at every node and raises BudgetExceededError.
     """
     n = d.n
-    if n > limit:
-        raise LimitExceededError(f"{n} vertices exceed the acyclic-set limit {limit}")
     outs, ins = d.outs, d.ins
     found: list[int] = []
+    deadline = deadline or Deadline()
 
     def rec(mask: int, start: int) -> None:
+        if deadline.check():
+            raise BudgetExceededError("unknown: acyclic-set search ran out of time")
         grew = False
         for v in range(start, n):
             if not _extension_cyclic(outs, ins, mask, v):

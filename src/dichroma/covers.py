@@ -16,6 +16,7 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from .core import (
+    Deadline,
     Digraph,
     ListAssignment,
     Partition,
@@ -33,7 +34,6 @@ from .randomized import (
     g_bound,
     uniform_below,
 )
-from .solvers import DEFAULT_BUDGET, _Deadline
 
 __all__ = [
     "SetCollection",
@@ -174,16 +174,17 @@ class CheckReport:
 
 
 def verify_cover_all_acyclic(
-    d: Digraph, C: SetCollection
+    d: Digraph, C: SetCollection, deadline: Optional[Deadline] = None
 ) -> CheckReport:
     """Decide whether every acyclic partition of d is covered by C.
 
     Containment is monotone, so it is enough that every inclusion-maximal
     acyclic set lies inside a member; completing a set to a partition uses
     singleton parts and therefore presumes a palette of at least n colours.
+    deadline bounds the search for those sets, as in maximal_acyclic_sets.
     """
     masks = C.member_masks()
-    for aset in maximal_acyclic_sets(d):
+    for aset in maximal_acyclic_sets(d, deadline):
         am = mask_of(aset)
         if not any(am & ~m == 0 for m in masks):
             return CheckReport(False, aset)
@@ -231,16 +232,17 @@ def is_semicovered(P: Partition, spec: SemicoverSpec) -> bool:
 
 
 def verify_semicover_all_acyclic(
-    d: Digraph, spec: SemicoverSpec
+    d: Digraph, spec: SemicoverSpec, deadline: Optional[Deadline] = None
 ) -> CheckReport:
     """Decide whether every acyclic partition of d (on {1,2} x V(H)) is
     semicovered. The semicover condition is inherited by subsets, so
-    checking the maximal acyclic sets suffices, as for plain covers."""
+    checking the maximal acyclic sets suffices, as for plain covers;
+    deadline as in verify_cover_all_acyclic."""
     if d.n % 2:
         raise ValueError("vertex set must split into two equal sides")
     n_half = d.n // 2
     masks = spec.collection.member_masks()
-    for aset in maximal_acyclic_sets(d):
+    for aset in maximal_acyclic_sets(d, deadline):
         if not _part_semicovered(aset, n_half, masks, spec.lam):
             return CheckReport(False, aset)
     return CheckReport(True, None)
@@ -281,7 +283,7 @@ def exists_accepted_covered_partition(
     d: Digraph,
     C: SetCollection,
     L: ListAssignment,
-    deadline: Optional[_Deadline] = None,
+    deadline: Optional[Deadline] = None,
 ) -> tuple[bool, Optional[Partition]]:
     """Search for a palette-indexed partition that is covered by C,
     accepted by L, and acyclic per part.
@@ -290,8 +292,8 @@ def exists_accepted_covered_partition(
     its vertices (colours with empty classes stay unconstrained, matching
     partitions with empty parts); backtracking assigns vertices in index
     order with incremental class-acyclicity and member filtering.
-    ``deadline`` (else one of the default solve timeout) is polled at
-    every node and raises BudgetExceededError.
+    ``deadline`` (else Deadline()) is polled at every node and raises
+    BudgetExceededError.
     """
     if L.n != d.n:
         raise ValueError("list assignment does not cover the vertex set")
@@ -312,7 +314,7 @@ def exists_accepted_covered_partition(
     alive = [all_members] * u
     class_masks = [0] * u
     assignment: list[Optional[int]] = [None] * n
-    deadline = deadline or _Deadline(DEFAULT_BUDGET.timeout)
+    deadline = deadline or Deadline()
 
     def rec(v: int) -> bool:
         if deadline.check():
@@ -365,14 +367,14 @@ def estimate_acceptance_probability(
     trials: int,
     rng: RngSpec,
     threads: int = 1,
-    timeout: Optional[float] = None,
+    deadline: Optional[Deadline] = None,
 ) -> AcceptanceEstimate:
     """Sample l2-sublists of L1 and measure how often some covered acyclic
     partition is accepted; reports the Wilson interval and the bound
     g(l1, l2, n, s, t, u) with its applicability hypothesis
-    4*t*u <= (l1-l2)*n. When ``timeout`` seconds (else the default solve
-    timeout), shared by all trials, run out, raises BudgetExceededError
-    instead of returning a partial count."""
+    4*t*u <= (l1-l2)*n. When ``deadline`` (else Deadline()), shared by
+    all trials, runs out, raises BudgetExceededError instead of returning
+    a partial count."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     if l2 < L1.k:
@@ -386,7 +388,7 @@ def estimate_acceptance_probability(
     from .parallel import parallel_map
 
     # shared by forked workers, as in estimate_biclique_event
-    deadline = _Deadline(DEFAULT_BUDGET.timeout if timeout is None else timeout)
+    deadline = deadline or Deadline()
 
     def one(i: int) -> bool:
         L2 = sample_sublists(L1, l2, rng.derive(i))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from .core import (
+    Deadline,
     Digraph,
     Graph,
     Orientation,
@@ -20,8 +21,7 @@ from .core import (
     iter_bits,
     mask_of,
 )
-from .errors import BudgetExceededError, CertificationError, LimitExceededError
-from .solvers import DEFAULT_BUDGET, _Deadline
+from .errors import BudgetExceededError, CertificationError
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -144,16 +144,19 @@ def random_orientation(g: Graph, rng: RngSpec) -> Digraph:
     return apply_orientation(g, Orientation(g, direction))
 
 
-def count_acyclic_orientations(g: Graph, limit: int = 25) -> int:
-    """Exact number of acyclic orientations of g, by full enumeration."""
+def count_acyclic_orientations(g: Graph, deadline: Optional[Deadline] = None) -> int:
+    """Exact number of acyclic orientations of g, by full enumeration of
+    its 2^m orientations. deadline (else Deadline()) is polled at every
+    orientation and raises BudgetExceededError."""
     m = g.m
-    if m > limit:
-        raise LimitExceededError(f"{m} edges exceed the enumeration limit {limit}")
     n = g.n
     edges = g.edges
     full = (1 << n) - 1
     count = 0
+    deadline = deadline or Deadline()
     for code in range(1 << m):
+        if deadline.check():
+            raise BudgetExceededError("unknown: orientation count ran out of time")
         ins = [0] * n
         for j, (u, v) in enumerate(edges):
             if code >> j & 1:
@@ -216,7 +219,7 @@ def find_acyclic_biclique(
     d: Digraph,
     l: int,
     partition_hint: Optional[tuple[Iterable[int], Iterable[int]]] = None,
-    deadline: Optional[_Deadline] = None,
+    deadline: Optional[Deadline] = None,
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Search for disjoint S, T of size l, complete bipartite in the
     underlying graph, whose arcs between the sides are acyclic.
@@ -230,9 +233,8 @@ def find_acyclic_biclique(
     no directed 4-cycle, i.e. iff the sets N-(t) & S over t in T form a
     chain under inclusion (Bang-Jensen and Gutin, Digraphs, 2009). S is
     grown one vertex at a time while at least l common neighbours remain;
-    T is grown only while the chain condition holds. ``deadline`` (a
-    solvers._Deadline shared by one command, else one of the default solve
-    timeout) is polled at every S node and raises BudgetExceededError.
+    T is grown only while the chain condition holds. ``deadline`` (else
+    Deadline()) is polled at every S node and raises BudgetExceededError.
     """
     if l < 1:
         raise ValueError("l must be at least 1")
@@ -247,7 +249,7 @@ def find_acyclic_biclique(
         side_s = list(range(n))
         side_t_mask = (1 << n) - 1
         ordered = False
-    deadline = deadline or _Deadline(DEFAULT_BUDGET.timeout)
+    deadline = deadline or Deadline()
 
     def scan_t(s_mask: int, common: int) -> Optional[tuple[int, ...]]:
         cands = list(iter_bits(common))
@@ -280,7 +282,7 @@ def find_acyclic_biclique(
     return hit
 
 
-def find_acyclic_clique(d: Digraph, l: int, deadline: Optional[_Deadline] = None):
+def find_acyclic_clique(d: Digraph, l: int, deadline: Optional[Deadline] = None):
     """Search for an l-clique of the underlying graph whose induced
     orientation in d is acyclic (i.e. a transitive tournament).
     ``deadline`` is polled at every node, as in find_acyclic_biclique."""
@@ -288,7 +290,7 @@ def find_acyclic_clique(d: Digraph, l: int, deadline: Optional[_Deadline] = None
         raise ValueError("l must be at least 1")
     g = d.underlying_graph()
     n = g.n
-    deadline = deadline or _Deadline(DEFAULT_BUDGET.timeout)
+    deadline = deadline or Deadline()
 
     def rec(clique: list[int], allowed: int):
         if deadline.check():
@@ -313,7 +315,7 @@ def certified_breaking_orientation(
     rng: RngSpec,
     max_attempts: int = 200,
     break_cliques: bool = False,
-    timeout: Optional[float] = None,
+    deadline: Optional[Deadline] = None,
 ) -> Digraph:
     """Rejection-sample an orientation in which every complete bipartite
     l+l subgraph (and, optionally, every l-clique) contains a directed
@@ -321,10 +323,10 @@ def certified_breaking_orientation(
 
     Raises CertificationError when the attempts run out, which signals
     parameters outside the regime where such orientations are plentiful,
-    and BudgetExceededError when ``timeout`` seconds (else the default
-    solve timeout), shared by all attempts, run out.
+    and BudgetExceededError when ``deadline`` (else Deadline()), shared
+    by all attempts, runs out.
     """
-    deadline = _Deadline(DEFAULT_BUDGET.timeout if timeout is None else timeout)
+    deadline = deadline or Deadline()
     for attempt in range(max_attempts):
         d = random_orientation(g, rng.derive(attempt))
         if find_acyclic_biclique(d, l, deadline=deadline) is not None:
@@ -339,11 +341,11 @@ def certified_breaking_orientation(
 
 def estimate_biclique_event(
     g: Graph, l: int, trials: int, rng: RngSpec, threads: int = 1,
-    timeout: Optional[float] = None,
+    deadline: Optional[Deadline] = None,
 ) -> EventEstimate:
     """Monte Carlo frequency of 'some acyclic l+l biclique survives' under
-    uniformly random orientations of g. When ``timeout`` seconds (else
-    the default solve timeout), shared by all trials, run out, raises
+    uniformly random orientations of g. When ``deadline`` (else
+    Deadline()), shared by all trials, runs out, raises
     BudgetExceededError instead of returning a partial count."""
     if trials <= 0:
         raise ValueError("trials must be positive")
@@ -351,7 +353,7 @@ def estimate_biclique_event(
 
     # Forked workers share the deadline: its instant is an absolute clock
     # reading, and each worker polls its own copy.
-    deadline = _Deadline(DEFAULT_BUDGET.timeout if timeout is None else timeout)
+    deadline = deadline or Deadline()
 
     def one(i: int) -> bool:
         d = random_orientation(g, rng.derive(DOMAIN_TRIAL, i))

@@ -9,7 +9,6 @@ flagged certificate carrying the best bracketing interval.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
@@ -17,6 +16,7 @@ from typing import Iterator, Optional
 
 from .core import (
     Coloring,
+    Deadline,
     Digraph,
     Graph,
     ListAssignment,
@@ -28,7 +28,6 @@ from .core import (
 )
 
 __all__ = [
-    "SolveBudget",
     "Certificate",
     "chromatic_number",
     "dichromatic_number",
@@ -40,21 +39,6 @@ __all__ = [
     "canonical_list_assignments",
     "sabidussi_coloring",
 ]
-
-
-@dataclass(frozen=True)
-class SolveBudget:
-    """The seconds a solve may take: the one budget of every search, which
-    polls it as a _Deadline and returns a flagged bracket when it ends."""
-
-    timeout: float = 120.0
-
-    def __post_init__(self):
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
-
-
-DEFAULT_BUDGET = SolveBudget()
 
 
 @dataclass
@@ -75,25 +59,6 @@ class Certificate:
     witness_orientation: Optional[Orientation] = None
     rejecting_assignment: Optional[ListAssignment] = None
     detail: str = ""
-
-
-class _Deadline:
-    __slots__ = ("at", "ticks")
-
-    def __init__(self, seconds: float):
-        self.at = time.monotonic() + seconds
-        self.ticks = 0
-
-    def check(self) -> bool:
-        """True when time is up; polls the clock every 1024 calls."""
-        self.ticks += 1
-        if self.ticks & 1023:
-            return False
-        return self.expired()
-
-    def expired(self) -> bool:
-        """True when time is up, reading the clock now."""
-        return time.monotonic() > self.at
 
 
 class _TimeUp(Exception):
@@ -224,20 +189,18 @@ def _exact_value(cert: Certificate) -> int:
     return cert.value
 
 
-def chromatic_number(
-    g: Graph, b: SolveBudget = DEFAULT_BUDGET, deadline: Optional[_Deadline] = None
-) -> Certificate:
+def chromatic_number(g: Graph, deadline: Optional[Deadline] = None) -> Certificate:
     """Exact chromatic number with a proper-colouring witness, searched up
-    from a greedy clique. deadline, when given, is shared with an
-    enclosing solve and replaces b.timeout."""
+    from a greedy clique. The search polls deadline (else Deadline()) and
+    returns a flagged bracket when it ends."""
     adj = g.adj
     return _least_classes(
         _class_test(adj), _degree_order(adj), len(_greedy_clique(adj)),
-        deadline or _Deadline(b.timeout),
+        deadline or Deadline(),
     )
 
 
-def _digon_lower_bound(outs, ins, deadline: _Deadline) -> int:
+def _digon_lower_bound(outs, ins, deadline: Deadline) -> int:
     """Chromatic number of the digon graph, whose neighbourhoods are
     outs[v] & ins[v]: digon endpoints cannot share a class."""
     digons = [o & i for o, i in zip(outs, ins)]
@@ -248,15 +211,13 @@ def _digon_lower_bound(outs, ins, deadline: _Deadline) -> int:
     ))
 
 
-def dichromatic_number(
-    d: Digraph, b: SolveBudget = DEFAULT_BUDGET, deadline: Optional[_Deadline] = None
-) -> Certificate:
+def dichromatic_number(d: Digraph, deadline: Optional[Deadline] = None) -> Certificate:
     """Exact dichromatic number: smallest k admitting a partition into k
     acyclic classes, searched up from 2 once any directed cycle exists
     and from the digon graph's chromatic number. deadline as in
     chromatic_number."""
     outs, ins = d.outs, d.ins
-    deadline = deadline or _Deadline(b.timeout)
+    deadline = deadline or Deadline()
     return _least_classes(
         _class_test(outs, ins), _degree_order([o | i for o, i in zip(outs, ins)]),
         1 if is_acyclic(d) else 2, deadline,
@@ -285,16 +246,14 @@ def _forest_clash(adj, mask: int, v: int) -> bool:
     return False
 
 
-def _vertex_arboricity(adj, deadline: _Deadline) -> int:
+def _vertex_arboricity(adj, deadline: Deadline) -> int:
     """The fewest induced forests partitioning the vertices."""
     return _exact_value(_least_classes(
         _class_test(adj, forests=True), _degree_order(adj), 1, deadline
     ))
 
 
-def dichromatic_number_of_graph(
-    g: Graph, b: SolveBudget = DEFAULT_BUDGET, deadline: Optional[_Deadline] = None
-) -> Certificate:
+def dichromatic_number_of_graph(g: Graph, deadline: Optional[Deadline] = None) -> Certificate:
     """Maximum dichromatic number over all orientations of g.
 
     Orientations paired by full reversal have equal value, so only one of
@@ -302,13 +261,13 @@ def dichromatic_number_of_graph(
     maximum meets the smaller of two bounds on every orientation: the
     chromatic number of g, and its vertex arboricity, the fewest induced
     forests partitioning V (a forest is acyclic under every orientation;
-    Chartrand, Kronk and Wall, 1968). One deadline, of b.timeout unless
-    an enclosing deadline is given, covers the chromatic, arboricity and
-    orientation solves.
+    Chartrand, Kronk and Wall, 1968). One deadline (else Deadline())
+    covers the chromatic, arboricity and orientation solves; the sweep
+    reads its clock after every orientation, since most orientation
+    solves close on bounds after a poll or two.
     """
-    if deadline is None:
-        deadline = _Deadline(b.timeout)
-    chi = chromatic_number(g, b, deadline)
+    deadline = deadline or Deadline()
+    chi = chromatic_number(g, deadline)
     try:
         bound = min(_vertex_arboricity(g.adj, deadline), chi.upper)
     except _TimeUp:
@@ -325,7 +284,7 @@ def dichromatic_number_of_graph(
     # range, unlike islice, takes a stop beyond sys.maxsize (m >= 64)
     for _, o in zip(range(((1 << g.m) + 1) // 2), enumerate_orientations(g)):
         d = apply_orientation(g, o)
-        cert = dichromatic_number(d, b, deadline)
+        cert = dichromatic_number(d, deadline)
         solved += 1
         if not cert.exact:
             return Certificate(
@@ -339,7 +298,7 @@ def dichromatic_number_of_graph(
         if best == bound:
             detail = f"stopped at the {closer} bound {bound}"
             break
-        if deadline.check():
+        if deadline.expired():
             return Certificate(
                 None, False, best, bound, witness=best_witness,
                 witness_orientation=best_orientation,
@@ -393,7 +352,7 @@ class _ListSearch:
 
     __slots__ = ("outs", "ins", "order", "clash", "deadline")
 
-    def __init__(self, obj, deadline: Optional[_Deadline] = None):
+    def __init__(self, obj, deadline: Optional[Deadline] = None):
         if isinstance(obj, Graph):
             self.outs = self.ins = obj.adj
             self.clash = _class_test(obj.adj)
@@ -493,7 +452,7 @@ def canonical_list_assignments(n: int, k: int) -> Iterator[ListAssignment]:
         yield ListAssignment(tuple(range(1, top + 1)), chosen, k)
 
 
-def _list_number(obj, b: SolveBudget, deadline: Optional[_Deadline]) -> Certificate:
+def _list_number(obj, deadline: Optional[Deadline]) -> Certificate:
     """Smallest k at which every canonical k-assignment accepts, with
     chi_l <= 1 + in/out-degeneracy (Bensmail, Harutyunyan and Le, 2018)
     closing the search: k levels below it end at their first rejecting
@@ -501,9 +460,7 @@ def _list_number(obj, b: SolveBudget, deadline: Optional[_Deadline]) -> Certific
     n = obj.n
     if n == 0:
         return Certificate(0, True, 0, 0, detail="empty")
-    if deadline is None:
-        deadline = _Deadline(b.timeout)
-    search = _ListSearch(obj, deadline)
+    search = _ListSearch(obj, deadline or Deadline())
     bound = "degeneracy" if isinstance(obj, Graph) else "in/out-degeneracy"
     upper = 1 + _smallest_last(search.outs, search.ins)[1]
     rejecting: Optional[ListAssignment] = None
@@ -534,21 +491,17 @@ def _list_number(obj, b: SolveBudget, deadline: Optional[_Deadline]) -> Certific
         k += 1
 
 
-def list_dichromatic_number(
-    d: Digraph, b: SolveBudget = DEFAULT_BUDGET, deadline: Optional[_Deadline] = None
-) -> Certificate:
+def list_dichromatic_number(d: Digraph, deadline: Optional[Deadline] = None) -> Certificate:
     """Exact list dichromatic number by canonical assignment enumeration;
     the certificate keeps a rejecting assignment for the value below.
     deadline as in chromatic_number."""
-    return _list_number(d, b, deadline)
+    return _list_number(d, deadline)
 
 
-def list_chromatic_number(
-    g: Graph, b: SolveBudget = DEFAULT_BUDGET, deadline: Optional[_Deadline] = None
-) -> Certificate:
+def list_chromatic_number(g: Graph, deadline: Optional[Deadline] = None) -> Certificate:
     """Exact list chromatic (choice) number, same machinery with
     independent-set classes."""
-    return _list_number(g, b, deadline)
+    return _list_number(g, deadline)
 
 
 def sabidussi_coloring(fG: Coloring, fH: Coloring, N: int) -> Coloring:

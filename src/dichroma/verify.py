@@ -14,6 +14,7 @@ from typing import Optional
 from .catalogue import digraph_catalogue, graphs_up_to, random_digraph
 from .core import (
     Coloring,
+    Deadline,
     Digraph,
     Graph,
     Orientation,
@@ -30,10 +31,7 @@ from .parallel import parallel_map
 from .products import cartesian_product, tensor_product
 from .randomized import RngSpec, uniform_below
 from .solvers import (
-    DEFAULT_BUDGET,
     Certificate,
-    SolveBudget,
-    _Deadline,
     chromatic_number,
     dichromatic_number,
     dichromatic_number_of_graph,
@@ -77,19 +75,18 @@ def _exact_value(cert: Optional[Certificate]) -> Optional[int]:
 
 
 class _SuiteSolves:
-    """Runs every solve of one suite call under a single deadline of
-    budget.timeout, shared by forked workers because its instant is an
+    """Runs every solve of one suite call under a single deadline (else
+    Deadline()), shared by forked workers because its instant is an
     absolute clock reading. A solve due after the deadline is not started:
     it gives None, so its row reads unknown."""
 
-    def __init__(self, budget: SolveBudget):
-        self.budget = budget
-        self.deadline = _Deadline(budget.timeout)
+    def __init__(self, deadline: Optional[Deadline]):
+        self.deadline = deadline or Deadline()
 
     def cert(self, solver, obj) -> Optional[Certificate]:
         if self.deadline.expired():
             return None
-        return solver(obj, self.budget, self.deadline)
+        return solver(obj, self.deadline)
 
     def value(self, solver, obj) -> Optional[int]:
         """The exact value, or None when the solve was cut short."""
@@ -271,12 +268,12 @@ def sabidussi_suite(
     pair_max_n: int = 5,
     seed: int = 7,
     threads: int = 1,
-    budget: SolveBudget = DEFAULT_BUDGET,
+    deadline: Optional[Deadline] = None,
 ) -> SuiteResult:
     """Dichromatic number of every Cartesian product equals the maximum of
     the factors, and the modular sum colouring of optimal factor
     colourings is proper."""
-    solves = _SuiteSolves(budget)
+    solves = _SuiteSolves(deadline)
     pairs = _catalogue_pairs(max_n, random_pairs, pair_max_n, seed)
     rows = _product_rows("cartesian", pairs, solves, threads)
     violations, unknown = _tally(rows, "equal", "modular_proper")
@@ -302,11 +299,11 @@ def tensor_upper_bound_suite(
     pair_max_n: int = 4,
     seed: int = 7,
     threads: int = 1,
-    budget: SolveBudget = DEFAULT_BUDGET,
+    deadline: Optional[Deadline] = None,
 ) -> SuiteResult:
     """Dichromatic number of every tensor product stays below the minimum
     of the factors (an optimal factor colouring pulls back)."""
-    solves = _SuiteSolves(budget)
+    solves = _SuiteSolves(deadline)
     pairs = _catalogue_pairs(max_n, random_pairs, pair_max_n, seed)
     rows = _product_rows("tensor", pairs, solves, threads)
     violations, unknown = _tally(rows, "within_bound")
@@ -320,10 +317,10 @@ def tensor_upper_bound_suite(
     )
 
 
-def bidirect_suite(max_n: int = 6, budget: SolveBudget = DEFAULT_BUDGET) -> SuiteResult:
+def bidirect_suite(max_n: int = 6, deadline: Optional[Deadline] = None) -> SuiteResult:
     """Chromatic number of each catalogue graph equals the dichromatic
     number of its bidirected digraph."""
-    solves = _SuiteSolves(budget)
+    solves = _SuiteSolves(deadline)
     graphs = graphs_up_to(max_n)
 
     def solve(item: tuple[int, Graph]) -> dict:
@@ -345,11 +342,9 @@ def bidirect_suite(max_n: int = 6, budget: SolveBudget = DEFAULT_BUDGET) -> Suit
     )
 
 
-def kneser_chi_suite(
-    cases=KNESER_CHI_CASES, budget: SolveBudget = DEFAULT_BUDGET
-) -> SuiteResult:
+def kneser_chi_suite(cases=KNESER_CHI_CASES, deadline: Optional[Deadline] = None) -> SuiteResult:
     """Exact chromatic numbers of the disjointness graphs match n-2k+2."""
-    solves = _SuiteSolves(budget)
+    solves = _SuiteSolves(deadline)
     rows = []
     for n, k in cases:
         g = kneser(n, k)
@@ -381,13 +376,13 @@ def catalogue_suite(
     dual_random_n: int = 5,
     list_max_n: int = 3,
     enl_max_n: int = 7,
-    budget: SolveBudget = DEFAULT_BUDGET,
+    deadline: Optional[Deadline] = None,
 ) -> SuiteResult:
     """Cross-checks among the solvers: backtracking versus exhaustive
     partition enumeration, list/ordinary monotonicity, the small-graph
     evidence that chromatic number >= 3 forces dichromatic number >= 2,
     and consistency with the known Kneser lower bound."""
-    solves = _SuiteSolves(budget)
+    solves = _SuiteSolves(deadline)
     rows: list[dict] = []
 
     # Strategy agreement on the catalogue plus random digraphs.

@@ -14,6 +14,7 @@ from itertools import combinations
 from dichroma.catalogue import graphs_up_to, random_digraph
 from dichroma.cli import run as cli_run
 from dichroma.core import (
+    Deadline,
     Digraph,
     ListAssignment,
     apply_orientation,
@@ -41,7 +42,6 @@ from dichroma.randomized import (
     stream_u64,
 )
 from dichroma.solvers import (
-    SolveBudget,
     chromatic_number,
     dichromatic_number,
     list_chromatic_number,
@@ -56,8 +56,6 @@ from dichroma.verify import (
 )
 
 from oracles import brute_covers_all_acyclic_partitions
-
-BUDGET = SolveBudget(timeout=540)
 
 
 class _Stopwatch:
@@ -83,7 +81,7 @@ class _Stopwatch:
 
 def test_criterion_01_kneser_chromatic_identity():
     with _Stopwatch(1, "kneser-chi", 60):
-        result = kneser_chi_suite(budget=BUDGET)
+        result = kneser_chi_suite(deadline=Deadline(540))
         assert result.ok
         assert {(r["n"], r["k"]) for r in result.rows} == {
             (4, 1), (5, 1), (5, 2), (6, 2), (7, 2), (7, 3)
@@ -95,7 +93,7 @@ def test_criterion_01_kneser_chromatic_identity():
 def test_criterion_02_sabidussi_equality():
     with _Stopwatch(2, "sabidussi", 600):
         result = sabidussi_suite(
-            max_n=4, random_pairs=200, pair_max_n=5, seed=7, budget=BUDGET
+            max_n=4, random_pairs=200, pair_max_n=5, seed=7, deadline=Deadline(540)
         )
         assert result.ok
         assert result.summary["pairs"] >= 2411
@@ -106,7 +104,7 @@ def test_criterion_02_sabidussi_equality():
 
 def test_criterion_03_bidirected_correspondence():
     with _Stopwatch(3, "bidirect", 300):
-        result = bidirect_suite(max_n=6, budget=BUDGET)
+        result = bidirect_suite(max_n=6, deadline=Deadline(540))
         assert result.ok
         assert result.summary["graphs"] == 1 + 2 + 4 + 11 + 34 + 156
 
@@ -243,7 +241,7 @@ def test_criterion_08_embedding_witnesses():
 
 def test_criterion_09_tensor_upper_bound():
     with _Stopwatch(9, "tensor-bound", 300):
-        result = tensor_upper_bound_suite(max_n=4, budget=BUDGET)
+        result = tensor_upper_bound_suite(max_n=4, deadline=Deadline(540))
         assert result.ok
         for row in result.rows:
             assert row["chi_product"] <= row["bound"]
@@ -252,23 +250,23 @@ def test_criterion_09_tensor_upper_bound():
 def test_criterion_10_list_solvers():
     with _Stopwatch(10, "list-solvers", 120):
         c3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
-        assert list_dichromatic_number(c3, BUDGET).value == 2
-        assert list_chromatic_number(cycle_graph(4), BUDGET).value == 2
-        assert list_chromatic_number(complete_graph(3), BUDGET).value == 3
+        assert list_dichromatic_number(c3, Deadline(540)).value == 2
+        assert list_chromatic_number(cycle_graph(4), Deadline(540)).value == 2
+        assert list_chromatic_number(complete_graph(3), Deadline(540)).value == 3
 
 
 def test_criterion_11_small_graph_evidence():
     with _Stopwatch(11, "chi3-forces-dichi2", 600):
         checked = 0
         for g in graphs_up_to(7):
-            if chromatic_number(g, BUDGET).value < 3:
+            if chromatic_number(g, Deadline(540)).value < 3:
                 continue
             checked += 1
             o = cycle_orientation(g)
             assert o is not None  # chromatic number 3 needs a cycle
             d = apply_orientation(g, o)
             assert not is_acyclic(d)
-            assert dichromatic_number(d, BUDGET).value >= 2
+            assert dichromatic_number(d, Deadline(540)).value >= 2
         assert checked > 500  # most 7-vertex graphs need three colours
 
 

@@ -10,7 +10,7 @@ import pytest
 
 import dichroma
 from dichroma.cli import run
-from dichroma.core import Digraph, Graph, bidirect
+from dichroma.core import Deadline, Digraph, Graph, bidirect
 from dichroma.errors import GraphFormatError
 from dichroma.generators import kneser, rook
 from dichroma.graphio import format_graph, parse_graph_text
@@ -309,9 +309,7 @@ def test_cli_threads_env_fallback(monkeypatch, capsys):
     ["verify", "catalogue"],
 ])
 def test_cli_verify_budget_is_not_a_violation(monkeypatch, capsys, argv):
-    from dichroma.solvers import _Deadline
-
-    monkeypatch.setattr(_Deadline, "check", lambda self: True)
+    monkeypatch.setattr(Deadline, "check", lambda self: True)
     code, out = _run(capsys, argv)
     assert code == 3
     assert "VIOLATED" not in out and "unknown" in out
@@ -373,20 +371,61 @@ def test_traced_layer_targets_resolve():
 def test_cli_biclique_commands_honour_timeout(monkeypatch, tmp_path, capsys, argv):
     from dichroma.generators import complete_bipartite, cycle_graph
     from dichroma.randomized import RngSpec, random_orientation
-    from dichroma.solvers import _Deadline
-
     g = {"biclique": complete_bipartite(4, 4), "certified": cycle_graph(4),
          "acceptance": random_orientation(rook(3), RngSpec(0))}[argv[1]]
     path = tmp_path / "input.g"
     path.write_text(format_graph(g))
     assert run(argv[:2] + [str(path)] + argv[2:]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(_Deadline, "check", lambda self: True)
+    monkeypatch.setattr(Deadline, "check", lambda self: True)
     for fmt in ("text", "json"):
         code = run(argv[:2] + [str(path)] + argv[2:] + ["--format", fmt])
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert "budget exceeded" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "cover", "{digraph}", "--collection", "{whole}"],
+    ["check", "semicover", "{doubled}", "--beta", "1", "--lambda", "3"],
+])
+def test_cli_check_cover_honours_timeout(monkeypatch, tmp_path, capsys, argv):
+    (tmp_path / "c3.d").write_text("d 3 3\na 0 1\na 1 2\na 2 0\n")
+    (tmp_path / "k2.d").write_text(format_graph(bidirect(Graph(2, [(0, 1)]))))
+    (tmp_path / "whole.json").write_text(json.dumps({"members": [[0, 1, 2]], "s": 1, "t": 3}))
+    argv = [a.format(digraph=tmp_path / "c3.d", doubled=tmp_path / "k2.d",
+                     whole=tmp_path / "whole.json") for a in argv]
+    assert run(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(Deadline, "check", lambda self: True)
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("dichroma: budget exceeded: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "chromatic", "{graph}"],
+    ["mc", "biclique", "--graph", "K4", "--l", "2", "--trials", "3"],
+    ["verify", "kneser-chi"],
+    ["orient", "certified", "{graph}", "--l", "1"],
+    ["check", "cover", "{digraph}", "--collection", "{whole}"],
+])
+def test_cli_timeout_must_be_positive(tmp_path, capsys, argv):
+    (tmp_path / "k3.g").write_text(format_graph(kneser(3, 1)))
+    (tmp_path / "c3.d").write_text("d 3 3\na 0 1\na 1 2\na 2 0\n")
+    (tmp_path / "whole.json").write_text(json.dumps({"members": [[0, 1, 2]], "s": 1, "t": 3}))
+    argv = [a.format(graph=tmp_path / "k3.g", digraph=tmp_path / "c3.d",
+                     whole=tmp_path / "whole.json") for a in argv]
+    assert run(argv + ["--timeout-s", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "dichroma: timeout must be positive\n"
+
+
+def test_cli_gen_accepts_any_timeout(capsys):
+    code, out = _run(capsys, ["gen", "kneser", "5", "2", "--timeout-s", "0"])
+    assert code == 0 and parse_graph_text(out) == kneser(5, 2)
 
 
 def test_cli_gen_borsuk_round_trip(tmp_path, capsys):
@@ -467,7 +506,7 @@ def test_cli_timeout_in_arboricity_search(monkeypatch, tmp_path, capsys):
     forest_clash = solvers._forest_clash
     monkeypatch.setattr(solvers, "_forest_clash",
                         lambda *args: armed.append(True) or forest_clash(*args))
-    monkeypatch.setattr(solvers._Deadline, "check", lambda self: bool(armed))
+    monkeypatch.setattr(Deadline, "check", lambda self: bool(armed))
     code = run(["solve", "graph-dichromatic", str(path), "--format", "json"])
     captured = capsys.readouterr()
     assert code == 3 and "Traceback" not in captured.err
@@ -516,8 +555,6 @@ def test_cli_output_is_pinned(tmp_path, capsys):
 def test_cli_solve_csv_reads_back(monkeypatch, tmp_path, capsys):
     import csv
 
-    from dichroma.solvers import _Deadline
-
     path = tmp_path / "petersen.g"
     path.write_text(format_graph(kneser(5, 2)))
     solve = ["solve", "graph-dichromatic", str(path), "--format", "csv"]
@@ -526,7 +563,7 @@ def test_cli_solve_csv_reads_back(monkeypatch, tmp_path, capsys):
     assert code == 0 and reader.fieldnames == ["command", "exact", "lower", "upper", "value"]
     assert list(reader) == [{"command": "solve graph-dichromatic", "exact": "True",
                              "lower": "2", "upper": "2", "value": "2"}]
-    monkeypatch.setattr(_Deadline, "check", lambda self: True)
+    monkeypatch.setattr(Deadline, "check", lambda self: True)
     code, out = _run(capsys, solve)
     assert code == 3
     assert list(csv.DictReader(out.splitlines())) == [

@@ -5,6 +5,7 @@ import pytest
 from dichroma.catalogue import graph_catalogue, graphs_up_to, random_digraph
 from dichroma.core import (
     Coloring,
+    Deadline,
     Digraph,
     Graph,
     Orientation,
@@ -18,7 +19,7 @@ from dichroma.core import (
     is_proper_dicoloring,
     maximal_acyclic_sets,
 )
-from dichroma.errors import LimitExceededError
+from dichroma.errors import BudgetExceededError
 from dichroma.randomized import RngSpec
 
 from oracles import acyclic_by_permutation, brute_maximal_acyclic_sets
@@ -120,7 +121,7 @@ def test_is_proper_dicoloring_examples():
     assert is_proper_dicoloring(bidirect(K3), Coloring((1, 2, 3), (1, 2, 3)))
 
 
-def test_maximal_acyclic_sets_examples():
+def test_maximal_acyclic_sets_examples(monkeypatch):
     assert maximal_acyclic_sets(C3) == [
         frozenset({0, 1}),
         frozenset({0, 2}),
@@ -133,8 +134,17 @@ def test_maximal_acyclic_sets_examples():
         frozenset({1}),
         frozenset({2}),
     ]
-    with pytest.raises(LimitExceededError):
-        maximal_acyclic_sets(Digraph(5), limit=4)
+    # no vertex cap: a fired deadline, given or the default, stops the search
+    monkeypatch.setattr(Deadline, "check", lambda self: True)
+    for deadline in (Deadline(60), None):
+        with pytest.raises(BudgetExceededError):
+            maximal_acyclic_sets(Digraph(5), deadline)
+
+
+def test_deadline_must_be_positive():
+    for seconds in (0, -1):
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            Deadline(seconds)
 
 
 def test_maximal_acyclic_sets_against_oracle():

@@ -5,6 +5,7 @@ from itertools import combinations, product as iproduct
 import pytest
 
 from dichroma.core import (
+    Deadline,
     Digraph,
     Graph,
     ListAssignment,
@@ -29,7 +30,6 @@ from dichroma.errors import BudgetExceededError
 from dichroma.generators import complete_graph, rook
 from dichroma.products import tensor_product
 from dichroma.randomized import RngSpec, random_orientation
-from dichroma.solvers import _Deadline
 
 from oracles import acyclic_by_dfs, relabel
 
@@ -270,15 +270,16 @@ def test_exists_accepted_covered_partition_examples():
 def test_acceptance_search_polls_deadline(monkeypatch):
     whole = SetCollection((frozenset(range(3)),), 1, 3)
     L1 = ListAssignment.uniform(3, (1, 2))
-    ok, _ = exists_accepted_covered_partition(C3, whole, L1, _Deadline(60))
+    ok, _ = exists_accepted_covered_partition(C3, whole, L1, Deadline(60))
     assert ok
-    monkeypatch.setattr(_Deadline, "check", lambda self: True)
-    # a given deadline, and without one the default solve timeout
-    for deadline in (_Deadline(60), None):
+    monkeypatch.setattr(Deadline, "check", lambda self: True)
+    # a given deadline, and without one Deadline()
+    for deadline in (Deadline(60), None):
         with pytest.raises(BudgetExceededError):
             exists_accepted_covered_partition(C3, whole, L1, deadline)
     with pytest.raises(BudgetExceededError):
-        estimate_acceptance_probability(C3, whole, L1, 1, 4, RngSpec(1), timeout=60)
+        estimate_acceptance_probability(C3, whole, L1, 1, 4, RngSpec(1),
+                                        deadline=Deadline(60))
 
 
 def _exact_acceptance(d: Digraph, col: SetCollection, L1: ListAssignment, l2: int):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dichroma.core import Graph, is_proper_coloring
+from dichroma.core import Deadline, Graph, is_proper_coloring
 from dichroma.errors import LimitExceededError
 from dichroma.generators import (
     BorsukSampleConfig,
@@ -21,9 +21,7 @@ from dichroma.generators import (
     simplex_coloring,
 )
 from dichroma.products import tensor_product
-from dichroma.solvers import SolveBudget, chromatic_number
-
-BUDGET = SolveBudget(timeout=300)
+from dichroma.solvers import chromatic_number
 
 
 def test_kneser_examples():
@@ -91,7 +89,7 @@ def test_kneser_chromatic_identity_grid():
         for k in range(1, n // 2 + 1):
             if math.comb(n, k) > 40:
                 continue
-            cert = chromatic_number(kneser(n, k), BUDGET)
+            cert = chromatic_number(kneser(n, k), Deadline(300))
             assert cert.exact and cert.value == n - 2 * k + 2, (n, k)
 
 
@@ -120,7 +118,7 @@ def test_borsuk_sample_chromatic_floor():
     g = borsuk_sample(cfg)
     assert g.n == 40
     assert min(g.degree(v) for v in range(g.n)) >= 1
-    cert = chromatic_number(g, BUDGET)
+    cert = chromatic_number(g, Deadline(300))
     assert cert.exact and cert.value >= 3
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from dichroma.catalogue import graph_catalogue, random_digraph
 from dichroma.core import (
+    Deadline,
     Digraph,
     Graph,
     apply_orientation,
@@ -16,7 +17,7 @@ from dichroma.core import (
     iter_bits,
     mask_of,
 )
-from dichroma.errors import BudgetExceededError, CertificationError, LimitExceededError
+from dichroma.errors import BudgetExceededError, CertificationError
 from dichroma.generators import (
     complete_bipartite,
     complete_graph,
@@ -43,7 +44,6 @@ from dichroma.randomized import (
     wilson_interval,
 )
 
-from dichroma.solvers import _Deadline
 
 from oracles import (
     acyclic_by_dfs,
@@ -72,12 +72,15 @@ def test_orientation_bits_are_fair():
     assert 0.48 <= mean <= 0.52  # binomial 3 sigma around 1/2
 
 
-def test_count_acyclic_orientations_examples():
+def test_count_acyclic_orientations_examples(monkeypatch):
     assert count_acyclic_orientations(complete_graph(3)) == 6
     assert count_acyclic_orientations(complete_bipartite(2, 2)) == 14
     assert count_acyclic_orientations(path_graph(3)) == 4
-    with pytest.raises(LimitExceededError):
-        count_acyclic_orientations(rook(3), limit=10)
+    # no edge cap: a fired deadline, given or the default, stops the count
+    monkeypatch.setattr(Deadline, "check", lambda self: True)
+    for deadline in (Deadline(60), None):
+        with pytest.raises(BudgetExceededError):
+            count_acyclic_orientations(rook(3), deadline)
 
 
 def test_count_acyclic_orientations_oracles():
@@ -174,16 +177,18 @@ def test_find_acyclic_biclique_k10_10():
 
 
 def test_biclique_scans_poll_deadline(monkeypatch):
-    monkeypatch.setattr(_Deadline, "check", lambda self: True)
+    monkeypatch.setattr(Deadline, "check", lambda self: True)
     d = random_orientation(complete_bipartite(3, 3), RngSpec(0))
     with pytest.raises(BudgetExceededError):
-        find_acyclic_biclique(d, 2, deadline=_Deadline(60))
+        find_acyclic_biclique(d, 2, deadline=Deadline(60))
     with pytest.raises(BudgetExceededError):
-        find_acyclic_clique(d, 2, deadline=_Deadline(60))
+        find_acyclic_clique(d, 2, deadline=Deadline(60))
     with pytest.raises(BudgetExceededError):
-        estimate_biclique_event(complete_bipartite(3, 3), 2, 4, RngSpec(1), timeout=60)
+        estimate_biclique_event(complete_bipartite(3, 3), 2, 4, RngSpec(1),
+                                deadline=Deadline(60))
     with pytest.raises(BudgetExceededError):
-        certified_breaking_orientation(complete_bipartite(3, 3), 2, RngSpec(1), timeout=60)
+        certified_breaking_orientation(complete_bipartite(3, 3), 2, RngSpec(1),
+                                       deadline=Deadline(60))
     # without a deadline the scans poll one of the default solve timeout
     with pytest.raises(BudgetExceededError):
         find_acyclic_biclique(d, 1)

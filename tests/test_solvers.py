@@ -5,6 +5,7 @@ import pytest
 from dichroma.catalogue import digraph_catalogue, graph_catalogue, random_digraph
 from dichroma.core import (
     Coloring,
+    Deadline,
     Digraph,
     Graph,
     ListAssignment,
@@ -28,8 +29,6 @@ from dichroma.products import cartesian_product
 from dichroma.randomized import RngSpec, random_orientation
 from dichroma import solvers
 from dichroma.solvers import (
-    SolveBudget,
-    _Deadline,
     _forest_clash,
     _vertex_arboricity,
     canonical_list_assignments,
@@ -52,18 +51,17 @@ from oracles import (
 )
 
 C3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
-BUDGET = SolveBudget(timeout=300)
 
 
 def test_chromatic_examples():
-    assert chromatic_number(kneser(5, 2), BUDGET).value == 3
-    assert chromatic_number(complete_graph(4), BUDGET).value == 4
-    assert chromatic_number(kneser(6, 2), BUDGET).value == 4
+    assert chromatic_number(kneser(5, 2), Deadline(300)).value == 3
+    assert chromatic_number(complete_graph(4), Deadline(300)).value == 4
+    assert chromatic_number(kneser(6, 2), Deadline(300)).value == 4
 
 
 def test_chromatic_witness_revalidates():
     g = kneser(5, 2)
-    cert = chromatic_number(g, BUDGET)
+    cert = chromatic_number(g, Deadline(300))
     assert cert.exact and is_proper_coloring(g, cert.witness)
     assert cert.witness.class_count() == cert.value
 
@@ -72,19 +70,19 @@ def test_chromatic_against_oracle():
     from dichroma.catalogue import graphs_up_to
 
     for g in graphs_up_to(5):
-        assert chromatic_number(g, BUDGET).value == brute_chromatic(g.n, g.edges)
+        assert chromatic_number(g, Deadline(300)).value == brute_chromatic(g.n, g.edges)
 
 
 def test_dichromatic_examples():
-    assert dichromatic_number(C3, BUDGET).value == 2
+    assert dichromatic_number(C3, Deadline(300)).value == 2
     acyclic = Digraph(4, [(0, 1), (1, 2), (2, 3)])
-    assert dichromatic_number(acyclic, BUDGET).value == 1
-    assert dichromatic_number(bidirect(complete_graph(3)), BUDGET).value == 3
+    assert dichromatic_number(acyclic, Deadline(300)).value == 1
+    assert dichromatic_number(bidirect(complete_graph(3)), Deadline(300)).value == 3
 
 
 def test_dichromatic_witness_revalidates():
     d = bidirect(kneser(5, 2))
-    cert = dichromatic_number(d, BUDGET)
+    cert = dichromatic_number(d, Deadline(300))
     assert cert.exact and cert.value == 3
     assert is_proper_dicoloring(d, cert.witness)
 
@@ -95,20 +93,20 @@ def test_dichromatic_against_partition_oracle():
         random_digraph(4 + i % 2, rng.derive(i)) for i in range(30)
     ]
     for d in targets:
-        assert dichromatic_number(d, BUDGET).value == brute_min_acyclic_parts(d.n, d.arcs)
+        assert dichromatic_number(d, Deadline(300)).value == brute_min_acyclic_parts(d.n, d.arcs)
 
 
 def test_dichromatic_number_of_graph_examples():
     tree = path_graph(5)
-    assert dichromatic_number_of_graph(tree, BUDGET).value == 1
-    assert dichromatic_number_of_graph(cycle_graph(5), BUDGET).value == 2
-    cert = dichromatic_number_of_graph(complete_graph(3), BUDGET)
+    assert dichromatic_number_of_graph(tree, Deadline(300)).value == 1
+    assert dichromatic_number_of_graph(cycle_graph(5), Deadline(300)).value == 2
+    cert = dichromatic_number_of_graph(complete_graph(3), Deadline(300))
     assert cert.value == 2
     # the witness orientation reaches the maximum
     from dichroma.core import apply_orientation
 
     d = apply_orientation(complete_graph(3), cert.witness_orientation)
-    assert dichromatic_number(d, BUDGET).value == 2
+    assert dichromatic_number(d, Deadline(300)).value == 2
 
 
 def test_dichromatic_number_of_graph_against_full_sweep():
@@ -122,14 +120,14 @@ def test_dichromatic_number_of_graph_against_full_sweep():
         for o in enumerate_orientations(g):
             d = apply_orientation(g, o)
             brute = max(brute, brute_min_acyclic_parts(d.n, d.arcs))
-        assert dichromatic_number_of_graph(g, BUDGET).value == brute
+        assert dichromatic_number_of_graph(g, Deadline(300)).value == brute
 
 
 def _reference_sweep(g):
     """The orientation sweep without the arboricity bound: one orientation
     of each reversal pair in lexicographic order, stopping only once the
     chromatic number is reached."""
-    chi = chromatic_number(g, BUDGET)
+    chi = chromatic_number(g, Deadline(300))
     if g.m == 0:
         value = 1 if g.n else 0
         return value, True, Orientation(g, ()), Coloring((0,), (0,) * g.n)
@@ -139,7 +137,7 @@ def _reference_sweep(g):
         if code > full ^ code:
             continue
         o = Orientation(g, tuple(bool(code >> (m - 1 - j) & 1) for j in range(m)))
-        cert = dichromatic_number(apply_orientation(g, o), BUDGET)
+        cert = dichromatic_number(apply_orientation(g, o), Deadline(300))
         if cert.value > best:
             best, best_orientation, best_witness = cert.value, o, cert.witness
         if chi.exact and best == chi.value:
@@ -153,20 +151,20 @@ def test_dichromatic_number_of_graph_matches_reference_sweep():
     named = [kneser(5, 2), complete_multipartite(2, 3), complete_bipartite(3, 3),
              complete_graph(5), complete_graph(6)]
     for g in graphs_up_to(6) + named:
-        cert = dichromatic_number_of_graph(g, BUDGET)
+        cert = dichromatic_number_of_graph(g, Deadline(300))
         got = (cert.value, cert.exact, cert.witness_orientation, cert.witness)
         assert got == _reference_sweep(g), g
 
 
 def test_dichromatic_number_of_graph_names_its_bound():
-    cert = dichromatic_number_of_graph(kneser(5, 2), BUDGET)
+    cert = dichromatic_number_of_graph(kneser(5, 2), Deadline(300))
     assert cert.detail.startswith("stopped at the vertex-arboricity bound 2 after 26 ")
-    cert = dichromatic_number_of_graph(complete_multipartite(2, 3), BUDGET)
+    cert = dichromatic_number_of_graph(complete_multipartite(2, 3), Deadline(300))
     assert cert.detail.startswith("stopped at the vertex-arboricity bound 2 after 7 ")
     # K_{3,3}: the chromatic number 2 is below any further arboricity level
-    cert = dichromatic_number_of_graph(complete_bipartite(3, 3), BUDGET)
+    cert = dichromatic_number_of_graph(complete_bipartite(3, 3), Deadline(300))
     assert cert.detail.startswith("stopped at the chromatic bound 2 after ")
-    cert = dichromatic_number_of_graph(complete_graph(6), BUDGET)
+    cert = dichromatic_number_of_graph(complete_graph(6), Deadline(300))
     assert cert.value == 2 and cert.detail.startswith("full sweep after 16384 ")
 
 
@@ -185,7 +183,7 @@ def test_forest_clash_against_oracle():
 
 
 def _arboricity(g):
-    return _vertex_arboricity(g.adj, _Deadline(300))
+    return _vertex_arboricity(g.adj, Deadline(300))
 
 
 def test_vertex_arboricity_known_values():
@@ -202,13 +200,32 @@ def test_vertex_arboricity_known_values():
 
 def test_dichromatic_number_of_graph_limit(monkeypatch):
     # no edge cap: the deadline alone stops KG(6,2)'s sweep of 2^44
-    # reversal pairs, with chi = 4 and a = 3 bounding every orientation
-    _fire_after(monkeypatch, 3000)
-    cert = dichromatic_number_of_graph(kneser(6, 2), BUDGET)
+    # reversal pairs, with chi = 4 and a = 3 bounding every orientation;
+    # the sweep reads the clock after every orientation
+    _fire_after(monkeypatch, 3000, "expired")
+    cert = dichromatic_number_of_graph(kneser(6, 2), Deadline(300))
     assert not cert.exact and (cert.lower, cert.upper) == (2, 3)
     assert "timeout during the orientation sweep" in cert.detail
     d = apply_orientation(kneser(6, 2), cert.witness_orientation)
     assert is_proper_dicoloring(d, cert.witness) and cert.witness.class_count() == 2
+
+
+def test_orientation_sweep_reads_the_clock_per_orientation(monkeypatch):
+    # every clock read from the first orientation on says time is up, so
+    # the sweep stops after it; a sweep that read the clock only every
+    # 1,024 polls ran on far past a short deadline
+    armed = []
+    orient = solvers.apply_orientation
+
+    def arm(*args):
+        armed.append(True)
+        return orient(*args)
+
+    monkeypatch.setattr(solvers, "apply_orientation", arm)
+    monkeypatch.setattr(Deadline, "expired", lambda self: bool(armed))
+    cert = dichromatic_number_of_graph(kneser(6, 2), Deadline(300))
+    assert not cert.exact
+    assert cert.detail.endswith("after 1 orientations")
 
 
 def test_dichromatic_number_of_graph_past_64_edges(monkeypatch):
@@ -216,7 +233,7 @@ def test_dichromatic_number_of_graph_past_64_edges(monkeypatch):
     # deadline still ends it with chi = 12 and a = 6 bounding every orientation
     g = complete_graph(12)
     _fire_after(monkeypatch, 5000)
-    cert = dichromatic_number_of_graph(g, BUDGET)
+    cert = dichromatic_number_of_graph(g, Deadline(300))
     assert not cert.exact and (cert.lower, cert.upper) == (2, 6)
     assert "timeout inside orientation solve" in cert.detail
 
@@ -234,23 +251,23 @@ def test_find_acceptable_dicoloring_examples():
 
 
 def test_list_dichromatic_examples():
-    cert = list_dichromatic_number(C3, BUDGET)
+    cert = list_dichromatic_number(C3, Deadline(300))
     assert cert.value == 2
     # the stored witness rejects every colouring at k-1
     assert cert.rejecting_assignment is not None
     assert find_acceptable_dicoloring(C3, cert.rejecting_assignment) is None
     acyclic = Digraph(3, [(0, 1), (0, 2)])
-    assert list_dichromatic_number(acyclic, BUDGET).value == 1
+    assert list_dichromatic_number(acyclic, Deadline(300)).value == 1
     c4 = bidirect(cycle_graph(4))
-    assert list_dichromatic_number(c4, BUDGET).value == 2
+    assert list_dichromatic_number(c4, Deadline(300)).value == 2
 
 
 def test_list_chromatic_examples():
     from dichroma.generators import complete_bipartite
 
-    assert list_chromatic_number(complete_bipartite(2, 2), BUDGET).value == 2
-    assert list_chromatic_number(complete_graph(3), BUDGET).value == 3
-    assert list_chromatic_number(Graph(4), BUDGET).value == 1
+    assert list_chromatic_number(complete_bipartite(2, 2), Deadline(300)).value == 2
+    assert list_chromatic_number(complete_graph(3), Deadline(300)).value == 3
+    assert list_chromatic_number(Graph(4), Deadline(300)).value == 1
 
 
 def test_canonical_assignments_first_use_form():
@@ -311,25 +328,25 @@ def _check_list_certificate(obj, cert, finder, expected):
 
 def test_list_dichromatic_matches_full_sweep():
     for d in digraph_catalogue(4):
-        cert = list_dichromatic_number(d, BUDGET)
+        cert = list_dichromatic_number(d, Deadline(300))
         expected = _full_sweep(d, find_acceptable_dicoloring)
         _check_list_certificate(d, cert, find_acceptable_dicoloring, expected)
 
 
 def test_list_chromatic_matches_full_sweep():
     for g in graph_catalogue(4):
-        cert = list_chromatic_number(g, BUDGET)
+        cert = list_chromatic_number(g, Deadline(300))
         expected = _full_sweep(g, find_acceptable_coloring)
         _check_list_certificate(g, cert, find_acceptable_coloring, expected)
 
 
 def test_list_numbers_against_brute_force():
     for d in digraph_catalogue(3):
-        _check_list_certificate(d, list_dichromatic_number(d, BUDGET),
+        _check_list_certificate(d, list_dichromatic_number(d, Deadline(300)),
                                 find_acceptable_dicoloring,
                                 brute_list_dichromatic(d.n, d.arcs))
         g = d.underlying_graph()
-        _check_list_certificate(g, list_chromatic_number(g, BUDGET),
+        _check_list_certificate(g, list_chromatic_number(g, Deadline(300)),
                                 find_acceptable_coloring,
                                 brute_list_chromatic(g.n, g.edges))
 
@@ -337,48 +354,49 @@ def test_list_numbers_against_brute_force():
 def test_list_bound_closes_without_sweep():
     # chi = 1 + degeneracy = 4: the levels below end at their first
     # (uniform) assignment, and k = 4 needs no sweep
-    cert = list_chromatic_number(complete_graph(4), BUDGET)
+    cert = list_chromatic_number(complete_graph(4), Deadline(300))
     assert cert.value == 4 and "1 + degeneracy" in cert.detail
-    cert = list_dichromatic_number(bidirect(complete_graph(4)), BUDGET)
+    cert = list_dichromatic_number(bidirect(complete_graph(4)), Deadline(300))
     assert cert.value == 4 and "1 + in/out-degeneracy" in cert.detail
     # C4 is 2-choosable below its bound 3, so the k = 2 sweep decides
-    cert = list_chromatic_number(cycle_graph(4), BUDGET)
+    cert = list_chromatic_number(cycle_graph(4), Deadline(300))
     assert cert.value == 2 and "every canonical 2-assignment" in cert.detail
 
 
-def _fire_after(monkeypatch, calls: int) -> None:
-    """Make every solve deadline report time up from the given poll on."""
+def _fire_after(monkeypatch, calls: int, poll: str = "check") -> None:
+    """Make every solve deadline report time up from the given call of
+    its poll (check, or expired, the clock read) on."""
     polls = count(1)
-    monkeypatch.setattr(_Deadline, "check", lambda self: next(polls) >= calls)
+    monkeypatch.setattr(Deadline, poll, lambda self: next(polls) >= calls)
 
 
 def test_list_search_polls_deadline(monkeypatch):
     d = bidirect(cycle_graph(4))  # bracket [2, 3] once k = 1 is rejected
     _fire_after(monkeypatch, 1)
-    cert = list_dichromatic_number(d, BUDGET)
+    cert = list_dichromatic_number(d, Deadline(300))
     assert not cert.exact and (cert.lower, cert.upper) == (1, 3)
     assert "timeout at k=1" in cert.detail
     _fire_after(monkeypatch, 200)  # inside the k = 2 sweep
-    cert = list_dichromatic_number(d, BUDGET)
+    cert = list_dichromatic_number(d, Deadline(300))
     assert not cert.exact and cert.value is None
     assert (cert.lower, cert.upper) == (2, 3) and "timeout at k=2" in cert.detail
     assert cert.rejecting_assignment.k == 1
     _fire_after(monkeypatch, 1)
-    cert = list_chromatic_number(cycle_graph(4), BUDGET)
+    cert = list_chromatic_number(cycle_graph(4), Deadline(300))
     assert not cert.exact and (cert.lower, cert.upper) == (1, 3)
 
 
 def test_dichromatic_timeout_keeps_bracket(monkeypatch):
     tournament = random_orientation(complete_graph(12), RngSpec(3))
-    full = dichromatic_number(tournament, BUDGET)
+    full = dichromatic_number(tournament, Deadline(300))
     _fire_after(monkeypatch, 1)
     for d, lower in ((tournament, 2), (bidirect(cycle_graph(5)), 2)):
-        cert = dichromatic_number(d, BUDGET)
+        cert = dichromatic_number(d, Deadline(300))
         assert not cert.exact and cert.value is None
         assert cert.lower == lower and cert.upper is not None
         assert is_proper_dicoloring(d, cert.witness)
         assert cert.witness.class_count() <= cert.upper
-    assert dichromatic_number(tournament, BUDGET).lower <= full.value
+    assert dichromatic_number(tournament, Deadline(300)).lower <= full.value
 
 
 def test_graph_dichromatic_timeout_keeps_bracket(monkeypatch):
@@ -386,14 +404,14 @@ def test_graph_dichromatic_timeout_keeps_bracket(monkeypatch):
     # orientation has dichromatic number 2
     petersen = kneser(5, 2)
     _fire_after(monkeypatch, 1)
-    cert = dichromatic_number_of_graph(petersen, BUDGET)
+    cert = dichromatic_number_of_graph(petersen, Deadline(300))
     assert not cert.exact and cert.value is None
-    assert cert.upper == chromatic_number(petersen, BUDGET).upper == 3
+    assert cert.upper == chromatic_number(petersen, Deadline(300)).upper == 3
     assert cert.lower <= 2 <= cert.upper
     # a deadline that fires during the sweep keeps the maximum so far; K6
     # sweeps in full (a(K6) = 3 > 2), and its bracket ends at a, not chi = 6
     _fire_after(monkeypatch, 2000)
-    cert = dichromatic_number_of_graph(complete_graph(6), BUDGET)
+    cert = dichromatic_number_of_graph(complete_graph(6), Deadline(300))
     assert not cert.exact and cert.lower == 2 and cert.upper == 3
     assert "timeout" in cert.detail
 
@@ -408,13 +426,13 @@ def _fire_in_arboricity_search(monkeypatch) -> None:
         return forest_clash(*args)
 
     monkeypatch.setattr(solvers, "_forest_clash", arm)
-    monkeypatch.setattr(_Deadline, "check", lambda self: bool(armed))
+    monkeypatch.setattr(Deadline, "check", lambda self: bool(armed))
 
 
 def test_graph_dichromatic_timeout_in_arboricity_search(monkeypatch):
     petersen = kneser(5, 2)
     _fire_in_arboricity_search(monkeypatch)
-    cert = dichromatic_number_of_graph(petersen, BUDGET)
+    cert = dichromatic_number_of_graph(petersen, Deadline(300))
     assert not cert.exact and cert.value is None
     assert cert.lower <= 2 <= cert.upper == 3
     assert "timeout" in cert.detail
@@ -438,13 +456,13 @@ def test_sabidussi_coloring_examples():
 
 def test_budget_flags_instead_of_lying():
     g = kneser(8, 2)
-    cert = chromatic_number(g, SolveBudget(timeout=0.0001))
+    cert = chromatic_number(g, Deadline(0.0001))
     if not cert.exact:
         assert cert.lower <= 6 <= cert.upper
         assert "timeout" in cert.detail
     # no vertex cap: the clique bound closes the 81-vertex rook graph
     big = rook(9)
-    cert = chromatic_number(big, BUDGET)
+    cert = chromatic_number(big, Deadline(300))
     assert cert.exact and cert.value == 9
     assert is_proper_coloring(big, cert.witness)
 
@@ -453,7 +471,7 @@ def test_list_budget_flags(monkeypatch):
     # no palette cap: the deadline stops the k = 3 level (n*k = 12)
     d = bidirect(complete_graph(4))
     _fire_after(monkeypatch, 8)
-    cert = list_dichromatic_number(d, BUDGET)
+    cert = list_dichromatic_number(d, Deadline(300))
     assert not cert.exact and (cert.lower, cert.upper) == (3, 4)
     assert "timeout at k=3" in cert.detail
     assert cert.rejecting_assignment.k == 2

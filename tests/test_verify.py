@@ -3,10 +3,10 @@ import os
 import pytest
 
 from dichroma.catalogue import digraph_catalogue, random_digraph
-from dichroma.core import apply_orientation, is_acyclic
+from dichroma.core import Deadline, apply_orientation, is_acyclic
 from dichroma.generators import complete_graph, cycle_graph, path_graph
 from dichroma.randomized import RngSpec
-from dichroma.solvers import _Deadline, dichromatic_number
+from dichroma.solvers import dichromatic_number
 from dichroma.verify import (
     bidirect_suite,
     catalogue_suite,
@@ -84,16 +84,17 @@ def test_suite_solves_share_one_deadline(monkeypatch, suite, kwargs):
         polled.append(deadline)
         return len(polled) > 3
 
-    monkeypatch.setattr(_Deadline, "check", check)
-    result = suite(**kwargs)
-    assert len({id(d) for d in polled}) == 1
+    monkeypatch.setattr(Deadline, "check", check)
+    given = Deadline(60)
+    result = suite(**kwargs, deadline=given)
+    assert {id(d) for d in polled} == {id(given)}
     assert result.ok and result.unknown > 0
     assert result.summary["unknown"] == result.unknown
 
 
 def test_suite_rows_after_the_deadline_read_unknown(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(_Deadline, "expired", lambda self: True)
+    monkeypatch.setattr(Deadline, "expired", lambda self: True)
     for threads in (1, 2):  # forked workers see the same deadline
         result = sabidussi_suite(max_n=2, random_pairs=5, pair_max_n=3, threads=threads)
         assert result.ok and result.unknown == len(result.rows)
