@@ -14,37 +14,11 @@ import functools
 import math
 import sys
 import time
-from dataclasses import asdict
 from itertools import islice
 
 from . import __version__
 from .core import Deadline, Digraph, Graph, enumerate_orientations
-from .covers import (
-    RookCollectionParams,
-    SemicoverSpec,
-    SetCollection,
-    build_rook_collection,
-    estimate_acceptance_probability,
-    verify_cover_all_acyclic,
-    verify_semicover_all_acyclic,
-)
-from .errors import (
-    BudgetExceededError,
-    CertificationError,
-    DichromaError,
-    GraphFormatError,
-    LimitExceededError,
-)
-from .generators import (
-    BorsukSampleConfig,
-    borsuk_sample,
-    complete_multipartite,
-    embed_kneser_tensor,
-    embed_rook_in_kneser,
-    kneser,
-    named_graph,
-    rook,
-)
+from .errors import BudgetExceededError, CertificationError, DichromaError, GraphFormatError
 from .graphio import format_graph, parse_graph_file, parse_graph_text
 from .parallel import default_threads
 from .products import cartesian_product, tensor_product
@@ -81,10 +55,135 @@ EXIT_BUDGET = 3
 EXIT_VIOLATED = 4
 
 
+def _gen_leaves(gen, common) -> None:
+    p = gen.add_parser("kneser", parents=[common])
+    p.add_argument("n", type=int)
+    p.add_argument("k", type=int)
+    p = gen.add_parser("multipartite", parents=[common])
+    p.add_argument("m", type=int)
+    p.add_argument("r", type=int)
+    p = gen.add_parser("rook", parents=[common])
+    p.add_argument("n", type=int)
+    p = gen.add_parser("borsuk", parents=[common])
+    p.add_argument("--n", type=int, required=True, help="sphere dimension")
+    p.add_argument("--a", type=float, required=True, help="adjacency threshold")
+    p.add_argument("--delta", type=float, default=0.0)
+    p.add_argument("--cube-side", type=float, required=True, dest="cube_side")
+    p.add_argument("--perturbation-scale", type=float, default=1.0,
+                   dest="perturbation_scale")
+    p.add_argument("--max-points", type=int, default=5000, dest="max_points")
+    p = gen.add_parser("named", parents=[common])
+    p.add_argument("name")
+
+
+def _product_leaves(prod, common) -> None:
+    for name in ("cartesian", "tensor"):
+        p = prod.add_parser(name, parents=[common])
+        p.add_argument("left")
+        p.add_argument("right")
+
+
+def _orient_leaves(orient, common) -> None:
+    p = orient.add_parser("random", parents=[common])
+    p.add_argument("input", nargs="?", default="-")
+    p = orient.add_parser("enumerate", parents=[common])
+    p.add_argument("input", nargs="?", default="-")
+    p.add_argument("--max-list", type=int, default=64, dest="max_list")
+    p = orient.add_parser("certified", parents=[common])
+    p.add_argument("input", nargs="?", default="-")
+    p.add_argument("--max-attempts", type=int, default=200, dest="max_attempts")
+    p.add_argument("--break-cliques", action="store_true", dest="break_cliques")
+
+
+def _solve_leaves(solve, common) -> None:
+    for name in ("chromatic", "dichromatic", "graph-dichromatic",
+                 "list-chromatic", "list-dichromatic"):
+        p = solve.add_parser(name, parents=[common])
+        p.add_argument("input", nargs="?", default="-")
+
+
+def _check_leaves(check, common) -> None:
+    for name in ("coloring", "dicoloring"):
+        p = check.add_parser(name, parents=[common])
+        p.add_argument("input", nargs="?", default="-")
+        p.add_argument("--coloring", required=True, dest="coloring_path")
+    for name in ("cover", "semicover"):
+        p = check.add_parser(name, parents=[common])
+        p.add_argument("input", nargs="?", default="-")
+        p.add_argument("--collection", default=None, dest="collection_path")
+
+
+def _mc_leaves(mc, common) -> None:
+    p = mc.add_parser("biclique", parents=[common])
+    p.add_argument("input", nargs="?", default=None)
+    p.add_argument("--graph", default=None, help="named graph instead of a file")
+    p.add_argument("--trials", type=int, required=True)
+    p = mc.add_parser("acceptance", parents=[common])
+    p.add_argument("input", nargs="?", default="-")
+    p.add_argument("--collection", default=None, dest="collection_path")
+    p.add_argument("--trials", type=int, required=True)
+
+
+def _bound_leaves(bound, common) -> None:
+    p = bound.add_parser("g", parents=[common])
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--u", type=int, required=True)
+    p = bound.add_parser("concentration", parents=[common])
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--c", type=float, required=True)
+    p.add_argument("--t", type=float, required=True)
+    p = bound.add_parser("expectation", parents=[common])
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--u", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--a", type=int, required=True)
+
+
+def _verify_leaves(verify, common) -> None:
+    p = verify.add_parser("sabidussi", parents=[common])
+    p.add_argument("--max-n", type=int, default=4, dest="max_n")
+    p.add_argument("--pairs", type=int, default=200)
+    p.add_argument("--pair-max-n", type=int, default=5, dest="pair_max_n")
+    p = verify.add_parser("bidirect", parents=[common])
+    p.add_argument("--max-n", type=int, default=6, dest="max_n")
+    verify.add_parser("kneser-chi", parents=[common])
+    verify.add_parser("catalogue", parents=[common])
+    p = verify.add_parser("tensor-bound", parents=[common])
+    p.add_argument("--max-n", type=int, default=4, dest="max_n")
+
+
+def _embed_leaves(embed, common) -> None:
+    p = embed.add_parser("rook-in-kneser", parents=[common])
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p = embed.add_parser("kneser-tensor", parents=[common])
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n1", type=int, required=True)
+    p.add_argument("--k1", type=int, required=True)
+
+
+# Each command group: its help line and the function adding its leaves.
+_GROUPS = {
+    "gen": ("generate a graph", _gen_leaves),
+    "product": ("graph products", _product_leaves),
+    "orient": ("orientations", _orient_leaves),
+    "solve": ("exact invariants", _solve_leaves),
+    "check": ("validate witnesses", _check_leaves),
+    "mc": ("Monte Carlo experiments", _mc_leaves),
+    "bound": ("analytic bounds", _bound_leaves),
+    "verify": ("verification suites", _verify_leaves),
+    "embed": ("verified embeddings", _embed_leaves),
+}
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument tree, built once per process; parsing leaves it
-    unchanged."""
+def _build_parser(group: str | None = None) -> argparse.ArgumentParser:
+    """The argument tree, built once per process and group: every group,
+    but leaf commands only under group (under all groups when it is None).
+    Parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="64-bit master seed")
     common.add_argument("--threads", type=int, default=None,
@@ -105,116 +204,10 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=f"dichroma {__version__}")
     groups = top.add_subparsers(dest="group", required=True)
 
-    gen = groups.add_parser("gen", help="generate a graph").add_subparsers(
-        dest="cmd", required=True)
-    p = gen.add_parser("kneser", parents=[common])
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-    p = gen.add_parser("multipartite", parents=[common])
-    p.add_argument("m", type=int)
-    p.add_argument("r", type=int)
-    p = gen.add_parser("rook", parents=[common])
-    p.add_argument("n", type=int)
-    p = gen.add_parser("borsuk", parents=[common])
-    p.add_argument("--n", type=int, required=True, help="sphere dimension")
-    p.add_argument("--a", type=float, required=True, help="adjacency threshold")
-    p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--cube-side", type=float, required=True, dest="cube_side")
-    p.add_argument("--perturbation-scale", type=float, default=1.0,
-                   dest="perturbation_scale")
-    p.add_argument("--max-points", type=int, default=5000, dest="max_points")
-    p = gen.add_parser("named", parents=[common])
-    p.add_argument("name")
-
-    prod = groups.add_parser("product", help="graph products").add_subparsers(
-        dest="cmd", required=True)
-    for name in ("cartesian", "tensor"):
-        p = prod.add_parser(name, parents=[common])
-        p.add_argument("left")
-        p.add_argument("right")
-
-    orient = groups.add_parser("orient", help="orientations").add_subparsers(
-        dest="cmd", required=True)
-    p = orient.add_parser("random", parents=[common])
-    p.add_argument("input", nargs="?", default="-")
-    p = orient.add_parser("enumerate", parents=[common])
-    p.add_argument("input", nargs="?", default="-")
-    p.add_argument("--max-list", type=int, default=64, dest="max_list")
-    p = orient.add_parser("certified", parents=[common])
-    p.add_argument("input", nargs="?", default="-")
-    p.add_argument("--max-attempts", type=int, default=200, dest="max_attempts")
-    p.add_argument("--break-cliques", action="store_true", dest="break_cliques")
-
-    solve = groups.add_parser("solve", help="exact invariants").add_subparsers(
-        dest="cmd", required=True)
-    for name in ("chromatic", "dichromatic", "graph-dichromatic",
-                 "list-chromatic", "list-dichromatic"):
-        p = solve.add_parser(name, parents=[common])
-        p.add_argument("input", nargs="?", default="-")
-
-    check = groups.add_parser("check", help="validate witnesses").add_subparsers(
-        dest="cmd", required=True)
-    for name in ("coloring", "dicoloring"):
-        p = check.add_parser(name, parents=[common])
-        p.add_argument("input", nargs="?", default="-")
-        p.add_argument("--coloring", required=True, dest="coloring_path")
-    for name in ("cover", "semicover"):
-        p = check.add_parser(name, parents=[common])
-        p.add_argument("input", nargs="?", default="-")
-        p.add_argument("--collection", default=None, dest="collection_path")
-
-    mc = groups.add_parser("mc", help="Monte Carlo experiments").add_subparsers(
-        dest="cmd", required=True)
-    p = mc.add_parser("biclique", parents=[common])
-    p.add_argument("input", nargs="?", default=None)
-    p.add_argument("--graph", default=None, help="named graph instead of a file")
-    p.add_argument("--trials", type=int, required=True)
-    p = mc.add_parser("acceptance", parents=[common])
-    p.add_argument("input", nargs="?", default="-")
-    p.add_argument("--collection", default=None, dest="collection_path")
-    p.add_argument("--trials", type=int, required=True)
-
-    bound = groups.add_parser("bound", help="analytic bounds").add_subparsers(
-        dest="cmd", required=True)
-    p = bound.add_parser("g", parents=[common])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--u", type=int, required=True)
-    p = bound.add_parser("concentration", parents=[common])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p = bound.add_parser("expectation", parents=[common])
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--u", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-
-    verify = groups.add_parser("verify", help="verification suites").add_subparsers(
-        dest="cmd", required=True)
-    p = verify.add_parser("sabidussi", parents=[common])
-    p.add_argument("--max-n", type=int, default=4, dest="max_n")
-    p.add_argument("--pairs", type=int, default=200)
-    p.add_argument("--pair-max-n", type=int, default=5, dest="pair_max_n")
-    p = verify.add_parser("bidirect", parents=[common])
-    p.add_argument("--max-n", type=int, default=6, dest="max_n")
-    p = verify.add_parser("kneser-chi", parents=[common])
-    p = verify.add_parser("catalogue", parents=[common])
-    p = verify.add_parser("tensor-bound", parents=[common])
-    p.add_argument("--max-n", type=int, default=4, dest="max_n")
-
-    embed = groups.add_parser("embed", help="verified embeddings").add_subparsers(
-        dest="cmd", required=True)
-    p = embed.add_parser("rook-in-kneser", parents=[common])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p = embed.add_parser("kneser-tensor", parents=[common])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n1", type=int, required=True)
-    p.add_argument("--k1", type=int, required=True)
-
+    for name, (help_text, add_leaves) in _GROUPS.items():
+        parser = groups.add_parser(name, help=help_text)
+        if group in (None, name):
+            add_leaves(parser.add_subparsers(dest="cmd", required=True), common)
     return top
 
 
@@ -267,9 +260,11 @@ def _runtime_ms(started: float) -> float:
     return (time.perf_counter() - started) * 1000.0
 
 
-def _load_collection(args, d: Digraph) -> SetCollection:
+def _load_collection(args, d: Digraph):
     """Collection from an explicit JSON file, or the rook construction
     inferred from the digraph's vertex count and --beta."""
+    from .covers import RookCollectionParams, SetCollection, build_rook_collection
+
     if args.collection_path:
         payload = _read_json(args.collection_path, d.n, members=2, s=0, t=0)
         return SetCollection(
@@ -292,6 +287,15 @@ def _load_collection(args, d: Digraph) -> SetCollection:
 
 
 def _gen_command(args, started: float):
+    from .generators import (
+        BorsukSampleConfig,
+        borsuk_sample,
+        complete_multipartite,
+        kneser,
+        named_graph,
+        rook,
+    )
+
     if args.cmd == "kneser":
         g = kneser(args.n, args.k)
     elif args.cmd == "multipartite":
@@ -379,11 +383,15 @@ def _check_command(args, started: float):
             ok = is_proper_dicoloring(_need_digraph(obj), colouring)
         detail = {"proper": ok}
     elif args.cmd == "cover":
+        from .covers import verify_cover_all_acyclic
+
         d = _need_digraph(obj)
         report = verify_cover_all_acyclic(d, _load_collection(args, d),
                                           Deadline(args.timeout_s))
         detail = {"covers_all_acyclic": report.ok}
     else:
+        from .covers import SemicoverSpec, verify_semicover_all_acyclic
+
         d = _need_digraph(obj)
         collection = _load_collection(args, d)
         side = math.isqrt(d.n // 2)
@@ -403,14 +411,16 @@ def _mc_command(args, started: float):
     rng = RngSpec(args.seed)
     if args.cmd == "biclique":
         if args.graph:
+            from .generators import named_graph
+
             g = named_graph(args.graph)
         else:
             g = _need_graph(_read_structure(args.input or "-"))
         if args.l is None:
             raise GraphFormatError("mc biclique needs --l")
-        payload = asdict(estimate_biclique_event(g, args.l, args.trials, rng,
-                                                 threads=_threads(args),
-                                                 deadline=Deadline(args.timeout_s)))
+        payload = estimate_biclique_event(g, args.l, args.trials, rng,
+                                          threads=_threads(args),
+                                          deadline=Deadline(args.timeout_s))._asdict()
         params = {"l": args.l, "trials": args.trials,
                   "graph": args.graph or "stdin"}
     else:
@@ -419,6 +429,7 @@ def _mc_command(args, started: float):
             raise GraphFormatError("mc acceptance needs --l1 and --l2")
         collection = _load_collection(args, d)
         from .core import ListAssignment
+        from .covers import estimate_acceptance_probability
 
         L1 = ListAssignment.uniform(d.n, range(1, args.l1 + 1))
         est = estimate_acceptance_probability(
@@ -426,7 +437,7 @@ def _mc_command(args, started: float):
             threads=_threads(args), deadline=Deadline(args.timeout_s),
         )
         payload = {
-            **asdict(est.event),
+            **est.event._asdict(),
             "bound": est.bound if math.isfinite(est.bound) else None,
             "hypothesis_ok": est.hypothesis_ok,
         }
@@ -455,6 +466,8 @@ def _bound_command(args, started: float):
 
 
 def _embed_command(args, started: float):
+    from .generators import embed_kneser_tensor, embed_rook_in_kneser
+
     if args.cmd == "rook-in-kneser":
         witness = embed_rook_in_kneser(args.n, args.k)
         params = {"n": args.n, "k": args.k}
@@ -536,14 +549,14 @@ def _dispatch(args) -> int:
 
 def run(argv) -> int:
     """Execute one command line; returns the process exit code."""
-    parser = _build_parser()
+    group = argv[0] if argv and argv[0] in _GROUPS else None
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(group).parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return _dispatch(args)
-    except (BudgetExceededError, LimitExceededError, CertificationError) as exc:
+    except (BudgetExceededError, CertificationError) as exc:
         print(f"dichroma: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (DichromaError, ValueError, OSError) as exc:

@@ -11,7 +11,7 @@ share between threads.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError
@@ -213,22 +213,19 @@ class Digraph:
         return f"Digraph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class Orientation:
+class Orientation(namedtuple("Orientation", "base direction")):
     """One direction per edge of a base graph.
 
     ``direction[j]`` refers to the j-th edge of ``base.edges``; False means
     the arc runs from the lower to the higher endpoint.
     """
 
-    base: Graph
-    direction: tuple[bool, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.direction) != self.base.m:
-            raise ValueError(
-                f"{len(self.direction)} direction bits for {self.base.m} edges"
-            )
+    def __new__(cls, base: Graph, direction: tuple[bool, ...]):
+        if len(direction) != base.m:
+            raise ValueError(f"{len(direction)} direction bits for {base.m} edges")
+        return super().__new__(cls, base, direction)
 
     def arcs(self) -> list[tuple[int, int]]:
         out = []
@@ -237,20 +234,19 @@ class Orientation:
         return out
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(namedtuple("Coloring", "palette assignment")):
     """A total assignment of palette colours to vertices 0..n-1."""
 
-    palette: tuple[int, ...]
-    assignment: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        allowed = set(self.palette)
-        if len(allowed) != len(self.palette):
+    def __new__(cls, palette: tuple[int, ...], assignment: tuple[int, ...]):
+        allowed = set(palette)
+        if len(allowed) != len(palette):
             raise ValueError("palette colours must be distinct")
-        for v, c in enumerate(self.assignment):
+        for v, c in enumerate(assignment):
             if c not in allowed:
                 raise ValueError(f"vertex {v} assigned colour {c} outside palette")
+        return super().__new__(cls, palette, assignment)
 
     @property
     def n(self) -> int:
@@ -267,27 +263,25 @@ class Coloring:
         return len(set(self.assignment))
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(namedtuple("Partition", "n palette parts")):
     """A palette-indexed partition of 0..n-1 into possibly empty parts."""
 
-    n: int
-    palette: tuple[int, ...]
-    parts: tuple[frozenset[int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.parts) != len(self.palette):
+    def __new__(cls, n: int, palette: tuple[int, ...], parts: tuple[frozenset[int], ...]):
+        if len(parts) != len(palette):
             raise ValueError("one part per palette colour required")
         union = 0
         total = 0
-        for part in self.parts:
+        for part in parts:
             pm = mask_of(part)
             if pm & union:
                 raise ValueError("parts must be pairwise disjoint")
             union |= pm
             total += len(part)
-        if total != self.n or union != (1 << self.n) - 1:
+        if total != n or union != (1 << n) - 1:
             raise ValueError("parts must partition the vertex set")
+        return super().__new__(cls, n, palette, parts)
 
     @classmethod
     def from_coloring(cls, coloring: Coloring) -> "Partition":
@@ -306,23 +300,21 @@ class Partition:
         return Coloring(self.palette, tuple(assignment))
 
 
-@dataclass(frozen=True)
-class ListAssignment:
+class ListAssignment(namedtuple("ListAssignment", "palette lists k")):
     """Per-vertex colour lists of a common size k over an explicit palette."""
 
-    palette: tuple[int, ...]
-    lists: tuple[frozenset[int], ...]
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        allowed = set(self.palette)
-        if len(allowed) != len(self.palette):
+    def __new__(cls, palette: tuple[int, ...], lists: tuple[frozenset[int], ...], k: int):
+        allowed = set(palette)
+        if len(allowed) != len(palette):
             raise ValueError("palette colours must be distinct")
-        for v, lst in enumerate(self.lists):
-            if len(lst) != self.k:
-                raise ValueError(f"list of vertex {v} has size {len(lst)}, not {self.k}")
+        for v, lst in enumerate(lists):
+            if len(lst) != k:
+                raise ValueError(f"list of vertex {v} has size {len(lst)}, not {k}")
             if not lst <= allowed:
                 raise ValueError(f"list of vertex {v} leaves the palette")
+        return super().__new__(cls, palette, lists, k)
 
     @property
     def n(self) -> int:

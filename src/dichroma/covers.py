@@ -11,9 +11,9 @@ advertised size counts the product).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .core import (
     Deadline,
@@ -53,53 +53,49 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SetCollection:
+class SetCollection(namedtuple("SetCollection", "members s t")):
     """An (s,t)-collection: at most s vertex subsets, each of size <= t."""
 
-    members: tuple[frozenset[int], ...]
-    s: int
-    t: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.members) > self.s:
-            raise ValueError(f"{len(self.members)} members exceed the bound s={self.s}")
-        for i, member in enumerate(self.members):
-            if len(member) > self.t:
-                raise ValueError(f"member {i} has {len(member)} vertices, above t={self.t}")
+    def __new__(cls, members: tuple[frozenset[int], ...], s: int, t: int):
+        if len(members) > s:
+            raise ValueError(f"{len(members)} members exceed the bound s={s}")
+        for i, member in enumerate(members):
+            if len(member) > t:
+                raise ValueError(f"member {i} has {len(member)} vertices, above t={t}")
+        return super().__new__(cls, members, s, t)
 
     def member_masks(self) -> list[int]:
         return [mask_of(m) for m in self.members]
 
 
-@dataclass(frozen=True)
-class SemicoverSpec:
+class SemicoverSpec(namedtuple("SemicoverSpec", "collection lam")):
     """A collection together with the size threshold below which one side
     of a two-sided part may be excused."""
 
-    collection: SetCollection
-    lam: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lam <= 0:
+    def __new__(cls, collection: SetCollection, lam: float):
+        if lam <= 0:
             raise ValueError("the threshold must be positive")
+        return super().__new__(cls, collection, lam)
 
 
-@dataclass(frozen=True)
-class RookCollectionParams:
+class RookCollectionParams(namedtuple("RookCollectionParams", "n beta")):
     """Parameters of the line-and-block collection over an n x n rook
     graph; beta defaults to floor(124 * ln n)."""
 
-    n: int
-    beta: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, beta: Optional[int] = None):
+        if n < 1:
             raise ValueError("n must be at least 1")
-        if self.beta is None:
-            object.__setattr__(self, "beta", int(math.floor(124 * math.log(self.n))))
-        if self.beta < 0:
+        if beta is None:
+            beta = int(math.floor(124 * math.log(n)))
+        if beta < 0:
             raise ValueError("beta must be nonnegative")
+        return super().__new__(cls, n, beta)
 
 
 def build_rook_collection(
@@ -165,8 +161,7 @@ def accepts(L: ListAssignment, P: Partition) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of a cover/semicover verification with a counterexample."""
 
     ok: bool
@@ -347,8 +342,7 @@ def exists_accepted_covered_partition(
     return (True, Partition(n, palette, tuple(parts)))
 
 
-@dataclass(frozen=True)
-class AcceptanceEstimate:
+class AcceptanceEstimate(NamedTuple):
     """Monte Carlo acceptance frequency next to the analytic bound it is
     meant to respect; the bound only binds when hypothesis_ok and < 1.
     Degenerate sampling (l2 = l1) leaves the bound vacuous."""

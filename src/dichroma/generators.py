@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, product
 from typing import TYPE_CHECKING, Sequence
 
@@ -158,8 +158,8 @@ def named_graph(name: str) -> Graph:
     return path_graph(first)
 
 
-@dataclass(frozen=True)
-class BorsukSampleConfig:
+class BorsukSampleConfig(namedtuple(
+        "BorsukSampleConfig", "n a cube_side delta perturbation_scale max_points")):
     """Finite sample of the distance-threshold graph on the unit n-sphere.
 
     The sphere lives in R^(n+1); points at Euclidean distance >= a are
@@ -170,24 +170,21 @@ class BorsukSampleConfig:
     only with probability zero.
     """
 
-    n: int
-    a: float
-    cube_side: float
-    delta: float = 0.0
-    perturbation_scale: float = 1.0
-    max_points: int = DEFAULT_VERTEX_LIMIT
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, a: float, cube_side: float, delta: float = 0.0,
+                perturbation_scale: float = 1.0, max_points: int = DEFAULT_VERTEX_LIMIT):
+        if n < 1:
             raise ValueError("sphere dimension must be at least 1")
-        if not 0.0 < self.a < 2.0:
+        if not 0.0 < a < 2.0:
             raise ValueError("need 0 < a < 2")
-        if self.delta == 0.0:
-            object.__setattr__(self, "delta", (2.0 - self.a) / 2.0)
-        if not 0.0 < self.delta <= (2.0 - self.a) / 2.0:
+        if delta == 0.0:
+            delta = (2.0 - a) / 2.0
+        if not 0.0 < delta <= (2.0 - a) / 2.0:
             raise ValueError("need 0 < delta <= (2-a)/2")
-        if self.cube_side <= 0.0:
+        if cube_side <= 0.0:
             raise ValueError("cube_side must be positive")
+        return super().__new__(cls, n, a, cube_side, delta, perturbation_scale, max_points)
 
 
 def _unit_hash_direction(key: tuple[int, ...], dim: int) -> np.ndarray:
@@ -317,31 +314,25 @@ def simplex_coloring(points: Sequence[Sequence[float]]) -> Coloring:
     return Coloring(tuple(range(dim + 1)), assignment)
 
 
-@dataclass(frozen=True)
-class EmbeddingWitness:
+class EmbeddingWitness(namedtuple("EmbeddingWitness", "source target mapping")):
     """An injective vertex map realising the source as an induced subgraph
     of the target; verified exhaustively at construction."""
 
-    source: Graph
-    target: Graph
-    mapping: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.mapping) != self.source.n:
+    def __new__(cls, source: Graph, target: Graph, mapping: tuple[int, ...]):
+        if len(mapping) != source.n:
             raise ValueError("mapping must cover the source vertex set")
-        if len(set(self.mapping)) != len(self.mapping):
+        if len(set(mapping)) != len(mapping):
             raise ValueError("mapping must be injective")
-        for w in self.mapping:
-            if not 0 <= w < self.target.n:
+        for w in mapping:
+            if not 0 <= w < target.n:
                 raise ValueError(f"image vertex {w} out of range")
-        for u in range(self.source.n):
-            for v in range(u + 1, self.source.n):
-                if self.source.has_edge(u, v) != self.target.has_edge(
-                    self.mapping[u], self.mapping[v]
-                ):
-                    raise ValueError(
-                        f"map does not preserve adjacency on ({u},{v})"
-                    )
+        for u in range(source.n):
+            for v in range(u + 1, source.n):
+                if source.has_edge(u, v) != target.has_edge(mapping[u], mapping[v]):
+                    raise ValueError(f"map does not preserve adjacency on ({u},{v})")
+        return super().__new__(cls, source, target, mapping)
 
 
 def embed_rook_in_kneser(n: int, k: int) -> EmbeddingWitness:

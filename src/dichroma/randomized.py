@@ -8,8 +8,8 @@ evaluation order, platform, or worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional
+from collections import namedtuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from .core import (
     Deadline,
@@ -66,18 +66,17 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-@dataclass(frozen=True)
-class RngSpec:
+class RngSpec(namedtuple("RngSpec", "seed")):
     """A 64-bit master seed plus the derivation rule for per-object streams.
 
     Equal specs produce identical draws regardless of the order in which
     objects are sampled.
     """
 
-    seed: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "seed", self.seed & _M64)
+    def __new__(cls, seed: int):
+        return super().__new__(cls, seed & _M64)
 
     def derive(self, *keys: int) -> "RngSpec":
         s = self.seed
@@ -119,8 +118,7 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float
     return (lo, hi)
 
 
-@dataclass(frozen=True)
-class EventEstimate:
+class EventEstimate(NamedTuple):
     """Monte Carlo frequency of an event with its 95% Wilson interval."""
 
     successes: int
@@ -363,27 +361,22 @@ def estimate_biclique_event(
     return EventEstimate.from_counts(sum(hits), trials)
 
 
-@dataclass(frozen=True)
-class GBoundParams:
+class GBoundParams(namedtuple("GBoundParams", "l1 l2 n s t u")):
     """Parameters of the list-thinning failure bound.
 
     l1 and l2 are the original and sampled list sizes, n the vertex count,
     s and t the collection bounds, u the palette size.
     """
 
-    l1: int
-    l2: int
-    n: int
-    s: int
-    t: int
-    u: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.l1 > self.l2 >= 1:
+    def __new__(cls, l1: int, l2: int, n: int, s: int, t: int, u: int):
+        if not l1 > l2 >= 1:
             raise ValueError("need l1 > l2 >= 1")
-        for name in ("n", "s", "t", "u"):
-            if getattr(self, name) < 1:
+        for name, value in (("n", n), ("s", s), ("t", t), ("u", u)):
+            if value < 1:
                 raise ValueError(f"{name} must be positive")
+        return super().__new__(cls, l1, l2, n, s, t, u)
 
 
 def g_bound_log(p: GBoundParams) -> float:
@@ -400,21 +393,18 @@ def g_bound(p: GBoundParams) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
-class ExpectationParams:
+class ExpectationParams(namedtuple("ExpectationParams", "m u k a")):
     """Parameters of the expected count of list-avoiding vertices: part
     size m, palette size u, list size k, forbidden-set size a."""
 
-    m: int
-    u: int
-    k: int
-    a: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 0 or self.a < 0:
+    def __new__(cls, m: int, u: int, k: int, a: int):
+        if m < 0 or a < 0:
             raise ValueError("m and a must be nonnegative")
-        if not 1 <= self.k <= self.u:
+        if not 1 <= k <= u:
             raise ValueError("need 1 <= k <= u")
+        return super().__new__(cls, m, u, k, a)
 
 
 def expected_avoiding_count(p: ExpectationParams) -> Fraction:

@@ -9,10 +9,9 @@ flagged certificate carrying the best bracketing interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .core import (
     Coloring,
@@ -41,8 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class Certificate:
+class Certificate(NamedTuple):
     """Result of an exact solve.
 
     When exact, value = lower = upper and the witness (if any) re-validates

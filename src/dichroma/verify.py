@@ -8,7 +8,7 @@ deterministic for a given seed and independent of the worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Optional
 
 from .catalogue import digraph_catalogue, graphs_up_to, random_digraph
@@ -26,7 +26,6 @@ from .core import (
     iter_bits,
     mask_of,
 )
-from .generators import kneser
 from .parallel import parallel_map
 from .products import cartesian_product, tensor_product
 from .randomized import RngSpec, uniform_below
@@ -57,17 +56,17 @@ KNESER_CHI_CASES = ((4, 1), (5, 1), (5, 2), (6, 2), (7, 2), (7, 3))
 _DOM_SIZE = 0x51
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(namedtuple("SuiteResult", "name ok rows summary unknown")):
     """ok means no row violates the property; unknown counts the rows a
     solve left undecided on its budget, which are neither passed nor
-    violated."""
+    violated. rows and summary default to a new empty list and dict."""
 
-    name: str
-    ok: bool
-    rows: list[dict] = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
-    unknown: int = 0
+    __slots__ = ()
+
+    def __new__(cls, name: str, ok: bool, rows: Optional[list[dict]] = None,
+                summary: Optional[dict] = None, unknown: int = 0):
+        return super().__new__(cls, name, ok, [] if rows is None else rows,
+                               {} if summary is None else summary, unknown)
 
 
 def _exact_value(cert: Optional[Certificate]) -> Optional[int]:
@@ -344,6 +343,8 @@ def bidirect_suite(max_n: int = 6, deadline: Optional[Deadline] = None) -> Suite
 
 def kneser_chi_suite(cases=KNESER_CHI_CASES, deadline: Optional[Deadline] = None) -> SuiteResult:
     """Exact chromatic numbers of the disjointness graphs match n-2k+2."""
+    from .generators import kneser
+
     solves = _SuiteSolves(deadline)
     rows = []
     for n, k in cases:
@@ -382,6 +383,8 @@ def catalogue_suite(
     partition enumeration, list/ordinary monotonicity, the small-graph
     evidence that chromatic number >= 3 forces dichromatic number >= 2,
     and consistency with the known Kneser lower bound."""
+    from .generators import kneser
+
     solves = _SuiteSolves(deadline)
     rows: list[dict] = []
 

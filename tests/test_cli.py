@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -612,3 +613,134 @@ def test_cli_malformed_json_inputs_exit_2(tmp_path, capsys, flag, payload):
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err.startswith(f"dichroma: {data}: expected a JSON object with ")
+
+
+def test_cli_size_limit_is_a_usage_error(capsys):
+    # a request over a construction's size limit is refused before any
+    # search starts, so it exits as a usage error, not as a spent deadline
+    assert run(["gen", "kneser", "40", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "budget exceeded" not in captured.err
+    assert captured.err == "dichroma: C(40,10) = 847660528 exceeds limit 5000\n"
+
+
+def test_cli_certification_failure_exits_3(tmp_path, capsys):
+    code, out = _run(capsys, ["gen", "multipartite", "2", "4"])
+    path = tmp_path / "k2222.g"
+    path.write_text(out)
+    code = run(["orient", "certified", str(path), "--l", "2", "--max-attempts", "3"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == ("dichroma: budget exceeded: "
+                            "no breaking orientation found in 3 attempts\n")
+
+
+# The modules bench/layers.py wraps right after `import dichroma.cli`
+# (Tracer.install reads each from sys.modules), so they stay eager.
+TRACED_MODULES = ("core", "randomized", "graphio", "records", "solvers", "catalogue",
+                  "products", "verify", "parallel")
+
+
+def test_cli_import_loads_only_eager_modules(tmp_path):
+    src = str(Path(dichroma.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, dichroma.cli; print(' '.join(sorted(sys.modules)))"
+    loaded = set(subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                env=env, check=True).stdout.split())
+    assert not loaded & {"dichroma.covers", "dichroma.generators", "dataclasses", "inspect"}
+    assert {f"dichroma.{m}" for m in TRACED_MODULES} <= loaded
+    # each command that needs a lazy module imports it itself
+    cli = [sys.executable, "-m", "dichroma.cli"]
+    rook = subprocess.run(cli + ["gen", "rook", "3"], capture_output=True, text=True,
+                          env=env, check=True).stdout
+    assert rook.startswith("g 9 18\n")
+    digraph = subprocess.run(cli + ["orient", "random", "--seed", "1"], input=rook,
+                             capture_output=True, text=True, env=env, check=True).stdout
+    assert digraph.startswith("d 9 18\n")
+    (tmp_path / "d.g").write_text(digraph)
+    for argv, expected in ((["embed", "rook-in-kneser", "--n", "6", "--k", "2"],
+                            "embedded 9 vertices into 15; adjacency preserved\n"),
+                           (["verify", "kneser-chi"], "verify kneser-chi: ok\n"),
+                           (["check", "cover", str(tmp_path / "d.g"), "--beta", "3"],
+                            "covers_all_acyclic True\n")):
+        proc = subprocess.run(cli + argv, capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith(expected)
+
+
+def _subcommands(parser) -> dict:
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+# One argv per leaf, with its required arguments and a few common options.
+LEAF_ARGS = {
+    ("gen", "kneser"): ["5", "2"],
+    ("gen", "multipartite"): ["2", "3"],
+    ("gen", "rook"): ["3"],
+    ("gen", "borsuk"): ["--n", "2", "--a", "1.5", "--cube-side", "0.5", "--delta", "0.1"],
+    ("gen", "named"): ["K4"],
+    ("product", "cartesian"): ["a.g", "b.g"],
+    ("product", "tensor"): ["a.g", "b.g"],
+    ("orient", "random"): [],
+    ("orient", "enumerate"): ["g.g", "--max-list", "3"],
+    ("orient", "certified"): ["--l", "2", "--break-cliques", "--max-attempts", "9"],
+    ("solve", "chromatic"): ["g.g"],
+    ("solve", "dichromatic"): [],
+    ("solve", "graph-dichromatic"): ["g.g"],
+    ("solve", "list-chromatic"): ["g.g"],
+    ("solve", "list-dichromatic"): ["d.g"],
+    ("check", "coloring"): ["g.g", "--coloring", "c.json"],
+    ("check", "dicoloring"): ["--coloring", "c.json"],
+    ("check", "cover"): ["d.g", "--collection", "c.json"],
+    ("check", "semicover"): ["--lambda", "3", "--beta", "1"],
+    ("mc", "biclique"): ["--graph", "K4", "--trials", "3", "--l", "2"],
+    ("mc", "acceptance"): ["d.g", "--trials", "3", "--l1", "2", "--l2", "1"],
+    ("bound", "g"): ["--n", "10", "--s", "2", "--t", "2", "--u", "3", "--l1", "3", "--l2", "2"],
+    ("bound", "concentration"): ["--n", "10", "--c", "1", "--t", "2"],
+    ("bound", "expectation"): ["--m", "3", "--u", "4", "--k", "2", "--a", "1"],
+    ("verify", "sabidussi"): ["--max-n", "3", "--pairs", "4", "--pair-max-n", "4"],
+    ("verify", "bidirect"): ["--max-n", "5"],
+    ("verify", "kneser-chi"): [],
+    ("verify", "catalogue"): ["--seed", "3"],
+    ("verify", "tensor-bound"): ["--max-n", "3", "--threads", "2"],
+    ("embed", "rook-in-kneser"): ["--n", "6", "--k", "2"],
+    ("embed", "kneser-tensor"): ["--n", "6", "--k", "2", "--n1", "4", "--k1", "1"],
+}
+
+
+def test_cli_group_parser_parses_as_the_full_tree():
+    from dichroma.cli import _build_parser
+
+    full = _build_parser(None)
+    assert set(LEAF_ARGS) == {(group, leaf) for group, sub in _subcommands(full).items()
+                              for leaf in _subcommands(sub)}
+    for (group, leaf), rest in LEAF_ARGS.items():
+        argv = [group, leaf, *rest, "--format", "json", "--timeout-s", "5"]
+        one = _build_parser(group)
+        assert set(_subcommands(one)) == set(_subcommands(full))
+        assert one.parse_args(argv) == full.parse_args(argv)
+
+
+def test_cli_group_parser_prints_the_full_tree_text(monkeypatch, capsys):
+    # help, usage errors and --version read the same with the per-group
+    # tree that run builds as with the whole tree
+    import dichroma.cli as cli
+
+    argvs = [["--help"], ["--version"], [], ["nosuch"], ["solve"], ["solve", "nosuch"],
+             ["solve", "chromatic", "--seed", "x"]]
+    argvs += [[group, "--help"] for group in dict.fromkeys(g for g, _ in LEAF_ARGS)]
+    argvs += [[group, leaf, "--help"] for group, leaf in LEAF_ARGS]
+    argvs += [["gen", "kneser"], ["gen", "borsuk", "--n", "2"], ["check", "coloring"],
+              ["mc", "biclique"], ["bound", "g"], ["embed", "kneser-tensor", "--n", "6"]]
+    per_group = []
+    for argv in argvs:
+        code = run(argv)
+        per_group.append((code, *capsys.readouterr()))
+    full = cli._build_parser(None)
+    monkeypatch.setattr(cli, "_build_parser", lambda group: full)
+    for argv, seen in zip(argvs, per_group):
+        code = run(argv)
+        assert (code, *capsys.readouterr()) == seen, argv
+    assert per_group[0][0] == 0 and per_group[0][1].startswith("usage: dichroma ")
+    assert per_group[5][0] == 2 and "invalid choice: 'nosuch'" in per_group[5][2]

@@ -1,0 +1,137 @@
+"""The package's value classes: construction, defaults, validation,
+normalisation, repr, equality, hashing and pickling."""
+
+import pickle
+
+import pytest
+
+from dichroma.core import Coloring, Graph, ListAssignment, Orientation, Partition
+from dichroma.covers import (
+    AcceptanceEstimate,
+    CheckReport,
+    RookCollectionParams,
+    SemicoverSpec,
+    SetCollection,
+)
+from dichroma.generators import BorsukSampleConfig, EmbeddingWitness, complete_graph
+from dichroma.randomized import EventEstimate, ExpectationParams, GBoundParams, RngSpec
+from dichroma.solvers import Certificate
+from dichroma.verify import SuiteResult
+
+PATH3 = Graph(3, [(0, 1), (1, 2)])
+COLLECTION = SetCollection((frozenset({0, 1}), frozenset({2})), 2, 2)
+EVENT = EventEstimate.from_counts(3, 4)
+
+# (class, fields in order, positional arguments)
+RECORDS = [
+    (Orientation, ("base", "direction"), (PATH3, (False, True))),
+    (Coloring, ("palette", "assignment"), ((0, 1), (0, 1, 0))),
+    (Partition, ("n", "palette", "parts"), (3, (0, 1), (frozenset({0, 2}), frozenset({1})))),
+    (ListAssignment, ("palette", "lists", "k"), ((0, 1, 2), (frozenset({0, 1}),) * 3, 2)),
+    (RngSpec, ("seed",), (7,)),
+    (EventEstimate, ("successes", "trials", "estimate", "ci_low", "ci_high"),
+     (3, 4, 0.75, EVENT.ci_low, EVENT.ci_high)),
+    (GBoundParams, ("l1", "l2", "n", "s", "t", "u"), (3, 2, 10, 2, 2, 3)),
+    (ExpectationParams, ("m", "u", "k", "a"), (3, 4, 2, 1)),
+    (SetCollection, ("members", "s", "t"), (COLLECTION.members, 2, 2)),
+    (SemicoverSpec, ("collection", "lam"), (COLLECTION, 3.0)),
+    (RookCollectionParams, ("n", "beta"), (3, 1)),
+    (CheckReport, ("ok", "counterexample"), (False, frozenset({1}))),
+    (AcceptanceEstimate, ("event", "bound", "hypothesis_ok", "params"),
+     (EVENT, 0.5, True, GBoundParams(3, 2, 10, 2, 2, 3))),
+    (BorsukSampleConfig, ("n", "a", "cube_side", "delta", "perturbation_scale", "max_points"),
+     (2, 1.5, 0.5, 0.1, 2.0, 100)),
+    (EmbeddingWitness, ("source", "target", "mapping"), (complete_graph(2), PATH3, (0, 1))),
+    (Certificate, ("value", "exact", "lower", "upper", "witness", "witness_orientation",
+                   "rejecting_assignment", "detail"),
+     (2, True, 2, 2, Coloring((0, 1), (0, 1, 0)), Orientation(PATH3, (True, False)),
+      ListAssignment((0,), (frozenset({0}),) * 3, 1), "closed")),
+    (SuiteResult, ("name", "ok", "rows", "summary", "unknown"),
+     ("x", True, [{"equal": True}], {"rows": 1}, 0)),
+]
+MUTABLE = (SuiteResult,)  # holds a list and a dict, so it has no hash
+
+
+@pytest.mark.parametrize("cls, fields, args", RECORDS,
+                         ids=[cls.__name__ for cls, *_ in RECORDS])
+def test_record_construction_equality_and_pickling(cls, fields, args):
+    obj = cls(*args)
+    assert cls._fields == fields
+    assert obj == cls(**dict(zip(fields, args)))
+    assert tuple(getattr(obj, f) for f in fields) == args
+    assert repr(obj).startswith(f"{cls.__name__}({fields[0]}=")
+    back = pickle.loads(pickle.dumps(obj))
+    assert back == obj and type(back) is cls
+    with pytest.raises(AttributeError):
+        setattr(obj, fields[0], args[0])
+    if cls not in MUTABLE:
+        assert hash(obj) == hash(cls(*args))
+
+
+def test_record_defaults():
+    assert RookCollectionParams(9) == RookCollectionParams(9, 272)
+    assert CheckReport(True).counterexample is None
+    cert = Certificate(2, True, 2, 2)
+    assert (cert.witness, cert.witness_orientation, cert.rejecting_assignment,
+            cert.detail) == (None, None, None, "")
+    config = BorsukSampleConfig(2, 0.5, 0.1)
+    assert (config.delta, config.perturbation_scale, config.max_points) == (0.75, 1.0, 5000)
+    a, b = SuiteResult("x", True), SuiteResult("x", True)
+    assert (a.rows, a.summary, a.unknown) == ([], {}, 0)
+    a.rows.append({})
+    assert b.rows == []  # each result gets its own list
+
+
+def test_record_normalisation():
+    assert RngSpec(-1).seed == (1 << 64) - 1
+    assert RngSpec(1 << 64 | 5).seed == 5
+    assert RookCollectionParams(9).beta == 272  # floor(124 ln 9)
+    assert RookCollectionParams(1).beta == 0
+    assert BorsukSampleConfig(2, 0.5, 0.1).delta == 0.75  # (2 - a) / 2
+    assert BorsukSampleConfig(2, 0.5, 0.1, delta=0.25).delta == 0.25
+
+
+def test_record_reprs_are_unchanged():
+    assert repr(Coloring((0, 1), (0, 1, 0))) == "Coloring(palette=(0, 1), assignment=(0, 1, 0))"
+    assert (repr(Orientation(PATH3, (False, True)))
+            == "Orientation(base=Graph(n=3, m=2), direction=(False, True))")
+    assert repr(RngSpec(-1)) == "RngSpec(seed=18446744073709551615)"
+    assert repr(EVENT) == ("EventEstimate(successes=3, trials=4, estimate=0.75, "
+                           "ci_low=0.3006418425824019, ci_high=0.9544127391902995)")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Orientation(PATH3, (False,)), "1 direction bits for 2 edges"),
+    (lambda: Coloring((0, 0), (0,)), "palette colours must be distinct"),
+    (lambda: Coloring((0, 1), (0, 2)), "vertex 1 assigned colour 2 outside palette"),
+    (lambda: Partition(2, (0,), ()), "one part per palette colour required"),
+    (lambda: Partition(2, (0, 1), (frozenset({0}), frozenset({0}))),
+     "parts must be pairwise disjoint"),
+    (lambda: Partition(3, (0, 1), (frozenset({0}), frozenset({1}))),
+     "parts must partition the vertex set"),
+    (lambda: ListAssignment((0, 0), (), 1), "palette colours must be distinct"),
+    (lambda: ListAssignment((0, 1), (frozenset({0}),), 2), "list of vertex 0 has size 1, not 2"),
+    (lambda: ListAssignment((0,), (frozenset({1}),), 1), "list of vertex 0 leaves the palette"),
+    (lambda: GBoundParams(2, 2, 1, 1, 1, 1), "need l1 > l2 >= 1"),
+    (lambda: GBoundParams(3, 2, 1, 0, 1, 1), "s must be positive"),
+    (lambda: GBoundParams(3, 2, 1, 1, 1, 0), "u must be positive"),
+    (lambda: ExpectationParams(-1, 4, 2, 1), "m and a must be nonnegative"),
+    (lambda: ExpectationParams(3, 4, 5, 1), r"need 1 <= k <= u"),
+    (lambda: SetCollection((frozenset(),) * 2, 1, 1), "2 members exceed the bound s=1"),
+    (lambda: SetCollection((frozenset({0, 1}),), 1, 1), "member 0 has 2 vertices, above t=1"),
+    (lambda: SemicoverSpec(COLLECTION, 0), "the threshold must be positive"),
+    (lambda: RookCollectionParams(0), "n must be at least 1"),
+    (lambda: RookCollectionParams(3, -1), "beta must be nonnegative"),
+    (lambda: BorsukSampleConfig(0, 1.0, 1.0), "sphere dimension must be at least 1"),
+    (lambda: BorsukSampleConfig(1, 2.0, 1.0), "need 0 < a < 2"),
+    (lambda: BorsukSampleConfig(1, 1.0, 1.0, delta=0.75), r"need 0 < delta <= \(2-a\)/2"),
+    (lambda: BorsukSampleConfig(1, 1.0, 0.0), "cube_side must be positive"),
+    (lambda: EmbeddingWitness(PATH3, PATH3, (0, 1)), "mapping must cover the source vertex set"),
+    (lambda: EmbeddingWitness(complete_graph(2), PATH3, (0, 0)), "mapping must be injective"),
+    (lambda: EmbeddingWitness(complete_graph(2), PATH3, (0, 3)), "image vertex 3 out of range"),
+    (lambda: EmbeddingWitness(complete_graph(2), PATH3, (0, 2)),
+     r"map does not preserve adjacency on \(0,1\)"),
+])
+def test_record_validation_messages(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
