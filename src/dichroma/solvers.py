@@ -2,7 +2,8 @@
 
 All searches are deterministic: vertices branch in a fixed order, colour
 symmetry is broken by allowing at most one previously unused colour, and
-list assignments are enumerated in a canonical first-use normal form.
+list assignments are enumerated one per colour-renaming class, in a
+canonical first-use normal form.
 Budget exhaustion never produces a silent wrong answer; it returns a
 flagged certificate carrying the best bracketing interval.
 """
@@ -415,14 +416,17 @@ def find_acceptable_coloring(
 
 
 def canonical_list_assignments(n: int, k: int) -> Iterator[ListAssignment]:
-    """k-list assignments on n vertices in first-use normal form.
+    """One k-list assignment on n vertices per colour-renaming class.
 
     Scanning vertices in index order, every colour beyond the current
-    maximum must be the next unused integer. Every assignment over any
-    palette is a renaming of at least one normal form, so quantifying
-    over these decides list colourability; a palette of n*k colours
-    suffices. Classes whose symmetric colours diverge later can appear
-    more than once, which costs time but never correctness.
+    maximum must be the next unused integer (first-use normal form), and
+    colours whose columns (the vertices so far whose lists hold them) are
+    equal are interchangeable, so a colour joins a list only together
+    with every lower colour of the same column. What is yielded is the
+    first of each class in the unfiltered first-use order. Every
+    assignment over any palette is a renaming of exactly one of these,
+    and renaming preserves colourability, so quantifying over them
+    decides list colourability; a palette of n*k colours suffices.
     """
     if n == 0:
         yield ListAssignment((), (), k)
@@ -432,19 +436,33 @@ def canonical_list_assignments(n: int, k: int) -> Iterator[ListAssignment]:
         return
 
     lists: list[frozenset[int]] = []
+    columns = [0] * (n * k + 1)
 
     def rec(i: int, top: int) -> Iterator[tuple[tuple[frozenset[int], ...], int]]:
         if i == n:
             yield tuple(lists), top
             return
+        # twin[c]: the largest lower colour whose column equals c's, or 0
+        twin, last = [0] * (top + 1), {}
+        for c in range(1, top + 1):
+            twin[c] = last.get(columns[c], 0)
+            last[columns[c]] = c
+        bit = 1 << i
         for fresh in range(0, k + 1):
             if k - fresh > top:
                 continue
             new_part = frozenset(range(top + 1, top + fresh + 1))
             for old in combinations(range(1, top + 1), k - fresh):
-                lists.append(frozenset(old) | new_part)
+                if any(twin[c] and twin[c] not in old for c in old):
+                    continue
+                lst = frozenset(old) | new_part
+                for c in lst:
+                    columns[c] |= bit
+                lists.append(lst)
                 yield from rec(i + 1, top + fresh)
                 lists.pop()
+                for c in lst:
+                    columns[c] ^= bit
 
     for chosen, top in rec(0, 0):
         yield ListAssignment(tuple(range(1, top + 1)), chosen, k)

@@ -212,28 +212,43 @@ def _column_multisets(n, k):
     yield from rec((1 << n) - 1, [], [0] * n)
 
 
+def _some_pick_passes(n, options, class_ok):
+    """Some choice of one option per vertex gives classes (the vertices
+    sharing a choice) that all pass class_ok."""
+    return any(
+        all(class_ok([v for v in range(n) if pick[v] == j]) for j in set(pick))
+        for pick in product(*options)
+    )
+
+
 def _brute_list_number(n, class_ok):
     """Smallest k at which every k-list assignment admits a choice of one
     colour per vertex whose colour classes all pass class_ok."""
     if n == 0:
         return 0
     for k in range(1, n + 1):
-        accepts_all = True
-        for cols in _column_multisets(n, k):
-            options = [[j for j, col in enumerate(cols) if col >> v & 1] for v in range(n)]
-            if not any(
-                all(class_ok([v for v in range(n) if pick[v] == j]) for j in set(pick))
-                for pick in product(*options)
-            ):
-                accepts_all = False
-                break
-        if accepts_all:
+        if all(
+            _some_pick_passes(
+                n, [[j for j, col in enumerate(cols) if col >> v & 1] for v in range(n)],
+                class_ok)
+            for cols in _column_multisets(n, k)
+        ):
             return k
     raise AssertionError("no list size up to n accepts")
 
 
+def _dicycle_free(arcs):
+    return lambda block: acyclic_by_dfs(*relabel(arcs, block))
+
+
+def brute_list_dicolourable(n, arcs, lists):
+    """Some colour from each vertex's list leaves every colour class
+    inducing an acyclic subdigraph."""
+    return _some_pick_passes(n, [sorted(lst) for lst in lists], _dicycle_free(arcs))
+
+
 def brute_list_dichromatic(n, arcs):
-    return _brute_list_number(n, lambda block: acyclic_by_dfs(*relabel(arcs, block)))
+    return _brute_list_number(n, _dicycle_free(arcs))
 
 
 def brute_list_chromatic(n, edges):

@@ -518,8 +518,11 @@ def test_cli_timeout_in_arboricity_search(monkeypatch, tmp_path, capsys):
 def test_cli_output_is_pinned(tmp_path, capsys):
     # the exact bytes each analysis command writes, as text and as JSON
     # (runtime_ms stripped), so a change to the shared renderer shows here
+    # bidirected K_{2,4}: list dichromatic number 3, and the rejecting
+    # 2-assignment is the classic one with lists {1,2}, {3,4} on one side
+    k24 = bidirect(Graph(6, [(u, v) for u in (0, 1) for v in range(2, 6)]))
     for name, obj in (("k3.g", kneser(3, 1)), ("p3.g", Graph(3, [(0, 1), (1, 2)])),
-                      ("petersen.g", kneser(5, 2))):
+                      ("petersen.g", kneser(5, 2)), ("k24.d", k24)):
         (tmp_path / name).write_text(format_graph(obj))
     colouring = tmp_path / "colours.json"
     colouring.write_text(json.dumps({"palette": [0, 1, 2], "assignment": [0, 1, 2]}))
@@ -545,6 +548,21 @@ def test_cli_output_is_pinned(tmp_path, capsys):
          '  "value": 0.6065306597126334\n}\n'),
         (check + ["--format", "json"],
          '{\n  "command": "check coloring",\n  "params": {},\n  "proper": true,\n'
+         f'  "schema": "dichroma.result.v1",\n  "tool_version": "{version}"\n}}\n'),
+        (["solve", "list-dichromatic", str(tmp_path / "k24.d"), "--format", "json"],
+         '{\n  "certificate": {\n'
+         '    "detail": "3 meets the upper bound 1 + in/out-degeneracy",\n'
+         '    "exact": true,\n    "lower": 3,\n    "rejecting_assignment": {\n'
+         '      "k": 2,\n      "lists": [\n'
+         '        [\n          1,\n          2\n        ],\n'
+         '        [\n          3,\n          4\n        ],\n'
+         '        [\n          1,\n          3\n        ],\n'
+         '        [\n          1,\n          4\n        ],\n'
+         '        [\n          2,\n          3\n        ],\n'
+         '        [\n          2,\n          4\n        ]\n'
+         '      ],\n      "palette": [\n        1,\n        2,\n        3,\n        4\n      ]\n'
+         '    },\n    "upper": 3,\n    "value": 3\n  },\n'
+         '  "command": "solve list-dichromatic",\n  "params": {\n    "timeout_s": 120\n  },\n'
          f'  "schema": "dichroma.result.v1",\n  "tool_version": "{version}"\n}}\n'),
     ]
     for argv, expected in cases:

@@ -43,9 +43,11 @@ from dichroma.solvers import (
 )
 
 from oracles import (
+    _column_multisets,
     brute_chromatic,
     brute_list_chromatic,
     brute_list_dichromatic,
+    brute_list_dicolourable,
     brute_min_acyclic_parts,
     induces_forest,
 )
@@ -270,13 +272,75 @@ def test_list_chromatic_examples():
     assert list_chromatic_number(Graph(4), Deadline(300)).value == 1
 
 
+def _first_use_assignments(n, k):
+    """Reference for canonical_list_assignments: every k-list assignment on
+    n vertices in first-use normal form, renamings of one another included,
+    in the order the canonical generator keeps."""
+    if n == 0:
+        yield ListAssignment((), (), k)
+        return
+    if k == 0:
+        yield ListAssignment((), (frozenset(),) * n, 0)
+        return
+    lists = []
+
+    def rec(i, top):
+        if i == n:
+            yield tuple(lists), top
+            return
+        for fresh in range(0, k + 1):
+            if k - fresh > top:
+                continue
+            new_part = frozenset(range(top + 1, top + fresh + 1))
+            for old in combinations(range(1, top + 1), k - fresh):
+                lists.append(frozenset(old) | new_part)
+                yield from rec(i + 1, top + fresh)
+                lists.pop()
+
+    for chosen, top in rec(0, 0):
+        yield ListAssignment(tuple(range(1, top + 1)), chosen, k)
+
+
+def _column_multiset(L):
+    """The renaming class of L: the sorted vertex sets its colours cover."""
+    columns = {}
+    for v, lst in enumerate(L.lists):
+        for c in lst:
+            columns[c] = columns.get(c, 0) | 1 << v
+    return tuple(sorted(columns.values()))
+
+
+CLASS_SIZES = [(n, k) for n in range(6) for k in range(3)] + [(n, 3) for n in range(5)] + [(3, 4)]
+
+
+@pytest.mark.parametrize("n,k", CLASS_SIZES)
+def test_canonical_assignments_are_first_of_each_renaming_class(n, k):
+    seen = set()
+    firsts = []
+    for L in _first_use_assignments(n, k):
+        key = _column_multiset(L)
+        if key not in seen:
+            seen.add(key)
+            firsts.append(L)
+    assert list(canonical_list_assignments(n, k)) == firsts
+
+
+@pytest.mark.parametrize("n,k,classes", [
+    (4, 2, 139), (5, 2, 1750), (4, 3, 862), (3, 4, 81), (4, 4, 4079),
+])
+def test_canonical_assignments_count_renaming_classes(n, k, classes):
+    yielded = sum(1 for _ in canonical_list_assignments(n, k))
+    assert yielded == classes == sum(1 for _ in _column_multisets(n, k))
+
+
 def test_canonical_assignments_first_use_form():
-    for L in canonical_list_assignments(3, 2):
-        seen_max = 0
-        for lst in L.lists:
-            fresh = sorted(c for c in lst if c > seen_max)
-            assert fresh == list(range(seen_max + 1, seen_max + 1 + len(fresh)))
-            seen_max += len(fresh)
+    for n, k in ((3, 2), (5, 2), (4, 3)):
+        for L in canonical_list_assignments(n, k):
+            seen_max = 0
+            for lst in L.lists:
+                fresh = sorted(c for c in lst if c > seen_max)
+                assert fresh == list(range(seen_max + 1, seen_max + 1 + len(fresh)))
+                seen_max += len(fresh)
 
 
 def _accepts_all_brute(d: Digraph, k: int) -> bool:
@@ -308,14 +372,19 @@ def test_canonical_enumeration_matches_full_enumeration():
             assert canonical_all == _accepts_all_brute(d, k)
 
 
-def _full_sweep(obj, finder) -> int:
-    """List number by sweeping canonical assignments level by level, with
-    the search set up afresh for every assignment and no bound."""
+def _full_sweep(obj, finder):
+    """List number by sweeping the reference assignments level by level,
+    with the search set up afresh for every assignment and no bound, and
+    the first rejecting assignment of the level below it."""
     if obj.n == 0:
-        return 0
+        return 0, None
+    rejecting = None
     for k in count(1):
-        if all(finder(obj, L) is not None for L in canonical_list_assignments(obj.n, k)):
-            return k
+        first = next((L for L in _first_use_assignments(obj.n, k) if finder(obj, L) is None),
+                     None)
+        if first is None:
+            return k, rejecting
+        rejecting = first
 
 
 def _check_list_certificate(obj, cert, finder, expected):
@@ -329,15 +398,17 @@ def _check_list_certificate(obj, cert, finder, expected):
 def test_list_dichromatic_matches_full_sweep():
     for d in digraph_catalogue(4):
         cert = list_dichromatic_number(d, Deadline(300))
-        expected = _full_sweep(d, find_acceptable_dicoloring)
+        expected, rejecting = _full_sweep(d, find_acceptable_dicoloring)
         _check_list_certificate(d, cert, find_acceptable_dicoloring, expected)
+        assert cert.rejecting_assignment == rejecting
 
 
 def test_list_chromatic_matches_full_sweep():
     for g in graph_catalogue(4):
         cert = list_chromatic_number(g, Deadline(300))
-        expected = _full_sweep(g, find_acceptable_coloring)
+        expected, rejecting = _full_sweep(g, find_acceptable_coloring)
         _check_list_certificate(g, cert, find_acceptable_coloring, expected)
+        assert cert.rejecting_assignment == rejecting
 
 
 def test_list_numbers_against_brute_force():
@@ -361,6 +432,17 @@ def test_list_bound_closes_without_sweep():
     # C4 is 2-choosable below its bound 3, so the k = 2 sweep decides
     cert = list_chromatic_number(cycle_graph(4), Deadline(300))
     assert cert.value == 2 and "every canonical 2-assignment" in cert.detail
+
+
+def test_list_dichromatic_below_bound_on_five_vertices():
+    # in/out-degeneracy 3, so the bound is 4; the k = 3 sweep decides
+    arcs = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 0), (1, 3), (1, 4), (2, 0), (2, 3), (2, 4),
+            (3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2)]
+    cert = list_dichromatic_number(Digraph(5, arcs), Deadline(60))
+    assert cert.exact and cert.value == 3
+    assert cert.detail == "every canonical 3-assignment accepts a colouring"
+    rej = cert.rejecting_assignment
+    assert rej.k == 2 and not brute_list_dicolourable(5, arcs, rej.lists)
 
 
 def _fire_after(monkeypatch, calls: int, poll: str = "check") -> None:
