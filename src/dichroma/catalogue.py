@@ -1,34 +1,42 @@
 """Canonical catalogues of small graphs and digraphs.
 
 A graph or digraph on n vertices is a bit mask over vertex pairs: bit i
-stands for the i-th unordered pair (graphs) or ordered pair (digraphs).
-Its canonical form is the least mask over all n! vertex permutations.
-`_canonical_masks` finds it for many masks at once. For each permutation
-it builds one lookup table per 7-bit slice of the mask, mapping each of
-the 128 slice values to the bits of its image; the image of a whole mask
-is the OR of one table entry per slice. Small inputs (every catalogue up
-to 5 vertices for graphs and 4 for oriented digraphs) gather the entries
-in pure Python, which costs less than importing numpy. Larger ones import
-numpy on first use and gather for every mask and a block of permutations
-at once, the block sized to keep each temporary near 128 KiB, with int32
-masks while they fit in 31 bits.
+stands for the i-th unordered pair in `combinations` order (graphs) or
+the i-th ordered pair in row-major order (digraphs). Its canonical form
+is the least mask over all n! vertex permutations. One relabelling
+primitive tabulates, per slice of five positions, the image of each slice
+value under each of a list of permutations, so all images of a mask are
+a few list slices ORed by `map`.
 
-Both catalogues are generated by canonical extension (McKay,
-"Isomorph-free exhaustive generation", J. Algorithms 1998): each
-canonical member on n-1 vertices gets a new last vertex joined to the
-others in every possible way, and one representative per canonical mask
-is kept. Known class counts are asserted in the tests (1, 2, 4, 11, 34,
-156, 1044 for graphs; 1, 2, 7, 42, 582 for oriented digraphs; 1, 1, 2, 4
-for tournaments).
+Graphs come by canonical augmentation (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 1998). The pairs that avoid vertex 0 are the
+top C(n-1, 2) bits, so the least mask of G is least(G - v) << (n-1) | N(v)
+for the vertex v placed at 0. A canonical parent P on n-1 vertices with a
+new vertex 0 joined to x is thus canonical exactly when x is least in its
+Aut(P)-orbit and no vertex w gives a smaller (least(G - w), N(w) mapped
+onto it). An orbit table of every mask on n-1 vertices, filled by
+relabelling the parents, gives least(G - w) and that map, and Aut(P).
+The row-major arc order has no such prefix, so each canonical oriented
+digraph on n-1 vertices gets a new last vertex joined in every possible
+way, and each orbit met among these candidates is expanded once. Class
+counts are asserted in the tests (1, 2, 4, 11, 34, 156, 1044, 12346 for
+graphs; 1, 2, 7, 42, 582 for oriented digraphs; 1, 1, 2, 4 for
+tournaments).
+
+Catalogues are cached per n. A deadline passed in is polled per parent
+(per orbit for oriented digraphs) while a level is built; a build it cuts
+short raises BudgetExceededError and caches nothing.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations, islice, permutations
-from math import factorial
+from functools import lru_cache, wraps
+from itertools import combinations, compress, count, permutations
+from operator import or_
+from typing import Optional
 
-from .core import Digraph, Graph, bidirect
+from .core import Deadline, Digraph, Graph, bidirect
+from .errors import BudgetExceededError, LimitExceededError
 from .randomized import DOMAIN_PAIR, RngSpec, stream_u64
 
 __all__ = [
@@ -40,14 +48,9 @@ __all__ = [
     "random_digraph",
 ]
 
-_SLICE = 7
+# positions per table slice: 32 entries per permutation and slice
+_SLICE = 5
 _SLICE_MASK = (1 << _SLICE) - 1
-# permutations x masks up to which the tables are gathered in pure Python,
-# which costs less than importing numpy (every catalogue up to 5 vertices
-# for graphs and 4 for oriented digraphs)
-_PYTHON_WORK = 1 << 16
-# permutations x masks per gathered numpy temporary: 128 KiB of int32
-_BLOCK_ELEMENTS = 1 << 15
 
 
 @lru_cache(maxsize=None)
@@ -60,147 +63,193 @@ def _arc_positions(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((u, v) for u in range(n) for v in range(n) if u != v)
 
 
-def _slice_table(bits: list[int]) -> list[int]:
-    """Entry x is the OR of bits[j] over the set bits j of x."""
-    table = [0]
-    for bit in bits:
-        table += [x | bit for x in table]
+def _table(columns: list[list[int]], perms: int) -> list[int]:
+    """Entry x * perms + i is the OR of columns[j][i] over the set bits j
+    of x: the image of x under permutation i."""
+    table = [0] * perms
+    for column in columns:
+        table += map(or_, table, column * (len(table) // perms))
     return table
 
 
-def _canonical_masks(n: int, masks: list[int], positions, symmetric: bool) -> list[int]:
-    """Least mask over all vertex permutations, for each input mask. Bit i
-    stands for positions[i]; symmetric means the positions are unordered
-    pairs, so a permuted pair is looked up either way round."""
-    if n <= 1 or not masks:
-        return list(masks)
+def _relabeller(perms, positions, symmetric: bool) -> tuple[int, list[list[int]]]:
+    """Tables for _images: permutation p moves vertex u to p[u], so bit i
+    (positions[i], unordered when symmetric) moves to the bit of the
+    permuted pair."""
     index = {}
     for i, (u, v) in enumerate(positions):
         index[(u, v)] = i
         if symmetric:
             index[(v, u)] = i
-    # per permutation, the image bit of each position
-    images = ([1 << index[(perm[u], perm[v])] for u, v in positions]
-              for perm in permutations(range(n)))
-    if factorial(n) * len(masks) > _PYTHON_WORK:
-        return _canonical_masks_numpy(n, masks, len(positions), images)
-    best = list(masks)
-    for image in images:
-        tables = [_slice_table(image[s : s + _SLICE]) for s in range(0, len(image), _SLICE)]
-        for j, x in enumerate(masks):
-            y = 0
-            for table in tables:
-                y |= table[x & _SLICE_MASK]
-                x >>= _SLICE
-            if y < best[j]:
-                best[j] = y
-    return best
+    moves = [[1 << index[(p[u], p[v])] for p in perms] for u, v in positions]
+    return len(perms), [_table(moves[s : s + _SLICE], len(perms))
+                        for s in range(0, len(moves), _SLICE)]
 
 
-def _canonical_masks_numpy(n: int, masks: list[int], m: int, images) -> list[int]:
-    """The same tables built and gathered by numpy, for a block of
-    permutations and every mask at once."""
-    import numpy as np
-
-    dtype = np.int32 if m <= 31 else np.int64
-    slices = -(-m // _SLICE)
-    arr = np.asarray(masks, dtype=dtype)
-    # column s*128 + x of a block's tables holds the image of value x in slice s
-    keys = [((arr >> (_SLICE * s)) & _SLICE_MASK).astype(np.intp) + (s << _SLICE)
-            for s in range(slices)]
-    value_bits = ((np.arange(1 << _SLICE)[:, None] >> np.arange(_SLICE)) & 1).astype(dtype)
-    block = min(factorial(n), max(1, _BLOCK_ELEMENTS // len(arr)))
-    best = arr.copy()
-    image = np.empty((block, len(arr)), dtype=dtype)
-    part = np.empty_like(image)
-    bits = np.zeros((block, slices * _SLICE), dtype=dtype)
-    while True:
-        chunk = list(islice(images, block))
-        if not chunk:
-            return best.tolist()
-        b = len(chunk)
-        bits[:b, :m] = chunk
-        tables = (bits[:b].reshape(b, slices, _SLICE) @ value_bits.T).reshape(b, -1)
-        np.take(tables, keys[0], axis=1, out=image[:b], mode="clip")
-        for key in keys[1:]:
-            np.take(tables, key, axis=1, out=part[:b], mode="clip")
-            np.bitwise_or(image[:b], part[:b], out=image[:b])
-        np.minimum(best, image[:b].min(axis=0), out=best)
+def _images(relabeller, x: int) -> list[int]:
+    """The image of mask x under each permutation of the relabeller."""
+    perms, tables = relabeller
+    out = [0] * perms
+    for table in tables:
+        key = (x & _SLICE_MASK) * perms
+        out = map(or_, out, table[key : key + perms])
+        x >>= _SLICE
+    return list(out)
 
 
-def _canonical_extensions(n: int, parents, positions, symmetric: bool) -> list[int]:
-    """Sorted distinct canonical masks of every parent (the pairs of a
-    member on n-1 vertices) with a new last vertex joined to the others in
-    every possible way: by an edge or not when symmetric, else by no arc
-    or an arc either way."""
+def _poll(deadline: Optional[Deadline], n: int) -> None:
+    if deadline is not None and deadline.expired():
+        raise BudgetExceededError(f"deadline reached building the {n}-vertex catalogue")
+
+
+def _canonical_masks(n: int, masks: list[int], positions, symmetric: bool,
+                     deadline: Optional[Deadline] = None) -> list[int]:
+    """Least mask over all vertex permutations, for each input mask. Bit i
+    stands for positions[i]; symmetric means the positions are unordered
+    pairs. Each orbit is expanded once, at its first input mask."""
+    if n <= 1 or not masks:
+        return list(masks)
+    relabeller = _relabeller(list(permutations(range(n))), positions, symmetric)
+    wanted = set(masks)
+    least: dict[int, int] = {}
+    for x in masks:
+        if x not in least:
+            _poll(deadline, n)
+            images = _images(relabeller, x)
+            lowest = min(images)
+            for y in wanted.intersection(images):
+                least[y] = lowest
+    return [least[x] for x in masks]
+
+
+def _augment(k: int, parents: list[int], deadline: Optional[Deadline]) -> list[int]:
+    """Ascending least masks of the graphs on k + 1 vertices, from the
+    ascending least masks of those on k vertices (see the module doc)."""
+    from array import array  # here, so that importing the CLI does not load it
+
+    perms = list(permutations(range(k)))
+    f = len(perms)
+    relabeller = _relabeller(perms, _edge_positions(k), True)
+    # entry y * f + i: the vertex set y moved by the inverse of perms[i]
+    inverses = [sorted(range(k), key=p.__getitem__) for p in perms]
+    inverse = _table([[1 << q[v] for q in inverses] for v in range(k)], f)
+    # entry of mask Q: p * f + i where perms[i] moves parents[p] onto Q
+    orbits = array("i", bytes(4 << len(_edge_positions(k))))
+    least = []  # per parent, the least vertex set in each Aut(P)-orbit
+    for p, mask in enumerate(parents):
+        _poll(deadline, k + 1)
+        images = _images(relabeller, mask)
+        for q, entry in dict(zip(images, count(p * f))).items():
+            orbits[q] = entry
+        automorphisms = compress(count(), map(mask.__eq__, images))
+        least.append(list(map(min, zip(*(inverse[a::f] for a in automorphisms)))))
+    # moving vertex w to 0 turns the mask of G into (G - w) << k | N(w); a
+    # relabelling maps ORs to ORs, so the images of P << k | x are those of
+    # P << k ORed with those of x
+    fronts = _relabeller([(*range(1, w + 1), 0, *range(w + 1, k + 1)) for w in range(1, k + 1)],
+                         _edge_positions(k + 1), True)
+    joins = [_images(fronts, x) for x in range(1 << k)]
+    low = (1 << k) - 1
+    out = []
+    for p, mask in enumerate(parents):
+        _poll(deadline, k + 1)
+        lo, hi, orbit_least = p * f, p * f + f, least[p]
+        rest = _images(fronts, mask << k)
+        for x in range(1 << k):
+            if orbit_least[x] != x:
+                continue
+            for image in map(or_, rest, joins[x]):
+                entry = orbits[image >> k]
+                if entry < lo:
+                    break  # G - w is a smaller parent
+                if entry < hi and orbit_least[inverse[(image & low) * f + entry - lo]] < x:
+                    break  # G - w is P, and N(w) maps below x
+            else:
+                out.append(mask << k | x)
+    return out
+
+
+def _cached_on_n(build):
+    """Cache a catalogue on n alone; the deadline only bounds a build."""
+    cache: dict = {}
+
+    @wraps(build)
+    def catalogue(n: int, deadline: Optional[Deadline] = None):
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        if n not in cache:
+            cache[n] = build(n, deadline)
+        return cache[n]
+
+    catalogue.cache_clear = cache.clear
+    return catalogue
+
+
+def _masks(pair_lists, positions) -> list[int]:
     index = {p: i for i, p in enumerate(positions)}
-    joins = [0]
-    for v in range(n - 1):
-        ways = [0, 1 << index[(v, n - 1)]]
-        if not symmetric:
-            ways.append(1 << index[(n - 1, v)])
-        joins = [x | way for x in joins for way in ways]
-    candidates: list[int] = []
-    for pairs in parents:
-        base = sum(1 << index[p] for p in pairs)
-        candidates.extend(base | x for x in joins)
-    return sorted(set(_canonical_masks(n, candidates, positions, symmetric)))
+    return [sum(1 << index[p] for p in pairs) for pairs in pair_lists]
 
 
 def _from_mask(cls, n: int, positions, mask: int):
     return cls(n, [p for i, p in enumerate(positions) if mask >> i & 1])
 
 
-@lru_cache(maxsize=None)
-def graph_catalogue(n: int) -> tuple[Graph, ...]:
-    """All graphs on exactly n vertices, one per isomorphism class."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+@_cached_on_n
+def graph_catalogue(n: int, deadline: Optional[Deadline] = None) -> tuple[Graph, ...]:
+    """All graphs on exactly n vertices, one per isomorphism class, in
+    ascending least mask."""
     if n <= 1:
         return (Graph(n),)
+    if n > 8:  # the orbit table on 8 vertices would hold 2**28 entries (1 GiB)
+        raise LimitExceededError("graph catalogues stop at 8 vertices")
+    parents = _masks((g.edges for g in graph_catalogue(n - 1, deadline)), _edge_positions(n - 1))
     positions = _edge_positions(n)
-    parents = [g.edges for g in graph_catalogue(n - 1)]
-    masks = _canonical_extensions(n, parents, positions, True)
-    return tuple(_from_mask(Graph, n, positions, m) for m in masks)
+    return tuple(_from_mask(Graph, n, positions, m) for m in _augment(n - 1, parents, deadline))
 
 
-def graphs_up_to(max_n: int) -> list[Graph]:
+def graphs_up_to(max_n: int, deadline: Optional[Deadline] = None) -> list[Graph]:
     """One representative per isomorphism class, 1..max_n vertices."""
     out: list[Graph] = []
     for n in range(1, max_n + 1):
-        out.extend(graph_catalogue(n))
+        out.extend(graph_catalogue(n, deadline))
     return out
 
 
-@lru_cache(maxsize=None)
-def oriented_catalogue(n: int) -> tuple[Digraph, ...]:
+@_cached_on_n
+def oriented_catalogue(n: int, deadline: Optional[Deadline] = None) -> tuple[Digraph, ...]:
     """All orientations of graphs on n vertices (no digons), one per
     isomorphism class."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     if n <= 1:
         return (Digraph(n),)
+    if n > 6:  # the 21,480 parents on 6 vertices give 15.6 million candidates
+        raise LimitExceededError("oriented catalogues stop at 6 vertices")
     positions = _arc_positions(n)
-    parents = [d.arcs for d in oriented_catalogue(n - 1)]
-    masks = _canonical_extensions(n, parents, positions, False)
+    index = {p: i for i, p in enumerate(positions)}
+    joins = [0]  # the new last vertex: no arc, or an arc either way, to each other
+    for v in range(n - 1):
+        ways = (0, 1 << index[(v, n - 1)], 1 << index[(n - 1, v)])
+        joins = [x | way for x in joins for way in ways]
+    parents = _masks((d.arcs for d in oriented_catalogue(n - 1, deadline)), positions)
+    candidates = [base | x for base in parents for x in joins]
+    masks = sorted(set(_canonical_masks(n, candidates, positions, False, deadline)))
     out = [_from_mask(Digraph, n, positions, m) for m in masks]
     out.sort(key=lambda d: (d.m, d.arcs))
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def bidirected_catalogue(n: int) -> tuple[Digraph, ...]:
+@_cached_on_n
+def bidirected_catalogue(n: int, deadline: Optional[Deadline] = None) -> tuple[Digraph, ...]:
     """Bidirected versions of the canonical graphs on n vertices."""
-    return tuple(bidirect(g) for g in graph_catalogue(n))
+    return tuple(bidirect(g) for g in graph_catalogue(n, deadline))
 
 
-def digraph_catalogue(max_n: int) -> list[Digraph]:
+def digraph_catalogue(max_n: int, deadline: Optional[Deadline] = None) -> list[Digraph]:
     """Oriented plus bidirected representatives on 1..max_n vertices, with
     the shared edgeless digraphs listed once."""
     out: list[Digraph] = []
     for n in range(1, max_n + 1):
         seen: set[tuple] = set()
-        for d in oriented_catalogue(n) + bidirected_catalogue(n):
+        for d in oriented_catalogue(n, deadline) + bidirected_catalogue(n, deadline):
             key = (d.n, d.arcs)
             if key not in seen:
                 seen.add(key)

@@ -77,7 +77,9 @@ class _SuiteSolves:
     """Runs every solve of one suite call under a single deadline (else
     Deadline()), shared by forked workers because its instant is an
     absolute clock reading. A solve due after the deadline is not started:
-    it gives None, so its row reads unknown."""
+    it gives None, so its row reads unknown. The suite's catalogue builds
+    poll the same deadline, and one it cuts short raises
+    BudgetExceededError, since no row exists yet."""
 
     def __init__(self, deadline: Optional[Deadline]):
         self.deadline = deadline or Deadline()
@@ -248,8 +250,9 @@ def _product_rows(
     return parallel_map(solve, pairs, threads)
 
 
-def _catalogue_pairs(max_n: int, random_pairs: int, pair_max_n: int, seed: int):
-    entries = digraph_catalogue(max_n)
+def _catalogue_pairs(max_n: int, random_pairs: int, pair_max_n: int, seed: int,
+                     deadline: Deadline):
+    entries = digraph_catalogue(max_n, deadline)
     pairs: list[tuple[str, Digraph, Digraph]] = []
     for i in range(len(entries)):
         for j in range(i, len(entries)):
@@ -273,7 +276,7 @@ def sabidussi_suite(
     the factors, and the modular sum colouring of optimal factor
     colourings is proper."""
     solves = _SuiteSolves(deadline)
-    pairs = _catalogue_pairs(max_n, random_pairs, pair_max_n, seed)
+    pairs = _catalogue_pairs(max_n, random_pairs, pair_max_n, seed, solves.deadline)
     rows = _product_rows("cartesian", pairs, solves, threads)
     violations, unknown = _tally(rows, "equal", "modular_proper")
     return SuiteResult(
@@ -303,7 +306,7 @@ def tensor_upper_bound_suite(
     """Dichromatic number of every tensor product stays below the minimum
     of the factors (an optimal factor colouring pulls back)."""
     solves = _SuiteSolves(deadline)
-    pairs = _catalogue_pairs(max_n, random_pairs, pair_max_n, seed)
+    pairs = _catalogue_pairs(max_n, random_pairs, pair_max_n, seed, solves.deadline)
     rows = _product_rows("tensor", pairs, solves, threads)
     violations, unknown = _tally(rows, "within_bound")
     return SuiteResult(
@@ -320,7 +323,7 @@ def bidirect_suite(max_n: int = 6, deadline: Optional[Deadline] = None) -> Suite
     """Chromatic number of each catalogue graph equals the dichromatic
     number of its bidirected digraph."""
     solves = _SuiteSolves(deadline)
-    graphs = graphs_up_to(max_n)
+    graphs = graphs_up_to(max_n, solves.deadline)
 
     def solve(item: tuple[int, Graph]) -> dict:
         idx, g = item
@@ -389,7 +392,8 @@ def catalogue_suite(
     rows: list[dict] = []
 
     # Strategy agreement on the catalogue plus random digraphs.
-    dual_targets = [(f"cat:{i}", d) for i, d in enumerate(digraph_catalogue(dual_max_n))]
+    dual_targets = [(f"cat:{i}", d)
+                    for i, d in enumerate(digraph_catalogue(dual_max_n, solves.deadline))]
     rng = RngSpec(seed)
     for i in range(dual_random):
         n = 1 + uniform_below(rng.derive(i), _DOM_SIZE, 2, dual_random_n)
@@ -405,7 +409,7 @@ def catalogue_suite(
     rows.extend(dual(item) for item in dual_targets)
 
     # Monotonicity chains on small digraphs.
-    for i, d in enumerate(digraph_catalogue(list_max_n)):
+    for i, d in enumerate(digraph_catalogue(list_max_n, solves.deadline)):
         under = d.underlying_graph()
         dichi = solves.value(dichromatic_number, d)
         ldichi = solves.value(list_dichromatic_number, d)
@@ -421,7 +425,7 @@ def catalogue_suite(
 
     # chi >= 3 forces a cycle, hence an orientation of dichromatic number 2.
     enl_checked = 0
-    for i, g in enumerate(graphs_up_to(enl_max_n)):
+    for i, g in enumerate(graphs_up_to(enl_max_n, solves.deadline)):
         chi = solves.value(chromatic_number, g)
         if chi is not None and chi < 3:
             continue

@@ -5,8 +5,9 @@ package: acyclicity by topological permutation search or by three-state
 depth-first search, colouring numbers by assignment enumeration, induced
 forests by counting edges against components, acyclic orientation counts
 by the chromatic polynomial, canonical forms of graph and digraph masks
-by trying every relabelling, digraph products by testing every pair of
-product vertices against the definition.
+by trying every relabelling, graph isomorphism by backtracking over
+vertex images, digraph products by testing every pair of product
+vertices against the definition.
 """
 
 from collections import defaultdict
@@ -291,6 +292,36 @@ def brute_canonical_masks(n, masks, positions, symmetric):
         for j, on in enumerate(bits):
             best[j] = min(best[j], sum(map(image.__getitem__, on)))
     return best
+
+
+def isomorphic_graphs(n, edges_a, edges_b):
+    """Whether some vertex bijection maps edges_a onto edges_b, by a
+    backtracking search: vertex v of a goes to an unused vertex of b of the
+    same degree that is adjacent to the images of exactly the earlier
+    vertices v is adjacent to."""
+    if len(edges_a) != len(edges_b):
+        return False
+    adj_a = [set() for _ in range(n)]
+    adj_b = [set() for _ in range(n)]
+    for adj, edges in ((adj_a, edges_a), (adj_b, edges_b)):
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
+    image = []
+
+    def extend(v):
+        if v == n:
+            return True
+        for w in range(n):
+            if (w not in image and len(adj_b[w]) == len(adj_a[v])
+                    and all((u in adj_a[v]) == (image[u] in adj_b[w]) for u in range(v))):
+                image.append(w)
+                if extend(v + 1):
+                    return True
+                image.pop()
+        return False
+
+    return extend(0)
 
 
 def brute_digraph_product(kind, n1, arcs1, labels1, n2, arcs2, labels2):

@@ -332,18 +332,35 @@ def test_cli_verify_stops_at_one_deadline(capsys):
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # catalogues up to 5 vertices (4 oriented) are canonicalised without it;
-    # the worker pool, exact bounds and CSV output import their modules
-    # only when a command runs them
+    # catalogues are built in pure Python; the worker pool, exact bounds
+    # and CSV output import their modules only when a command runs them
     src = str(Path(dichroma.__file__).resolve().parents[1])
     probe = ("import sys, dichroma.cli; print('numpy' in sys.modules); "
              "print([m for m in ('concurrent.futures', 'fractions', 'csv', 'pickle') "
              "if m in sys.modules]); "
-             "from dichroma.catalogue import digraph_catalogue, graphs_up_to; "
-             "digraph_catalogue(4); graphs_up_to(5); print('numpy' in sys.modules)")
+             "from dichroma.catalogue import digraph_catalogue, graphs_up_to, "
+             "oriented_catalogue; from dichroma.verify import bidirect_suite; "
+             "digraph_catalogue(4); graphs_up_to(7); oriented_catalogue(5); "
+             "print(bidirect_suite().ok, 'numpy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
-    assert out.split() == ["False", "[]", "False"]
+    assert out.split() == ["False", "[]", "True", "False"]
+
+
+@pytest.mark.parametrize("argv", [["verify", "bidirect", "--max-n", "8"],
+                                  ["verify", "tensor-bound", "--max-n", "9"]])
+def test_cli_catalogue_build_stops_at_the_deadline(argv):
+    # the 8-vertex graph catalogue and the 6-vertex oriented one each take
+    # seconds to build; a one-second deadline cuts the build short
+    src = str(Path(dichroma.__file__).resolve().parents[1])
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "dichroma.cli", *argv, "--timeout-s", "1"],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("dichroma: budget exceeded: deadline reached building the ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("-vertex catalogue\n")
+    assert time.perf_counter() - started < 30
 
 
 def test_traced_layer_targets_resolve():

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from dichroma.catalogue import digraph_catalogue, random_digraph
+from dichroma.catalogue import digraph_catalogue, graphs_up_to, random_digraph
 from dichroma.core import Deadline, apply_orientation, is_acyclic
 from dichroma.generators import complete_graph, cycle_graph, path_graph
 from dichroma.randomized import RngSpec
@@ -93,6 +93,10 @@ def test_suite_solves_share_one_deadline(monkeypatch, suite, kwargs):
 
 
 def test_suite_rows_after_the_deadline_read_unknown(monkeypatch):
+    # a catalogue build polls the deadline too, and one cut short raises;
+    # build the suites' catalogues first so that only their solves are late
+    digraph_catalogue(4)
+    graphs_up_to(7)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(Deadline, "expired", lambda self: True)
     for threads in (1, 2):  # forked workers see the same deadline
