@@ -209,6 +209,8 @@ def graph_catalogue(n: int, deadline: Optional[Deadline] = None) -> tuple[Graph,
 
 def graphs_up_to(max_n: int, deadline: Optional[Deadline] = None) -> list[Graph]:
     """One representative per isomorphism class, 1..max_n vertices."""
+    if max_n >= 1:
+        graph_catalogue(max_n, deadline)  # a size past the limit fails before any build
     out: list[Graph] = []
     for n in range(1, max_n + 1):
         out.extend(graph_catalogue(n, deadline))
@@ -246,6 +248,8 @@ def bidirected_catalogue(n: int, deadline: Optional[Deadline] = None) -> tuple[D
 def digraph_catalogue(max_n: int, deadline: Optional[Deadline] = None) -> list[Digraph]:
     """Oriented plus bidirected representatives on 1..max_n vertices, with
     the shared edgeless digraphs listed once."""
+    if max_n >= 1:
+        oriented_catalogue(max_n, deadline)  # a size past the limit fails before any build
     out: list[Digraph] = []
     for n in range(1, max_n + 1):
         seen: set[tuple] = set()

@@ -55,6 +55,17 @@ EXIT_BUDGET = 3
 EXIT_VIOLATED = 4
 
 
+def _add_seed(p) -> None:
+    p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
+
+
+def _add_threads(p) -> None:
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker processes for mc, verify sabidussi and verify "
+                        "tensor-bound, at most one per CPU (default: "
+                        "DICHROMA_THREADS, else 1); the other suites run serially")
+
+
 def _gen_leaves(gen, common) -> None:
     p = gen.add_parser("kneser", parents=[common])
     p.add_argument("n", type=int)
@@ -86,11 +97,14 @@ def _product_leaves(prod, common) -> None:
 def _orient_leaves(orient, common) -> None:
     p = orient.add_parser("random", parents=[common])
     p.add_argument("input", nargs="?", default="-")
+    _add_seed(p)
     p = orient.add_parser("enumerate", parents=[common])
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("--max-list", type=int, default=64, dest="max_list")
     p = orient.add_parser("certified", parents=[common])
     p.add_argument("input", nargs="?", default="-")
+    p.add_argument("--l", type=int, required=True, help="biclique/clique side size")
+    _add_seed(p)
     p.add_argument("--max-attempts", type=int, default=200, dest="max_attempts")
     p.add_argument("--break-cliques", action="store_true", dest="break_cliques")
 
@@ -111,21 +125,35 @@ def _check_leaves(check, common) -> None:
         p = check.add_parser(name, parents=[common])
         p.add_argument("input", nargs="?", default="-")
         p.add_argument("--collection", default=None, dest="collection_path")
+        p.add_argument("--beta", type=int, default=None, help="block side for rook collections")
+    # p is now the semicover leaf
+    p.add_argument("--lambda", type=float, default=None, dest="lam",
+                   help="semicover size threshold")
 
 
 def _mc_leaves(mc, common) -> None:
     p = mc.add_parser("biclique", parents=[common])
-    p.add_argument("input", nargs="?", default=None)
+    p.add_argument("input", nargs="?", default="-")
     p.add_argument("--graph", default=None, help="named graph instead of a file")
     p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--l", type=int, required=True, help="biclique side size")
+    _add_seed(p)
+    _add_threads(p)
     p = mc.add_parser("acceptance", parents=[common])
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("--collection", default=None, dest="collection_path")
     p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--beta", type=int, default=None, help="block side for rook collections")
+    p.add_argument("--l1", type=int, required=True, help="outer list size")
+    p.add_argument("--l2", type=int, required=True, help="sampled sublist size")
+    _add_seed(p)
+    _add_threads(p)
 
 
 def _bound_leaves(bound, common) -> None:
     p = bound.add_parser("g", parents=[common])
+    p.add_argument("--l1", type=int, required=True, help="outer list size")
+    p.add_argument("--l2", type=int, required=True, help="sampled sublist size")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
@@ -142,16 +170,18 @@ def _bound_leaves(bound, common) -> None:
 
 
 def _verify_leaves(verify, common) -> None:
-    p = verify.add_parser("sabidussi", parents=[common])
+    # every suite takes --seed and --threads, so one command line fits all five
+    leaves = {name: verify.add_parser(name, parents=[common]) for name in
+              ("sabidussi", "bidirect", "kneser-chi", "catalogue", "tensor-bound")}
+    for p in leaves.values():
+        _add_seed(p)
+        _add_threads(p)
+    p = leaves["sabidussi"]
     p.add_argument("--max-n", type=int, default=4, dest="max_n")
     p.add_argument("--pairs", type=int, default=200)
     p.add_argument("--pair-max-n", type=int, default=5, dest="pair_max_n")
-    p = verify.add_parser("bidirect", parents=[common])
-    p.add_argument("--max-n", type=int, default=6, dest="max_n")
-    verify.add_parser("kneser-chi", parents=[common])
-    verify.add_parser("catalogue", parents=[common])
-    p = verify.add_parser("tensor-bound", parents=[common])
-    p.add_argument("--max-n", type=int, default=4, dest="max_n")
+    leaves["bidirect"].add_argument("--max-n", type=int, default=6, dest="max_n")
+    leaves["tensor-bound"].add_argument("--max-n", type=int, default=4, dest="max_n")
 
 
 def _embed_leaves(embed, common) -> None:
@@ -185,20 +215,9 @@ def _build_parser(group: str | None = None) -> argparse.ArgumentParser:
     but leaf commands only under group (under all groups when it is None).
     Parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="64-bit master seed")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker processes for verify sabidussi, verify "
-                             "tensor-bound and mc, at most one per CPU "
-                             "(default: DICHROMA_THREADS, else 1)")
     common.add_argument("--timeout-s", type=int, default=120, dest="timeout_s")
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument("--out", default=None, help="write output to this path")
-    common.add_argument("--beta", type=int, default=None, help="block side for rook collections")
-    common.add_argument("--lambda", type=float, default=None, dest="lam",
-                        help="semicover size threshold")
-    common.add_argument("--l", type=int, default=None, help="biclique/clique side size")
-    common.add_argument("--l1", type=int, default=None, help="outer list size")
-    common.add_argument("--l2", type=int, default=None, help="sampled sublist size")
 
     top = argparse.ArgumentParser(prog="dichroma", description=__doc__)
     top.add_argument("--version", action="version", version=f"dichroma {__version__}")
@@ -328,8 +347,6 @@ def _orient_command(args, started: float):
     if args.cmd == "random":
         return None, format_graph(random_orientation(g, RngSpec(args.seed))), None, EXIT_OK
     if args.cmd == "certified":
-        if args.l is None:
-            raise GraphFormatError("orient certified needs --l")
         d = certified_breaking_orientation(
             g, args.l, RngSpec(args.seed),
             max_attempts=args.max_attempts,
@@ -415,18 +432,14 @@ def _mc_command(args, started: float):
 
             g = named_graph(args.graph)
         else:
-            g = _need_graph(_read_structure(args.input or "-"))
-        if args.l is None:
-            raise GraphFormatError("mc biclique needs --l")
+            g = _need_graph(_read_structure(args.input))
         payload = estimate_biclique_event(g, args.l, args.trials, rng,
                                           threads=_threads(args),
                                           deadline=Deadline(args.timeout_s))._asdict()
         params = {"l": args.l, "trials": args.trials,
-                  "graph": args.graph or "stdin"}
+                  "graph": args.graph or ("stdin" if args.input == "-" else args.input)}
     else:
         d = _need_digraph(_read_structure(args.input))
-        if args.l1 is None or args.l2 is None:
-            raise GraphFormatError("mc acceptance needs --l1 and --l2")
         collection = _load_collection(args, d)
         from .core import ListAssignment
         from .covers import estimate_acceptance_probability
@@ -450,8 +463,6 @@ def _mc_command(args, started: float):
 
 def _bound_command(args, started: float):
     if args.cmd == "g":
-        if args.l1 is None or args.l2 is None:
-            raise GraphFormatError("bound g needs --l1 and --l2")
         value = g_bound(GBoundParams(args.l1, args.l2, args.n, args.s, args.t, args.u))
         params = {"l1": args.l1, "l2": args.l2, "n": args.n,
                   "s": args.s, "t": args.t, "u": args.u}

@@ -52,6 +52,8 @@ __all__ = [
     "estimate_acceptance_probability",
 ]
 
+_MEMBER_LIMIT = 2_000_000
+
 
 class SetCollection(namedtuple("SetCollection", "members s t")):
     """An (s,t)-collection: at most s vertex subsets, each of size <= t."""
@@ -98,9 +100,7 @@ class RookCollectionParams(namedtuple("RookCollectionParams", "n beta")):
         return super().__new__(cls, n, beta)
 
 
-def build_rook_collection(
-    p: RookCollectionParams, member_limit: int = 2_000_000
-) -> SetCollection:
+def build_rook_collection(p: RookCollectionParams) -> SetCollection:
     """Every row and column of the n x n grid united with every beta x beta
     block A x B; when beta leaves [1, n] the blocks degenerate to the whole
     vertex set and the collection collapses to {V}.
@@ -119,9 +119,9 @@ def build_rook_collection(
         t_declared = max(n + beta * beta, n * n)
         return SetCollection((everything,), s_declared, t_declared)
     expected = 2 * n * math.comb(n, beta) ** 2
-    if expected > member_limit:
+    if expected > _MEMBER_LIMIT:
         raise LimitExceededError(
-            f"collection would have {expected} members, above {member_limit}"
+            f"collection would have {expected} members, above {_MEMBER_LIMIT}"
         )
     lines: list[frozenset[int]] = []
     for i in range(n):

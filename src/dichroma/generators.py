@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .core import Coloring, Graph
 from .errors import DichromaError, LimitExceededError
+from .products import tensor_product
 from .randomized import mix64
 
 if TYPE_CHECKING:
@@ -54,13 +55,13 @@ def _set_label(s: Sequence[int]) -> str:
     return "{" + ",".join(str(x) for x in s) + "}"
 
 
-def kneser(n: int, k: int, max_vertices: int = DEFAULT_VERTEX_LIMIT) -> Graph:
+def kneser(n: int, k: int) -> Graph:
     """Kneser graph: k-subsets of {1..n}, adjacent iff disjoint."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     count = math.comb(n, k)
-    if count > max_vertices:
-        raise LimitExceededError(f"C({n},{k}) = {count} exceeds limit {max_vertices}")
+    if count > DEFAULT_VERTEX_LIMIT:
+        raise LimitExceededError(f"C({n},{k}) = {count} exceeds limit {DEFAULT_VERTEX_LIMIT}")
     subs = _colex_subsets(n, k)
     masks = [sum(1 << (x - 1) for x in s) for s in subs]
     edges = [
@@ -72,14 +73,14 @@ def kneser(n: int, k: int, max_vertices: int = DEFAULT_VERTEX_LIMIT) -> Graph:
     return Graph(count, edges, labels=[_set_label(s) for s in subs])
 
 
-def complete_multipartite(m: int, r: int, max_vertices: int = DEFAULT_VERTEX_LIMIT) -> Graph:
+def complete_multipartite(m: int, r: int) -> Graph:
     """Complete r-partite graph with m vertices per part; labels carry the
     part index."""
     if m < 1 or r < 1:
         raise ValueError("need m >= 1 and r >= 1")
     n = m * r
-    if n > max_vertices:
-        raise LimitExceededError(f"{n} vertices exceed limit {max_vertices}")
+    if n > DEFAULT_VERTEX_LIMIT:
+        raise LimitExceededError(f"{n} vertices exceed limit {DEFAULT_VERTEX_LIMIT}")
     edges = [
         (u, v)
         for u in range(n)
@@ -90,24 +91,15 @@ def complete_multipartite(m: int, r: int, max_vertices: int = DEFAULT_VERTEX_LIM
     return Graph(n, edges, labels=labels)
 
 
-def rook(n: int, max_vertices: int = DEFAULT_VERTEX_LIMIT) -> Graph:
+def rook(n: int) -> Graph:
     """Vertices {1..n} x {1..n} in row-major order; (i,j) ~ (i',j') iff the
-    rows and the columns both differ. Labels match tensor-product labels of
-    two complete graphs, so the constructions coincide verbatim."""
+    rows and the columns both differ: the tensor product of two complete
+    graphs K_n, labels included."""
     if n < 1:
         raise ValueError("need n >= 1")
-    count = n * n
-    if count > max_vertices:
-        raise LimitExceededError(f"{count} vertices exceed limit {max_vertices}")
-    edges = []
-    for a in range(count):
-        ia, ja = divmod(a, n)
-        for b in range(a + 1, count):
-            ib, jb = divmod(b, n)
-            if ia != ib and ja != jb:
-                edges.append((a, b))
-    labels = [f"({v // n + 1},{v % n + 1})" for v in range(count)]
-    return Graph(count, edges, labels=labels)
+    if n * n > DEFAULT_VERTEX_LIMIT:
+        raise LimitExceededError(f"{n * n} vertices exceed limit {DEFAULT_VERTEX_LIMIT}")
+    return tensor_product(complete_graph(n), complete_graph(n))
 
 
 def complete_graph(n: int) -> Graph:

@@ -29,7 +29,7 @@ def default_threads() -> int:
     return 1
 
 
-def parallel_map(fn: Callable[[T], R], items: Iterable[T], threads: int | None) -> list[R]:
+def parallel_map(fn: Callable[[T], R], items: Iterable[T], threads: int) -> list[R]:
     """[fn(x) for x in items], computed by up to ``threads`` forked workers,
     each over one contiguous chunk of the items; never more workers than
     items or CPUs, and serial where there is no fork. The parent computes
@@ -37,8 +37,6 @@ def parallel_map(fn: Callable[[T], R], items: Iterable[T], threads: int | None) 
     type; a worker that ends without a result raises DichromaError. Rows
     come back whole and in item order, or not at all."""
     work: Sequence[T] = list(items)
-    if threads is None:
-        threads = default_threads()
     workers = min(threads, len(work), os.cpu_count() or 1)
     if workers <= 1 or not hasattr(os, "fork"):
         return [fn(x) for x in work]

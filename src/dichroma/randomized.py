@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .core import (
     Deadline,
@@ -105,10 +105,11 @@ def uniform_below(spec: RngSpec, domain: int, index: int, bound: int) -> int:
         counter += 1
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials == 0:
         return (0.0, 1.0)
+    z = _Z95
     p = successes / trials
     denom = 1.0 + z * z / trials
     centre = p + z * z / (2 * trials)
@@ -216,15 +217,13 @@ def _first_chain(cols: list[Optional[int]], l: int) -> Optional[list[int]]:
 def find_acyclic_biclique(
     d: Digraph,
     l: int,
-    partition_hint: Optional[tuple[Iterable[int], Iterable[int]]] = None,
     deadline: Optional[Deadline] = None,
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Search for disjoint S, T of size l, complete bipartite in the
     underlying graph, whose arcs between the sides are acyclic.
 
-    The scan is exhaustive; ``partition_hint`` restricts S to the first and
-    T to the second given side. Returns the lexicographically first (S, T)
-    or None for a verified miss.
+    The scan is exhaustive. Returns the lexicographically first (S, T) or
+    None for a verified miss.
 
     The arcs between S and T form a bipartite tournament once no vertex of
     T has a digon into S, and a bipartite tournament is acyclic iff it has
@@ -239,14 +238,6 @@ def find_acyclic_biclique(
     g = d.underlying_graph()
     n = g.n
     adj, ins, outs = g.adj, d.ins, d.outs
-    if partition_hint is not None:
-        side_s = sorted(set(partition_hint[0]))
-        side_t_mask = mask_of(partition_hint[1])
-        ordered = True
-    else:
-        side_s = list(range(n))
-        side_t_mask = (1 << n) - 1
-        ordered = False
     deadline = deadline or Deadline()
 
     def scan_t(s_mask: int, common: int) -> Optional[tuple[int, ...]]:
@@ -261,20 +252,19 @@ def find_acyclic_biclique(
         if len(s_tuple) == l:
             t_tuple = scan_t(s_mask, common)
             return None if t_tuple is None else (s_tuple, t_tuple)
-        for i in range(start, len(side_s) - (l - len(s_tuple)) + 1):
-            v = side_s[i]
+        for v in range(start, n - (l - len(s_tuple)) + 1):
             c = common & adj[v]
-            if not s_tuple and not ordered:
+            if not s_tuple:
                 # Unordered {S, T}: demand min(T) > min(S) to see each pair once.
                 c &= ~((2 << v) - 1)
             # adj[v] excludes v, so S never meets its own common neighbours
             if c.bit_count() >= l:
-                hit = scan_s(i + 1, s_tuple + (v,), s_mask | 1 << v, c)
+                hit = scan_s(v + 1, s_tuple + (v,), s_mask | 1 << v, c)
                 if hit is not None:
                     return hit
         return None
 
-    hit = scan_s(0, (), 0, side_t_mask)
+    hit = scan_s(0, (), 0, (1 << n) - 1)
     if hit is not None and not _cross_arcs_acyclic(d, mask_of(hit[0]), mask_of(hit[1])):
         raise RuntimeError(f"chain test and Kahn's algorithm disagree on {hit}")
     return hit

@@ -31,7 +31,6 @@ __all__ = [
 def make_record(
     command: str,
     params: dict[str, Any],
-    seed: Optional[int] = None,
     runtime_ms: Optional[float] = None,
     **payload: Any,
 ) -> dict[str, Any]:
@@ -41,8 +40,6 @@ def make_record(
         "command": command,
         "params": params,
     }
-    if seed is not None:
-        record["seed"] = seed
     record.update(payload)
     if runtime_ms is not None:
         record["runtime_ms"] = round(runtime_ms, 3)

@@ -389,30 +389,25 @@ class _ListSearch:
         return list(colour) if rec(0) else None
 
 
-def _find_acceptable(obj, L: ListAssignment, search: Optional[_ListSearch]) -> Optional[Coloring]:
+def _find_acceptable(obj, L: ListAssignment) -> Optional[Coloring]:
     if L.n != obj.n:
         raise ValueError("list assignment does not cover the vertex set")
     if obj.n == 0:
         return Coloring(L.palette, ())
-    found = (search or _ListSearch(obj)).find(L.lists)
+    found = _ListSearch(obj).find(L.lists)
     if found is None:
         return None
     return Coloring(L.palette, tuple(found))
 
 
-def find_acceptable_dicoloring(
-    d: Digraph, L: ListAssignment, search: Optional[_ListSearch] = None
-) -> Optional[Coloring]:
-    """A proper dicolouring drawn from the lists, or a verified None.
-    search, when given, is the set-up a list solve made once for d."""
-    return _find_acceptable(d, L, search)
+def find_acceptable_dicoloring(d: Digraph, L: ListAssignment) -> Optional[Coloring]:
+    """A proper dicolouring drawn from the lists, or a verified None."""
+    return _find_acceptable(d, L)
 
 
-def find_acceptable_coloring(
-    g: Graph, L: ListAssignment, search: Optional[_ListSearch] = None
-) -> Optional[Coloring]:
+def find_acceptable_coloring(g: Graph, L: ListAssignment) -> Optional[Coloring]:
     """Proper-colouring counterpart of find_acceptable_dicoloring."""
-    return _find_acceptable(g, L, search)
+    return _find_acceptable(g, L)
 
 
 def canonical_list_assignments(n: int, k: int) -> Iterator[ListAssignment]:

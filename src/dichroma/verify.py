@@ -59,14 +59,9 @@ _DOM_SIZE = 0x51
 class SuiteResult(namedtuple("SuiteResult", "name ok rows summary unknown")):
     """ok means no row violates the property; unknown counts the rows a
     solve left undecided on its budget, which are neither passed nor
-    violated. rows and summary default to a new empty list and dict."""
+    violated."""
 
     __slots__ = ()
-
-    def __new__(cls, name: str, ok: bool, rows: Optional[list[dict]] = None,
-                summary: Optional[dict] = None, unknown: int = 0):
-        return super().__new__(cls, name, ok, [] if rows is None else rows,
-                               {} if summary is None else summary, unknown)
 
 
 def _exact_value(cert: Optional[Certificate]) -> Optional[int]:
@@ -250,18 +245,10 @@ def _product_rows(
     return parallel_map(solve, pairs, threads)
 
 
-def _catalogue_pairs(max_n: int, random_pairs: int, pair_max_n: int, seed: int,
-                     deadline: Deadline):
+def _catalogue_pairs(max_n: int, deadline: Deadline) -> list[tuple[str, Digraph, Digraph]]:
     entries = digraph_catalogue(max_n, deadline)
-    pairs: list[tuple[str, Digraph, Digraph]] = []
-    for i in range(len(entries)):
-        for j in range(i, len(entries)):
-            pairs.append((f"cat:{i}x{j}", entries[i], entries[j]))
-    rng = RngSpec(seed)
-    for i in range(random_pairs):
-        g, h = _random_pair(rng, i, pair_max_n)
-        pairs.append((f"rand:{i}", g, h))
-    return pairs
+    return [(f"cat:{i}x{j}", entries[i], entries[j])
+            for i in range(len(entries)) for j in range(i, len(entries))]
 
 
 def sabidussi_suite(
@@ -276,7 +263,11 @@ def sabidussi_suite(
     the factors, and the modular sum colouring of optimal factor
     colourings is proper."""
     solves = _SuiteSolves(deadline)
-    pairs = _catalogue_pairs(max_n, random_pairs, pair_max_n, seed, solves.deadline)
+    pairs = _catalogue_pairs(max_n, solves.deadline)
+    rng = RngSpec(seed)
+    for i in range(random_pairs):
+        g, h = _random_pair(rng, i, pair_max_n)
+        pairs.append((f"rand:{i}", g, h))
     rows = _product_rows("cartesian", pairs, solves, threads)
     violations, unknown = _tally(rows, "equal", "modular_proper")
     return SuiteResult(
@@ -297,20 +288,16 @@ def sabidussi_suite(
 
 def tensor_upper_bound_suite(
     max_n: int = 4,
-    random_pairs: int = 0,
-    pair_max_n: int = 4,
-    seed: int = 7,
     threads: int = 1,
     deadline: Optional[Deadline] = None,
 ) -> SuiteResult:
     """Dichromatic number of every tensor product stays below the minimum
     of the factors (an optimal factor colouring pulls back)."""
     solves = _SuiteSolves(deadline)
-    pairs = _catalogue_pairs(max_n, random_pairs, pair_max_n, seed, solves.deadline)
-    rows = _product_rows("tensor", pairs, solves, threads)
+    rows = _product_rows("tensor", _catalogue_pairs(max_n, solves.deadline), solves, threads)
     violations, unknown = _tally(rows, "within_bound")
     return SuiteResult(
-        "tensor-upper-bound",
+        "tensor-bound",
         not violations,
         rows,
         {"pairs": len(rows), "violations": violations, "unknown": unknown,
@@ -344,13 +331,13 @@ def bidirect_suite(max_n: int = 6, deadline: Optional[Deadline] = None) -> Suite
     )
 
 
-def kneser_chi_suite(cases=KNESER_CHI_CASES, deadline: Optional[Deadline] = None) -> SuiteResult:
+def kneser_chi_suite(deadline: Optional[Deadline] = None) -> SuiteResult:
     """Exact chromatic numbers of the disjointness graphs match n-2k+2."""
     from .generators import kneser
 
     solves = _SuiteSolves(deadline)
     rows = []
-    for n, k in cases:
+    for n, k in KNESER_CHI_CASES:
         g = kneser(n, k)
         chi = solves.value(chromatic_number, g)
         rows.append(
@@ -373,15 +360,7 @@ def _mohar_wu_bound(n: int, k: int) -> int:
     return math.floor((n - 2 * k + 2) / (8 * math.log2(n / k)))
 
 
-def catalogue_suite(
-    seed: int = 11,
-    dual_max_n: int = 4,
-    dual_random: int = 40,
-    dual_random_n: int = 5,
-    list_max_n: int = 3,
-    enl_max_n: int = 7,
-    deadline: Optional[Deadline] = None,
-) -> SuiteResult:
+def catalogue_suite(seed: int = 11, deadline: Optional[Deadline] = None) -> SuiteResult:
     """Cross-checks among the solvers: backtracking versus exhaustive
     partition enumeration, list/ordinary monotonicity, the small-graph
     evidence that chromatic number >= 3 forces dichromatic number >= 2,
@@ -393,10 +372,10 @@ def catalogue_suite(
 
     # Strategy agreement on the catalogue plus random digraphs.
     dual_targets = [(f"cat:{i}", d)
-                    for i, d in enumerate(digraph_catalogue(dual_max_n, solves.deadline))]
+                    for i, d in enumerate(digraph_catalogue(4, solves.deadline))]
     rng = RngSpec(seed)
-    for i in range(dual_random):
-        n = 1 + uniform_below(rng.derive(i), _DOM_SIZE, 2, dual_random_n)
+    for i in range(40):
+        n = 1 + uniform_below(rng.derive(i), _DOM_SIZE, 2, 5)
         dual_targets.append((f"rand:{i}", random_digraph(n, rng.derive(i, 7))))
 
     def dual(item: tuple[str, Digraph]) -> dict:
@@ -409,7 +388,7 @@ def catalogue_suite(
     rows.extend(dual(item) for item in dual_targets)
 
     # Monotonicity chains on small digraphs.
-    for i, d in enumerate(digraph_catalogue(list_max_n, solves.deadline)):
+    for i, d in enumerate(digraph_catalogue(3, solves.deadline)):
         under = d.underlying_graph()
         dichi = solves.value(dichromatic_number, d)
         ldichi = solves.value(list_dichromatic_number, d)
@@ -425,7 +404,7 @@ def catalogue_suite(
 
     # chi >= 3 forces a cycle, hence an orientation of dichromatic number 2.
     enl_checked = 0
-    for i, g in enumerate(graphs_up_to(enl_max_n, solves.deadline)):
+    for i, g in enumerate(graphs_up_to(7, solves.deadline)):
         chi = solves.value(chromatic_number, g)
         if chi is not None and chi < 3:
             continue
@@ -444,7 +423,7 @@ def catalogue_suite(
         if not good:
             rows.append({"check": "enl-evidence", "instance": f"graph:{i}",
                          "chi": chi, "equal": good})
-    rows.append({"check": "enl-evidence", "instance": f"all<= {enl_max_n}",
+    rows.append({"check": "enl-evidence", "instance": "all<= 7",
                  "count": enl_checked, "equal": True})
 
     # Known Kneser lower bound never exceeds the exact value.

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from dichroma import catalogue
 from dichroma.catalogue import (
     _arc_positions,
     _augment,
@@ -135,9 +136,17 @@ def test_catalogue_builds_poll_the_deadline(monkeypatch):
     _assert_pinned()
 
 
-def test_catalogues_past_their_memory_limit_are_refused():
-    # refused before any level is built
-    for build, n in ((graph_catalogue, 9), (oriented_catalogue, 7)):
+def test_catalogues_past_their_memory_limit_are_refused(monkeypatch):
+    # refused before any level is built, also when every level up to n is asked for
+    _clear_catalogues()
+
+    def build_level(*args, **kwargs):
+        raise AssertionError("a catalogue level was built")
+
+    monkeypatch.setattr(catalogue, "_augment", build_level)
+    monkeypatch.setattr(catalogue, "_canonical_masks", build_level)
+    for build, n in ((graph_catalogue, 9), (oriented_catalogue, 7),
+                     (graphs_up_to, 9), (digraph_catalogue, 7)):
         with pytest.raises(LimitExceededError, match="catalogues stop at"):
             build(n)
 

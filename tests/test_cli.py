@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import os
 import re
@@ -178,13 +179,22 @@ def test_cli_product_and_named(tmp_path, capsys):
     assert parse_graph_text(out) == rook(3)
 
 
-def test_cli_mc_biclique_json(capsys):
+def test_cli_mc_biclique_json(monkeypatch, tmp_path, capsys):
     code, out = _run(capsys, ["mc", "biclique", "--graph", "K4", "--l", "2",
                               "--trials", "500", "--seed", "1", "--format", "json"])
     assert code == 0
     record = json.loads(out)
-    assert record["trials"] == 500
+    assert record["trials"] == 500 and record["params"]["graph"] == "K4"
     assert 0.0 <= record["ci_low"] <= record["estimate"] <= record["ci_high"] <= 1.0
+    # the record names the graph's source: its file, or stdin
+    path = tmp_path / "k4.txt"
+    path.write_text(format_graph(kneser(4, 1)))
+    mc = ["mc", "biclique", "--l", "1", "--trials", "3", "--format", "json"]
+    code, out = _run(capsys, [*mc[:2], str(path), *mc[2:]])
+    assert code == 0 and json.loads(out)["params"]["graph"] == str(path)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(path.read_text()))
+    code, out = _run(capsys, mc)
+    assert code == 0 and json.loads(out)["params"]["graph"] == "stdin"
 
 
 def test_cli_bound_commands(capsys):
@@ -314,9 +324,11 @@ def test_cli_verify_budget_is_not_a_violation(monkeypatch, capsys, argv):
     code, out = _run(capsys, argv)
     assert code == 3
     assert "VIOLATED" not in out and "unknown" in out
+    assert out.startswith(f"verify {argv[1]}: ")
     code, out = _run(capsys, argv + ["--format", "json"])
     record = json.loads(out)
     assert code == 3 and record["ok"] is False
+    assert record["command"] == f"verify {argv[1]}"
     assert record["params"].get("violations", 0) == 0 and record["params"]["unknown"] > 0
 
 
@@ -348,7 +360,7 @@ def test_cli_import_leaves_numpy_unloaded():
 
 
 @pytest.mark.parametrize("argv", [["verify", "bidirect", "--max-n", "8"],
-                                  ["verify", "tensor-bound", "--max-n", "9"]])
+                                  ["verify", "tensor-bound", "--max-n", "6"]])
 def test_cli_catalogue_build_stops_at_the_deadline(argv):
     # the 8-vertex graph catalogue and the 6-vertex oriented one each take
     # seconds to build; a one-second deadline cuts the build short
@@ -742,6 +754,67 @@ LEAF_ARGS = {
     ("embed", "rook-in-kneser"): ["--n", "6", "--k", "2"],
     ("embed", "kneser-tensor"): ["--n", "6", "--k", "2", "--n1", "4", "--k1", "1"],
 }
+
+
+# The options of each leaf besides --timeout-s, --format and --out, which
+# every leaf takes: exactly those its handler reads.
+LEAF_OPTIONS = {
+    ("gen", "borsuk"): {"--n", "--a", "--delta", "--cube-side", "--perturbation-scale",
+                        "--max-points"},
+    ("orient", "random"): {"--seed"},
+    ("orient", "enumerate"): {"--max-list"},
+    ("orient", "certified"): {"--l", "--seed", "--max-attempts", "--break-cliques"},
+    ("check", "coloring"): {"--coloring"},
+    ("check", "dicoloring"): {"--coloring"},
+    ("check", "cover"): {"--collection", "--beta"},
+    ("check", "semicover"): {"--collection", "--beta", "--lambda"},
+    ("mc", "biclique"): {"--graph", "--trials", "--l", "--seed", "--threads"},
+    ("mc", "acceptance"): {"--collection", "--trials", "--beta", "--l1", "--l2", "--seed",
+                           "--threads"},
+    ("bound", "g"): {"--l1", "--l2", "--n", "--s", "--t", "--u"},
+    ("bound", "concentration"): {"--n", "--c", "--t"},
+    ("bound", "expectation"): {"--m", "--u", "--k", "--a"},
+    ("verify", "sabidussi"): {"--seed", "--threads", "--max-n", "--pairs", "--pair-max-n"},
+    ("verify", "bidirect"): {"--seed", "--threads", "--max-n"},
+    ("verify", "kneser-chi"): {"--seed", "--threads"},
+    ("verify", "catalogue"): {"--seed", "--threads"},
+    ("verify", "tensor-bound"): {"--seed", "--threads", "--max-n"},
+    ("embed", "rook-in-kneser"): {"--n", "--k"},
+    ("embed", "kneser-tensor"): {"--n", "--k", "--n1", "--k1"},
+}
+
+
+def test_cli_leaves_take_only_the_options_they_read():
+    from dichroma.cli import _build_parser
+
+    full = _build_parser(None)
+    slots = 0
+    for group, sub in _subcommands(full).items():
+        for leaf, parser in _subcommands(sub).items():
+            options = [a.option_strings[0] for a in parser._actions
+                       if a.option_strings and a.option_strings[0] != "-h"]
+            assert len(options) == len(set(options))
+            assert set(options) == {"--timeout-s", "--format", "--out"} | \
+                LEAF_OPTIONS.get((group, leaf), set()), (group, leaf)
+            slots += len(options)
+    assert slots == 158
+
+
+def test_cli_leaves_refuse_options_they_do_not_read(tmp_path, capsys):
+    (tmp_path / "g.g").write_text(format_graph(kneser(4, 1)))
+    for argv in (["solve", "chromatic", str(tmp_path / "g.g"), "--l", "3"],
+                 ["gen", "kneser", "5", "2", "--seed", "1"]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments" in captured.err
+    for argv, flag in ((["orient", "certified", str(tmp_path / "g.g")], "--l"),
+                       (["mc", "biclique", "--graph", "K4", "--trials", "3"], "--l"),
+                       (["mc", "acceptance", "--trials", "3", "--l1", "2"], "--l2"),
+                       (["bound", "g", "--n", "4", "--s", "1", "--t", "1", "--u", "2",
+                         "--l2", "1"], "--l1")):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"required: {flag}\n" in captured.err
 
 
 def test_cli_group_parser_parses_as_the_full_tree():

@@ -53,7 +53,7 @@ def test_kneser_limits():
     with pytest.raises(ValueError):
         kneser(3, 0)
     with pytest.raises(LimitExceededError):
-        kneser(30, 15, max_vertices=100)
+        kneser(30, 15)
 
 
 def test_kneser_n1_is_complete():

@@ -106,33 +106,16 @@ def test_find_acyclic_biclique_examples():
     assert find_acyclic_biclique(cyclic_c4, 1) is not None
 
 
-def test_find_acyclic_biclique_partition_hint():
-    one_way = Digraph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-    hit = find_acyclic_biclique(one_way, 2, partition_hint=([0, 1], [2, 3]))
-    assert hit == ((0, 1), (2, 3))
-    assert find_acyclic_biclique(one_way, 2, partition_hint=([2, 3], [0, 1])) == (
-        (2, 3),
-        (0, 1),
-    )
-
-
-def _reference_biclique_scan(d, l, partition_hint=None):
+def _reference_biclique_scan(d, l):
     """The scan find_acyclic_biclique replaced: every (S, T) pair in
     lexicographic order, each tested by Kahn's algorithm."""
     g = d.underlying_graph()
-    if partition_hint is not None:
-        side_s = sorted(set(partition_hint[0]))
-        side_t_mask = mask_of(partition_hint[1])
-    else:
-        side_s = list(range(g.n))
-        side_t_mask = (1 << g.n) - 1
-    for s_tuple in combinations(side_s, l):
-        common = side_t_mask
+    for s_tuple in combinations(range(g.n), l):
+        common = (1 << g.n) - 1
         for v in s_tuple:
             common &= g.adj[v]
         common &= ~mask_of(s_tuple)
-        if partition_hint is None:
-            common &= ~((1 << (s_tuple[0] + 1)) - 1)
+        common &= ~((1 << (s_tuple[0] + 1)) - 1)
         for t_tuple in combinations(list(iter_bits(common)), l):
             if _cross_arcs_acyclic(d, mask_of(s_tuple), mask_of(t_tuple)):
                 return (s_tuple, t_tuple)
@@ -140,17 +123,13 @@ def _reference_biclique_scan(d, l, partition_hint=None):
 
 
 def test_find_acyclic_biclique_matches_reference_scan():
-    # digons and partial hints, overlapping sides included
+    # digons included
     pick = random.Random(20)
     for seed in range(1000):
         n = pick.randint(1, 9)
         d = random_digraph(n, RngSpec(seed))
-        hints = [None, (pick.sample(range(n), pick.randint(1, n)),
-                        pick.sample(range(n), pick.randint(1, n)))]
         for l in (1, 2, 3):
-            for hint in hints:
-                assert find_acyclic_biclique(d, l, hint) == \
-                    _reference_biclique_scan(d, l, hint), (seed, l, hint)
+            assert find_acyclic_biclique(d, l) == _reference_biclique_scan(d, l), (seed, l)
 
 
 def test_find_acyclic_biclique_oracle_all_orientations():

@@ -76,10 +76,6 @@ def test_record_defaults():
             cert.detail) == (None, None, None, "")
     config = BorsukSampleConfig(2, 0.5, 0.1)
     assert (config.delta, config.perturbation_scale, config.max_points) == (0.75, 1.0, 5000)
-    a, b = SuiteResult("x", True), SuiteResult("x", True)
-    assert (a.rows, a.summary, a.unknown) == ([], {}, 0)
-    a.rows.append({})
-    assert b.rows == []  # each result gets its own list
 
 
 def test_record_normalisation():

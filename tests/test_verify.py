@@ -41,7 +41,7 @@ def test_cycle_orientation_properties():
 
 
 def test_catalogue_suite_passes():
-    result = catalogue_suite(dual_random=10)
+    result = catalogue_suite()
     assert result.ok
     checks = {row["check"] for row in result.rows}
     assert checks == {
@@ -53,7 +53,7 @@ def test_catalogue_suite_passes():
 
 
 def test_monotonicity_rows_inside_catalogue_suite():
-    result = catalogue_suite(dual_random=0, list_max_n=3)
+    result = catalogue_suite()
     rows = [r for r in result.rows if r["check"] == "monotonicity"]
     assert rows
     for row in rows:
@@ -75,7 +75,7 @@ def test_sabidussi_suite_row_shape():
     (tensor_upper_bound_suite, {"max_n": 4, "threads": 2}),
     (bidirect_suite, {"max_n": 6}),
     (kneser_chi_suite, {}),
-    (catalogue_suite, {"dual_random": 10}),
+    (catalogue_suite, {}),
 ])
 def test_suite_solves_share_one_deadline(monkeypatch, suite, kwargs):
     polled = []
@@ -103,5 +103,5 @@ def test_suite_rows_after_the_deadline_read_unknown(monkeypatch):
         result = sabidussi_suite(max_n=2, random_pairs=5, pair_max_n=3, threads=threads)
         assert result.ok and result.unknown == len(result.rows)
         assert all(row["chi_product"] is None for row in result.rows)
-    result = catalogue_suite(dual_random=3)
+    result = catalogue_suite()
     assert result.ok and result.unknown > 0
