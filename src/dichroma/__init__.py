@@ -9,7 +9,6 @@ from .core import (
     Graph,
     ListAssignment,
     Orientation,
-    Partition,
     apply_orientation,
     bidirect,
     enumerate_orientations,
@@ -35,7 +34,6 @@ __all__ = [
     "Digraph",
     "Orientation",
     "Coloring",
-    "Partition",
     "ListAssignment",
     "is_acyclic",
     "bidirect",

@@ -23,8 +23,6 @@ from .graphio import format_graph, parse_graph_file, parse_graph_text
 from .parallel import default_threads
 from .products import cartesian_product, tensor_product
 from .randomized import (
-    ExpectationParams,
-    GBoundParams,
     RngSpec,
     certified_breaking_orientation,
     concentration_bound,
@@ -57,6 +55,12 @@ EXIT_VIOLATED = 4
 
 def _add_seed(p) -> None:
     p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
+
+
+def _add_collection(p) -> None:
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--collection", default=None, dest="collection_path")
+    source.add_argument("--beta", type=int, default=None, help="block side for rook collections")
 
 
 def _add_threads(p) -> None:
@@ -124,8 +128,7 @@ def _check_leaves(check, common) -> None:
     for name in ("cover", "semicover"):
         p = check.add_parser(name, parents=[common])
         p.add_argument("input", nargs="?", default="-")
-        p.add_argument("--collection", default=None, dest="collection_path")
-        p.add_argument("--beta", type=int, default=None, help="block side for rook collections")
+        _add_collection(p)
     # p is now the semicover leaf
     p.add_argument("--lambda", type=float, default=None, dest="lam",
                    help="semicover size threshold")
@@ -141,9 +144,8 @@ def _mc_leaves(mc, common) -> None:
     _add_threads(p)
     p = mc.add_parser("acceptance", parents=[common])
     p.add_argument("input", nargs="?", default="-")
-    p.add_argument("--collection", default=None, dest="collection_path")
+    _add_collection(p)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--beta", type=int, default=None, help="block side for rook collections")
     p.add_argument("--l1", type=int, required=True, help="outer list size")
     p.add_argument("--l2", type=int, required=True, help="sampled sublist size")
     _add_seed(p)
@@ -170,11 +172,12 @@ def _bound_leaves(bound, common) -> None:
 
 
 def _verify_leaves(verify, common) -> None:
-    # every suite takes --seed and --threads, so one command line fits all five
+    # every suite takes --threads; only the two that draw random cases take --seed
     leaves = {name: verify.add_parser(name, parents=[common]) for name in
               ("sabidussi", "bidirect", "kneser-chi", "catalogue", "tensor-bound")}
-    for p in leaves.values():
-        _add_seed(p)
+    for name, p in leaves.items():
+        if name in ("sabidussi", "catalogue"):
+            _add_seed(p)
         _add_threads(p)
     p = leaves["sabidussi"]
     p.add_argument("--max-n", type=int, default=4, dest="max_n")
@@ -282,7 +285,7 @@ def _runtime_ms(started: float) -> float:
 def _load_collection(args, d: Digraph):
     """Collection from an explicit JSON file, or the rook construction
     inferred from the digraph's vertex count and --beta."""
-    from .covers import RookCollectionParams, SetCollection, build_rook_collection
+    from .covers import SetCollection, build_rook_collection
 
     if args.collection_path:
         payload = _read_json(args.collection_path, d.n, members=2, s=0, t=0)
@@ -297,7 +300,7 @@ def _load_collection(args, d: Digraph):
         raise GraphFormatError(
             "cannot infer a rook collection: vertex count is not n^2 (use --collection)"
         )
-    return build_rook_collection(RookCollectionParams(side, args.beta))
+    return build_rook_collection(side, args.beta)
 
 
 # Each handler takes the parsed arguments and the command's start time and
@@ -399,28 +402,26 @@ def _check_command(args, started: float):
         else:
             ok = is_proper_dicoloring(_need_digraph(obj), colouring)
         detail = {"proper": ok}
-    elif args.cmd == "cover":
-        from .covers import verify_cover_all_acyclic
-
-        d = _need_digraph(obj)
-        report = verify_cover_all_acyclic(d, _load_collection(args, d),
-                                          Deadline(args.timeout_s))
-        detail = {"covers_all_acyclic": report.ok}
+        params = {}
     else:
-        from .covers import SemicoverSpec, verify_semicover_all_acyclic
+        from .covers import verify_cover_all_acyclic, verify_semicover_all_acyclic
 
         d = _need_digraph(obj)
         collection = _load_collection(args, d)
-        side = math.isqrt(d.n // 2)
-        lam = args.lam
-        if lam is None:
-            lam = (2 ** 13) * math.log(max(side, 2)) ** 2
-        report = verify_semicover_all_acyclic(d, SemicoverSpec(collection, lam),
-                                              Deadline(args.timeout_s))
-        detail = {"semicovers_all_acyclic": report.ok, "lambda": lam}
-    if args.cmd in ("cover", "semicover") and report.counterexample is not None:
-        detail["counterexample"] = sorted(report.counterexample)
-    record = make_record(f"check {args.cmd}", {}, **detail)
+        if args.cmd == "cover":
+            missed = verify_cover_all_acyclic(d, collection, Deadline(args.timeout_s))
+            detail = {"covers_all_acyclic": missed is None}
+        else:
+            lam = args.lam
+            if lam is None:
+                lam = (2 ** 13) * math.log(max(math.isqrt(d.n // 2), 2)) ** 2
+            missed = verify_semicover_all_acyclic(d, collection, lam,
+                                                  Deadline(args.timeout_s))
+            detail = {"semicovers_all_acyclic": missed is None, "lambda": lam}
+        if missed is not None:
+            detail["counterexample"] = sorted(missed)
+        params = {"collection": args.collection_path, "beta": args.beta}
+    record = make_record(f"check {args.cmd}", params, **detail)
     return record, "".join(f"{k} {v}\n" for k, v in detail.items()), None, EXIT_OK
 
 
@@ -454,7 +455,8 @@ def _mc_command(args, started: float):
             "bound": est.bound if math.isfinite(est.bound) else None,
             "hypothesis_ok": est.hypothesis_ok,
         }
-        params = {"l1": args.l1, "l2": args.l2, "trials": args.trials}
+        params = {"l1": args.l1, "l2": args.l2, "trials": args.trials,
+                  "collection": args.collection_path, "beta": args.beta}
     record = make_record(f"mc {args.cmd}", params, seed=args.seed,
                          runtime_ms=_runtime_ms(started), **payload)
     text = "".join(f"{k} {v}\n" for k, v in sorted(payload.items()))
@@ -463,15 +465,14 @@ def _mc_command(args, started: float):
 
 def _bound_command(args, started: float):
     if args.cmd == "g":
-        value = g_bound(GBoundParams(args.l1, args.l2, args.n, args.s, args.t, args.u))
+        value = g_bound(args.l1, args.l2, args.n, args.s, args.t, args.u)
         params = {"l1": args.l1, "l2": args.l2, "n": args.n,
                   "s": args.s, "t": args.t, "u": args.u}
     elif args.cmd == "concentration":
         value = concentration_bound(args.n, args.c, args.t)
         params = {"n": args.n, "c": args.c, "t": args.t}
     else:
-        value = float(expected_avoiding_count(
-            ExpectationParams(args.m, args.u, args.k, args.a)))
+        value = float(expected_avoiding_count(args.m, args.u, args.k, args.a))
         params = {"m": args.m, "u": args.u, "k": args.k, "a": args.a}
     return make_record(f"bound {args.cmd}", params, value=value), f"{value!r}\n", None, EXIT_OK
 
@@ -517,8 +518,7 @@ def _verify_command(args, started: float):
         code, status = EXIT_OK, "ok"
     record = make_record(
         f"verify {result.name}",
-        {"seed": args.seed, **result.summary},
-        seed=args.seed,
+        result.summary,
         runtime_ms=_runtime_ms(started),
         ok=code == EXIT_OK,
         rows=result.rows,

@@ -22,7 +22,6 @@ __all__ = [
     "Digraph",
     "Orientation",
     "Coloring",
-    "Partition",
     "ListAssignment",
     "iter_bits",
     "mask_of",
@@ -261,43 +260,6 @@ class Coloring(namedtuple("Coloring", "palette assignment")):
 
     def class_count(self) -> int:
         return len(set(self.assignment))
-
-
-class Partition(namedtuple("Partition", "n palette parts")):
-    """A palette-indexed partition of 0..n-1 into possibly empty parts."""
-
-    __slots__ = ()
-
-    def __new__(cls, n: int, palette: tuple[int, ...], parts: tuple[frozenset[int], ...]):
-        if len(parts) != len(palette):
-            raise ValueError("one part per palette colour required")
-        union = 0
-        total = 0
-        for part in parts:
-            pm = mask_of(part)
-            if pm & union:
-                raise ValueError("parts must be pairwise disjoint")
-            union |= pm
-            total += len(part)
-        if total != n or union != (1 << n) - 1:
-            raise ValueError("parts must partition the vertex set")
-        return super().__new__(cls, n, palette, parts)
-
-    @classmethod
-    def from_coloring(cls, coloring: Coloring) -> "Partition":
-        classes = coloring.classes()
-        return cls(
-            coloring.n,
-            coloring.palette,
-            tuple(classes[c] for c in coloring.palette),
-        )
-
-    def to_coloring(self) -> Coloring:
-        assignment = [0] * self.n
-        for colour, part in zip(self.palette, self.parts):
-            for v in part:
-                assignment[v] = colour
-        return Coloring(self.palette, tuple(assignment))
 
 
 class ListAssignment(namedtuple("ListAssignment", "palette lists k")):

@@ -13,15 +13,14 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from itertools import combinations
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import (
+    Coloring,
     Deadline,
     Digraph,
     ListAssignment,
-    Partition,
     _extension_cyclic,
-    iter_bits,
     mask_of,
     maximal_acyclic_sets,
 )
@@ -29,7 +28,6 @@ from .errors import BudgetExceededError, LimitExceededError
 from .randomized import (
     DOMAIN_SUBLIST,
     EventEstimate,
-    GBoundParams,
     RngSpec,
     g_bound,
     uniform_below,
@@ -37,9 +35,6 @@ from .randomized import (
 
 __all__ = [
     "SetCollection",
-    "SemicoverSpec",
-    "RookCollectionParams",
-    "CheckReport",
     "AcceptanceEstimate",
     "build_rook_collection",
     "is_covered",
@@ -72,43 +67,21 @@ class SetCollection(namedtuple("SetCollection", "members s t")):
         return [mask_of(m) for m in self.members]
 
 
-class SemicoverSpec(namedtuple("SemicoverSpec", "collection lam")):
-    """A collection together with the size threshold below which one side
-    of a two-sided part may be excused."""
-
-    __slots__ = ()
-
-    def __new__(cls, collection: SetCollection, lam: float):
-        if lam <= 0:
-            raise ValueError("the threshold must be positive")
-        return super().__new__(cls, collection, lam)
-
-
-class RookCollectionParams(namedtuple("RookCollectionParams", "n beta")):
-    """Parameters of the line-and-block collection over an n x n rook
-    graph; beta defaults to floor(124 * ln n)."""
-
-    __slots__ = ()
-
-    def __new__(cls, n: int, beta: Optional[int] = None):
-        if n < 1:
-            raise ValueError("n must be at least 1")
-        if beta is None:
-            beta = int(math.floor(124 * math.log(n)))
-        if beta < 0:
-            raise ValueError("beta must be nonnegative")
-        return super().__new__(cls, n, beta)
-
-
-def build_rook_collection(p: RookCollectionParams) -> SetCollection:
+def build_rook_collection(n: int, beta: Optional[int] = None) -> SetCollection:
     """Every row and column of the n x n grid united with every beta x beta
-    block A x B; when beta leaves [1, n] the blocks degenerate to the whole
-    vertex set and the collection collapses to {V}.
+    block A x B; beta defaults to floor(124 * ln n). When beta leaves
+    [1, n] the blocks degenerate to the whole vertex set and the
+    collection collapses to {V}.
 
     Declared bounds: s = max(1, 2n * C(n,beta)^2), t = n + beta^2 (lifted
     to n^2 in the degenerate branch, where the single member is V itself).
     """
-    n, beta = p.n, p.beta
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if beta is None:
+        beta = int(math.floor(124 * math.log(n)))
+    if beta < 0:
+        raise ValueError("beta must be nonnegative")
 
     def cell(i: int, j: int) -> int:
         return i * n + j
@@ -118,10 +91,9 @@ def build_rook_collection(p: RookCollectionParams) -> SetCollection:
     if not 1 <= beta <= n:
         t_declared = max(n + beta * beta, n * n)
         return SetCollection((everything,), s_declared, t_declared)
-    expected = 2 * n * math.comb(n, beta) ** 2
-    if expected > _MEMBER_LIMIT:
+    if s_declared > _MEMBER_LIMIT:
         raise LimitExceededError(
-            f"collection would have {expected} members, above {_MEMBER_LIMIT}"
+            f"collection would have {s_declared} members, above {_MEMBER_LIMIT}"
         )
     lines: list[frozenset[int]] = []
     for i in range(n):
@@ -136,111 +108,94 @@ def build_rook_collection(p: RookCollectionParams) -> SetCollection:
     return SetCollection(members, s_declared, n + beta * beta)
 
 
-def is_covered(P: Partition, C: SetCollection) -> bool:
-    """True iff every nonempty part sits inside some member."""
-    masks = C.member_masks()
-    for part in P.parts:
-        if not part:
-            continue
-        pm = mask_of(part)
-        if not any(pm & ~m == 0 for m in masks):
-            return False
-    return True
+def _class_masks(f: Coloring) -> list[int]:
+    """The vertex masks of the nonempty colour classes of f."""
+    masks: dict[int, int] = {}
+    for v, c in enumerate(f.assignment):
+        masks[c] = masks.get(c, 0) | 1 << v
+    return list(masks.values())
 
 
-def accepts(L: ListAssignment, P: Partition) -> bool:
-    """True iff each vertex's part colour appears on that vertex's list."""
-    if L.palette != P.palette:
-        raise ValueError("list assignment and partition use different palettes")
-    if L.n != P.n:
-        raise ValueError("list assignment and partition cover different vertex sets")
-    for colour, part in zip(P.palette, P.parts):
-        for v in part:
-            if colour not in L.lists[v]:
-                return False
-    return True
+def _inside_some(mask: int, members: list[int]) -> bool:
+    return any(mask & ~m == 0 for m in members)
 
 
-class CheckReport(NamedTuple):
-    """Outcome of a cover/semicover verification with a counterexample."""
+def _semicovered(mask: int, n_half: int, members: list[int], lam: float) -> bool:
+    """Both sides of a part of {1,2} x V(H) inside members, or one side
+    inside a member and smaller than lam."""
+    s1, s2 = mask & ((1 << n_half) - 1), mask >> n_half
+    in1, in2 = _inside_some(s1, members), _inside_some(s2, members)
+    return (in1 and in2) or (in1 and s1.bit_count() < lam) or (in2 and s2.bit_count() < lam)
 
-    ok: bool
-    counterexample: Optional[frozenset[int]] = None
+
+def _half(n: int, lam: float) -> int:
+    """The side size of a doubled vertex set, after checking lam."""
+    if lam <= 0:
+        raise ValueError("the threshold must be positive")
+    if n % 2:
+        raise ValueError("vertex set must split into two equal sides")
+    return n // 2
+
+
+def _first_maximal_failing(
+    d: Digraph, holds: Callable[[int], bool], deadline: Optional[Deadline]
+) -> Optional[frozenset[int]]:
+    """The first maximal acyclic set of d whose mask fails holds, or None.
+    For a test that subsets inherit, this decides every acyclic partition
+    of d: each acyclic set lies in a maximal one, and a maximal one is a
+    part of the partition that singletons complete (which presumes a
+    palette of at least n colours)."""
+    for aset in maximal_acyclic_sets(d, deadline):
+        if not holds(mask_of(aset)):
+            return aset
+    return None
+
+
+def is_covered(f: Coloring, C: SetCollection) -> bool:
+    """True iff every nonempty colour class sits inside some member."""
+    members = C.member_masks()
+    return all(_inside_some(part, members) for part in _class_masks(f))
+
+
+def accepts(L: ListAssignment, f: Coloring) -> bool:
+    """True iff each vertex's colour appears on that vertex's list."""
+    if L.palette != f.palette:
+        raise ValueError("list assignment and colouring use different palettes")
+    if L.n != f.n:
+        raise ValueError("list assignment and colouring cover different vertex sets")
+    return all(c in lst for c, lst in zip(f.assignment, L.lists))
 
 
 def verify_cover_all_acyclic(
     d: Digraph, C: SetCollection, deadline: Optional[Deadline] = None
-) -> CheckReport:
-    """Decide whether every acyclic partition of d is covered by C.
-
-    Containment is monotone, so it is enough that every inclusion-maximal
-    acyclic set lies inside a member; completing a set to a partition uses
-    singleton parts and therefore presumes a palette of at least n colours.
-    deadline bounds the search for those sets, as in maximal_acyclic_sets.
-    """
-    masks = C.member_masks()
-    for aset in maximal_acyclic_sets(d, deadline):
-        am = mask_of(aset)
-        if not any(am & ~m == 0 for m in masks):
-            return CheckReport(False, aset)
-    return CheckReport(True, None)
+) -> Optional[frozenset[int]]:
+    """The first maximal acyclic set of d inside no member of C, or None
+    when every acyclic partition of d is covered by C. deadline bounds the
+    search for those sets, as in maximal_acyclic_sets."""
+    members = C.member_masks()
+    return _first_maximal_failing(d, lambda mask: _inside_some(mask, members), deadline)
 
 
-def _split_sides(part: Iterable[int], n_half: int) -> tuple[frozenset[int], frozenset[int]]:
-    s1 = frozenset(v for v in part if v < n_half)
-    s2 = frozenset(v - n_half for v in part if v >= n_half)
-    return s1, s2
-
-
-def _side_ok(side: frozenset[int], masks: list[int]) -> bool:
-    sm = mask_of(side)
-    return any(sm & ~m == 0 for m in masks)
-
-
-def _part_semicovered(
-    part: Iterable[int], n_half: int, masks: list[int], lam: float
-) -> bool:
-    s1, s2 = _split_sides(part, n_half)
-    in1, in2 = _side_ok(s1, masks), _side_ok(s2, masks)
-    if in1 and in2:
-        return True
-    if in1 and len(s1) < lam:
-        return True
-    if in2 and len(s2) < lam:
-        return True
-    return False
-
-
-def is_semicovered(P: Partition, spec: SemicoverSpec) -> bool:
-    """Semicover test for a partition of a doubled vertex set {1,2} x V(H):
-    each nonempty part must have both sides inside members, or one side
-    inside a member and smaller than the threshold."""
-    if P.n % 2:
-        raise ValueError("vertex set must split into two equal sides")
-    n_half = P.n // 2
-    masks = spec.collection.member_masks()
-    return all(
-        _part_semicovered(part, n_half, masks, spec.lam)
-        for part in P.parts
-        if part
-    )
+def is_semicovered(f: Coloring, C: SetCollection, lam: float) -> bool:
+    """Semicover test for a colouring of a doubled vertex set {1,2} x V(H):
+    each nonempty class must have both sides inside members, or one side
+    inside a member and smaller than the threshold lam > 0."""
+    n_half = _half(f.n, lam)
+    members = C.member_masks()
+    return all(_semicovered(part, n_half, members, lam) for part in _class_masks(f))
 
 
 def verify_semicover_all_acyclic(
-    d: Digraph, spec: SemicoverSpec, deadline: Optional[Deadline] = None
-) -> CheckReport:
-    """Decide whether every acyclic partition of d (on {1,2} x V(H)) is
-    semicovered. The semicover condition is inherited by subsets, so
-    checking the maximal acyclic sets suffices, as for plain covers;
-    deadline as in verify_cover_all_acyclic."""
-    if d.n % 2:
-        raise ValueError("vertex set must split into two equal sides")
-    n_half = d.n // 2
-    masks = spec.collection.member_masks()
-    for aset in maximal_acyclic_sets(d, deadline):
-        if not _part_semicovered(aset, n_half, masks, spec.lam):
-            return CheckReport(False, aset)
-    return CheckReport(True, None)
+    d: Digraph, C: SetCollection, lam: float, deadline: Optional[Deadline] = None
+) -> Optional[frozenset[int]]:
+    """The first maximal acyclic set of d (on {1,2} x V(H)) that is not
+    semicovered with threshold lam, as in is_semicovered, or None when
+    every acyclic partition of d is; deadline as in
+    verify_cover_all_acyclic."""
+    n_half = _half(d.n, lam)
+    members = C.member_masks()
+    return _first_maximal_failing(
+        d, lambda mask: _semicovered(mask, n_half, members, lam), deadline)
 
 
 def _unrank_combination(items: list[int], k: int, rank: int) -> frozenset[int]:
@@ -279,13 +234,13 @@ def exists_accepted_covered_partition(
     C: SetCollection,
     L: ListAssignment,
     deadline: Optional[Deadline] = None,
-) -> tuple[bool, Optional[Partition]]:
-    """Search for a palette-indexed partition that is covered by C,
-    accepted by L, and acyclic per part.
+) -> Optional[Coloring]:
+    """Search for a colouring over L's palette whose classes are covered
+    by C, accepted by L, and acyclic; returns the first one found, or None.
 
     Each colour class is confined to the members still containing all of
-    its vertices (colours with empty classes stay unconstrained, matching
-    partitions with empty parts); backtracking assigns vertices in index
+    its vertices (a colour no vertex takes stays unconstrained);
+    backtracking assigns vertices in index
     order with incremental class-acyclicity and member filtering.
     ``deadline`` (else Deadline()) is polled at every node and raises
     BudgetExceededError.
@@ -308,7 +263,7 @@ def exists_accepted_covered_partition(
     outs, ins = d.outs, d.ins
     alive = [all_members] * u
     class_masks = [0] * u
-    assignment: list[Optional[int]] = [None] * n
+    assignment = [0] * n
     deadline = deadline or Deadline()
 
     def rec(v: int) -> bool:
@@ -329,17 +284,13 @@ def exists_accepted_covered_partition(
             assignment[v] = colour
             if rec(v + 1):
                 return True
-            assignment[v] = None
             class_masks[i] &= ~(1 << v)
             alive[i] = saved
         return False
 
     if not rec(0):
-        return (False, None)
-    parts = []
-    for i in range(u):
-        parts.append(frozenset(iter_bits(class_masks[i])))
-    return (True, Partition(n, palette, tuple(parts)))
+        return None
+    return Coloring(palette, tuple(assignment))
 
 
 class AcceptanceEstimate(NamedTuple):
@@ -350,7 +301,6 @@ class AcceptanceEstimate(NamedTuple):
     event: EventEstimate
     bound: float
     hypothesis_ok: bool
-    params: Optional[GBoundParams]
 
 
 def estimate_acceptance_probability(
@@ -371,12 +321,11 @@ def estimate_acceptance_probability(
     a partial count."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    u = len(L1.palette)
     if l2 < L1.k:
-        params = GBoundParams(L1.k, l2, d.n, C.s, C.t, len(L1.palette))
-        bound = g_bound(params)
-        hypothesis_ok = 4 * params.t * params.u <= (params.l1 - params.l2) * params.n
+        bound = g_bound(L1.k, l2, d.n, C.s, C.t, u)
+        hypothesis_ok = 4 * C.t * u <= (L1.k - l2) * d.n
     else:
-        params = None
         bound = math.inf
         hypothesis_ok = False
     from .parallel import parallel_map
@@ -386,13 +335,11 @@ def estimate_acceptance_probability(
 
     def one(i: int) -> bool:
         L2 = sample_sublists(L1, l2, rng.derive(i))
-        ok, _ = exists_accepted_covered_partition(d, C, L2, deadline)
-        return ok
+        return exists_accepted_covered_partition(d, C, L2, deadline) is not None
 
     hits = parallel_map(one, range(trials), threads)
     return AcceptanceEstimate(
         EventEstimate.from_counts(sum(hits), trials),
         bound,
         hypothesis_ok,
-        params,
     )

@@ -28,8 +28,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "RngSpec",
-    "GBoundParams",
-    "ExpectationParams",
     "EventEstimate",
     "mix64",
     "stream_u64",
@@ -235,9 +233,8 @@ def find_acyclic_biclique(
     """
     if l < 1:
         raise ValueError("l must be at least 1")
-    g = d.underlying_graph()
-    n = g.n
-    adj, ins, outs = g.adj, d.ins, d.outs
+    n, ins, outs = d.n, d.ins, d.outs
+    adj = [o | i for o, i in zip(outs, ins)]
     deadline = deadline or Deadline()
 
     def scan_t(s_mask: int, common: int) -> Optional[tuple[int, ...]]:
@@ -276,8 +273,8 @@ def find_acyclic_clique(d: Digraph, l: int, deadline: Optional[Deadline] = None)
     ``deadline`` is polled at every node, as in find_acyclic_biclique."""
     if l < 1:
         raise ValueError("l must be at least 1")
-    g = d.underlying_graph()
-    n = g.n
+    n = d.n
+    adj = [o | i for o, i in zip(d.outs, d.ins)]
     deadline = deadline or Deadline()
 
     def rec(clique: list[int], allowed: int):
@@ -289,7 +286,7 @@ def find_acyclic_clique(d: Digraph, l: int, deadline: Optional[Deadline] = None)
             return None
         start = clique[-1] + 1 if clique else 0
         for v in iter_bits(allowed & ~((1 << start) - 1)):
-            hit = rec(clique + [v], allowed & g.adj[v])
+            hit = rec(clique + [v], allowed & adj[v])
             if hit is not None:
                 return hit
         return None
@@ -351,59 +348,40 @@ def estimate_biclique_event(
     return EventEstimate.from_counts(sum(hits), trials)
 
 
-class GBoundParams(namedtuple("GBoundParams", "l1 l2 n s t u")):
-    """Parameters of the list-thinning failure bound.
-
-    l1 and l2 are the original and sampled list sizes, n the vertex count,
-    s and t the collection bounds, u the palette size.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, l1: int, l2: int, n: int, s: int, t: int, u: int):
-        if not l1 > l2 >= 1:
-            raise ValueError("need l1 > l2 >= 1")
-        for name, value in (("n", n), ("s", s), ("t", t), ("u", u)):
-            if value < 1:
-                raise ValueError(f"{name} must be positive")
-        return super().__new__(cls, l1, l2, n, s, t, u)
+def g_bound_log(l1: int, l2: int, n: int, s: int, t: int, u: int) -> float:
+    """Natural log of the list-thinning failure bound g, the safe form for
+    large s^u. l1 and l2 are the original and sampled list sizes, n the
+    vertex count, s and t the collection bounds, u the palette size."""
+    if not l1 > l2 >= 1:
+        raise ValueError("need l1 > l2 >= 1")
+    for name, value in (("n", n), ("s", s), ("t", t), ("u", u)):
+        if value < 1:
+            raise ValueError(f"{name} must be positive")
+    exponent = 4.0 * l2 * t * u / ((l1 - l2) * n)
+    return u * math.log(s) - 0.5 * n * math.pow(2.0, -exponent)
 
 
-def g_bound_log(p: GBoundParams) -> float:
-    """Natural log of the bound, the safe form for large s^u."""
-    exponent = 4.0 * p.l2 * p.t * p.u / ((p.l1 - p.l2) * p.n)
-    return p.u * math.log(p.s) - 0.5 * p.n * math.pow(2.0, -exponent)
-
-
-def g_bound(p: GBoundParams) -> float:
+def g_bound(l1: int, l2: int, n: int, s: int, t: int, u: int) -> float:
     """Value s^u * exp(-(n/2) * 2^(-4*l2*t*u/((l1-l2)*n))), via log space."""
     try:
-        return math.exp(g_bound_log(p))
+        return math.exp(g_bound_log(l1, l2, n, s, t, u))
     except OverflowError:
         return math.inf
 
 
-class ExpectationParams(namedtuple("ExpectationParams", "m u k a")):
-    """Parameters of the expected count of list-avoiding vertices: part
-    size m, palette size u, list size k, forbidden-set size a."""
-
-    __slots__ = ()
-
-    def __new__(cls, m: int, u: int, k: int, a: int):
-        if m < 0 or a < 0:
-            raise ValueError("m and a must be nonnegative")
-        if not 1 <= k <= u:
-            raise ValueError("need 1 <= k <= u")
-        return super().__new__(cls, m, u, k, a)
-
-
-def expected_avoiding_count(p: ExpectationParams) -> Fraction:
-    """Exact rational m * C(u-a, k) / C(u, k); zero when a + k > u."""
+def expected_avoiding_count(m: int, u: int, k: int, a: int) -> Fraction:
+    """Expected count of list-avoiding vertices, the exact rational
+    m * C(u-a, k) / C(u, k) for part size m, palette size u, list size k
+    and forbidden-set size a; zero when a + k > u."""
     from fractions import Fraction
 
-    if p.a + p.k > p.u:
+    if m < 0 or a < 0:
+        raise ValueError("m and a must be nonnegative")
+    if not 1 <= k <= u:
+        raise ValueError("need 1 <= k <= u")
+    if a + k > u:
         return Fraction(0)
-    return Fraction(p.m) * Fraction(math.comb(p.u - p.a, p.k), math.comb(p.u, p.k))
+    return Fraction(m) * Fraction(math.comb(u - a, k), math.comb(u, k))
 
 
 def concentration_bound(n: int, c: float, t: float) -> float:

@@ -177,6 +177,31 @@ def brute_covers_all_acyclic_partitions(n, arcs, members):
     return True, None
 
 
+def brute_semicovers_all_acyclic_partitions(n, arcs, members, lam):
+    """Every partition of {1,2} x V(H), vertices 0..n/2-1 on the first side
+    and n/2..n-1 on the second, into acyclic blocks has each block
+    semicovered: both sides inside members, or one side inside a member
+    and smaller than lam. Empty parts add nothing: with no members every
+    part fails, the nonempty ones included, so plain set partitions decide
+    the question, as for covers."""
+    half = n // 2
+    member_sets = [set(m) for m in members]
+
+    def inside(side):
+        return any(side <= m for m in member_sets)
+
+    for part in set_partitions(list(range(n))):
+        if not all(acyclic_by_dfs(*relabel(arcs, b)) for b in part):
+            continue
+        for block in part:
+            first = {v for v in block if v < half}
+            second = {v - half for v in block if v >= half}
+            if not ((inside(first) and inside(second))
+                    or any(inside(side) and len(side) < lam for side in (first, second))):
+                return False, part
+    return True, None
+
+
 def brute_min_acyclic_parts(n, arcs):
     """Dichromatic number via set-partition enumeration."""
     if n == 0:

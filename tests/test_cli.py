@@ -168,6 +168,9 @@ def test_cli_check_cover_with_beta(tmp_path, capsys):
     (tmp_path / "d.g").write_text(out)
     code, out = _run(capsys, ["check", "cover", str(tmp_path / "d.g"), "--beta", "3"])
     assert code == 0 and "covers_all_acyclic True" in out
+    code, out = _run(capsys, ["check", "cover", str(tmp_path / "d.g"), "--beta", "3",
+                              "--format", "json"])
+    assert code == 0 and json.loads(out)["params"] == {"collection": None, "beta": 3}
 
 
 def test_cli_product_and_named(tmp_path, capsys):
@@ -231,6 +234,8 @@ def test_cli_verify_json_deterministic_across_threads(capsys):
     a = strip_runtime(json.loads(out_a))
     b = strip_runtime(json.loads(out_b))
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    # the seed is recorded once, in the suite's summary
+    assert "seed" not in a and a["params"]["seed"] == 5
 
 
 def test_cli_check_cover_with_collection_file(tmp_path, capsys):
@@ -251,6 +256,12 @@ def test_cli_check_cover_with_collection_file(tmp_path, capsys):
     record = json.loads(out)
     assert record["covers_all_acyclic"] is False
     assert record["counterexample"]
+    assert record["params"] == {"collection": str(small), "beta": None}
+    code, out = _run(capsys, ["mc", "acceptance", str(tmp_path / "d.g"), "--collection",
+                              str(whole), "--trials", "3", "--l1", "2", "--l2", "1",
+                              "--format", "json"])
+    assert code == 0 and json.loads(out)["params"] == {
+        "l1": 2, "l2": 1, "trials": 3, "collection": str(whole), "beta": None}
 
 
 def test_cli_check_semicover(tmp_path, capsys):
@@ -775,10 +786,10 @@ LEAF_OPTIONS = {
     ("bound", "concentration"): {"--n", "--c", "--t"},
     ("bound", "expectation"): {"--m", "--u", "--k", "--a"},
     ("verify", "sabidussi"): {"--seed", "--threads", "--max-n", "--pairs", "--pair-max-n"},
-    ("verify", "bidirect"): {"--seed", "--threads", "--max-n"},
-    ("verify", "kneser-chi"): {"--seed", "--threads"},
+    ("verify", "bidirect"): {"--threads", "--max-n"},
+    ("verify", "kneser-chi"): {"--threads"},
     ("verify", "catalogue"): {"--seed", "--threads"},
-    ("verify", "tensor-bound"): {"--seed", "--threads", "--max-n"},
+    ("verify", "tensor-bound"): {"--threads", "--max-n"},
     ("embed", "rook-in-kneser"): {"--n", "--k"},
     ("embed", "kneser-tensor"): {"--n", "--k", "--n1", "--k1"},
 }
@@ -797,13 +808,14 @@ def test_cli_leaves_take_only_the_options_they_read():
             assert set(options) == {"--timeout-s", "--format", "--out"} | \
                 LEAF_OPTIONS.get((group, leaf), set()), (group, leaf)
             slots += len(options)
-    assert slots == 158
+    assert slots == 155
 
 
 def test_cli_leaves_refuse_options_they_do_not_read(tmp_path, capsys):
     (tmp_path / "g.g").write_text(format_graph(kneser(4, 1)))
     for argv in (["solve", "chromatic", str(tmp_path / "g.g"), "--l", "3"],
-                 ["gen", "kneser", "5", "2", "--seed", "1"]):
+                 ["gen", "kneser", "5", "2", "--seed", "1"],
+                 ["verify", "kneser-chi", "--seed", "5"]):
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "unrecognized arguments" in captured.err
@@ -815,6 +827,19 @@ def test_cli_leaves_refuse_options_they_do_not_read(tmp_path, capsys):
         assert run(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and f"required: {flag}\n" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "cover", "d.g"],
+    ["check", "semicover", "d.g", "--lambda", "3"],
+    ["mc", "acceptance", "d.g", "--trials", "3", "--l1", "2", "--l2", "1"],
+])
+def test_cli_collection_and_beta_exclude_each_other(capsys, argv):
+    # --beta only shapes the inferred rook collection, so with a file it would go unread
+    assert run(argv + ["--collection", "c.json", "--beta", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --beta: not allowed with argument --collection" in captured.err
 
 
 def test_cli_group_parser_parses_as_the_full_tree():

@@ -5,16 +5,13 @@ from itertools import combinations, product as iproduct
 import pytest
 
 from dichroma.core import (
+    Coloring,
     Deadline,
     Digraph,
-    Graph,
     ListAssignment,
-    Partition,
     bidirect,
 )
 from dichroma.covers import (
-    RookCollectionParams,
-    SemicoverSpec,
     SetCollection,
     accepts,
     build_rook_collection,
@@ -26,12 +23,13 @@ from dichroma.covers import (
     verify_cover_all_acyclic,
     verify_semicover_all_acyclic,
 )
+from dichroma.catalogue import random_digraph
 from dichroma.errors import BudgetExceededError
 from dichroma.generators import complete_graph, rook
 from dichroma.products import tensor_product
-from dichroma.randomized import RngSpec, random_orientation
+from dichroma.randomized import RngSpec, random_orientation, stream_u64
 
-from oracles import acyclic_by_dfs, relabel
+from oracles import acyclic_by_dfs, brute_semicovers_all_acyclic_partitions, relabel
 
 C3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 
@@ -46,7 +44,7 @@ def test_set_collection_validation():
 
 
 def test_build_rook_collection_small():
-    col = build_rook_collection(RookCollectionParams(3, 1))
+    col = build_rook_collection(3, 1)
     assert len(col.members) == 54
     assert col.s == 54 and col.t == 4
     assert max(len(m) for m in col.members) == 4
@@ -55,26 +53,25 @@ def test_build_rook_collection_small():
 
 def test_build_rook_collection_guard_branch():
     # the default block side floor(124 ln 3) = 136 exceeds n: single member V
-    params = RookCollectionParams(3)
-    assert params.beta == 136
-    col = build_rook_collection(params)
+    col = build_rook_collection(3)
+    assert col == build_rook_collection(3, 136)
     assert col.members == (frozenset(range(9)),)
     assert col.s == 1
     d = random_orientation(rook(3), RngSpec(0))
-    assert verify_cover_all_acyclic(d, col).ok
+    assert verify_cover_all_acyclic(d, col) is None
 
 
 def test_build_rook_collection_single_vertex():
-    col = build_rook_collection(RookCollectionParams(1))
+    col = build_rook_collection(1)
     assert col.members == (frozenset({0}),)
     d = Digraph(1)
-    assert verify_cover_all_acyclic(d, col).ok
+    assert verify_cover_all_acyclic(d, col) is None
 
 
 def test_rook_collection_declared_bounds_grid():
     for n in range(1, 7):
         for beta in range(0, 4):
-            col = build_rook_collection(RookCollectionParams(n, beta))
+            col = build_rook_collection(n, beta)
             assert len(col.members) <= col.s
             assert all(len(m) <= col.t for m in col.members)
             if 1 <= beta <= n:
@@ -86,31 +83,24 @@ def test_rook_collection_declared_bounds_grid():
 
 def test_is_covered_examples():
     singletons = SetCollection(tuple(frozenset({v}) for v in range(3)), 3, 1)
-    all_single = Partition(3, (0, 1, 2), (frozenset({0}), frozenset({1}), frozenset({2})))
+    all_single = Coloring((0, 1, 2), (0, 1, 2))
     assert is_covered(all_single, singletons)
-    whole = Partition(3, (0, 1, 2), (frozenset({0, 1, 2}), frozenset(), frozenset()))
+    whole = Coloring((0, 1, 2), (0, 0, 0))
     assert not is_covered(whole, singletons)
-    col = build_rook_collection(RookCollectionParams(3, 1))
-    rows = Partition(
-        9,
-        tuple(range(9)),
-        tuple(
-            [frozenset({3 * i, 3 * i + 1, 3 * i + 2}) for i in range(3)]
-            + [frozenset()] * 6
-        ),
-    )
+    col = build_rook_collection(3, 1)
+    rows = Coloring(tuple(range(9)), tuple(v // 3 for v in range(9)))  # six colours unused
     assert is_covered(rows, col)
 
 
 def test_accepts_examples():
     full = ListAssignment.uniform(3, (1, 2, 3))
-    some = Partition(3, (1, 2, 3), (frozenset({0, 2}), frozenset({1}), frozenset()))
+    some = Coloring((1, 2, 3), (1, 2, 1))
     assert accepts(full, some)
     narrow = ListAssignment((1, 2), (frozenset({1}),) * 3, 1)
-    part = Partition(3, (1, 2), (frozenset({0, 1}), frozenset({2})))
-    assert not accepts(narrow, part)  # vertex 2 sits in part 2 but lists only 1
+    part = Coloring((1, 2), (1, 1, 2))
+    assert not accepts(narrow, part)  # vertex 2 has colour 2 but lists only 1
     lists12 = ListAssignment.uniform(3, (1, 2))
-    split = Partition(3, (1, 2), (frozenset({0, 1}), frozenset({2})))
+    split = Coloring((1, 2), (1, 1, 2))
     assert accepts(lists12, split)
     with pytest.raises(ValueError):
         accepts(full, split)
@@ -119,38 +109,32 @@ def test_accepts_examples():
 def test_verify_cover_examples():
     acyclic = Digraph(3, [(0, 1), (1, 2)])
     whole = SetCollection((frozenset(range(3)),), 1, 3)
-    assert verify_cover_all_acyclic(acyclic, whole).ok
+    assert verify_cover_all_acyclic(acyclic, whole) is None
     singletons = SetCollection(tuple(frozenset({v}) for v in range(3)), 3, 1)
-    report = verify_cover_all_acyclic(C3, singletons)
-    assert not report.ok and len(report.counterexample) == 2
+    missed = verify_cover_all_acyclic(C3, singletons)
+    assert missed is not None and len(missed) == 2
 
 
 def test_verify_cover_rook4_regression():
     # value frozen from the first verified run (seeded orientation)
     d = random_orientation(rook(4), RngSpec(2))
-    col = build_rook_collection(RookCollectionParams(4, 2))
-    report = verify_cover_all_acyclic(d, col)
-    assert not report.ok
-    assert sorted(report.counterexample) == [0, 1, 2, 3, 4, 7, 8, 12]
+    col = build_rook_collection(4, 2)
+    missed = verify_cover_all_acyclic(d, col)
+    assert sorted(missed) == [0, 1, 2, 3, 4, 7, 8, 12]
     # counterexample re-validates: acyclic but inside no member
-    assert acyclic_by_dfs(*relabel(d.arcs, report.counterexample))
-    assert all(not report.counterexample <= m for m in col.members)
+    assert acyclic_by_dfs(*relabel(d.arcs, missed))
+    assert all(not missed <= m for m in col.members)
 
 
 def test_is_semicovered_examples():
     members = SetCollection((frozenset({0, 1}), frozenset({2, 3})), 2, 2)
-    spec = SemicoverSpec(members, 2.0)
-    # a part whose second side is empty passes through the threshold clause
-    p = Partition(
-        8,
-        tuple(range(8)),
-        tuple([frozenset({0, 1})] + [frozenset({v}) for v in range(2, 8)] + [frozenset()]),
-    )
-    assert is_semicovered(p, spec)
+    # a class whose second side is empty passes through the threshold clause
+    p = Coloring(tuple(range(8)), (0, 0, 1, 2, 3, 4, 5, 6))
+    assert is_semicovered(p, members, 2.0)
 
-    def oracle(partition, collection, lam):
-        n_half = partition.n // 2
-        for part in partition.parts:
+    def oracle(colouring, collection, lam):
+        n_half = colouring.n // 2
+        for part in colouring.classes().values():
             if not part:
                 continue
             s1 = {v for v in part if v < n_half}
@@ -169,54 +153,43 @@ def test_is_semicovered_examples():
                 return False
         return True
 
-    # hand-built four-vertex half: sweep several partitions against the oracle
+    # hand-built four-vertex half: sweep several colourings against the oracle
     import itertools
 
     palette = tuple(range(8))
     for assignment in itertools.islice(itertools.product(range(3), repeat=8), 0, 3**8, 37):
-        parts = [frozenset(v for v, c in enumerate(assignment) if c == i) for i in range(3)]
-        parts += [frozenset()] * 5
-        partition = Partition(8, palette, tuple(parts))
+        colouring = Coloring(palette, assignment)
         for lam in (1.0, 2.0, 9.0):
-            spec_l = SemicoverSpec(members, lam)
-            assert is_semicovered(partition, spec_l) == oracle(partition, members, lam)
+            assert is_semicovered(colouring, members, lam) == oracle(colouring, members, lam)
 
 
 def test_semicover_threshold_never_binds_when_huge():
     members = SetCollection((frozenset({0, 1}), frozenset({2})), 2, 2)
-    spec = SemicoverSpec(members, 100.0)
-    p = Partition(
-        6,
-        tuple(range(6)),
-        (frozenset({0, 1, 3}), frozenset({2, 4}), frozenset({5}), frozenset(),
-         frozenset(), frozenset()),
-    )
+    p = Coloring(tuple(range(6)), (0, 0, 1, 0, 1, 2))
     # every side fits some member, so the huge threshold accepts everything
-    assert is_semicovered(p, spec)
+    assert is_semicovered(p, members, 100.0)
 
 
 def test_verify_semicover_bidirected_k2xh():
     h = complete_graph(3)
     d = bidirect(tensor_product(complete_graph(2), h))
     singles = SetCollection(tuple(frozenset({v}) for v in range(3)), 3, 1)
-    assert verify_semicover_all_acyclic(d, SemicoverSpec(singles, 2.0)).ok
+    assert verify_semicover_all_acyclic(d, singles, 2.0) is None
 
 
 def test_verify_semicover_empty_collection():
     d = Digraph(2)  # one vertex per side, no arcs
     empty = SetCollection((), 1, 1)
-    report = verify_semicover_all_acyclic(d, SemicoverSpec(empty, 5.0))
-    assert not report.ok
+    assert verify_semicover_all_acyclic(d, empty, 5.0) is not None
 
 
 def test_verify_semicover_k2xrook3_regression():
     # value frozen from the first verified run (seeded orientation)
     d = random_orientation(tensor_product(complete_graph(2), rook(3)), RngSpec(5))
-    col = build_rook_collection(RookCollectionParams(3, 1))
-    report = verify_semicover_all_acyclic(d, SemicoverSpec(col, 4.0))
-    assert not report.ok
-    assert sorted(report.counterexample) == list(range(17))
-    assert acyclic_by_dfs(*relabel(d.arcs, report.counterexample))
+    col = build_rook_collection(3, 1)
+    missed = verify_semicover_all_acyclic(d, col, 4.0)
+    assert sorted(missed) == list(range(17))
+    assert acyclic_by_dfs(*relabel(d.arcs, missed))
 
 
 def test_sample_sublists_identity_and_empty():
@@ -250,28 +223,26 @@ def test_exists_accepted_covered_partition_examples():
     whole = SetCollection((frozenset(range(3)),), 1, 3)
     acyclic = Digraph(3, [(0, 1), (1, 2)])
     full = ListAssignment.uniform(3, (1,))
-    ok, partition = exists_accepted_covered_partition(acyclic, whole, full)
-    assert ok and partition.parts[0] == frozenset({0, 1, 2})
+    found = exists_accepted_covered_partition(acyclic, whole, full)
+    assert found == Coloring((1,), (1, 1, 1))
     empty_lists = ListAssignment((1, 2), (frozenset(),) * 3, 0)
-    ok, _ = exists_accepted_covered_partition(acyclic, whole, empty_lists)
-    assert not ok
+    assert exists_accepted_covered_partition(acyclic, whole, empty_lists) is None
     two_subsets = SetCollection(
         tuple(frozenset(c) for c in combinations(range(3), 2)), 3, 2
     )
     lists12 = ListAssignment.uniform(3, (1, 2))
-    ok, partition = exists_accepted_covered_partition(C3, two_subsets, lists12)
-    assert ok
-    assert is_covered(partition, two_subsets)
-    assert accepts(lists12, partition)
-    for part in partition.parts:
+    found = exists_accepted_covered_partition(C3, two_subsets, lists12)
+    assert found is not None
+    assert is_covered(found, two_subsets)
+    assert accepts(lists12, found)
+    for part in found.classes().values():
         assert acyclic_by_dfs(*relabel(C3.arcs, part))
 
 
 def test_acceptance_search_polls_deadline(monkeypatch):
     whole = SetCollection((frozenset(range(3)),), 1, 3)
     L1 = ListAssignment.uniform(3, (1, 2))
-    ok, _ = exists_accepted_covered_partition(C3, whole, L1, Deadline(60))
-    assert ok
+    assert exists_accepted_covered_partition(C3, whole, L1, Deadline(60)) is not None
     monkeypatch.setattr(Deadline, "check", lambda self: True)
     # a given deadline, and without one Deadline()
     for deadline in (Deadline(60), None):
@@ -354,15 +325,14 @@ def test_cross_product_implication_machinery():
     the doubled-graph side to be far larger than anything solvable here,
     so the implication is tested vacuously; the semicover ingredient is
     exercised on its own."""
-    from dichroma.randomized import GBoundParams, g_bound
+    from dichroma.randomized import g_bound
 
     h = complete_graph(3)
     doubled = bidirect(tensor_product(complete_graph(2), h))
     singles = SetCollection(tuple(frozenset({v}) for v in range(3)), 3, 1)
     qualifying = []
     for lam in (1.0, 2.0):
-        spec = SemicoverSpec(singles, lam)
-        semicovers = verify_semicover_all_acyclic(doubled, spec).ok
+        semicovers = verify_semicover_all_acyclic(doubled, singles, lam) is None
         assert semicovers  # every acyclic part is one-sided or a paired vertex
         for l1 in (2, 3):
             for l2 in range(1, l1):
@@ -370,7 +340,7 @@ def test_cross_product_implication_machinery():
                     cond_sizes = 8 * singles.t * l1 <= (l1 - l2) * h.n
                     cond_bound = (
                         m_edges
-                        * g_bound(GBoundParams(l1, l2, h.n, singles.s, singles.t, 2 * l1)) ** 2
+                        * g_bound(l1, l2, h.n, singles.s, singles.t, 2 * l1) ** 2
                         < 1.0
                     )
                     cond_lam = lam * l1 <= h.n
@@ -393,3 +363,29 @@ def test_thinning_hypothesis_unsatisfiable_at_tiny_scale():
                         if 4 * t * u <= (l1 - l2) * n:
                             qualifying += 1
     assert qualifying == 0
+
+
+def test_semicover_checker_oracle_equivalence():
+    """verify_semicover_all_acyclic against set-partition enumeration on
+    seeded digraphs with even vertex counts, members over the first side."""
+    rng = RngSpec(29)
+    outcomes = []
+    for i in range(100):
+        n = 2 * (1 + stream_u64(rng, 0x81, i) % 4)
+        d = random_digraph(n, rng.derive(i, 0))
+        half = n // 2
+        member_count = stream_u64(rng, 0x82, i) % 6
+        members = []
+        for j in range(member_count):
+            mask = stream_u64(rng, 0x83, i * 8 + j) & ((1 << half) - 1)
+            members.append(frozenset(v for v in range(half) if mask >> v & 1))
+        col = SetCollection(
+            tuple(members), member_count, max((len(m) for m in members), default=0)
+        )
+        lam = 1 + stream_u64(rng, 0x84, i) % 3
+        fast = verify_semicover_all_acyclic(d, col, lam) is None
+        slow, _ = brute_semicovers_all_acyclic_partitions(n, d.arcs, members, lam)
+        assert fast == slow, (i, n, members, lam)
+        outcomes.append((fast, lam))
+    # both verdicts occur, under every threshold
+    assert set(outcomes) == {(ok, lam) for ok in (True, False) for lam in (1, 2, 3)}

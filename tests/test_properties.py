@@ -7,7 +7,6 @@ from dichroma.core import (
     Coloring,
     Digraph,
     Graph,
-    Partition,
     apply_orientation,
     bidirect,
     enumerate_orientations,
@@ -17,7 +16,6 @@ from dichroma.core import (
 from dichroma.graphio import format_graph, parse_graph_text
 from dichroma.products import cartesian_product
 from dichroma.randomized import (
-    ExpectationParams,
     RngSpec,
     random_orientation,
     wilson_interval,
@@ -108,16 +106,6 @@ def test_modular_product_coloring_proper(x, y):
     assert is_proper_dicoloring(cartesian_product(x, y), f)
 
 
-@given(digraphs(max_n=4))
-@settings(max_examples=50, deadline=None)
-def test_partition_coloring_round_trip(d):
-    if d.n == 0:
-        return
-    cert = dichromatic_number(d)
-    partition = Partition.from_coloring(cert.witness)
-    assert partition.to_coloring().assignment == cert.witness.assignment
-
-
 @given(st.integers(min_value=0, max_value=500), st.integers(min_value=1, max_value=500))
 def test_wilson_interval_contains_point_estimate(successes, trials):
     if successes > trials:
@@ -133,5 +121,5 @@ def test_wilson_interval_contains_point_estimate(successes, trials):
 )
 def test_expected_avoiding_count_range(m, u, a):
     for k in range(1, u + 1):
-        value = expected_avoiding_count(ExpectationParams(m, u, k, a))
+        value = expected_avoiding_count(m, u, k, a)
         assert Fraction(0) <= value <= Fraction(m)

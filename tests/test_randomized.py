@@ -28,8 +28,6 @@ from dichroma.generators import (
 from dichroma.randomized import (
     DOMAIN_ORIENTATION,
     _cross_arcs_acyclic,
-    ExpectationParams,
-    GBoundParams,
     RngSpec,
     certified_breaking_orientation,
     concentration_bound,
@@ -246,19 +244,19 @@ def test_estimate_threads_deterministic():
 
 
 def test_g_bound_examples():
-    value = g_bound(GBoundParams(l1=2, l2=1, n=4, s=1, t=1, u=2))
+    value = g_bound(l1=2, l2=1, n=4, s=1, t=1, u=2)
     assert abs(value - math.exp(-0.5)) < 1e-12
     # vanishing exponent recovers s^u * exp(-n/2)
-    value = g_bound(GBoundParams(l1=10**6, l2=1, n=4, s=1, t=1, u=2))
+    value = g_bound(l1=10**6, l2=1, n=4, s=1, t=1, u=2)
     assert abs(value - math.exp(-2.0)) < 1e-6
     with pytest.raises(ValueError):
-        GBoundParams(l1=1, l2=1, n=4, s=1, t=1, u=2)
+        g_bound(l1=1, l2=1, n=4, s=1, t=1, u=2)
 
 
 def test_g_bound_positive_and_decreasing_in_n():
     last = None
     for n in range(2, 40):
-        value = g_bound(GBoundParams(l1=3, l2=1, n=n, s=2, t=1, u=3))
+        value = g_bound(l1=3, l2=1, n=n, s=2, t=1, u=3)
         assert value > 0
         if last is not None:
             assert value < last
@@ -266,10 +264,10 @@ def test_g_bound_positive_and_decreasing_in_n():
 
 
 def test_expected_avoiding_count_examples():
-    assert expected_avoiding_count(ExpectationParams(4, 4, 1, 1)) == 3
-    assert expected_avoiding_count(ExpectationParams(7, 9, 3, 0)) == 7
-    assert expected_avoiding_count(ExpectationParams(5, 4, 3, 2)) == 0
-    exact = expected_avoiding_count(ExpectationParams(5, 7, 2, 3))
+    assert expected_avoiding_count(4, 4, 1, 1) == 3
+    assert expected_avoiding_count(7, 9, 3, 0) == 7
+    assert expected_avoiding_count(5, 4, 3, 2) == 0
+    exact = expected_avoiding_count(5, 7, 2, 3)
     assert exact == Fraction(5 * math.comb(4, 2), math.comb(7, 2))
 
 

@@ -1,20 +1,21 @@
 """The package's value classes: construction, defaults, validation,
-normalisation, repr, equality, hashing and pickling."""
+normalisation, repr, equality, hashing and pickling; and the validation
+messages of the functions that take plain parameters in their place."""
 
 import pickle
 
 import pytest
 
-from dichroma.core import Coloring, Graph, ListAssignment, Orientation, Partition
+from dichroma.core import Coloring, Digraph, Graph, ListAssignment, Orientation
 from dichroma.covers import (
     AcceptanceEstimate,
-    CheckReport,
-    RookCollectionParams,
-    SemicoverSpec,
     SetCollection,
+    build_rook_collection,
+    is_semicovered,
+    verify_semicover_all_acyclic,
 )
 from dichroma.generators import BorsukSampleConfig, EmbeddingWitness, complete_graph
-from dichroma.randomized import EventEstimate, ExpectationParams, GBoundParams, RngSpec
+from dichroma.randomized import EventEstimate, RngSpec, expected_avoiding_count, g_bound
 from dichroma.solvers import Certificate
 from dichroma.verify import SuiteResult
 
@@ -26,19 +27,12 @@ EVENT = EventEstimate.from_counts(3, 4)
 RECORDS = [
     (Orientation, ("base", "direction"), (PATH3, (False, True))),
     (Coloring, ("palette", "assignment"), ((0, 1), (0, 1, 0))),
-    (Partition, ("n", "palette", "parts"), (3, (0, 1), (frozenset({0, 2}), frozenset({1})))),
     (ListAssignment, ("palette", "lists", "k"), ((0, 1, 2), (frozenset({0, 1}),) * 3, 2)),
     (RngSpec, ("seed",), (7,)),
     (EventEstimate, ("successes", "trials", "estimate", "ci_low", "ci_high"),
      (3, 4, 0.75, EVENT.ci_low, EVENT.ci_high)),
-    (GBoundParams, ("l1", "l2", "n", "s", "t", "u"), (3, 2, 10, 2, 2, 3)),
-    (ExpectationParams, ("m", "u", "k", "a"), (3, 4, 2, 1)),
     (SetCollection, ("members", "s", "t"), (COLLECTION.members, 2, 2)),
-    (SemicoverSpec, ("collection", "lam"), (COLLECTION, 3.0)),
-    (RookCollectionParams, ("n", "beta"), (3, 1)),
-    (CheckReport, ("ok", "counterexample"), (False, frozenset({1}))),
-    (AcceptanceEstimate, ("event", "bound", "hypothesis_ok", "params"),
-     (EVENT, 0.5, True, GBoundParams(3, 2, 10, 2, 2, 3))),
+    (AcceptanceEstimate, ("event", "bound", "hypothesis_ok"), (EVENT, 0.5, True)),
     (BorsukSampleConfig, ("n", "a", "cube_side", "delta", "perturbation_scale", "max_points"),
      (2, 1.5, 0.5, 0.1, 2.0, 100)),
     (EmbeddingWitness, ("source", "target", "mapping"), (complete_graph(2), PATH3, (0, 1))),
@@ -69,8 +63,7 @@ def test_record_construction_equality_and_pickling(cls, fields, args):
 
 
 def test_record_defaults():
-    assert RookCollectionParams(9) == RookCollectionParams(9, 272)
-    assert CheckReport(True).counterexample is None
+    assert build_rook_collection(9) == build_rook_collection(9, 272)
     cert = Certificate(2, True, 2, 2)
     assert (cert.witness, cert.witness_orientation, cert.rejecting_assignment,
             cert.detail) == (None, None, None, "")
@@ -81,8 +74,9 @@ def test_record_defaults():
 def test_record_normalisation():
     assert RngSpec(-1).seed == (1 << 64) - 1
     assert RngSpec(1 << 64 | 5).seed == 5
-    assert RookCollectionParams(9).beta == 272  # floor(124 ln 9)
-    assert RookCollectionParams(1).beta == 0
+    # the default block side beta = floor(124 ln n) shows in t = max(n + beta^2, n^2)
+    assert build_rook_collection(9).t == 9 + 272 ** 2
+    assert build_rook_collection(1).t == 1  # beta = 0; beta = 1 would give t = 2
     assert BorsukSampleConfig(2, 0.5, 0.1).delta == 0.75  # (2 - a) / 2
     assert BorsukSampleConfig(2, 0.5, 0.1, delta=0.25).delta == 0.25
 
@@ -100,24 +94,23 @@ def test_record_reprs_are_unchanged():
     (lambda: Orientation(PATH3, (False,)), "1 direction bits for 2 edges"),
     (lambda: Coloring((0, 0), (0,)), "palette colours must be distinct"),
     (lambda: Coloring((0, 1), (0, 2)), "vertex 1 assigned colour 2 outside palette"),
-    (lambda: Partition(2, (0,), ()), "one part per palette colour required"),
-    (lambda: Partition(2, (0, 1), (frozenset({0}), frozenset({0}))),
-     "parts must be pairwise disjoint"),
-    (lambda: Partition(3, (0, 1), (frozenset({0}), frozenset({1}))),
-     "parts must partition the vertex set"),
     (lambda: ListAssignment((0, 0), (), 1), "palette colours must be distinct"),
     (lambda: ListAssignment((0, 1), (frozenset({0}),), 2), "list of vertex 0 has size 1, not 2"),
     (lambda: ListAssignment((0,), (frozenset({1}),), 1), "list of vertex 0 leaves the palette"),
-    (lambda: GBoundParams(2, 2, 1, 1, 1, 1), "need l1 > l2 >= 1"),
-    (lambda: GBoundParams(3, 2, 1, 0, 1, 1), "s must be positive"),
-    (lambda: GBoundParams(3, 2, 1, 1, 1, 0), "u must be positive"),
-    (lambda: ExpectationParams(-1, 4, 2, 1), "m and a must be nonnegative"),
-    (lambda: ExpectationParams(3, 4, 5, 1), r"need 1 <= k <= u"),
+    (lambda: g_bound(2, 2, 1, 1, 1, 1), "need l1 > l2 >= 1"),
+    (lambda: g_bound(3, 2, 1, 0, 1, 1), "s must be positive"),
+    (lambda: g_bound(3, 2, 1, 1, 1, 0), "u must be positive"),
+    (lambda: expected_avoiding_count(-1, 4, 2, 1), "m and a must be nonnegative"),
+    (lambda: expected_avoiding_count(3, 4, 5, 1), r"need 1 <= k <= u"),
     (lambda: SetCollection((frozenset(),) * 2, 1, 1), "2 members exceed the bound s=1"),
     (lambda: SetCollection((frozenset({0, 1}),), 1, 1), "member 0 has 2 vertices, above t=1"),
-    (lambda: SemicoverSpec(COLLECTION, 0), "the threshold must be positive"),
-    (lambda: RookCollectionParams(0), "n must be at least 1"),
-    (lambda: RookCollectionParams(3, -1), "beta must be nonnegative"),
+    # the threshold is checked before the parity of the odd vertex set
+    (lambda: verify_semicover_all_acyclic(Digraph(3), COLLECTION, 0),
+     "the threshold must be positive"),
+    (lambda: is_semicovered(Coloring((0,), (0, 0, 0)), COLLECTION, 1),
+     "vertex set must split into two equal sides"),
+    (lambda: build_rook_collection(0), "n must be at least 1"),
+    (lambda: build_rook_collection(3, -1), "beta must be nonnegative"),
     (lambda: BorsukSampleConfig(0, 1.0, 1.0), "sphere dimension must be at least 1"),
     (lambda: BorsukSampleConfig(1, 2.0, 1.0), "need 0 < a < 2"),
     (lambda: BorsukSampleConfig(1, 1.0, 1.0, delta=0.75), r"need 0 < delta <= \(2-a\)/2"),
