@@ -11,41 +11,39 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib.util
 import math
 import sys
 import time
 from itertools import islice
 
 from . import __version__
-from .core import Deadline, Digraph, Graph, enumerate_orientations
+from .core import (Deadline, Digraph, Graph, ListAssignment, enumerate_orientations,
+                   is_proper_coloring, is_proper_dicoloring)
 from .errors import BudgetExceededError, CertificationError, DichromaError, GraphFormatError
-from .graphio import format_graph, parse_graph_file, parse_graph_text
-from .parallel import default_threads
-from .products import cartesian_product, tensor_product
-from .randomized import (
-    RngSpec,
-    certified_breaking_orientation,
-    concentration_bound,
-    estimate_biclique_event,
-    expected_avoiding_count,
-    g_bound,
-    random_orientation,
-)
-from .records import certificate_payload, make_record, record_json
-from .solvers import (
-    chromatic_number,
-    dichromatic_number,
-    dichromatic_number_of_graph,
-    list_chromatic_number,
-    list_dichromatic_number,
-)
-from .verify import (
-    bidirect_suite,
-    catalogue_suite,
-    kneser_chi_suite,
-    sabidussi_suite,
-    tensor_upper_bound_suite,
-)
+
+
+def _lazy(name: str):
+    """The submodule dichroma.<name>, registered in sys.modules and bound on
+    the package, whose code runs on its first attribute access; a module
+    already imported is reused."""
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[full] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# A command runs only the modules it calls into. catalogue is registered
+# although no handler names it: bench/layers.py looks each traced module
+# up in sys.modules right after importing this one.
+graphio, parallel, products, randomized, records, solvers, verify = map(
+    _lazy, ("graphio", "parallel", "products", "randomized", "records", "solvers", "verify"))
+_lazy("catalogue")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -171,9 +169,9 @@ def _bound_leaves(bound, common) -> None:
     p.add_argument("--a", type=int, required=True)
 
 
-def _verify_leaves(verify, common) -> None:
+def _verify_leaves(suites, common) -> None:
     # every suite takes --threads; only the two that draw random cases take --seed
-    leaves = {name: verify.add_parser(name, parents=[common]) for name in
+    leaves = {name: suites.add_parser(name, parents=[common]) for name in
               ("sabidussi", "bidirect", "kneser-chi", "catalogue", "tensor-bound")}
     for name, p in leaves.items():
         if name in ("sabidussi", "catalogue"):
@@ -235,8 +233,8 @@ def _build_parser(group: str | None = None) -> argparse.ArgumentParser:
 
 def _read_structure(path: str):
     if path in (None, "-"):
-        return parse_graph_text(sys.stdin.read())
-    return parse_graph_file(path)
+        return graphio.parse_graph_text(sys.stdin.read())
+    return graphio.parse_graph_file(path)
 
 
 def _need_graph(obj) -> Graph:
@@ -275,7 +273,7 @@ def _read_json(path: str, n: int, **fields: int) -> dict:
 
 
 def _threads(args) -> int:
-    return args.threads if args.threads is not None else default_threads()
+    return args.threads if args.threads is not None else parallel.default_threads()
 
 
 def _runtime_ms(started: float) -> float:
@@ -309,58 +307,52 @@ def _load_collection(args, d: Digraph):
 
 
 def _gen_command(args, started: float):
-    from .generators import (
-        BorsukSampleConfig,
-        borsuk_sample,
-        complete_multipartite,
-        kneser,
-        named_graph,
-        rook,
-    )
+    from . import generators
 
     if args.cmd == "kneser":
-        g = kneser(args.n, args.k)
+        g = generators.kneser(args.n, args.k)
     elif args.cmd == "multipartite":
-        g = complete_multipartite(args.m, args.r)
+        g = generators.complete_multipartite(args.m, args.r)
     elif args.cmd == "rook":
-        g = rook(args.n)
+        g = generators.rook(args.n)
     elif args.cmd == "borsuk":
-        g = borsuk_sample(BorsukSampleConfig(
+        g = generators.borsuk_sample(generators.BorsukSampleConfig(
             n=args.n, a=args.a, cube_side=args.cube_side, delta=args.delta,
             perturbation_scale=args.perturbation_scale,
             max_points=args.max_points))
     else:
-        g = named_graph(args.name)
-    return None, format_graph(g), None, EXIT_OK
+        g = generators.named_graph(args.name)
+    return None, graphio.format_graph(g), None, EXIT_OK
 
 
 def _product_command(args, started: float):
     left = _read_structure(args.left)
     right = _read_structure(args.right)
-    fn = cartesian_product if args.cmd == "cartesian" else tensor_product
+    fn = products.cartesian_product if args.cmd == "cartesian" else products.tensor_product
     try:
         product = fn(left, right)
     except TypeError as exc:
         raise GraphFormatError(str(exc))
-    return None, format_graph(product), None, EXIT_OK
+    return None, graphio.format_graph(product), None, EXIT_OK
 
 
 def _orient_command(args, started: float):
     g = _need_graph(_read_structure(args.input))
     if args.cmd == "random":
-        return None, format_graph(random_orientation(g, RngSpec(args.seed))), None, EXIT_OK
+        d = randomized.random_orientation(g, randomized.RngSpec(args.seed))
+        return None, graphio.format_graph(d), None, EXIT_OK
     if args.cmd == "certified":
-        d = certified_breaking_orientation(
-            g, args.l, RngSpec(args.seed),
+        d = randomized.certified_breaking_orientation(
+            g, args.l, randomized.RngSpec(args.seed),
             max_attempts=args.max_attempts,
             break_cliques=args.break_cliques,
             deadline=Deadline(args.timeout_s))
-        return None, format_graph(d), None, EXIT_OK
+        return None, graphio.format_graph(d), None, EXIT_OK
     count = 1 << g.m
     listed = ["".join("1" if b else "0" for b in o.direction)
               for o in islice(enumerate_orientations(g), max(args.max_list, 0))]
-    record = make_record("orient enumerate", {"max_list": args.max_list},
-                         count=count, orientations=listed)
+    record = records.make_record("orient enumerate", {"max_list": args.max_list},
+                                 count=count, orientations=listed)
     return record, f"orientations {count}\n", None, EXIT_OK
 
 
@@ -368,20 +360,20 @@ def _solve_command(args, started: float):
     obj = _read_structure(args.input)
     deadline = Deadline(args.timeout_s)
     if args.cmd == "chromatic":
-        cert = chromatic_number(_need_graph(obj), deadline)
+        cert = solvers.chromatic_number(_need_graph(obj), deadline)
     elif args.cmd == "graph-dichromatic":
-        cert = dichromatic_number_of_graph(_need_graph(obj), deadline)
+        cert = solvers.dichromatic_number_of_graph(_need_graph(obj), deadline)
     elif args.cmd == "dichromatic":
-        cert = dichromatic_number(_need_digraph(obj), deadline)
+        cert = solvers.dichromatic_number(_need_digraph(obj), deadline)
     elif args.cmd == "list-chromatic":
-        cert = list_chromatic_number(_need_graph(obj), deadline)
+        cert = solvers.list_chromatic_number(_need_graph(obj), deadline)
     else:
-        cert = list_dichromatic_number(_need_digraph(obj), deadline)
-    record = make_record(
+        cert = solvers.list_dichromatic_number(_need_digraph(obj), deadline)
+    record = records.make_record(
         f"solve {args.cmd}",
         {"timeout_s": args.timeout_s},
         runtime_ms=_runtime_ms(started),
-        certificate=certificate_payload(cert),
+        certificate=records.certificate_payload(cert),
     )
     row = {"command": record["command"], "value": cert.value, "exact": cert.exact,
            "lower": cert.lower, "upper": cert.upper}
@@ -390,12 +382,9 @@ def _solve_command(args, started: float):
 
 
 def _check_command(args, started: float):
-    from .core import is_proper_coloring, is_proper_dicoloring
-    from .records import coloring_from_payload
-
     obj = _read_structure(args.input)
     if args.cmd in ("coloring", "dicoloring"):
-        colouring = coloring_from_payload(
+        colouring = records.coloring_from_payload(
             _read_json(args.coloring_path, obj.n, palette=1, assignment=1))
         if args.cmd == "coloring":
             ok = is_proper_coloring(_need_graph(obj), colouring)
@@ -421,12 +410,12 @@ def _check_command(args, started: float):
         if missed is not None:
             detail["counterexample"] = sorted(missed)
         params = {"collection": args.collection_path, "beta": args.beta}
-    record = make_record(f"check {args.cmd}", params, **detail)
+    record = records.make_record(f"check {args.cmd}", params, **detail)
     return record, "".join(f"{k} {v}\n" for k, v in detail.items()), None, EXIT_OK
 
 
 def _mc_command(args, started: float):
-    rng = RngSpec(args.seed)
+    rng = randomized.RngSpec(args.seed)
     if args.cmd == "biclique":
         if args.graph:
             from .generators import named_graph
@@ -434,15 +423,14 @@ def _mc_command(args, started: float):
             g = named_graph(args.graph)
         else:
             g = _need_graph(_read_structure(args.input))
-        payload = estimate_biclique_event(g, args.l, args.trials, rng,
-                                          threads=_threads(args),
-                                          deadline=Deadline(args.timeout_s))._asdict()
+        payload = randomized.estimate_biclique_event(
+            g, args.l, args.trials, rng, threads=_threads(args),
+            deadline=Deadline(args.timeout_s))._asdict()
         params = {"l": args.l, "trials": args.trials,
                   "graph": args.graph or ("stdin" if args.input == "-" else args.input)}
     else:
         d = _need_digraph(_read_structure(args.input))
         collection = _load_collection(args, d)
-        from .core import ListAssignment
         from .covers import estimate_acceptance_probability
 
         L1 = ListAssignment.uniform(d.n, range(1, args.l1 + 1))
@@ -457,24 +445,25 @@ def _mc_command(args, started: float):
         }
         params = {"l1": args.l1, "l2": args.l2, "trials": args.trials,
                   "collection": args.collection_path, "beta": args.beta}
-    record = make_record(f"mc {args.cmd}", params, seed=args.seed,
-                         runtime_ms=_runtime_ms(started), **payload)
+    record = records.make_record(f"mc {args.cmd}", params, seed=args.seed,
+                                 runtime_ms=_runtime_ms(started), **payload)
     text = "".join(f"{k} {v}\n" for k, v in sorted(payload.items()))
     return record, text, [payload], EXIT_OK
 
 
 def _bound_command(args, started: float):
     if args.cmd == "g":
-        value = g_bound(args.l1, args.l2, args.n, args.s, args.t, args.u)
+        value = randomized.g_bound(args.l1, args.l2, args.n, args.s, args.t, args.u)
         params = {"l1": args.l1, "l2": args.l2, "n": args.n,
                   "s": args.s, "t": args.t, "u": args.u}
     elif args.cmd == "concentration":
-        value = concentration_bound(args.n, args.c, args.t)
+        value = randomized.concentration_bound(args.n, args.c, args.t)
         params = {"n": args.n, "c": args.c, "t": args.t}
     else:
-        value = float(expected_avoiding_count(args.m, args.u, args.k, args.a))
+        value = float(randomized.expected_avoiding_count(args.m, args.u, args.k, args.a))
         params = {"m": args.m, "u": args.u, "k": args.k, "a": args.a}
-    return make_record(f"bound {args.cmd}", params, value=value), f"{value!r}\n", None, EXIT_OK
+    record = records.make_record(f"bound {args.cmd}", params, value=value)
+    return record, f"{value!r}\n", None, EXIT_OK
 
 
 def _embed_command(args, started: float):
@@ -486,10 +475,10 @@ def _embed_command(args, started: float):
     else:
         witness = embed_kneser_tensor(args.n, args.k, args.n1, args.k1)
         params = {"n": args.n, "k": args.k, "n1": args.n1, "k1": args.k1}
-    record = make_record(f"embed {args.cmd}", params,
-                         source_vertices=witness.source.n,
-                         target_vertices=witness.target.n,
-                         mapping=list(witness.mapping), verified=True)
+    record = records.make_record(f"embed {args.cmd}", params,
+                                 source_vertices=witness.source.n,
+                                 target_vertices=witness.target.n,
+                                 mapping=list(witness.mapping), verified=True)
     text = (f"embedded {witness.source.n} vertices into "
             f"{witness.target.n}; adjacency preserved\n")
     return record, text, None, EXIT_OK
@@ -498,25 +487,25 @@ def _embed_command(args, started: float):
 def _verify_command(args, started: float):
     deadline = Deadline(args.timeout_s)
     if args.cmd == "sabidussi":
-        result = sabidussi_suite(max_n=args.max_n, random_pairs=args.pairs,
-                                 pair_max_n=args.pair_max_n, seed=args.seed,
-                                 threads=_threads(args), deadline=deadline)
+        result = verify.sabidussi_suite(max_n=args.max_n, random_pairs=args.pairs,
+                                        pair_max_n=args.pair_max_n, seed=args.seed,
+                                        threads=_threads(args), deadline=deadline)
     elif args.cmd == "bidirect":
-        result = bidirect_suite(max_n=args.max_n, deadline=deadline)
+        result = verify.bidirect_suite(max_n=args.max_n, deadline=deadline)
     elif args.cmd == "kneser-chi":
-        result = kneser_chi_suite(deadline=deadline)
+        result = verify.kneser_chi_suite(deadline=deadline)
     elif args.cmd == "tensor-bound":
-        result = tensor_upper_bound_suite(max_n=args.max_n, threads=_threads(args),
-                                          deadline=deadline)
+        result = verify.tensor_upper_bound_suite(max_n=args.max_n, threads=_threads(args),
+                                                 deadline=deadline)
     else:
-        result = catalogue_suite(seed=args.seed, deadline=deadline)
+        result = verify.catalogue_suite(seed=args.seed, deadline=deadline)
     if not result.ok:
         code, status = EXIT_VIOLATED, "VIOLATED"
     elif result.unknown:
         code, status = EXIT_BUDGET, f"unknown ({result.unknown} rows over budget)"
     else:
         code, status = EXIT_OK, "ok"
-    record = make_record(
+    record = records.make_record(
         f"verify {result.name}",
         result.summary,
         runtime_ms=_runtime_ms(started),
@@ -540,7 +529,7 @@ def _dispatch(args) -> int:
         return EXIT_USAGE
     record, text, rows, code = _HANDLERS[args.group](args, time.perf_counter())
     if record is not None and args.format == "json":
-        text = record_json(record)
+        text = records.record_json(record)
     elif record is not None and args.format == "csv":
         import csv
         import io

@@ -386,38 +386,43 @@ def is_proper_dicoloring(d: Digraph, f: Coloring) -> bool:
     return all(_subset_acyclic(d.ins, m) for m in masks.values())
 
 
-def maximal_acyclic_sets(d: Digraph, deadline: Optional[Deadline] = None) -> list[frozenset[int]]:
-    """All inclusion-maximal vertex sets inducing acyclic subdigraphs.
-
-    Depth-first extension in increasing vertex order visits every acyclic
-    set exactly once (acyclicity is hereditary); a set is kept when no
-    single vertex can be added without closing a cycle. Exactness matters
-    more than speed at these sizes. deadline (else Deadline()) is polled
-    at every node and raises BudgetExceededError.
-    """
+def _maximal_acyclic_masks(d: Digraph, deadline: Optional[Deadline]) -> Iterator[int]:
+    """The masks of maximal_acyclic_sets(d, deadline), in its order, each
+    yielded as soon as the search finds it."""
     n = d.n
     outs, ins = d.outs, d.ins
-    found: list[int] = []
     deadline = deadline or Deadline()
 
-    def rec(mask: int, start: int) -> None:
+    def rec(mask: int, start: int) -> Iterator[int]:
         if deadline.check():
             raise BudgetExceededError("unknown: acyclic-set search ran out of time")
         grew = False
         for v in range(start, n):
             if not _extension_cyclic(outs, ins, mask, v):
                 grew = True
-                rec(mask | 1 << v, v + 1)
+                yield from rec(mask | 1 << v, v + 1)
         if grew:
             return
         for v in range(start):
             if not mask >> v & 1 and not _extension_cyclic(outs, ins, mask, v):
                 return
-        found.append(mask)
+        yield mask
 
-    rec(0, 0)
-    found.sort(key=lambda m: tuple(iter_bits(m)))
-    return [frozenset(iter_bits(m)) for m in found]
+    return rec(0, 0)
+
+
+def maximal_acyclic_sets(d: Digraph, deadline: Optional[Deadline] = None) -> list[frozenset[int]]:
+    """All inclusion-maximal vertex sets inducing acyclic subdigraphs, in
+    lexicographic order of their sorted vertex tuples.
+
+    Depth-first extension in increasing vertex order visits every acyclic
+    set exactly once (acyclicity is hereditary); a set is kept when no
+    single vertex can be added without closing a cycle. Kept sets are
+    leaves of the search and none is a prefix of another, so the search
+    meets them in lexicographic order. deadline (else Deadline()) is
+    polled at every node and raises BudgetExceededError.
+    """
+    return [frozenset(iter_bits(m)) for m in _maximal_acyclic_masks(d, deadline)]
 
 
 def induced_subdigraph(x: Digraph | Graph, s: Iterable[int]) -> Digraph | Graph:

@@ -21,8 +21,9 @@ from .core import (
     Digraph,
     ListAssignment,
     _extension_cyclic,
+    _maximal_acyclic_masks,
+    iter_bits,
     mask_of,
-    maximal_acyclic_sets,
 )
 from .errors import BudgetExceededError, LimitExceededError
 from .randomized import (
@@ -144,10 +145,10 @@ def _first_maximal_failing(
     For a test that subsets inherit, this decides every acyclic partition
     of d: each acyclic set lies in a maximal one, and a maximal one is a
     part of the partition that singletons complete (which presumes a
-    palette of at least n colours)."""
-    for aset in maximal_acyclic_sets(d, deadline):
-        if not holds(mask_of(aset)):
-            return aset
+    palette of at least n colours). The search stops at that set."""
+    for mask in _maximal_acyclic_masks(d, deadline):
+        if not holds(mask):
+            return frozenset(iter_bits(mask))
     return None
 
 

@@ -8,11 +8,13 @@ other volatile data.
 from __future__ import annotations
 
 import json
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from . import __version__
 from .core import Coloring, Digraph, Graph, is_proper_coloring, is_proper_dicoloring
-from .solvers import Certificate
+
+if TYPE_CHECKING:
+    from .solvers import Certificate
 
 SCHEMA = "dichroma.result.v1"
 

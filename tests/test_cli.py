@@ -16,6 +16,7 @@ from dichroma.core import Deadline, Digraph, Graph, bidirect
 from dichroma.errors import GraphFormatError
 from dichroma.generators import kneser, rook
 from dichroma.graphio import format_graph, parse_graph_text
+from dichroma.randomized import RngSpec, random_orientation
 from dichroma.records import revalidate_coloring, strip_runtime
 
 
@@ -296,7 +297,7 @@ def test_cli_verify_catalogue(capsys):
 
 
 def test_cli_threads_env_fallback(monkeypatch, capsys):
-    import dichroma.cli as cli
+    import dichroma.randomized as randomized
     from dichroma.parallel import default_threads
 
     monkeypatch.setenv("DICHROMA_THREADS", "3")
@@ -307,13 +308,13 @@ def test_cli_threads_env_fallback(monkeypatch, capsys):
     assert default_threads() == 1
 
     seen = []
-    original = cli.estimate_biclique_event
+    original = randomized.estimate_biclique_event
 
     def spy(*args, threads, **kwargs):
         seen.append(threads)
         return original(*args, threads=threads, **kwargs)
 
-    monkeypatch.setattr(cli, "estimate_biclique_event", spy)
+    monkeypatch.setattr(randomized, "estimate_biclique_event", spy)
     mc = ["mc", "biclique", "--graph", "K4", "--l", "1", "--trials", "4"]
     monkeypatch.setenv("DICHROMA_THREADS", "2")
     assert run(mc) == 0
@@ -693,10 +694,26 @@ def test_cli_certification_failure_exits_3(tmp_path, capsys):
                             "no breaking orientation found in 3 attempts\n")
 
 
-# The modules bench/layers.py wraps right after `import dichroma.cli`
-# (Tracer.install reads each from sys.modules), so they stay eager.
-TRACED_MODULES = ("core", "randomized", "graphio", "records", "solvers", "catalogue",
+# The modules bench/layers.py wraps right after `import dichroma.cli`:
+# Tracer.install reads each from sys.modules, so the CLI registers them
+# there as lazy handles whose code runs on first attribute access.
+TRACED_MODULES = ("randomized", "graphio", "records", "solvers", "catalogue",
                   "products", "verify", "parallel")
+
+# Prints the dichroma modules whose code has run, then those registered
+# but not yet run, telling them apart by type alone: any attribute access
+# would run a lazy module's code.
+EXECUTED_PROBE = ("import sys, types; ran = [m for m, mod in sorted(sys.modules.items()) "
+                  "if m.split('.')[0] == 'dichroma' and type(mod) is types.ModuleType]; "
+                  "print(' '.join(ran)); print(' '.join(sorted(m for m in sys.modules "
+                  "if m.split('.')[0] == 'dichroma' and m not in ran)))")
+
+
+def _executed(env, prelude: str) -> tuple[set, set]:
+    out = subprocess.run([sys.executable, "-c", f"{prelude}; {EXECUTED_PROBE}"],
+                         capture_output=True, text=True, env=env, check=True).stdout
+    ran, lazy = out.splitlines()[-2:]  # after whatever the prelude printed
+    return set(ran.split()), set(lazy.split())
 
 
 def test_cli_import_loads_only_eager_modules(tmp_path):
@@ -706,7 +723,9 @@ def test_cli_import_loads_only_eager_modules(tmp_path):
     loaded = set(subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                                 env=env, check=True).stdout.split())
     assert not loaded & {"dichroma.covers", "dichroma.generators", "dataclasses", "inspect"}
-    assert {f"dichroma.{m}" for m in TRACED_MODULES} <= loaded
+    ran, lazy = _executed(env, "import dichroma.cli")
+    assert ran == {"dichroma", "dichroma.core", "dichroma.errors", "dichroma.cli"}
+    assert lazy == {f"dichroma.{m}" for m in TRACED_MODULES}
     # each command that needs a lazy module imports it itself
     cli = [sys.executable, "-m", "dichroma.cli"]
     rook = subprocess.run(cli + ["gen", "rook", "3"], capture_output=True, text=True,
@@ -724,6 +743,35 @@ def test_cli_import_loads_only_eager_modules(tmp_path):
         proc = subprocess.run(cli + argv, capture_output=True, text=True, env=env)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout.startswith(expected)
+
+
+def test_cli_lazy_modules_import_as_usual():
+    # a module the CLI registered lazily still imports by its dotted name
+    src = str(Path(dichroma.__file__).resolve().parents[1])
+    probe = ("import dichroma.cli, dichroma.verify; from dichroma import solvers; "
+             "print(callable(dichroma.verify.kneser_chi_suite), "
+             "callable(solvers.dichromatic_number))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.split() == ["True", "True"]
+
+
+@pytest.mark.parametrize("argv, untouched", [
+    (["bound", "g", "--l1", "3", "--l2", "2", "--n", "10", "--s", "2", "--t", "2", "--u", "3"],
+     {"solvers", "verify", "catalogue", "products", "parallel"}),
+    (["check", "cover", "{d}", "--beta", "3"],
+     {"solvers", "verify", "catalogue", "products", "parallel"}),
+    (["embed", "rook-in-kneser", "--n", "6", "--k", "2"],
+     {"solvers", "verify", "catalogue", "parallel"}),
+])
+def test_cli_command_runs_only_the_modules_it_calls(tmp_path, argv, untouched):
+    src = str(Path(dichroma.__file__).resolve().parents[1])
+    path = tmp_path / "d.g"
+    path.write_text(format_graph(random_orientation(rook(3), RngSpec(1))))
+    argv = [a.format(d=path) for a in argv]
+    _, lazy = _executed({**os.environ, "PYTHONPATH": src},
+                        f"from dichroma.cli import run; assert run({argv!r}) == 0")
+    assert {f"dichroma.{m}" for m in untouched} <= lazy
 
 
 def _subcommands(parser) -> dict:

@@ -126,6 +126,17 @@ def test_verify_cover_rook4_regression():
     assert all(not missed <= m for m in col.members)
 
 
+def test_verify_cover_stops_at_first_counterexample():
+    # the second of the 2,504 maximal acyclic sets lies in no member; the
+    # check returns the same set as a full listing would, after a few of
+    # the 144,826 search nodes that listing visits
+    d = random_orientation(rook(5), RngSpec(1))
+    deadline = Deadline()
+    missed = verify_cover_all_acyclic(d, build_rook_collection(5, 2), deadline)
+    assert sorted(missed) == [0, 1, 2, 3, 4, 5, 6, 11, 16]
+    assert deadline.ticks < 100
+
+
 def test_is_semicovered_examples():
     members = SetCollection((frozenset({0, 1}), frozenset({2, 3})), 2, 2)
     # a class whose second side is empty passes through the threshold clause
