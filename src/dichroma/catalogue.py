@@ -252,11 +252,10 @@ def digraph_catalogue(max_n: int, deadline: Optional[Deadline] = None) -> list[D
         oriented_catalogue(max_n, deadline)  # a size past the limit fails before any build
     out: list[Digraph] = []
     for n in range(1, max_n + 1):
-        seen: set[tuple] = set()
+        seen: set[Digraph] = set()
         for d in oriented_catalogue(n, deadline) + bidirected_catalogue(n, deadline):
-            key = (d.n, d.arcs)
-            if key not in seen:
-                seen.add(key)
+            if d not in seen:
+                seen.add(d)
                 out.append(d)
     return out
 

@@ -237,15 +237,11 @@ def _read_structure(path: str):
     return graphio.parse_graph_file(path)
 
 
-def _need_graph(obj) -> Graph:
-    if not isinstance(obj, Graph):
-        raise GraphFormatError("this command needs an undirected graph ('g' header)")
-    return obj
-
-
-def _need_digraph(obj) -> Digraph:
-    if not isinstance(obj, Digraph):
-        raise GraphFormatError("this command needs a digraph ('d' header)")
+def _need(obj, kind):
+    """obj when it is a kind (Graph or Digraph), else GraphFormatError."""
+    if not isinstance(obj, kind):
+        wanted = "an undirected graph ('g' header)" if kind is Graph else "a digraph ('d' header)"
+        raise GraphFormatError(f"this command needs {wanted}")
     return obj
 
 
@@ -337,7 +333,7 @@ def _product_command(args, started: float):
 
 
 def _orient_command(args, started: float):
-    g = _need_graph(_read_structure(args.input))
+    g = _need(_read_structure(args.input), Graph)
     if args.cmd == "random":
         d = randomized.random_orientation(g, randomized.RngSpec(args.seed))
         return None, graphio.format_graph(d), None, EXIT_OK
@@ -360,15 +356,15 @@ def _solve_command(args, started: float):
     obj = _read_structure(args.input)
     deadline = Deadline(args.timeout_s)
     if args.cmd == "chromatic":
-        cert = solvers.chromatic_number(_need_graph(obj), deadline)
+        cert = solvers.chromatic_number(_need(obj, Graph), deadline)
     elif args.cmd == "graph-dichromatic":
-        cert = solvers.dichromatic_number_of_graph(_need_graph(obj), deadline)
+        cert = solvers.dichromatic_number_of_graph(_need(obj, Graph), deadline)
     elif args.cmd == "dichromatic":
-        cert = solvers.dichromatic_number(_need_digraph(obj), deadline)
+        cert = solvers.dichromatic_number(_need(obj, Digraph), deadline)
     elif args.cmd == "list-chromatic":
-        cert = solvers.list_chromatic_number(_need_graph(obj), deadline)
+        cert = solvers.list_chromatic_number(_need(obj, Graph), deadline)
     else:
-        cert = solvers.list_dichromatic_number(_need_digraph(obj), deadline)
+        cert = solvers.list_dichromatic_number(_need(obj, Digraph), deadline)
     record = records.make_record(
         f"solve {args.cmd}",
         {"timeout_s": args.timeout_s},
@@ -387,15 +383,15 @@ def _check_command(args, started: float):
         colouring = records.coloring_from_payload(
             _read_json(args.coloring_path, obj.n, palette=1, assignment=1))
         if args.cmd == "coloring":
-            ok = is_proper_coloring(_need_graph(obj), colouring)
+            ok = is_proper_coloring(_need(obj, Graph), colouring)
         else:
-            ok = is_proper_dicoloring(_need_digraph(obj), colouring)
+            ok = is_proper_dicoloring(_need(obj, Digraph), colouring)
         detail = {"proper": ok}
         params = {}
     else:
         from .covers import verify_cover_all_acyclic, verify_semicover_all_acyclic
 
-        d = _need_digraph(obj)
+        d = _need(obj, Digraph)
         collection = _load_collection(args, d)
         if args.cmd == "cover":
             missed = verify_cover_all_acyclic(d, collection, Deadline(args.timeout_s))
@@ -422,14 +418,14 @@ def _mc_command(args, started: float):
 
             g = named_graph(args.graph)
         else:
-            g = _need_graph(_read_structure(args.input))
+            g = _need(_read_structure(args.input), Graph)
         payload = randomized.estimate_biclique_event(
             g, args.l, args.trials, rng, threads=_threads(args),
             deadline=Deadline(args.timeout_s))._asdict()
         params = {"l": args.l, "trials": args.trials,
                   "graph": args.graph or ("stdin" if args.input == "-" else args.input)}
     else:
-        d = _need_digraph(_read_structure(args.input))
+        d = _need(_read_structure(args.input), Digraph)
         collection = _load_collection(args, d)
         from .covers import estimate_acceptance_probability
 
@@ -462,7 +458,9 @@ def _bound_command(args, started: float):
     else:
         value = float(randomized.expected_avoiding_count(args.m, args.u, args.k, args.a))
         params = {"m": args.m, "u": args.u, "k": args.k, "a": args.a}
-    record = records.make_record(f"bound {args.cmd}", params, value=value)
+    # an overflowed g is written as null, as mc acceptance writes its bound
+    record = records.make_record(f"bound {args.cmd}", params,
+                                 value=value if math.isfinite(value) else None)
     return record, f"{value!r}\n", None, EXIT_OK
 
 

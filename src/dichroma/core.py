@@ -90,126 +90,113 @@ def _check_labels(n: int, labels) -> tuple[str, ...] | None:
     return out
 
 
-class Graph:
-    """Simple undirected graph (no loops, no multi-edges).
+class _Structure:
+    """What a graph and a digraph share: n vertices, the sorted tuple of
+    pairs (no loops, none repeated), optional distinct labels, and one
+    out- and one in-neighbour bitmask per vertex. A structure equals only
+    one of its own kind."""
 
-    ``edges`` is stored sorted by (min endpoint, max endpoint); that order
-    fixes the edge indexing used by orientation streams, so it must not
-    change between releases.
-    """
+    __slots__ = ("n", "pairs", "labels", "outs", "ins")
+    _noun = "arc"
+    _symmetric = False
 
-    __slots__ = ("n", "edges", "labels", "adj")
-
-    def __init__(self, n: int, edges: Iterable[Sequence[int]] = (), labels=None):
+    def __init__(self, n: int, pairs: Iterable[Sequence[int]], labels):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
+        noun, symmetric = self._noun, self._symmetric
         seen: set[tuple[int, int]] = set()
-        for u, v in edges:
+        for u, v in pairs:
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+                raise ValueError(f"{noun} ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
+            if symmetric and v < u:
+                u, v = v, u
+            if (u, v) in seen:
+                raise ValueError(f"duplicate {noun} ({u},{v})")
+            seen.add((u, v))
         self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
+        self.pairs: tuple[tuple[int, int], ...] = tuple(sorted(seen))
         self.labels = _check_labels(n, labels)
-        adj = [0] * n
-        for u, v in self.edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        self.adj: tuple[int, ...] = tuple(adj)
+        outs = [0] * n
+        ins = outs if symmetric else [0] * n  # a graph's one mask list takes both ends
+        for u, v in self.pairs:
+            outs[u] |= 1 << v
+            ins[v] |= 1 << u
+        self.outs = tuple(outs)
+        self.ins = self.outs if symmetric else tuple(ins)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
+        return len(self.pairs)
 
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, Graph)
+            type(other) is type(self)
             and self.n == other.n
-            and self.edges == other.edges
+            and self.pairs == other.pairs
             and self.labels == other.labels
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges, self.labels))
+        return hash((self.n, self.pairs, self.labels))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={self.m})"
+        return f"{type(self).__name__}(n={self.n}, m={self.m})"
 
 
-class Digraph:
+class Graph(_Structure):
+    """Simple undirected graph (no loops, no multi-edges): the symmetric
+    case, each edge stored once as (lower, higher) and outs = ins = adj.
+
+    ``edges`` is sorted by (min endpoint, max endpoint); that order fixes
+    the edge indexing used by orientation streams, so it must not change
+    between releases.
+    """
+
+    __slots__ = ()
+    _noun = "edge"
+    _symmetric = True
+
+    def __init__(self, n: int, edges: Iterable[Sequence[int]] = (), labels=None):
+        super().__init__(n, edges, labels)
+
+    edges = property(lambda self: self.pairs, doc="The edges: a read-only view of pairs.")
+    adj = property(lambda self: self.outs, doc="The neighbour masks: a view of outs.")
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return bool(self.outs[u] >> v & 1)
+
+    def degree(self, v: int) -> int:
+        return self.outs[v].bit_count()
+
+
+class Digraph(_Structure):
     """Directed graph with no loops and at most one arc per ordered pair.
 
     A pair of opposite arcs (a digon) is allowed and counts as a directed
     cycle of length two.
     """
 
-    __slots__ = ("n", "arcs", "labels", "outs", "ins")
+    __slots__ = ()
 
     def __init__(self, n: int, arcs: Iterable[Sequence[int]] = (), labels=None):
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        seen: set[tuple[int, int]] = set()
-        for u, v in arcs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate arc ({u},{v})")
-            seen.add((u, v))
-        self.n = n
-        self.arcs: tuple[tuple[int, int], ...] = tuple(sorted(seen))
-        self.labels = _check_labels(n, labels)
-        outs = [0] * n
-        ins = [0] * n
-        for u, v in self.arcs:
-            outs[u] |= 1 << v
-            ins[v] |= 1 << u
-        self.outs: tuple[int, ...] = tuple(outs)
-        self.ins: tuple[int, ...] = tuple(ins)
+        super().__init__(n, arcs, labels)
 
-    @property
-    def m(self) -> int:
-        return len(self.arcs)
+    arcs = property(lambda self: self.pairs, doc="The arcs: a read-only view of pairs.")
 
     def digon_mask(self, v: int) -> int:
         """Vertices joined to v by arcs in both directions."""
         return self.outs[v] & self.ins[v]
 
     def underlying_graph(self) -> Graph:
-        edges = {(u, v) if u < v else (v, u) for u, v in self.arcs}
-        return Graph(self.n, sorted(edges), labels=self.labels)
-
-    def label(self, v: int) -> str:
-        return self.labels[v] if self.labels is not None else str(v)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Digraph)
-            and self.n == other.n
-            and self.arcs == other.arcs
-            and self.labels == other.labels
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.arcs, self.labels))
-
-    def __repr__(self) -> str:
-        return f"Digraph(n={self.n}, m={self.m})"
+        """The graph with an edge wherever an arc runs either way; both
+        arcs of a digon become one edge."""
+        return Graph(self.n, {(min(u, v), max(u, v)) for u, v in self.pairs},
+                     labels=self.labels)
 
 
 class Orientation(namedtuple("Orientation", "base direction")):
@@ -341,11 +328,7 @@ def is_acyclic(d: Digraph) -> bool:
 
 def bidirect(g: Graph) -> Digraph:
     """Replace every edge by the two opposite arcs."""
-    arcs = []
-    for u, v in g.edges:
-        arcs.append((u, v))
-        arcs.append((v, u))
-    return Digraph(g.n, arcs, labels=g.labels)
+    return Digraph(g.n, g.pairs + tuple((v, u) for u, v in g.pairs), labels=g.labels)
 
 
 def apply_orientation(g: Graph, o: Orientation) -> Digraph:
@@ -439,9 +422,7 @@ def induced_subdigraph(x: Digraph | Graph, s: Iterable[int]) -> Digraph | Graph:
     index = {v: i for i, v in enumerate(keep)}
     keep_mask = mask_of(keep)
     pairs = [
-        (index[u], index[v])
-        for u, v in (x.edges if isinstance(x, Graph) else x.arcs)
-        if keep_mask >> u & 1 and keep_mask >> v & 1
+        (index[u], index[v]) for u, v in x.pairs if keep_mask >> u & 1 and keep_mask >> v & 1
     ]
     labels = [x.label(v) for v in keep]
     return type(x)(len(keep), pairs, labels=labels)

@@ -131,8 +131,10 @@ def _semicovered(mask: int, n_half: int, members: list[int], lam: float) -> bool
 
 def _half(n: int, lam: float) -> int:
     """The side size of a doubled vertex set, after checking lam."""
-    if lam <= 0:
+    if not lam > 0:  # NaN too
         raise ValueError("the threshold must be positive")
+    if lam == math.inf:
+        raise ValueError("the threshold must be finite")
     if n % 2:
         raise ValueError("vertex set must split into two equal sides")
     return n // 2

@@ -98,20 +98,11 @@ def parse_graph_file(path) -> Union[Graph, Digraph]:
 
 
 def format_graph(obj: Union[Graph, Digraph]) -> str:
-    lines = []
-    if isinstance(obj, Digraph):
-        lines.append(f"d {obj.n} {obj.m}")
-        links = obj.arcs
-        tag = "a"
-    elif isinstance(obj, Graph):
-        lines.append(f"g {obj.n} {obj.m}")
-        links = obj.edges
-        tag = "e"
-    else:
+    if not isinstance(obj, (Graph, Digraph)):
         raise TypeError("expected a Graph or Digraph")
+    kind, tag = ("g", "e") if isinstance(obj, Graph) else ("d", "a")
+    lines = [f"{kind} {obj.n} {obj.m}"]
     if obj.labels is not None:
-        for v, lab in enumerate(obj.labels):
-            lines.append(f"l {v} {lab}")
-    for u, v in links:
-        lines.append(f"{tag} {u} {v}")
+        lines += [f"l {v} {lab}" for v, lab in enumerate(obj.labels)]
+    lines += [f"{tag} {u} {v}" for u, v in obj.pairs]
     return "\n".join(lines) + "\n"

@@ -20,11 +20,9 @@ def _pair_labels(x, y) -> list[str]:
 
 def _factor_pairs(x, y, name: str):
     """The edges, or arcs, of two factors of the same kind."""
-    if isinstance(x, Graph) and isinstance(y, Graph):
-        return x.edges, y.edges
-    if isinstance(x, Digraph) and isinstance(y, Digraph):
-        return x.arcs, y.arcs
-    raise TypeError(f"{name} product needs two graphs or two digraphs")
+    if type(x) is not type(y) or not isinstance(x, (Graph, Digraph)):
+        raise TypeError(f"{name} product needs two graphs or two digraphs")
+    return x.pairs, y.pairs
 
 
 def cartesian_product(x, y):

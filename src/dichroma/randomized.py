@@ -91,16 +91,22 @@ def stream_u64(spec: RngSpec, domain: int, index: int, counter: int = 0) -> int:
 
 
 def uniform_below(spec: RngSpec, domain: int, index: int, bound: int) -> int:
-    """Exactly uniform integer in [0, bound) via rejection on the stream."""
+    """Exactly uniform integer in [0, bound) via rejection on the stream.
+    Each try reads ceil(bits/64) consecutive words, one for a bound of at
+    most 2**64, as one big-endian integer."""
     if bound <= 0:
         raise ValueError("bound must be positive")
-    limit = (1 << 64) - ((1 << 64) % bound)
+    words = max(1, -(-(bound - 1).bit_length() // 64))
+    span = 1 << (64 * words)
+    limit = span - span % bound  # at least span / 2, so a try succeeds half the time
     counter = 0
     while True:
-        v = stream_u64(spec, domain, index, counter)
+        v = 0
+        for _ in range(words):
+            v = v << 64 | stream_u64(spec, domain, index, counter)
+            counter += 1
         if v < limit:
             return v % bound
-        counter += 1
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -389,8 +395,10 @@ def concentration_bound(n: int, c: float, t: float) -> float:
     moved by at most c per independent trial."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if c <= 0:
+    if not c > 0:  # NaN too
         raise ValueError("c must be positive")
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be nonnegative")
+    if math.isinf(c) or math.isinf(t):
+        raise ValueError("c and t must be finite")
     return 2.0 * math.exp(-(t * t) / (2.0 * c * c * n))

@@ -11,7 +11,7 @@ import json
 from typing import TYPE_CHECKING, Any, Optional
 
 from . import __version__
-from .core import Coloring, Digraph, Graph, is_proper_coloring, is_proper_dicoloring
+from .core import Coloring, Graph, is_proper_coloring, is_proper_dicoloring
 
 if TYPE_CHECKING:
     from .solvers import Certificate
@@ -49,7 +49,7 @@ def make_record(
 
 
 def record_json(record: dict[str, Any]) -> str:
-    return json.dumps(record, sort_keys=True, indent=2) + "\n"
+    return json.dumps(record, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def strip_runtime(record: dict[str, Any]) -> dict[str, Any]:
@@ -90,11 +90,8 @@ def certificate_payload(cert: Certificate) -> dict[str, Any]:
     return out
 
 
-def revalidate_coloring(obj, payload: dict[str, Any], directed_classes: bool) -> bool:
-    """Re-check a serialized witness against the structure it colours."""
-    coloring = coloring_from_payload(payload)
-    if directed_classes:
-        assert isinstance(obj, Digraph)
-        return is_proper_dicoloring(obj, coloring)
-    assert isinstance(obj, Graph)
-    return is_proper_coloring(obj, coloring)
+def revalidate_coloring(obj, payload: dict[str, Any]) -> bool:
+    """Re-check a serialized witness against the structure it colours: a
+    proper colouring of a Graph, a dicolouring of a Digraph."""
+    check = is_proper_coloring if isinstance(obj, Graph) else is_proper_dicoloring
+    return check(obj, coloring_from_payload(payload))

@@ -352,13 +352,9 @@ class _ListSearch:
     __slots__ = ("outs", "ins", "order", "clash", "deadline")
 
     def __init__(self, obj, deadline: Optional[Deadline] = None):
-        if isinstance(obj, Graph):
-            self.outs = self.ins = obj.adj
-            self.clash = _class_test(obj.adj)
-        else:
-            self.outs, self.ins = obj.outs, obj.ins
-            self.clash = _class_test(obj.outs, obj.ins)
-        self.order = _degeneracy_order([o | i for o, i in zip(self.outs, self.ins)])
+        self.outs, self.ins = obj.outs, obj.ins
+        self.clash = _class_test(obj.outs, None if isinstance(obj, Graph) else obj.ins)
+        self.order = _degeneracy_order([o | i for o, i in zip(obj.outs, obj.ins)])
         self.deadline = deadline
 
     def find(self, lists) -> Optional[list[int]]:

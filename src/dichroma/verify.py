@@ -196,16 +196,15 @@ def _product_rows(
     """One row per pair; a row whose factor or product solve ran out of
     budget, or that comes after the deadline, keeps None for what it
     could not decide, with equal (or within_bound) None."""
-    cache: dict[tuple[int, tuple], Optional[int]] = {}
-    witnesses: dict[tuple[int, tuple], Coloring] = {}
+    cache: dict[Digraph, Optional[int]] = {}
+    witnesses: dict[Digraph, Coloring] = {}
 
     def chi(d: Digraph) -> Optional[int]:
-        key = (d.n, d.arcs)
-        if key not in cache:
+        if d not in cache:
             cert = solves.cert(dichromatic_number, d)
-            cache[key] = _exact_value(cert)
-            witnesses[key] = cert.witness if cert is not None else None
-        return cache[key]
+            cache[d] = _exact_value(cert)
+            witnesses[d] = cert.witness if cert is not None else None
+        return cache[d]
 
     for _, g, h in pairs:
         chi(g)
@@ -222,9 +221,7 @@ def _product_rows(
                 prod = cartesian_product(g, h)
                 value = solves.value(dichromatic_number, prod)
                 expected = max(cg, ch)
-                fg = witnesses[(g.n, g.arcs)]
-                fh = witnesses[(h.n, h.arcs)]
-                modular = sabidussi_coloring(fg, fh, max(expected, 1))
+                modular = sabidussi_coloring(witnesses[g], witnesses[h], max(expected, 1))
                 proper = is_proper_dicoloring(prod, modular)
             return {
                 **row,

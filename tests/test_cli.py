@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -121,7 +122,7 @@ def test_cli_solve_json_certificate_revalidates(tmp_path, capsys):
     cert = record["certificate"]
     assert cert["exact"] and cert["value"] == 2
     graph = parse_graph_text(path.read_text())
-    assert revalidate_coloring(graph, cert["witness"], directed_classes=False)
+    assert revalidate_coloring(graph, cert["witness"])
 
 
 def test_cli_dicoloring_certificate_revalidates(tmp_path, capsys):
@@ -134,7 +135,7 @@ def test_cli_dicoloring_certificate_revalidates(tmp_path, capsys):
     record = json.loads(out)
     cert = record["certificate"]
     digraph = parse_graph_text(path.read_text())
-    assert revalidate_coloring(digraph, cert["witness"], directed_classes=True)
+    assert revalidate_coloring(digraph, cert["witness"])
 
 
 def test_cli_check_coloring(tmp_path, capsys):
@@ -925,3 +926,62 @@ def test_cli_group_parser_prints_the_full_tree_text(monkeypatch, capsys):
         assert (code, *capsys.readouterr()) == seen, argv
     assert per_group[0][0] == 0 and per_group[0][1].startswith("usage: dichroma ")
     assert per_group[5][0] == 2 and "invalid choice: 'nosuch'" in per_group[5][2]
+
+
+def test_graph_text_round_trip_both_kinds():
+    for obj in (Graph(4, [(3, 0), (1, 2)]), Digraph(4, [(3, 0), (0, 3), (2, 1)])):
+        text = format_graph(obj)
+        assert parse_graph_text(text) == obj and format_graph(parse_graph_text(text)) == text
+
+
+def test_cli_product_of_graph_and_digraph_exits_2(tmp_path, capsys):
+    (tmp_path / "a.g").write_text("g 2 1\ne 0 1\n")
+    (tmp_path / "b.d").write_text("d 2 1\na 0 1\n")
+    for left, right in (("a.g", "b.d"), ("b.d", "a.g")):
+        code = run(["product", "cartesian", str(tmp_path / left), str(tmp_path / right)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "needs two graphs or two digraphs" in captured.err
+
+
+def test_cli_bound_g_writes_an_overflow_as_null(capsys):
+    argv = ["bound", "g", "--l1", "3", "--l2", "1", "--n", "1", "--s", "1000000000",
+            "--t", "1", "--u", "1000000"]
+    code, out = _run(capsys, argv + ["--format", "json"])
+    assert code == 0 and "Infinity" not in out and json.loads(out)["value"] is None
+    code, out = _run(capsys, argv)
+    assert code == 0 and out == "inf\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_rejects_non_finite_parameters(tmp_path, capsys, value):
+    (tmp_path / "k2.d").write_text(format_graph(bidirect(Graph(2, [(0, 1)]))))
+    for argv in (["bound", "concentration", "--n", "3", "--c", value, "--t", "1"],
+                 ["bound", "concentration", "--n", "3", "--c", "1", "--t", value],
+                 ["check", "semicover", str(tmp_path / "k2.d"), "--beta", "1",
+                  "--lambda", value]):
+        for fmt in ("text", "json"):
+            code = run(argv + ["--format", fmt])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, ""), argv
+            assert "Traceback" not in captured.err
+
+
+def test_record_json_refuses_non_finite_numbers():
+    from dichroma.records import record_json
+
+    assert json.loads(record_json({"value": 1.5})) == {"value": 1.5}
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            record_json({"value": bad})
+
+
+def test_cli_mc_acceptance_with_a_bound_beyond_64_bits(tmp_path):
+    # C(68, 34) > 2**64 sublists per vertex; the rank draw must still end
+    (tmp_path / "d1.txt").write_text("d 1 0\n")
+    src = str(Path(dichroma.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "dichroma.cli", "mc", "acceptance", str(tmp_path / "d1.txt"),
+         "--l1", "68", "--l2", "34", "--trials", "1", "--timeout-s", "2"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0 and "successes 1\n" in proc.stdout

@@ -238,3 +238,21 @@ def test_orientation_count_power_of_two():
     twelve = complete_bipartite(3, 4)
     assert twelve.m == 12
     assert len(set(o.direction for o in enumerate_orientations(twelve))) == 1 << 12
+
+
+def test_graph_and_digraph_never_equal():
+    g, d = Graph(2, [(0, 1)]), Digraph(2, [(0, 1)])
+    assert g != d and d != g
+    assert {g: "graph", d: "digraph"} == {Graph(2, [(1, 0)]): "graph",
+                                          Digraph(2, [(0, 1)]): "digraph"}
+
+
+def test_graph_masks_are_symmetric():
+    for g in (K3, P3, Graph(4, [(3, 0), (2, 1)])):
+        assert g.outs == g.ins == g.adj
+        assert g.edges == g.pairs and all(u < v for u, v in g.edges)
+
+
+def test_underlying_graph_collapses_a_digon():
+    d = Digraph(3, [(0, 1), (1, 0), (2, 1)], labels=["a", "b", "c"])
+    assert d.underlying_graph() == Graph(3, [(0, 1), (1, 2)], labels=["a", "b", "c"])

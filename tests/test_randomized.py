@@ -39,6 +39,7 @@ from dichroma.randomized import (
     g_bound,
     random_orientation,
     stream_u64,
+    uniform_below,
     wilson_interval,
 )
 
@@ -293,3 +294,38 @@ def test_wilson_interval_basics():
     assert hi == pytest.approx(1.0) and lo > 0.95
     lo, hi = wilson_interval(50, 100)
     assert lo < 0.5 < hi
+
+
+def test_uniform_below_one_word_path_unchanged():
+    # bounds up to 2**64 read one stream word per try, as they always have
+    rng = RngSpec(5)
+    for bound in (1, 3, 10**9, (1 << 63) + 1, 1 << 64):
+        limit = (1 << 64) - (1 << 64) % bound
+        for index in range(20):
+            words = (stream_u64(rng, 9, index, c) for c in range(1000))
+            want = next(w for w in words if w < limit) % bound
+            assert uniform_below(rng, 9, index, bound) == want
+
+
+@pytest.mark.parametrize("bound", [(1 << 64) + 1, 10**30])
+def test_uniform_below_beyond_one_word(bound):
+    # two words per try, high word first, rejected above the largest
+    # multiple of bound below 2**128
+    rng = RngSpec(7)
+    limit = (1 << 128) - (1 << 128) % bound
+    values = []
+    for index in range(40):
+        w = [stream_u64(rng, 9, index, c) for c in range(200)]
+        tries = (w[i] << 64 | w[i + 1] for i in range(0, 200, 2))
+        want = next(v for v in tries if v < limit) % bound
+        got = uniform_below(rng, 9, index, bound)
+        assert got == want and 0 <= got < bound
+        values.append(got)
+    assert max(values) > bound // 2  # the high word is used
+
+
+@pytest.mark.parametrize("c, t", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
+                                  (1.0, math.inf)])
+def test_concentration_bound_rejects_non_finite(c, t):
+    with pytest.raises(ValueError):
+        concentration_bound(3, c, t)
