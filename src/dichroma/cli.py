@@ -82,9 +82,6 @@ def _gen_leaves(gen, common) -> None:
     p.add_argument("--a", type=float, required=True, help="adjacency threshold")
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--cube-side", type=float, required=True, dest="cube_side")
-    p.add_argument("--perturbation-scale", type=float, default=1.0,
-                   dest="perturbation_scale")
-    p.add_argument("--max-points", type=int, default=5000, dest="max_points")
     p = gen.add_parser("named", parents=[common])
     p.add_argument("name")
 
@@ -312,10 +309,7 @@ def _gen_command(args, started: float):
     elif args.cmd == "rook":
         g = generators.rook(args.n)
     elif args.cmd == "borsuk":
-        g = generators.borsuk_sample(generators.BorsukSampleConfig(
-            n=args.n, a=args.a, cube_side=args.cube_side, delta=args.delta,
-            perturbation_scale=args.perturbation_scale,
-            max_points=args.max_points))
+        g = generators.borsuk_sample(args.n, args.a, args.cube_side, args.delta)
     else:
         g = generators.named_graph(args.name)
     return None, graphio.format_graph(g), None, EXIT_OK
@@ -456,9 +450,13 @@ def _bound_command(args, started: float):
         value = randomized.concentration_bound(args.n, args.c, args.t)
         params = {"n": args.n, "c": args.c, "t": args.t}
     else:
-        value = float(randomized.expected_avoiding_count(args.m, args.u, args.k, args.a))
+        exact = randomized.expected_avoiding_count(args.m, args.u, args.k, args.a)
+        try:
+            value = float(exact)
+        except OverflowError:
+            value = math.inf
         params = {"m": args.m, "u": args.u, "k": args.k, "a": args.a}
-    # an overflowed g is written as null, as mc acceptance writes its bound
+    # an overflowed value is written as null, as mc acceptance writes its bound
     record = records.make_record(f"bound {args.cmd}", params,
                                  value=value if math.isfinite(value) else None)
     return record, f"{value!r}\n", None, EXIT_OK

@@ -23,7 +23,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "BorsukSampleConfig",
     "EmbeddingWitness",
     "kneser",
     "complete_multipartite",
@@ -44,6 +43,15 @@ __all__ = [
 DEFAULT_VERTEX_LIMIT = 5000
 
 
+def _vertex_count(n: int, name: str = "") -> int:
+    """n, or LimitExceededError when it passes DEFAULT_VERTEX_LIMIT; name,
+    if given, says what n counts."""
+    if n > DEFAULT_VERTEX_LIMIT:
+        said = f"{name} = {n} exceeds" if name else f"{n} vertices exceed"
+        raise LimitExceededError(f"{said} limit {DEFAULT_VERTEX_LIMIT}")
+    return n
+
+
 def _colex_subsets(n: int, k: int) -> list[tuple[int, ...]]:
     """All k-subsets of {1..n} in colexicographic order."""
     subs = list(combinations(range(1, n + 1), k))
@@ -59,9 +67,7 @@ def kneser(n: int, k: int) -> Graph:
     """Kneser graph: k-subsets of {1..n}, adjacent iff disjoint."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    count = math.comb(n, k)
-    if count > DEFAULT_VERTEX_LIMIT:
-        raise LimitExceededError(f"C({n},{k}) = {count} exceeds limit {DEFAULT_VERTEX_LIMIT}")
+    count = _vertex_count(math.comb(n, k), f"C({n},{k})")
     subs = _colex_subsets(n, k)
     masks = [sum(1 << (x - 1) for x in s) for s in subs]
     edges = [
@@ -78,9 +84,7 @@ def complete_multipartite(m: int, r: int) -> Graph:
     part index."""
     if m < 1 or r < 1:
         raise ValueError("need m >= 1 and r >= 1")
-    n = m * r
-    if n > DEFAULT_VERTEX_LIMIT:
-        raise LimitExceededError(f"{n} vertices exceed limit {DEFAULT_VERTEX_LIMIT}")
+    n = _vertex_count(m * r)
     edges = [
         (u, v)
         for u in range(n)
@@ -97,14 +101,13 @@ def rook(n: int) -> Graph:
     graphs K_n, labels included."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if n * n > DEFAULT_VERTEX_LIMIT:
-        raise LimitExceededError(f"{n * n} vertices exceed limit {DEFAULT_VERTEX_LIMIT}")
+    _vertex_count(n * n)
     return tensor_product(complete_graph(n), complete_graph(n))
 
 
 def complete_graph(n: int) -> Graph:
     return Graph(
-        n,
+        _vertex_count(n),
         [(u, v) for u in range(n) for v in range(u + 1, n)],
         labels=[str(v + 1) for v in range(n)],
     )
@@ -113,19 +116,19 @@ def complete_graph(n: int) -> Graph:
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    return Graph(n, [(v, (v + 1) % n) for v in range(n)])
+    return Graph(_vertex_count(n), [(v, (v + 1) % n) for v in range(n)])
 
 
 def path_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("a path needs at least 1 vertex")
-    return Graph(n, [(v, v + 1) for v in range(n - 1)])
+    return Graph(_vertex_count(n), [(v, v + 1) for v in range(n - 1)])
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise ValueError("both sides must be nonempty")
-    return Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+    return Graph(_vertex_count(a + b), [(u, a + v) for u in range(a) for v in range(b)])
 
 
 _NAMED_RE = re.compile(r"^([KCP])(\d+)(?:,(\d+))?$")
@@ -150,35 +153,6 @@ def named_graph(name: str) -> Graph:
     return path_graph(first)
 
 
-class BorsukSampleConfig(namedtuple(
-        "BorsukSampleConfig", "n a cube_side delta perturbation_scale max_points")):
-    """Finite sample of the distance-threshold graph on the unit n-sphere.
-
-    The sphere lives in R^(n+1); points at Euclidean distance >= a are
-    adjacent. delta defaults to (2-a)/2, the largest cap radius for which
-    the triangle inequality makes opposite caps completely joined.
-    cube_side is the lattice pitch; centres get a deterministic
-    index-keyed nudge before radial projection so projections collide
-    only with probability zero.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, n: int, a: float, cube_side: float, delta: float = 0.0,
-                perturbation_scale: float = 1.0, max_points: int = DEFAULT_VERTEX_LIMIT):
-        if n < 1:
-            raise ValueError("sphere dimension must be at least 1")
-        if not 0.0 < a < 2.0:
-            raise ValueError("need 0 < a < 2")
-        if delta == 0.0:
-            delta = (2.0 - a) / 2.0
-        if not 0.0 < delta <= (2.0 - a) / 2.0:
-            raise ValueError("need 0 < delta <= (2-a)/2")
-        if cube_side <= 0.0:
-            raise ValueError("cube_side must be positive")
-        return super().__new__(cls, n, a, cube_side, delta, perturbation_scale, max_points)
-
-
 def _unit_hash_direction(key: tuple[int, ...], dim: int) -> np.ndarray:
     """Deterministic pseudo-random unit vector keyed by lattice coordinates."""
     import numpy as np
@@ -199,22 +173,35 @@ def _unit_hash_direction(key: tuple[int, ...], dim: int) -> np.ndarray:
     return vec / norm
 
 
-def borsuk_points(cfg: BorsukSampleConfig) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """Lattice keys and projected sphere points of the sample.
+def borsuk_points(n: int, a: float, cube_side: float,
+                  delta: float = 0.0) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Lattice keys and sphere points sampling the unit n-sphere in R^(n+1)
+    for the graph joining points at distance >= a.
 
-    Enumerates the axis-aligned lattice cubes of side cube_side contained
-    in the closed ball of radius 1+2*delta, perturbs each centre and
-    projects it radially onto the sphere.
+    Takes the lattice cubes of side cube_side inside the ball of radius
+    1+2*delta, nudges each centre by a key-derived offset so projections
+    collide only with probability zero, and projects it onto the sphere.
+    delta = 0 stands for (2-a)/2, the largest cap radius for which the
+    triangle inequality joins opposite caps completely.
     """
     import numpy as np
 
-    dim = cfg.n + 1
-    c = cfg.cube_side
-    radius = 1.0 + 2.0 * cfg.delta
+    if n < 1:
+        raise ValueError("sphere dimension must be at least 1")
+    if not 0.0 < a < 2.0:
+        raise ValueError("need 0 < a < 2")
+    delta = delta or (2.0 - a) / 2.0
+    if not 0.0 < delta <= (2.0 - a) / 2.0:
+        raise ValueError("need 0 < delta <= (2-a)/2")
+    if cube_side <= 0.0:
+        raise ValueError("cube_side must be positive")
+    dim = n + 1
+    c = cube_side
+    radius = 1.0 + 2.0 * delta
     span = int(math.floor(radius / c)) + 1
     if (2 * span + 1) ** dim > 50_000_000:
         raise LimitExceededError("lattice scan too large; increase cube_side")
-    eps = cfg.perturbation_scale * c * 1e-3
+    eps = c * 1e-3
     keys: list[tuple[int, ...]] = []
     points: list[np.ndarray] = []
     grid = range(-span, span + 1)
@@ -238,18 +225,17 @@ def borsuk_points(cfg: BorsukSampleConfig) -> tuple[list[tuple[int, ...]], np.nd
             continue
         keys.append(key)
         points.append(x / norm)
-        if len(points) > cfg.max_points:
+        if len(points) > DEFAULT_VERTEX_LIMIT:
             raise LimitExceededError(
-                f"sample exceeds {cfg.max_points} points; increase cube_side"
-            )
+                f"sample exceeds {DEFAULT_VERTEX_LIMIT} points; increase cube_side")
     return keys, np.array(points) if points else np.zeros((0, dim))
 
 
-def borsuk_sample(cfg: BorsukSampleConfig) -> Graph:
-    """Finite induced sample of the sphere graph described by cfg."""
+def borsuk_sample(n: int, a: float, cube_side: float, delta: float = 0.0) -> Graph:
+    """The graph on the sample of borsuk_points(n, a, cube_side, delta)."""
     import numpy as np
 
-    keys, points = borsuk_points(cfg)
+    keys, points = borsuk_points(n, a, cube_side, delta)
     seen: dict[tuple[float, ...], int] = {}
     for idx, p in enumerate(points):
         t = tuple(float(x) for x in p)
@@ -261,7 +247,7 @@ def borsuk_sample(cfg: BorsukSampleConfig) -> Graph:
         seen[t] = idx
     count = len(keys)
     edges = []
-    a2 = cfg.a * cfg.a
+    a2 = a * a
     for i in range(count):
         diffs = points[i + 1 :] - points[i]
         dist2 = np.einsum("ij,ij->i", diffs, diffs)

@@ -8,6 +8,7 @@ evaluation order, platform, or worker count.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
@@ -355,24 +356,40 @@ def estimate_biclique_event(
 
 
 def g_bound_log(l1: int, l2: int, n: int, s: int, t: int, u: int) -> float:
-    """Natural log of the list-thinning failure bound g, the safe form for
-    large s^u. l1 and l2 are the original and sampled list sizes, n the
-    vertex count, s and t the collection bounds, u the palette size."""
+    """Natural log of the list-thinning failure bound g, +-inf past the float
+    range. l1 and l2 are the original and sampled list sizes, n the vertex
+    count, s and t the collection bounds, u the palette size."""
     if not l1 > l2 >= 1:
         raise ValueError("need l1 > l2 >= 1")
     for name, value in (("n", n), ("s", s), ("t", t), ("u", u)):
         if value < 1:
             raise ValueError(f"{name} must be positive")
-    exponent = 4.0 * l2 * t * u / ((l1 - l2) * n)
-    return u * math.log(s) - 0.5 * n * math.pow(2.0, -exponent)
+    try:
+        exponent = 4.0 * l2 * t * u / ((l1 - l2) * n)
+        if exponent < math.inf:  # else the product 4.0*l2*t*u overflowed
+            return u * math.log(s) - 0.5 * n * math.pow(2.0, -exponent)
+    except OverflowError:  # an integer past the float range
+        pass
+    # the terms u*log(s) and (n/2)*2^-exponent from their logarithms, inf past the float range
+    gain = _exp(math.log(u) + math.log(math.log(s))) if s > 1 else 0.0
+    exponent = _exp(math.log(4 * l2 * t * u) - math.log((l1 - l2) * n))
+    loss = _exp(math.log(n) - (1.0 + exponent) * math.log(2.0))
+    if gain == loss == math.inf:
+        raise ValueError("cannot decide g: both terms of its logarithm overflow the float range")
+    return gain - loss
+
+
+def _exp(x: float) -> float:
+    """e^x, inf where that overflows a float."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def g_bound(l1: int, l2: int, n: int, s: int, t: int, u: int) -> float:
     """Value s^u * exp(-(n/2) * 2^(-4*l2*t*u/((l1-l2)*n))), via log space."""
-    try:
-        return math.exp(g_bound_log(l1, l2, n, s, t, u))
-    except OverflowError:
-        return math.inf
+    return _exp(g_bound_log(l1, l2, n, s, t, u))
 
 
 def expected_avoiding_count(m: int, u: int, k: int, a: int) -> Fraction:
@@ -387,7 +404,9 @@ def expected_avoiding_count(m: int, u: int, k: int, a: int) -> Fraction:
         raise ValueError("need 1 <= k <= u")
     if a + k > u:
         return Fraction(0)
-    return Fraction(m) * Fraction(math.comb(u - a, k), math.comb(u, k))
+    # C(u-a,k)/C(u,k) as the shorter of prod_{i<a} (u-k-i)/(u-i) and prod_{i<k} (u-a-i)/(u-i)
+    j = min(a, k)
+    return Fraction(m) * Fraction(math.perm(u - (a + k - j), j), math.perm(u, j))
 
 
 def concentration_bound(n: int, c: float, t: float) -> float:
@@ -401,4 +420,11 @@ def concentration_bound(n: int, c: float, t: float) -> float:
         raise ValueError("t must be nonnegative")
     if math.isinf(c) or math.isinf(t):
         raise ValueError("c and t must be finite")
-    return 2.0 * math.exp(-(t * t) / (2.0 * c * c * n))
+    if t == 0:
+        return 2.0
+    tiny, huge = sys.float_info.min, sys.float_info.max
+    square, scale = t * t, 2.0 * c * c * n if n <= huge else math.inf
+    if tiny <= square <= huge and tiny <= scale <= huge:
+        return 2.0 * math.exp(-square / scale)
+    # a product left the normal float range: the exponent t^2/(2c^2 n) from its logarithm
+    return 2.0 * math.exp(-_exp(2.0 * (math.log(t) - math.log(c)) - math.log(2 * n)))

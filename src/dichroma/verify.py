@@ -13,7 +13,6 @@ from typing import Optional
 
 from .catalogue import digraph_catalogue, graphs_up_to, random_digraph
 from .core import (
-    Coloring,
     Deadline,
     Digraph,
     Graph,
@@ -89,17 +88,18 @@ class _SuiteSolves:
         return _exact_value(self.cert(solver, obj))
 
 
-def _tally(rows: list[dict], *checks: str) -> tuple[int, int]:
-    """Rows failing some check (violations), and rows with none failed but
-    some left undecided (None)."""
+def _result(name: str, rows: list[dict], columns: tuple[str, ...], **summary) -> SuiteResult:
+    """The suite's result: a row with a False check column is a violation, one
+    with no False but some None is unknown; summary gains both counts."""
     violations = unknown = 0
     for r in rows:
-        results = [r[c] for c in checks]
+        results = [r[c] for c in columns]
         if False in results:
             violations += 1
         elif None in results:
             unknown += 1
-    return violations, unknown
+    return SuiteResult(name, not violations, rows,
+                       {**summary, "violations": violations, "unknown": unknown}, unknown)
 
 
 def _set_partitions(items: list[int]):
@@ -187,57 +187,30 @@ def _random_pair(rng: RngSpec, i: int, max_n: int) -> tuple[Digraph, Digraph]:
     return random_digraph(n_g, r.derive(100)), random_digraph(n_h, r.derive(101))
 
 
-def _product_rows(
-    kind: str,
-    pairs: list[tuple[str, Digraph, Digraph]],
-    solves: _SuiteSolves,
-    threads: int,
-) -> list[dict]:
-    """One row per pair; a row whose factor or product solve ran out of
-    budget, or that comes after the deadline, keeps None for what it
-    could not decide, with equal (or within_bound) None."""
-    cache: dict[Digraph, Optional[int]] = {}
-    witnesses: dict[Digraph, Coloring] = {}
+def _product_rows(pairs: list[tuple[str, Digraph, Digraph]], solves: _SuiteSolves,
+                  threads: int, fill) -> list[dict]:
+    """One row per pair, its product columns from fill(g, h, factors), where
+    factors holds both factors' exact certificates, or is None when a
+    factor solve ran out of budget or the deadline has passed; fill then
+    keeps None for what it could not decide."""
+    cache: dict[Digraph, Optional[Certificate]] = {}
 
-    def chi(d: Digraph) -> Optional[int]:
+    def factor(d: Digraph) -> Optional[Certificate]:
         if d not in cache:
-            cert = solves.cert(dichromatic_number, d)
-            cache[d] = _exact_value(cert)
-            witnesses[d] = cert.witness if cert is not None else None
+            cache[d] = solves.cert(dichromatic_number, d)
         return cache[d]
 
     for _, g, h in pairs:
-        chi(g)
-        chi(h)
+        factor(g)
+        factor(h)
 
     def solve(task: tuple[str, Digraph, Digraph]) -> dict:
         tag, g, h = task
-        cg, ch = chi(g), chi(h)
-        row = {"pair": tag, "n_left": g.n, "n_right": h.n, "chi_left": cg, "chi_right": ch}
+        factors = factor(g), factor(h)
+        cg, ch = map(_exact_value, factors)
         known = cg is not None and ch is not None and not solves.deadline.expired()
-        if kind == "cartesian":
-            value = expected = proper = None
-            if known:
-                prod = cartesian_product(g, h)
-                value = solves.value(dichromatic_number, prod)
-                expected = max(cg, ch)
-                modular = sabidussi_coloring(witnesses[g], witnesses[h], max(expected, 1))
-                proper = is_proper_dicoloring(prod, modular)
-            return {
-                **row,
-                "chi_product": value,
-                "expected": expected,
-                "equal": None if value is None else value == expected,
-                "modular_proper": proper,
-            }
-        value = solves.value(dichromatic_number, tensor_product(g, h)) if known else None
-        bound = min(cg, ch) if known else None
-        return {
-            **row,
-            "chi_product": value,
-            "bound": bound,
-            "within_bound": None if value is None else value <= bound,
-        }
+        return {"pair": tag, "n_left": g.n, "n_right": h.n, "chi_left": cg, "chi_right": ch,
+                **fill(g, h, factors if known else None)}
 
     return parallel_map(solve, pairs, threads)
 
@@ -265,22 +238,22 @@ def sabidussi_suite(
     for i in range(random_pairs):
         g, h = _random_pair(rng, i, pair_max_n)
         pairs.append((f"rand:{i}", g, h))
-    rows = _product_rows("cartesian", pairs, solves, threads)
-    violations, unknown = _tally(rows, "equal", "modular_proper")
-    return SuiteResult(
-        "sabidussi",
-        not violations,
-        rows,
-        {
-            "pairs": len(rows),
-            "violations": violations,
-            "unknown": unknown,
-            "catalogue_max_n": max_n,
-            "random_pairs": random_pairs,
-            "seed": seed,
-        },
-        unknown,
-    )
+
+    def fill(g: Digraph, h: Digraph, factors) -> dict:
+        value = expected = proper = None
+        if factors is not None:
+            fg, fh = factors
+            prod = cartesian_product(g, h)
+            value = solves.value(dichromatic_number, prod)
+            expected = max(fg.value, fh.value)
+            modular = sabidussi_coloring(fg.witness, fh.witness, max(expected, 1))
+            proper = is_proper_dicoloring(prod, modular)
+        return {"chi_product": value, "expected": expected,
+                "equal": None if value is None else value == expected, "modular_proper": proper}
+
+    rows = _product_rows(pairs, solves, threads, fill)
+    return _result("sabidussi", rows, ("equal", "modular_proper"), pairs=len(rows),
+                   catalogue_max_n=max_n, random_pairs=random_pairs, seed=seed)
 
 
 def tensor_upper_bound_suite(
@@ -291,16 +264,18 @@ def tensor_upper_bound_suite(
     """Dichromatic number of every tensor product stays below the minimum
     of the factors (an optimal factor colouring pulls back)."""
     solves = _SuiteSolves(deadline)
-    rows = _product_rows("tensor", _catalogue_pairs(max_n, solves.deadline), solves, threads)
-    violations, unknown = _tally(rows, "within_bound")
-    return SuiteResult(
-        "tensor-bound",
-        not violations,
-        rows,
-        {"pairs": len(rows), "violations": violations, "unknown": unknown,
-         "catalogue_max_n": max_n},
-        unknown,
-    )
+
+    def fill(g: Digraph, h: Digraph, factors) -> dict:
+        value = bound = None
+        if factors is not None:
+            value = solves.value(dichromatic_number, tensor_product(g, h))
+            bound = min(f.value for f in factors)
+        return {"chi_product": value, "bound": bound,
+                "within_bound": None if value is None else value <= bound}
+
+    rows = _product_rows(_catalogue_pairs(max_n, solves.deadline), solves, threads, fill)
+    return _result("tensor-bound", rows, ("within_bound",), pairs=len(rows),
+                   catalogue_max_n=max_n)
 
 
 def bidirect_suite(max_n: int = 6, deadline: Optional[Deadline] = None) -> SuiteResult:
@@ -313,19 +288,11 @@ def bidirect_suite(max_n: int = 6, deadline: Optional[Deadline] = None) -> Suite
         idx, g = item
         chi = solves.value(chromatic_number, g)
         dchi = solves.value(dichromatic_number, bidirect(g))
-        equal = None if chi is None or dchi is None else chi == dchi
         return {"graph": idx, "n": g.n, "m": g.m, "chi": chi, "dichi": dchi,
-                "equal": equal}
+                "equal": None if chi is None or dchi is None else chi == dchi}
 
     rows = [solve(item) for item in enumerate(graphs)]
-    violations, unknown = _tally(rows, "equal")
-    return SuiteResult(
-        "bidirect",
-        not violations,
-        rows,
-        {"graphs": len(rows), "violations": violations, "unknown": unknown, "max_n": max_n},
-        unknown,
-    )
+    return _result("bidirect", rows, ("equal",), graphs=len(rows), max_n=max_n)
 
 
 def kneser_chi_suite(deadline: Optional[Deadline] = None) -> SuiteResult:
@@ -337,20 +304,10 @@ def kneser_chi_suite(deadline: Optional[Deadline] = None) -> SuiteResult:
     for n, k in KNESER_CHI_CASES:
         g = kneser(n, k)
         chi = solves.value(chromatic_number, g)
-        rows.append(
-            {
-                "n": n,
-                "k": k,
-                "vertices": g.n,
-                "chi": chi,
-                "expected": n - 2 * k + 2,
-                "equal": None if chi is None else chi == n - 2 * k + 2,
-            }
-        )
-    violations, unknown = _tally(rows, "equal")
-    return SuiteResult("kneser-chi", not violations, rows,
-                       {"cases": len(rows), "violations": violations, "unknown": unknown},
-                       unknown)
+        expected = n - 2 * k + 2
+        rows.append({"n": n, "k": k, "vertices": g.n, "chi": chi, "expected": expected,
+                     "equal": None if chi is None else chi == expected})
+    return _result("kneser-chi", rows, ("equal",), cases=len(rows))
 
 
 def _mohar_wu_bound(n: int, k: int) -> int:
@@ -432,11 +389,4 @@ def catalogue_suite(seed: int = 11, deadline: Optional[Deadline] = None) -> Suit
                      "value": value, "bound": bound,
                      "equal": None if value is None else value >= bound})
 
-    violations, unknown = _tally(rows, "equal")
-    return SuiteResult(
-        "catalogue",
-        not violations,
-        rows,
-        {"checks": len(rows), "unknown": unknown, "seed": seed},
-        unknown,
-    )
+    return _result("catalogue", rows, ("equal",), checks=len(rows), seed=seed)

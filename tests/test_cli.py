@@ -819,8 +819,7 @@ LEAF_ARGS = {
 # The options of each leaf besides --timeout-s, --format and --out, which
 # every leaf takes: exactly those its handler reads.
 LEAF_OPTIONS = {
-    ("gen", "borsuk"): {"--n", "--a", "--delta", "--cube-side", "--perturbation-scale",
-                        "--max-points"},
+    ("gen", "borsuk"): {"--n", "--a", "--delta", "--cube-side"},
     ("orient", "random"): {"--seed"},
     ("orient", "enumerate"): {"--max-list"},
     ("orient", "certified"): {"--l", "--seed", "--max-attempts", "--break-cliques"},
@@ -857,7 +856,7 @@ def test_cli_leaves_take_only_the_options_they_read():
             assert set(options) == {"--timeout-s", "--format", "--out"} | \
                 LEAF_OPTIONS.get((group, leaf), set()), (group, leaf)
             slots += len(options)
-    assert slots == 155
+    assert slots == 153
 
 
 def test_cli_leaves_refuse_options_they_do_not_read(tmp_path, capsys):
@@ -985,3 +984,46 @@ def test_cli_mc_acceptance_with_a_bound_beyond_64_bits(tmp_path):
          "--l1", "68", "--l2", "34", "--trials", "1", "--timeout-s", "2"],
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0 and "successes 1\n" in proc.stdout
+
+
+HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["concentration", "--n", "3", "--c", "1e-200", "--t", "1"], 0.0),
+    (["concentration", "--n", HUGE, "--c", "1", "--t", "1"], 2.0),
+    (["g", "--l1", HUGE, "--l2", "1", "--n", "4", "--s", "1", "--t", "1", "--u", "2"],
+     math.exp(-2.0)),
+    (["g", "--l1", HUGE, "--l2", "1", "--n", HUGE, "--s", "1", "--t", "1", "--u", "2"], 0.0),
+    (["g", "--l1", "3", "--l2", "1", "--n", HUGE, "--s", "2", "--t", "1", "--u", HUGE], None),
+    (["expectation", "--m", HUGE, "--u", "4", "--k", "1", "--a", "1"], math.inf),
+    (["expectation", "--m", "3", "--u", "10000000", "--k", "5000000", "--a", "1"], 1.5),
+])
+def test_cli_bounds_past_the_float_range(capsys, argv, value):
+    # a value the floats cannot decide exits 2 with one line, never a guess
+    for fmt in ("text", "json"):
+        code = run(["bound"] + argv + ["--format", fmt])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if value is None:
+            assert (code, captured.out) == (2, "")
+            assert captured.err.startswith("dichroma: cannot decide g")
+            assert captured.err.count("\n") == 1
+        elif fmt == "text":
+            assert code == 0 and float(captured.out) == pytest.approx(value)
+        else:
+            got = json.loads(captured.out)["value"]
+            assert code == 0 and got == (None if math.isinf(value) else pytest.approx(value))
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "named", "K6000"],
+    ["gen", "named", "C6000"],
+    ["gen", "named", "P6000"],
+    ["gen", "named", "K3000,3000"],
+    ["mc", "biclique", "--graph", "K6000", "--trials", "1", "--l", "2"],
+])
+def test_cli_named_graphs_obey_the_vertex_limit(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "dichroma: 6000 vertices exceed limit 5000\n"

@@ -6,7 +6,6 @@ import pytest
 from dichroma.core import Deadline, Graph, is_proper_coloring
 from dichroma.errors import LimitExceededError
 from dichroma.generators import (
-    BorsukSampleConfig,
     EmbeddingWitness,
     borsuk_points,
     borsuk_sample,
@@ -105,17 +104,16 @@ def test_named_graphs():
 
 def test_borsuk_config_validation():
     with pytest.raises(ValueError):
-        BorsukSampleConfig(n=1, a=2.0, cube_side=0.3)
+        borsuk_sample(n=1, a=2.0, cube_side=0.3)
     with pytest.raises(ValueError):
-        BorsukSampleConfig(n=1, a=1.0, cube_side=0.3, delta=0.9)
+        borsuk_sample(n=1, a=1.0, cube_side=0.3, delta=0.9)
     with pytest.raises(ValueError):
-        BorsukSampleConfig(n=0, a=1.0, cube_side=0.3)
+        borsuk_sample(n=0, a=1.0, cube_side=0.3)
 
 
 def test_borsuk_sample_chromatic_floor():
     # ~40 circle points at a near-diameter threshold: odd cycles force 3 colours
-    cfg = BorsukSampleConfig(n=1, a=1.9, cube_side=0.26, delta=0.05)
-    g = borsuk_sample(cfg)
+    g = borsuk_sample(n=1, a=1.9, cube_side=0.26, delta=0.05)
     assert g.n == 40
     assert min(g.degree(v) for v in range(g.n)) >= 1
     cert = chromatic_number(g, Deadline(300))
@@ -123,14 +121,12 @@ def test_borsuk_sample_chromatic_floor():
 
 
 def test_borsuk_single_cube_degenerate():
-    cfg = BorsukSampleConfig(n=1, a=1.0, cube_side=10.0)
-    g = borsuk_sample(cfg)
+    g = borsuk_sample(n=1, a=1.0, cube_side=10.0)
     assert g.n <= 1 and g.m == 0
 
 
 def test_borsuk_distances_never_exceed_diameter():
-    cfg = BorsukSampleConfig(n=1, a=1.9, cube_side=0.31, delta=0.05)
-    _, pts = borsuk_points(cfg)
+    _, pts = borsuk_points(n=1, a=1.9, cube_side=0.31, delta=0.05)
     dmax = max(
         float(np.linalg.norm(pts[i] - pts[j]))
         for i in range(len(pts))
@@ -142,8 +138,8 @@ def test_borsuk_distances_never_exceed_diameter():
 def test_borsuk_point_scaling():
     # halving the pitch multiplies the count by about 2^(n+1)
     for n in (1, 2):
-        coarse = borsuk_sample(BorsukSampleConfig(n=n, a=1.5, cube_side=0.5)).n
-        fine = borsuk_sample(BorsukSampleConfig(n=n, a=1.5, cube_side=0.25)).n
+        coarse = borsuk_sample(n=n, a=1.5, cube_side=0.5).n
+        fine = borsuk_sample(n=n, a=1.5, cube_side=0.25).n
         ratio = fine / coarse
         assert 0.5 * 2 ** (n + 1) <= ratio <= 1.5 * 2 ** (n + 1)
 
@@ -179,8 +175,7 @@ def test_simplex_coloring_antipodal_split():
 
 
 def test_simplex_coloring_proper_above_threshold():
-    cfg = BorsukSampleConfig(n=1, a=1.9, cube_side=0.26, delta=0.05)
-    _, pts = borsuk_points(cfg)
+    _, pts = borsuk_points(n=1, a=1.9, cube_side=0.26, delta=0.05)
     colouring = simplex_coloring(pts)
 
     def proper_at(a: float) -> bool:

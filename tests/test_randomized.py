@@ -272,6 +272,30 @@ def test_expected_avoiding_count_examples():
     assert exact == Fraction(5 * math.comb(4, 2), math.comb(7, 2))
 
 
+def test_expected_avoiding_count_matches_the_binomial_ratio():
+    for u in range(1, 9):
+        for k in range(1, u + 1):
+            for a in range(0, u + 2):
+                want = Fraction(3 * math.comb(u - a, k), math.comb(u, k)) if a + k <= u else 0
+                assert expected_avoiding_count(3, u, k, a) == want
+    # the shorter product keeps a million-colour palette instant
+    assert expected_avoiding_count(3, 10**7, 5 * 10**6, 1) == Fraction(3, 2)
+
+
+def test_bounds_past_the_float_range():
+    huge = 10**400
+    assert concentration_bound(3, 1e-200, 1.0) == 0.0
+    assert concentration_bound(huge, 1.0, 1.0) == 2.0
+    # the squares overflow, yet t^2 / (2 c^2 n) is 0.5
+    assert concentration_bound(1, 1e200, 1e200) == pytest.approx(2 * math.exp(-0.5))
+    assert g_bound(huge, 1, 4, 1, 1, 2) == pytest.approx(math.exp(-2.0))
+    assert g_bound(huge, 1, huge, 1, 1, 2) == 0.0
+    assert g_bound(3, 1, huge, 1, 1, 2) == 0.0
+    assert g_bound(3, 1, 1, 10**9, 1, 10**6) == math.inf
+    with pytest.raises(ValueError, match="both terms"):
+        g_bound(3, 1, huge, 2, 1, huge)
+
+
 def test_concentration_bound_examples():
     assert abs(concentration_bound(1, 1.0, 2.0) - 2 * math.exp(-2)) < 1e-12
     assert concentration_bound(10, 0.5, 0.0) == 2.0

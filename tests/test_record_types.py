@@ -14,7 +14,7 @@ from dichroma.covers import (
     is_semicovered,
     verify_semicover_all_acyclic,
 )
-from dichroma.generators import BorsukSampleConfig, EmbeddingWitness, complete_graph
+from dichroma.generators import EmbeddingWitness, borsuk_points, complete_graph
 from dichroma.randomized import EventEstimate, RngSpec, expected_avoiding_count, g_bound
 from dichroma.solvers import Certificate
 from dichroma.verify import SuiteResult
@@ -33,8 +33,6 @@ RECORDS = [
      (3, 4, 0.75, EVENT.ci_low, EVENT.ci_high)),
     (SetCollection, ("members", "s", "t"), (COLLECTION.members, 2, 2)),
     (AcceptanceEstimate, ("event", "bound", "hypothesis_ok"), (EVENT, 0.5, True)),
-    (BorsukSampleConfig, ("n", "a", "cube_side", "delta", "perturbation_scale", "max_points"),
-     (2, 1.5, 0.5, 0.1, 2.0, 100)),
     (EmbeddingWitness, ("source", "target", "mapping"), (complete_graph(2), PATH3, (0, 1))),
     (Certificate, ("value", "exact", "lower", "upper", "witness", "witness_orientation",
                    "rejecting_assignment", "detail"),
@@ -67,8 +65,9 @@ def test_record_defaults():
     cert = Certificate(2, True, 2, 2)
     assert (cert.witness, cert.witness_orientation, cert.rejecting_assignment,
             cert.detail) == (None, None, None, "")
-    config = BorsukSampleConfig(2, 0.5, 0.1)
-    assert (config.delta, config.perturbation_scale, config.max_points) == (0.75, 1.0, 5000)
+    keys, points = borsuk_points(1, 1.5, 0.5)
+    default_keys, default_points = borsuk_points(1, 1.5, 0.5, delta=0.25)  # (2 - a) / 2
+    assert keys == default_keys and (points == default_points).all()
 
 
 def test_record_normalisation():
@@ -77,8 +76,9 @@ def test_record_normalisation():
     # the default block side beta = floor(124 ln n) shows in t = max(n + beta^2, n^2)
     assert build_rook_collection(9).t == 9 + 272 ** 2
     assert build_rook_collection(1).t == 1  # beta = 0; beta = 1 would give t = 2
-    assert BorsukSampleConfig(2, 0.5, 0.1).delta == 0.75  # (2 - a) / 2
-    assert BorsukSampleConfig(2, 0.5, 0.1, delta=0.25).delta == 0.25
+    # delta = 0 stands for (2 - a) / 2, and a given delta is kept
+    assert borsuk_points(1, 1.5, 0.5, delta=0.0)[0] == borsuk_points(1, 1.5, 0.5, delta=0.25)[0]
+    assert borsuk_points(1, 1.5, 0.5, delta=0.1)[0] != borsuk_points(1, 1.5, 0.5)[0]
 
 
 def test_record_reprs_are_unchanged():
@@ -111,10 +111,10 @@ def test_record_reprs_are_unchanged():
      "vertex set must split into two equal sides"),
     (lambda: build_rook_collection(0), "n must be at least 1"),
     (lambda: build_rook_collection(3, -1), "beta must be nonnegative"),
-    (lambda: BorsukSampleConfig(0, 1.0, 1.0), "sphere dimension must be at least 1"),
-    (lambda: BorsukSampleConfig(1, 2.0, 1.0), "need 0 < a < 2"),
-    (lambda: BorsukSampleConfig(1, 1.0, 1.0, delta=0.75), r"need 0 < delta <= \(2-a\)/2"),
-    (lambda: BorsukSampleConfig(1, 1.0, 0.0), "cube_side must be positive"),
+    (lambda: borsuk_points(0, 1.0, 1.0), "sphere dimension must be at least 1"),
+    (lambda: borsuk_points(1, 2.0, 1.0), "need 0 < a < 2"),
+    (lambda: borsuk_points(1, 1.0, 1.0, delta=0.75), r"need 0 < delta <= \(2-a\)/2"),
+    (lambda: borsuk_points(1, 1.0, 0.0), "cube_side must be positive"),
     (lambda: EmbeddingWitness(PATH3, PATH3, (0, 1)), "mapping must cover the source vertex set"),
     (lambda: EmbeddingWitness(complete_graph(2), PATH3, (0, 0)), "mapping must be injective"),
     (lambda: EmbeddingWitness(complete_graph(2), PATH3, (0, 3)), "image vertex 3 out of range"),

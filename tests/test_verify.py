@@ -8,6 +8,7 @@ from dichroma.generators import complete_graph, cycle_graph, path_graph
 from dichroma.randomized import RngSpec
 from dichroma.solvers import dichromatic_number
 from dichroma.verify import (
+    _result,
     bidirect_suite,
     catalogue_suite,
     cycle_orientation,
@@ -105,3 +106,29 @@ def test_suite_rows_after_the_deadline_read_unknown(monkeypatch):
         assert all(row["chi_product"] is None for row in result.rows)
     result = catalogue_suite()
     assert result.ok and result.unknown > 0
+
+
+def test_result_counts_a_failed_check_before_an_undecided_one():
+    rows = [{"equal": False, "proper": None}, {"equal": True, "proper": None},
+            {"equal": True, "proper": True}]
+    result = _result("x", rows, ("equal", "proper"), cases=len(rows))
+    assert (result.ok, result.unknown, result.rows) == (False, 1, rows)
+    assert result.summary == {"cases": 3, "violations": 1, "unknown": 1}
+
+
+@pytest.mark.parametrize("suite, kwargs, count", [
+    (sabidussi_suite, {"max_n": 2, "random_pairs": 3, "pair_max_n": 3}, "pairs"),
+    (tensor_upper_bound_suite, {"max_n": 2}, "pairs"),
+    (bidirect_suite, {"max_n": 4}, "graphs"),
+    (kneser_chi_suite, {}, "cases"),
+    (catalogue_suite, {}, "checks"),
+])
+def test_every_suite_summary_counts_violations_and_unknown(monkeypatch, suite, kwargs, count):
+    # build the catalogues first, then let every solve come after the deadline
+    digraph_catalogue(4)
+    graphs_up_to(7)
+    monkeypatch.setattr(Deadline, "expired", lambda self: True)
+    result = suite(**kwargs)
+    assert result.summary[count] == len(result.rows)
+    assert result.summary["violations"] == 0 and result.ok
+    assert result.summary["unknown"] == result.unknown > 0
