@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
+from functools import partial
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError
@@ -250,18 +251,23 @@ class Coloring(namedtuple("Coloring", "palette assignment")):
 
 
 class ListAssignment(namedtuple("ListAssignment", "palette lists k")):
-    """Per-vertex colour lists of a common size k over an explicit palette."""
+    """Per-vertex colour lists of a common size k over an explicit palette.
+
+    Each list is stored as a sorted tuple, so searches try a vertex's
+    colours in ascending order without sorting; any iterable of colours
+    is accepted and normalised."""
 
     __slots__ = ()
 
-    def __new__(cls, palette: tuple[int, ...], lists: tuple[frozenset[int], ...], k: int):
+    def __new__(cls, palette: tuple[int, ...], lists: Iterable[Iterable[int]], k: int):
         allowed = set(palette)
         if len(allowed) != len(palette):
             raise ValueError("palette colours must be distinct")
+        lists = tuple(tuple(sorted(set(lst))) for lst in lists)
         for v, lst in enumerate(lists):
             if len(lst) != k:
                 raise ValueError(f"list of vertex {v} has size {len(lst)}, not {k}")
-            if not lst <= allowed:
+            if not allowed.issuperset(lst):
                 raise ValueError(f"list of vertex {v} leaves the palette")
         return super().__new__(cls, palette, lists, k)
 
@@ -272,8 +278,14 @@ class ListAssignment(namedtuple("ListAssignment", "palette lists k")):
     @classmethod
     def uniform(cls, n: int, colours: Iterable[int]) -> "ListAssignment":
         """The assignment giving every vertex the same list."""
-        lst = frozenset(colours)
-        return cls(tuple(sorted(lst)), (lst,) * n, len(lst))
+        lst = tuple(sorted(set(colours)))
+        return _trusted_list_assignment((lst, (lst,) * n, len(lst)))
+
+
+# ListAssignment((palette, lists, k)) without validation or normalisation,
+# for builders whose palette holds distinct colours and whose lists are
+# sorted k-tuples drawn from it.
+_trusted_list_assignment = partial(tuple.__new__, ListAssignment)
 
 
 def _subset_acyclic(ins: Sequence[int], mask: int) -> bool:

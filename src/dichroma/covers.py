@@ -22,6 +22,7 @@ from .core import (
     ListAssignment,
     _extension_cyclic,
     _maximal_acyclic_masks,
+    _trusted_list_assignment,
     iter_bits,
     mask_of,
 )
@@ -201,8 +202,9 @@ def verify_semicover_all_acyclic(
         d, lambda mask: _semicovered(mask, n_half, members, lam), deadline)
 
 
-def _unrank_combination(items: list[int], k: int, rank: int) -> frozenset[int]:
-    """The rank-th k-subset of items in lexicographic order."""
+def _unrank_combination(items: tuple[int, ...], k: int, rank: int) -> tuple[int, ...]:
+    """The rank-th k-subset of items in lexicographic order, in the order
+    of items."""
     out = []
     start = 0
     n = len(items)
@@ -214,7 +216,7 @@ def _unrank_combination(items: list[int], k: int, rank: int) -> frozenset[int]:
                 start = pos + 1
                 break
             rank -= rest
-    return frozenset(out)
+    return tuple(out)
 
 
 def sample_sublists(L1: ListAssignment, l2: int, rng: RngSpec) -> ListAssignment:
@@ -223,13 +225,13 @@ def sample_sublists(L1: ListAssignment, l2: int, rng: RngSpec) -> ListAssignment
     if not 0 <= l2 <= L1.k:
         raise ValueError("sublist size must lie between 0 and the list size")
     if l2 == L1.k:
-        return ListAssignment(L1.palette, L1.lists, L1.k)
+        return L1
     total = math.comb(L1.k, l2)
     lists = []
     for v in range(L1.n):
         rank = uniform_below(rng, DOMAIN_SUBLIST, v, total)
-        lists.append(_unrank_combination(sorted(L1.lists[v]), l2, rank))
-    return ListAssignment(L1.palette, tuple(lists), l2)
+        lists.append(_unrank_combination(L1.lists[v], l2, rank))
+    return _trusted_list_assignment((L1.palette, tuple(lists), l2))
 
 
 def exists_accepted_covered_partition(
@@ -274,7 +276,7 @@ def exists_accepted_covered_partition(
             raise BudgetExceededError("unknown: partition search ran out of time")
         if v == n:
             return True
-        for colour in sorted(L.lists[v]):
+        for colour in L.lists[v]:
             i = colour_pos[colour]
             narrowed = alive[i] & members_with[v]
             if not narrowed:

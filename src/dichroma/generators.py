@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 DEFAULT_VERTEX_LIMIT = 5000
+DEFAULT_EDGE_LIMIT = 2_000_000
 
 
 def _vertex_count(n: int, name: str = "") -> int:
@@ -50,6 +51,13 @@ def _vertex_count(n: int, name: str = "") -> int:
         said = f"{name} = {n} exceeds" if name else f"{n} vertices exceed"
         raise LimitExceededError(f"{said} limit {DEFAULT_VERTEX_LIMIT}")
     return n
+
+
+def _edge_count(m: int) -> None:
+    """LimitExceededError when an edge count m, computed from a family's
+    parameters before any edge is built, passes DEFAULT_EDGE_LIMIT."""
+    if m > DEFAULT_EDGE_LIMIT:
+        raise LimitExceededError(f"{m} edges exceed limit {DEFAULT_EDGE_LIMIT}")
 
 
 def _colex_subsets(n: int, k: int) -> list[tuple[int, ...]]:
@@ -68,6 +76,8 @@ def kneser(n: int, k: int) -> Graph:
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     count = _vertex_count(math.comb(n, k), f"C({n},{k})")
+    # each k-subset is disjoint from C(n-k, k) others
+    _edge_count(count * math.comb(n - k, k) // 2)
     subs = _colex_subsets(n, k)
     masks = [sum(1 << (x - 1) for x in s) for s in subs]
     edges = [
@@ -85,6 +95,7 @@ def complete_multipartite(m: int, r: int) -> Graph:
     if m < 1 or r < 1:
         raise ValueError("need m >= 1 and r >= 1")
     n = _vertex_count(m * r)
+    _edge_count(math.comb(n, 2) - r * math.comb(m, 2))
     edges = [
         (u, v)
         for u in range(n)
@@ -102,12 +113,16 @@ def rook(n: int) -> Graph:
     if n < 1:
         raise ValueError("need n >= 1")
     _vertex_count(n * n)
+    # n^2 vertices, each adjacent to the (n-1)^2 cells off its row and column
+    _edge_count(n * n * (n - 1) ** 2 // 2)
     return tensor_product(complete_graph(n), complete_graph(n))
 
 
 def complete_graph(n: int) -> Graph:
+    _vertex_count(n)
+    _edge_count(n * (n - 1) // 2)
     return Graph(
-        _vertex_count(n),
+        n,
         [(u, v) for u in range(n) for v in range(u + 1, n)],
         labels=[str(v + 1) for v in range(n)],
     )
@@ -128,7 +143,9 @@ def path_graph(n: int) -> Graph:
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise ValueError("both sides must be nonempty")
-    return Graph(_vertex_count(a + b), [(u, a + v) for u in range(a) for v in range(b)])
+    n = _vertex_count(a + b)
+    _edge_count(a * b)
+    return Graph(n, [(u, a + v) for u in range(a) for v in range(b)])
 
 
 _NAMED_RE = re.compile(r"^([KCP])(\d+)(?:,(\d+))?$")

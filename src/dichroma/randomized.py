@@ -371,11 +371,15 @@ def g_bound_log(l1: int, l2: int, n: int, s: int, t: int, u: int) -> float:
     except OverflowError:  # an integer past the float range
         pass
     # the terms u*log(s) and (n/2)*2^-exponent from their logarithms, inf past the float range
-    gain = _exp(math.log(u) + math.log(math.log(s))) if s > 1 else 0.0
+    log_gain = math.log(u) + math.log(math.log(s)) if s > 1 else -math.inf
     exponent = _exp(math.log(4 * l2 * t * u) - math.log((l1 - l2) * n))
-    loss = _exp(math.log(n) - (1.0 + exponent) * math.log(2.0))
+    log_loss = math.log(n) - (1.0 + exponent) * math.log(2.0)
+    gain, loss = _exp(log_gain), _exp(log_loss)
     if gain == loss == math.inf:
-        raise ValueError("cannot decide g: both terms of its logarithm overflow the float range")
+        # the larger term decides the sign; only a tie leaves it open
+        if log_gain == log_loss:
+            raise ValueError("cannot decide g: both terms of its logarithm overflow the float range")
+        return math.inf if log_gain > log_loss else -math.inf
     return gain - loss
 
 

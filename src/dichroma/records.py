@@ -85,7 +85,7 @@ def certificate_payload(cert: Certificate) -> dict[str, Any]:
         out["rejecting_assignment"] = {
             "palette": list(cert.rejecting_assignment.palette),
             "k": cert.rejecting_assignment.k,
-            "lists": [sorted(lst) for lst in cert.rejecting_assignment.lists],
+            "lists": [list(lst) for lst in cert.rejecting_assignment.lists],
         }
     return out
 

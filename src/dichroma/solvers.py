@@ -22,6 +22,7 @@ from .core import (
     ListAssignment,
     Orientation,
     _extension_cyclic,
+    _trusted_list_assignment,
     apply_orientation,
     enumerate_orientations,
     is_acyclic,
@@ -359,7 +360,8 @@ class _ListSearch:
 
     def find(self, lists) -> Optional[list[int]]:
         """Backtracking search for a colouring drawn from the per-vertex
-        lists whose classes all pass the class test."""
+        lists whose classes all pass the class test, trying each list in
+        its stored ascending order."""
         order, clash, deadline = self.order, self.clash, self.deadline
         n = len(order)
         colour: list[Optional[int]] = [None] * n
@@ -371,7 +373,7 @@ class _ListSearch:
             if i == n:
                 return True
             v = order[i]
-            for c in sorted(lists[v]):
+            for c in lists[v]:
                 cm = class_masks.get(c, 0)
                 if not clash(cm, v):
                     colour[v] = c
@@ -423,30 +425,34 @@ def canonical_list_assignments(n: int, k: int) -> Iterator[ListAssignment]:
         yield ListAssignment((), (), k)
         return
     if k == 0:
-        yield ListAssignment((), (frozenset(),) * n, 0)
+        yield ListAssignment((), ((),) * n, 0)
         return
 
-    lists: list[frozenset[int]] = []
+    palettes = [tuple(range(1, top + 1)) for top in range(n * k + 1)]
+    lists: list[tuple[int, ...]] = []
     columns = [0] * (n * k + 1)
+    last = n - 1
 
-    def rec(i: int, top: int) -> Iterator[tuple[tuple[frozenset[int], ...], int]]:
-        if i == n:
-            yield tuple(lists), top
-            return
+    def rec(i: int, top: int) -> Iterator[ListAssignment]:
         # twin[c]: the largest lower colour whose column equals c's, or 0
-        twin, last = [0] * (top + 1), {}
+        twin, seen = [0] * (top + 1), {}
         for c in range(1, top + 1):
-            twin[c] = last.get(columns[c], 0)
-            last[columns[c]] = c
+            twin[c] = seen.get(columns[c], 0)
+            seen[columns[c]] = c
         bit = 1 << i
         for fresh in range(0, k + 1):
             if k - fresh > top:
                 continue
-            new_part = frozenset(range(top + 1, top + fresh + 1))
+            new_part = tuple(range(top + 1, top + fresh + 1))
+            palette = palettes[top + fresh]
             for old in combinations(range(1, top + 1), k - fresh):
                 if any(twin[c] and twin[c] not in old for c in old):
                     continue
-                lst = frozenset(old) | new_part
+                # every colour of old is below those of new_part: lst is sorted
+                lst = old + new_part
+                if i == last:
+                    yield _trusted_list_assignment((palette, (*lists, lst), k))
+                    continue
                 for c in lst:
                     columns[c] |= bit
                 lists.append(lst)
@@ -455,8 +461,7 @@ def canonical_list_assignments(n: int, k: int) -> Iterator[ListAssignment]:
                 for c in lst:
                     columns[c] ^= bit
 
-    for chosen, top in rec(0, 0):
-        yield ListAssignment(tuple(range(1, top + 1)), chosen, k)
+    yield from rec(0, 0)
 
 
 def _list_number(obj, deadline: Optional[Deadline]) -> Certificate:

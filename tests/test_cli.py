@@ -995,9 +995,13 @@ HUGE = "1" + "0" * 400
     (["g", "--l1", HUGE, "--l2", "1", "--n", "4", "--s", "1", "--t", "1", "--u", "2"],
      math.exp(-2.0)),
     (["g", "--l1", HUGE, "--l2", "1", "--n", HUGE, "--s", "1", "--t", "1", "--u", "2"], 0.0),
-    (["g", "--l1", "3", "--l2", "1", "--n", HUGE, "--s", "2", "--t", "1", "--u", HUGE], None),
+    # both terms of log g overflow, and their logarithms tie as floats
+    (["g", "--l1", "3", "--l2", "1", "--n", "2444345872659853" + "0" * 385, "--s", "2",
+      "--t", "1", "--u", HUGE], None),
     (["expectation", "--m", HUGE, "--u", "4", "--k", "1", "--a", "1"], math.inf),
     (["expectation", "--m", "3", "--u", "10000000", "--k", "5000000", "--a", "1"], 1.5),
+    # both overflow, but the gain's logarithm is the larger: g = inf
+    (["g", "--l1", "3", "--l2", "1", "--n", HUGE, "--s", "2", "--t", "1", "--u", HUGE], math.inf),
 ])
 def test_cli_bounds_past_the_float_range(capsys, argv, value):
     # a value the floats cannot decide exits 2 with one line, never a guess
@@ -1027,3 +1031,78 @@ def test_cli_named_graphs_obey_the_vertex_limit(capsys, argv):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "dichroma: 6000 vertices exceed limit 5000\n"
+
+
+# K2,4 with every edge as a digon: chi = 2, list dichromatic number 3 (as
+# chi_l(K2,4) = 3), closed by 1 + in/out-degeneracy after the 2-sweep
+# finds the rejecting assignment below
+BIDIRECTED_K24 = "d 6 16\n" + "".join(
+    f"a {u} {v}\na {v} {u}\n" for u in (0, 1) for v in range(2, 6))
+LIST_DICHROMATIC_K24 = """{
+  "certificate": {
+    "detail": "3 meets the upper bound 1 + in/out-degeneracy",
+    "exact": true,
+    "lower": 3,
+    "rejecting_assignment": {
+      "k": 2,
+      "lists": [
+        [
+          1,
+          2
+        ],
+        [
+          3,
+          4
+        ],
+        [
+          1,
+          3
+        ],
+        [
+          1,
+          4
+        ],
+        [
+          2,
+          3
+        ],
+        [
+          2,
+          4
+        ]
+      ],
+      "palette": [
+        1,
+        2,
+        3,
+        4
+      ]
+    },
+    "upper": 3,
+    "value": 3
+  },
+  "command": "solve list-dichromatic",
+  "params": {
+    "timeout_s": 120
+  },
+  "schema": "dichroma.result.v1",
+  "tool_version": "0.1.0"
+}
+"""
+
+
+def test_cli_list_dichromatic_json_golden(tmp_path, capsys):
+    path = tmp_path / "k24.d"
+    path.write_text(BIDIRECTED_K24)
+    code, out = _run(capsys, ["solve", "list-dichromatic", str(path), "--format", "json"])
+    assert code == 0
+    assert re.sub(r'\n  "runtime_ms": [^\n]*', "", out) == LIST_DICHROMATIC_K24
+
+
+def test_cli_refuses_past_the_edge_limit_before_building(capsys):
+    # K5000 is at the vertex limit; its 12.5M edges are refused before any is built
+    t0 = time.perf_counter()
+    assert run(["gen", "named", "K5000"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "dichroma: 12497500 edges exceed limit 2000000\n"

@@ -9,6 +9,7 @@ from dichroma.generators import (
     EmbeddingWitness,
     borsuk_points,
     borsuk_sample,
+    complete_bipartite,
     complete_graph,
     complete_multipartite,
     embed_kneser_tensor,
@@ -53,6 +54,35 @@ def test_kneser_limits():
         kneser(3, 0)
     with pytest.raises(LimitExceededError):
         kneser(30, 15)
+
+
+@pytest.mark.parametrize("build, edges", [
+    (lambda: complete_graph(2001), 2001 * 2000 // 2),
+    (lambda: complete_bipartite(1415, 1415), 1415 * 1415),
+    (lambda: complete_multipartite(1000, 5), 10_000_000),
+    (lambda: kneser(100, 2), 4950 * 4753 // 2),
+    (lambda: rook(50), 2500 * 49 * 49 // 2),
+])
+def test_families_refuse_past_the_edge_limit_before_building(build, edges):
+    # every one is under the vertex limit; the count comes from the parameters
+    with pytest.raises(LimitExceededError, match=f"^{edges} edges exceed limit 2000000$"):
+        build()
+
+
+def test_edge_limit_is_exact(monkeypatch):
+    import dichroma.generators as generators
+
+    # each family's computed count is its real edge count: at a limit of 10
+    # those with exactly 10 edges build and those just past it refuse
+    monkeypatch.setattr(generators, "DEFAULT_EDGE_LIMIT", 10)
+    at_limit = (complete_graph(5), complete_bipartite(2, 5), complete_multipartite(1, 5),
+                kneser(5, 1))
+    assert [g.m for g in at_limit] == [10] * 4
+    assert (kneser(4, 2).m, rook(2).m, complete_multipartite(2, 2).m) == (3, 2, 4)
+    for build in (lambda: complete_graph(6), lambda: complete_bipartite(1, 11),
+                  lambda: complete_multipartite(2, 3), lambda: kneser(5, 2), lambda: rook(3)):
+        with pytest.raises(LimitExceededError, match="^1[1-8] edges exceed limit 10$"):
+            build()
 
 
 def test_kneser_n1_is_complete():

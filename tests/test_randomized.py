@@ -282,6 +282,11 @@ def test_expected_avoiding_count_matches_the_binomial_ratio():
     assert expected_avoiding_count(3, 10**7, 5 * 10**6, 1) == Fraction(3, 2)
 
 
+# With l1=3, l2=1, s=2, t=1 and u=10**400, this n makes the logarithms of
+# both overflowing terms of log g equal as floats.
+TIED_N = 2444345872659853 * 10**385
+
+
 def test_bounds_past_the_float_range():
     huge = 10**400
     assert concentration_bound(3, 1e-200, 1.0) == 0.0
@@ -292,8 +297,12 @@ def test_bounds_past_the_float_range():
     assert g_bound(huge, 1, huge, 1, 1, 2) == 0.0
     assert g_bound(3, 1, huge, 1, 1, 2) == 0.0
     assert g_bound(3, 1, 1, 10**9, 1, 10**6) == math.inf
+    # both terms of log g overflow: the larger logarithm decides the sign
+    assert g_bound(3, 1, huge, 2, 1, huge) == math.inf
+    assert g_bound(3, 1, 100 * huge, 2, 1, huge) == 0.0
+    # only logarithms that tie in floating point leave g undecided
     with pytest.raises(ValueError, match="both terms"):
-        g_bound(3, 1, huge, 2, 1, huge)
+        g_bound(3, 1, TIED_N, 2, 1, huge)
 
 
 def test_concentration_bound_examples():

@@ -27,7 +27,8 @@ EVENT = EventEstimate.from_counts(3, 4)
 RECORDS = [
     (Orientation, ("base", "direction"), (PATH3, (False, True))),
     (Coloring, ("palette", "assignment"), ((0, 1), (0, 1, 0))),
-    (ListAssignment, ("palette", "lists", "k"), ((0, 1, 2), (frozenset({0, 1}),) * 3, 2)),
+    # lists in the stored form, sorted tuples; other inputs are normalised
+    (ListAssignment, ("palette", "lists", "k"), ((0, 1, 2), ((0, 1),) * 3, 2)),
     (RngSpec, ("seed",), (7,)),
     (EventEstimate, ("successes", "trials", "estimate", "ci_low", "ci_high"),
      (3, 4, 0.75, EVENT.ci_low, EVENT.ci_high)),
@@ -79,6 +80,35 @@ def test_record_normalisation():
     # delta = 0 stands for (2 - a) / 2, and a given delta is kept
     assert borsuk_points(1, 1.5, 0.5, delta=0.0)[0] == borsuk_points(1, 1.5, 0.5, delta=0.25)[0]
     assert borsuk_points(1, 1.5, 0.5, delta=0.1)[0] != borsuk_points(1, 1.5, 0.5)[0]
+
+
+def test_list_assignment_normalises_any_iterable():
+    # each list is stored as a sorted tuple, whatever iterable it came in
+    want = ListAssignment((-1, 0, 10**9), ((-1, 10**9), (-1, 0)), 2)
+    assert want.lists == ((-1, 10**9), (-1, 0))
+    for lists in ((frozenset({10**9, -1}), frozenset({0, -1})),
+                  [[10**9, -1], [0, -1]],
+                  ((10**9, -1), (0, -1)),
+                  iter([{-1, 10**9}, iter([0, -1])])):
+        got = ListAssignment((-1, 0, 10**9), lists, 2)
+        assert got == want and type(got.lists) is tuple
+        assert all(type(lst) is tuple for lst in got.lists)
+    assert ListAssignment.uniform(2, [3, 1, 3]) == ListAssignment((1, 3), ([1, 3], {3, 1}), 2)
+    assert ListAssignment.uniform(2, [3, 1, 3]).palette == (1, 3)
+
+
+@pytest.mark.parametrize("make", [frozenset, list, tuple, iter], ids=lambda f: f.__name__)
+def test_list_assignment_messages_for_any_iterable(make):
+    # the messages the frozenset inputs gave, for every kind of list
+    with pytest.raises(ValueError, match="^list of vertex 0 has size 1, not 2$"):
+        ListAssignment((0, 1), [make([0])], 2)
+    with pytest.raises(ValueError, match="^list of vertex 1 leaves the palette$"):
+        ListAssignment((0,), [make([0]), make([1])], 1)
+    with pytest.raises(ValueError, match="^palette colours must be distinct$"):
+        ListAssignment((0, 0), [make([0])], 1)
+    # a list is a set of colours: a repeated colour counts once
+    with pytest.raises(ValueError, match="^list of vertex 0 has size 1, not 2$"):
+        ListAssignment((0, 1), [make([0, 0])], 2)
 
 
 def test_record_reprs_are_unchanged():

@@ -333,6 +333,38 @@ def test_canonical_assignments_count_renaming_classes(n, k, classes):
     assert yielded == classes == sum(1 for _ in _column_multisets(n, k))
 
 
+@pytest.mark.parametrize("n,k", CLASS_SIZES)
+def test_canonical_assignments_pass_validation(n, k):
+    # the enumerator skips ListAssignment's checks; rebuilding through them
+    # must give the same value, with every list a sorted tuple
+    for a in canonical_list_assignments(n, k):
+        assert a == ListAssignment(a.palette, a.lists, a.k)
+        assert all(type(lst) is tuple for lst in a.lists)
+
+
+BIG = 10**9
+# (structure, palette, lists, the colouring the search returns, or None)
+ODD_PALETTES = [
+    (Digraph(4, [(0, 1), (1, 2), (2, 0), (1, 3), (3, 0), (2, 3), (3, 2)]), (-7, -5, BIG, BIG + 1),
+     ({-5, BIG}, {-5, BIG + 1}, {BIG, -5}, {-7, BIG}), (BIG, -5, -5, -7)),
+    (C3, (-7, -5, BIG, BIG + 1), ({-5, BIG}, {-5, BIG + 1}, {BIG, -5}), (BIG, -5, -5)),
+    (C3, (-3, -2, BIG), ({-3},) * 3, None),
+    (complete_bipartite(3, 3), (-2, -1, BIG),
+     ({-1, BIG}, {-1, -2}, {-2, BIG}) * 2, None),
+    (complete_bipartite(3, 3), (-9, BIG - 1), ({-9, BIG - 1},) * 6,
+     (BIG - 1, BIG - 1, BIG - 1, -9, -9, -9)),
+    (cycle_graph(5), (-4, 0, BIG - 1), ({-4, 0},) * 4 + ({BIG - 1, -4},), (0, -4, 0, -4, BIG - 1)),
+]
+
+
+@pytest.mark.parametrize("obj, palette, lists, expected", ODD_PALETTES)
+def test_find_acceptable_on_palettes_outside_the_canonical_range(obj, palette, lists, expected):
+    # colours are tried in ascending order, negative and huge ones included
+    find = find_acceptable_coloring if isinstance(obj, Graph) else find_acceptable_dicoloring
+    got = find(obj, ListAssignment(palette, lists, len(lists[0])))
+    assert got == (None if expected is None else Coloring(palette, expected))
+
+
 def test_canonical_assignments_first_use_form():
     for n, k in ((3, 2), (5, 2), (4, 3)):
         for L in canonical_list_assignments(n, k):
