@@ -200,7 +200,19 @@ class Digraph(_Structure):
                      labels=self.labels)
 
 
-class Orientation(namedtuple("Orientation", "base direction")):
+class _Validated:
+    """Base of a namedtuple whose __new__ validates or normalises: _make,
+    and _replace, which builds through _make, go through __new__ instead
+    of tuple.__new__, so they cannot return a record __new__ refuses."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class Orientation(_Validated, namedtuple("Orientation", "base direction")):
     """One direction per edge of a base graph.
 
     ``direction[j]`` refers to the j-th edge of ``base.edges``; False means
@@ -221,7 +233,7 @@ class Orientation(namedtuple("Orientation", "base direction")):
         return out
 
 
-class Coloring(namedtuple("Coloring", "palette assignment")):
+class Coloring(_Validated, namedtuple("Coloring", "palette assignment")):
     """A total assignment of palette colours to vertices 0..n-1."""
 
     __slots__ = ()
@@ -250,7 +262,7 @@ class Coloring(namedtuple("Coloring", "palette assignment")):
         return len(set(self.assignment))
 
 
-class ListAssignment(namedtuple("ListAssignment", "palette lists k")):
+class ListAssignment(_Validated, namedtuple("ListAssignment", "palette lists k")):
     """Per-vertex colour lists of a common size k over an explicit palette.
 
     Each list is stored as a sorted tuple, so searches try a vertex's

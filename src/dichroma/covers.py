@@ -20,6 +20,7 @@ from .core import (
     Deadline,
     Digraph,
     ListAssignment,
+    _Validated,
     _extension_cyclic,
     _maximal_acyclic_masks,
     _trusted_list_assignment,
@@ -52,7 +53,7 @@ __all__ = [
 _MEMBER_LIMIT = 2_000_000
 
 
-class SetCollection(namedtuple("SetCollection", "members s t")):
+class SetCollection(_Validated, namedtuple("SetCollection", "members s t")):
     """An (s,t)-collection: at most s vertex subsets, each of size <= t."""
 
     __slots__ = ()

@@ -14,7 +14,7 @@ from collections import namedtuple
 from itertools import combinations, product
 from typing import TYPE_CHECKING, Sequence
 
-from .core import Coloring, Graph
+from .core import Coloring, Graph, _Validated
 from .errors import DichromaError, LimitExceededError
 from .products import tensor_product
 from .randomized import mix64
@@ -309,7 +309,7 @@ def simplex_coloring(points: Sequence[Sequence[float]]) -> Coloring:
     return Coloring(tuple(range(dim + 1)), assignment)
 
 
-class EmbeddingWitness(namedtuple("EmbeddingWitness", "source target mapping")):
+class EmbeddingWitness(_Validated, namedtuple("EmbeddingWitness", "source target mapping")):
     """An injective vertex map realising the source as an induced subgraph
     of the target; verified exhaustively at construction."""
 

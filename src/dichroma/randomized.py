@@ -17,6 +17,7 @@ from .core import (
     Digraph,
     Graph,
     Orientation,
+    _Validated,
     _subset_acyclic,
     apply_orientation,
     iter_bits,
@@ -65,7 +66,7 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-class RngSpec(namedtuple("RngSpec", "seed")):
+class RngSpec(_Validated, namedtuple("RngSpec", "seed")):
     """A 64-bit master seed plus the derivation rule for per-object streams.
 
     Equal specs produce identical draws regardless of the order in which

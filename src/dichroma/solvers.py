@@ -348,43 +348,88 @@ class _ListSearch:
     """List colouring of one structure, set up once: the search order, the
     class test clash(class mask, v) (true when v may not join the class)
     and the solve's deadline, polled at every node when given. A graph is
-    the symmetric case outs = ins = adj with independent classes."""
+    the symmetric case outs = ins = adj with independent classes.
 
-    __slots__ = ("outs", "ins", "order", "clash", "deadline")
+    colour holds the colouring of the last search, or None on the vertices
+    it failed to colour; accepted is the lists of the last successful
+    search (None after a failure), which accepts reuses."""
+
+    __slots__ = ("outs", "ins", "orders", "clash", "deadline", "colour", "masks", "tried",
+                 "accepted")
 
     def __init__(self, obj, deadline: Optional[Deadline] = None):
+        n = obj.n
         self.outs, self.ins = obj.outs, obj.ins
         self.clash = _class_test(obj.outs, None if isinstance(obj, Graph) else obj.ins)
-        self.order = _degeneracy_order([o | i for o, i in zip(obj.outs, obj.ins)])
+        order = _degeneracy_order([o | i for o, i in zip(obj.outs, obj.ins)])
+        # orders[j]: the search order restricted to the vertices j..n-1
+        self.orders = [[v for v in order if v >= j] for j in range(n + 1)]
         self.deadline = deadline
+        self.colour: list[Optional[int]] = [None] * n
+        self.masks: dict[int, int] = {}  # colour -> the vertices colour gives it
+        self.tried = [0] * n  # per search depth, how many colours of its list were tried
+        self.accepted = None
 
-    def find(self, lists) -> Optional[list[int]]:
+    def find(self, lists, start: int = 0) -> bool:
         """Backtracking search for a colouring drawn from the per-vertex
         lists whose classes all pass the class test, trying each list in
-        its stored ascending order."""
-        order, clash, deadline = self.order, self.clash, self.deadline
+        its stored ascending order. A start above 0 needs the last search
+        to have succeeded: the vertices below start keep its colours, which
+        must still be drawn from lists, and only the rest are searched, in
+        the search order. True when found, the colouring then in colour."""
+        order, clash, deadline = self.orders[start], self.clash, self.deadline
+        colour, masks, tried = self.colour, self.masks, self.tried
+        if start:
+            for v in order:
+                masks[colour[v]] ^= 1 << v
+        else:
+            masks.clear()
         n = len(order)
-        colour: list[Optional[int]] = [None] * n
-        class_masks: dict[int, int] = {}
-
-        def rec(i: int) -> bool:
-            if deadline is not None and deadline.check():
-                raise _TimeUp
-            if i == n:
-                return True
+        i = p = 0  # the depth of the current node, and its next colour's index
+        if deadline is not None and deadline.check():
+            raise _TimeUp
+        while i < n:
             v = order[i]
-            for c in lists[v]:
-                cm = class_masks.get(c, 0)
-                if not clash(cm, v):
+            lst = lists[v]
+            for p in range(p, len(lst)):
+                c = lst[p]
+                cm = masks.get(c, 0)
+                if not cm or not clash(cm, v):
                     colour[v] = c
-                    class_masks[c] = cm | 1 << v
-                    if rec(i + 1):
-                        return True
-                    class_masks[c] = cm
-            colour[v] = None
-            return False
+                    masks[c] = cm | 1 << v
+                    tried[i] = p + 1
+                    i += 1
+                    p = 0
+                    if deadline is not None and deadline.check():
+                        raise _TimeUp
+                    break
+            else:
+                colour[v] = None
+                if not i:
+                    return False
+                i -= 1
+                v = order[i]
+                masks[colour[v]] ^= 1 << v
+                p = tried[i]
+        return True
 
-        return list(colour) if rec(0) else None
+    def accepts(self, lists) -> bool:
+        """Whether the lists accept a colouring, found as by find. The
+        leading vertices whose list objects are those of the last accepted
+        lists keep that colouring's colours, and only the vertices after
+        them are searched; the full search runs only when that fails. A
+        sweep whose consecutive assignments share their leading list
+        objects thus searches only the lists that changed."""
+        last, start = self.accepted, 0
+        if last is not None:
+            n = len(lists)
+            while start < n and lists[start] is last[start]:
+                start += 1
+        self.accepted = None
+        if start and self.find(lists, start) or self.find(lists):
+            self.accepted = lists
+            return True
+        return False
 
 
 def _find_acceptable(obj, L: ListAssignment) -> Optional[Coloring]:
@@ -392,10 +437,10 @@ def _find_acceptable(obj, L: ListAssignment) -> Optional[Coloring]:
         raise ValueError("list assignment does not cover the vertex set")
     if obj.n == 0:
         return Coloring(L.palette, ())
-    found = _ListSearch(obj).find(L.lists)
-    if found is None:
+    search = _ListSearch(obj)
+    if not search.find(L.lists):
         return None
-    return Coloring(L.palette, tuple(found))
+    return Coloring(L.palette, tuple(search.colour))
 
 
 def find_acceptable_dicoloring(d: Digraph, L: ListAssignment) -> Optional[Coloring]:
@@ -468,7 +513,10 @@ def _list_number(obj, deadline: Optional[Deadline]) -> Certificate:
     """Smallest k at which every canonical k-assignment accepts, with
     chi_l <= 1 + in/out-degeneracy (Bensmail, Harutyunyan and Le, 2018)
     closing the search: k levels below it end at their first rejecting
-    assignment, and the level that reaches it needs no sweep."""
+    assignment, and the level that reaches it needs no sweep. Consecutive
+    assignments share their leading list objects, so each is decided by
+    search.accepts, which searches only the vertices from the first
+    changed list on while it can."""
     n = obj.n
     if n == 0:
         return Certificate(0, True, 0, 0, detail="empty")
@@ -487,7 +535,7 @@ def _list_number(obj, deadline: Optional[Deadline]) -> Certificate:
         try:
             for L in canonical_list_assignments(n, k):
                 tested += 1
-                if search.find(L.lists) is None:
+                if not search.accepts(L.lists):
                     rejecting = L
                     break
             else:

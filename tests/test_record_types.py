@@ -120,6 +120,38 @@ def test_record_reprs_are_unchanged():
                            "ci_low=0.3006418425824019, ci_high=0.9544127391902995)")
 
 
+# (a valid record, field changes its __new__ refuses, the message)
+REBUILDS = [
+    (Orientation(PATH3, (False, True)), {"direction": (True,)}, "1 direction bits for 2 edges"),
+    (Coloring((0, 1), (0, 1)), {"assignment": (5,)}, "vertex 0 assigned colour 5 outside palette"),
+    (ListAssignment((0, 1), ((0,),), 1), {"k": 7, "lists": (frozenset({9}),)},
+     "list of vertex 0 has size 1, not 7"),
+    (COLLECTION, {"s": 1}, "2 members exceed the bound s=1"),
+    (EmbeddingWitness(complete_graph(2), PATH3, (0, 1)), {"mapping": (0, 2)},
+     r"map does not preserve adjacency on \(0,1\)"),
+]
+
+
+@pytest.mark.parametrize("record, changes, message", REBUILDS,
+                         ids=[type(r).__name__ for r, *_ in REBUILDS])
+def test_replace_and_make_validate(record, changes, message):
+    cls = type(record)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        record._replace(**changes)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cls._make(changes.get(f, getattr(record, f)) for f in cls._fields)
+    # valid fields still rebuild an equal record of the class
+    assert cls._make(record) == record._replace() == record
+    assert type(cls._make(record)) is cls
+
+
+def test_replace_and_make_normalise():
+    # RngSpec refuses no seed, but reduces it modulo 2^64 on every path
+    assert RngSpec(3)._replace(seed=-1).seed == (1 << 64) - 1
+    assert RngSpec._make([1 << 64 | 5]) == RngSpec(5)
+    assert ListAssignment((0, 1), ((0,),), 1)._replace(lists=({1},)).lists == ((1,),)
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda: Orientation(PATH3, (False,)), "1 direction bits for 2 edges"),
     (lambda: Coloring((0, 0), (0,)), "palette colours must be distinct"),

@@ -30,6 +30,7 @@ from dichroma.randomized import RngSpec, random_orientation
 from dichroma import solvers
 from dichroma.solvers import (
     _forest_clash,
+    _smallest_last,
     _vertex_arboricity,
     canonical_list_assignments,
     chromatic_number,
@@ -53,6 +54,10 @@ from oracles import (
 )
 
 C3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
+# five vertices with in/out-degeneracy 3 and list dichromatic number 3, so
+# the k = 3 level sweeps all 35,775 canonical assignments
+FIVE = Digraph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 0), (1, 3), (1, 4), (2, 0), (2, 3),
+                   (2, 4), (3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2)])
 
 
 def test_chromatic_examples():
@@ -468,13 +473,55 @@ def test_list_bound_closes_without_sweep():
 
 def test_list_dichromatic_below_bound_on_five_vertices():
     # in/out-degeneracy 3, so the bound is 4; the k = 3 sweep decides
-    arcs = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 0), (1, 3), (1, 4), (2, 0), (2, 3), (2, 4),
-            (3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2)]
-    cert = list_dichromatic_number(Digraph(5, arcs), Deadline(60))
+    cert = list_dichromatic_number(FIVE, Deadline(60))
     assert cert.exact and cert.value == 3
     assert cert.detail == "every canonical 3-assignment accepts a colouring"
     rej = cert.rejecting_assignment
-    assert rej.k == 2 and not brute_list_dicolourable(5, arcs, rej.lists)
+    assert rej.k == 2 and not brute_list_dicolourable(5, FIVE.arcs, rej.lists)
+
+
+def _fresh_sweep(obj, finder):
+    """List number by the canonical sweep up to 1 + in/out-degeneracy,
+    with the search set up afresh for every assignment, and the first
+    rejecting assignment of the level below it."""
+    upper = 1 + _smallest_last(obj.outs, obj.ins)[1]
+    rejecting = None
+    for k in range(1, upper):
+        first = next((L for L in canonical_list_assignments(obj.n, k) if finder(obj, L) is None),
+                     None)
+        if first is None:
+            return k, rejecting
+        rejecting = first
+    return upper, rejecting
+
+
+def test_list_sweep_reusing_colourings_matches_fresh_searches(monkeypatch):
+    # the sweep keeps the last accepted colouring on the leading vertices
+    # whose lists did not change; searching every assignment afresh must
+    # give the same value and rejecting assignment, and every colouring the
+    # sweep accepts must be drawn from the lists and pass the core checker
+    accepts = solvers._ListSearch.accepts
+    checked = []
+
+    def spy(self, lists):
+        found = accepts(self, lists)
+        if found:
+            colour = tuple(self.colour)
+            assert all(c in lst for c, lst in zip(colour, lists))
+            assert proper(obj, Coloring(tuple(sorted(set(colour))), colour))
+            checked.append(True)
+        return found
+
+    monkeypatch.setattr(solvers._ListSearch, "accepts", spy)
+    cases = [(random_digraph(5, RngSpec(s)), list_dichromatic_number, find_acceptable_dicoloring,
+              is_proper_dicoloring) for s in range(20)]
+    cases += [(g, list_chromatic_number, find_acceptable_coloring, is_proper_coloring)
+              for g in graph_catalogue(5)]
+    for obj, solve, finder, proper in cases:
+        cert = solve(obj, Deadline(300))
+        assert cert.exact
+        assert (cert.value, cert.rejecting_assignment) == _fresh_sweep(obj, finder)
+    assert len(checked) > 10_000
 
 
 def _fire_after(monkeypatch, calls: int, poll: str = "check") -> None:
@@ -498,6 +545,30 @@ def test_list_search_polls_deadline(monkeypatch):
     _fire_after(monkeypatch, 1)
     cert = list_chromatic_number(cycle_graph(4), Deadline(300))
     assert not cert.exact and (cert.lower, cert.upper) == (1, 3)
+
+
+@pytest.mark.parametrize("obj, solve, calls, k", [
+    (cycle_graph(4), list_chromatic_number, 250, 2),
+    (FIVE, list_dichromatic_number, 20_000, 3),
+], ids=["C4", "five"])
+def test_list_sweep_polls_deadline_in_prefix_searches(monkeypatch, obj, solve, calls, k):
+    # the deadline fires inside a search that kept the last accepted
+    # colouring on the unchanged leading lists and searched only the rest
+    starts = []
+    find = solvers._ListSearch.find
+
+    def spy(self, lists, start=0):
+        starts.append(start)
+        return find(self, lists, start)
+
+    monkeypatch.setattr(solvers._ListSearch, "find", spy)
+    _fire_after(monkeypatch, calls)
+    cert = solve(obj, Deadline(300))
+    assert starts[-1] > 0
+    assert not cert.exact and cert.value is None
+    assert (cert.lower, cert.upper) == (k, k + 1)
+    assert cert.detail.startswith(f"timeout at k={k} after ")
+    assert cert.rejecting_assignment.k == k - 1
 
 
 def test_dichromatic_timeout_keeps_bracket(monkeypatch):
