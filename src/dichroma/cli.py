@@ -309,7 +309,8 @@ def _gen_command(args, started: float):
     elif args.cmd == "rook":
         g = generators.rook(args.n)
     elif args.cmd == "borsuk":
-        g = generators.borsuk_sample(args.n, args.a, args.cube_side, args.delta)
+        g = generators.borsuk_sample(args.n, args.a, args.cube_side, args.delta,
+                                     Deadline(args.timeout_s))
     else:
         g = generators.named_graph(args.name)
     return None, graphio.format_graph(g), None, EXIT_OK

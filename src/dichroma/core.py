@@ -15,7 +15,7 @@ from collections import namedtuple
 from functools import partial
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, LimitExceededError
 
 __all__ = [
     "Deadline",
@@ -36,6 +36,18 @@ __all__ = [
     "induced_subdigraph",
     "induced_subgraph",
 ]
+
+
+DEFAULT_VERTEX_LIMIT = 5000
+
+
+def _vertex_count(n: int, name: str = "") -> int:
+    """n, or LimitExceededError when it passes DEFAULT_VERTEX_LIMIT; name,
+    if given, says what n counts."""
+    if n > DEFAULT_VERTEX_LIMIT:
+        said = f"{name} = {n} exceeds" if name else f"{n} vertices exceed"
+        raise LimitExceededError(f"{said} limit {DEFAULT_VERTEX_LIMIT}")
+    return n
 
 
 def iter_bits(mask: int) -> Iterator[int]:

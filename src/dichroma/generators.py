@@ -1,26 +1,25 @@
 """Constructors for the graph families the toolkit studies.
 
 Kneser vertices are indexed colexicographically so indices are stable
-across runs; coordinates and subsets are preserved in labels. numpy is
-imported inside the sphere-sample and simplex functions, the only ones
-that use it, so importing this module does not load it.
+across runs; coordinates and subsets are preserved in labels. Sphere
+points and simplex vertices are tuples of floats, computed in pure Python.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from itertools import combinations, product
-from typing import TYPE_CHECKING, Sequence
+from functools import reduce
+from itertools import combinations, repeat
+from operator import add, mul
+from typing import Sequence
 
-from .core import Coloring, Graph, _Validated
-from .errors import DichromaError, LimitExceededError
+from .core import DEFAULT_VERTEX_LIMIT, Coloring, Deadline, Graph, _Validated, _vertex_count
+from .errors import BudgetExceededError, DichromaError, LimitExceededError
 from .products import tensor_product
 from .randomized import mix64
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "EmbeddingWitness",
@@ -40,17 +39,7 @@ __all__ = [
     "embed_kneser_tensor",
 ]
 
-DEFAULT_VERTEX_LIMIT = 5000
 DEFAULT_EDGE_LIMIT = 2_000_000
-
-
-def _vertex_count(n: int, name: str = "") -> int:
-    """n, or LimitExceededError when it passes DEFAULT_VERTEX_LIMIT; name,
-    if given, says what n counts."""
-    if n > DEFAULT_VERTEX_LIMIT:
-        said = f"{name} = {n} exceeds" if name else f"{n} vertices exceed"
-        raise LimitExceededError(f"{said} limit {DEFAULT_VERTEX_LIMIT}")
-    return n
 
 
 def _edge_count(m: int) -> None:
@@ -170,10 +159,20 @@ def named_graph(name: str) -> Graph:
     return path_graph(first)
 
 
-def _unit_hash_direction(key: tuple[int, ...], dim: int) -> np.ndarray:
-    """Deterministic pseudo-random unit vector keyed by lattice coordinates."""
-    import numpy as np
+def _dot(u: Sequence[float], v: Sequence[float]) -> float:
+    """The products summed in coordinate order; sum() would compensate on
+    Python 3.12+ and move the last bits of every point."""
+    return reduce(add, map(mul, u, v), 0.0)
 
+
+def _unit(v: Sequence[float]) -> tuple[float, ...] | None:
+    """v over its length, or None for the zero vector."""
+    norm = math.sqrt(_dot(v, v))
+    return tuple(x / norm for x in v) if norm else None
+
+
+def _unit_hash_direction(key: tuple[int, ...], dim: int) -> tuple[float, ...]:
+    """Deterministic pseudo-random unit vector keyed by lattice coordinates."""
     h = 0x5D1C_E5E5
     for c in key:
         h = mix64(h ^ mix64(c & ((1 << 64) - 1)))
@@ -181,17 +180,12 @@ def _unit_hash_direction(key: tuple[int, ...], dim: int) -> np.ndarray:
     for axis in range(dim):
         h = mix64(h + axis + 1)
         coords.append((h >> 11) / float(1 << 53) * 2.0 - 1.0)
-    vec = np.array(coords)
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        vec = np.zeros(dim)
-        vec[0] = 1.0
-        return vec
-    return vec / norm
+    return _unit(coords) or (1.0,) + (0.0,) * (dim - 1)
 
 
-def borsuk_points(n: int, a: float, cube_side: float,
-                  delta: float = 0.0) -> tuple[list[tuple[int, ...]], np.ndarray]:
+def borsuk_points(n: int, a: float, cube_side: float, delta: float = 0.0,
+                  deadline: Deadline | None = None,
+                  ) -> tuple[list[tuple[int, ...]], list[tuple[float, ...]]]:
     """Lattice keys and sphere points sampling the unit n-sphere in R^(n+1)
     for the graph joining points at distance >= a.
 
@@ -199,10 +193,10 @@ def borsuk_points(n: int, a: float, cube_side: float,
     1+2*delta, nudges each centre by a key-derived offset so projections
     collide only with probability zero, and projects it onto the sphere.
     delta = 0 stands for (2-a)/2, the largest cap radius for which the
-    triangle inequality joins opposite caps completely.
+    triangle inequality joins opposite caps completely. Keys come in
+    product order; a prefix whose far corner already leaves the ball is
+    dropped. deadline (else Deadline()) is polled at every prefix.
     """
-    import numpy as np
-
     if n < 1:
         raise ValueError("sphere dimension must be at least 1")
     if not 0.0 < a < 2.0:
@@ -212,6 +206,7 @@ def borsuk_points(n: int, a: float, cube_side: float,
         raise ValueError("need 0 < delta <= (2-a)/2")
     if cube_side <= 0.0:
         raise ValueError("cube_side must be positive")
+    deadline = deadline or Deadline()
     dim = n + 1
     c = cube_side
     radius = 1.0 + 2.0 * delta
@@ -219,94 +214,98 @@ def borsuk_points(n: int, a: float, cube_side: float,
     if (2 * span + 1) ** dim > 50_000_000:
         raise LimitExceededError("lattice scan too large; increase cube_side")
     eps = c * 1e-3
-    keys: list[tuple[int, ...]] = []
-    points: list[np.ndarray] = []
-    grid = range(-span, span + 1)
     r2 = radius * radius
+    far = [(k, max((c * k) * (c * k), (c * k + c) * (c * k + c)))
+           for k in range(-span, span + 1)]
 
-    def corners_within(key: tuple[int, ...]) -> bool:
-        total = 0.0
-        for k in key:
-            lo = c * k
-            hi = c * k + c
-            total += max(lo * lo, hi * hi)
-        return total <= r2
+    def keys_from(prefix: tuple[int, ...], total: float):
+        if len(prefix) == dim:
+            yield prefix
+            return
+        for k, term in far:
+            if deadline.check():
+                raise BudgetExceededError("timeout during the Borsuk lattice scan")
+            if total + term <= r2:
+                yield from keys_from(prefix + (k,), total + term)
 
-    for key in product(grid, repeat=dim):
-        if not corners_within(key):
-            continue
-        centre = np.array([c * k + c / 2.0 for k in key])
-        x = centre + eps * _unit_hash_direction(key, dim)
-        norm = float(np.linalg.norm(x))
-        if norm == 0.0:
+    keys, points = [], []
+    for key in keys_from((), 0.0):
+        point = _unit([c * k + c / 2.0 + eps * x
+                       for k, x in zip(key, _unit_hash_direction(key, dim))])
+        if point is None:
             continue
         keys.append(key)
-        points.append(x / norm)
+        points.append(point)
         if len(points) > DEFAULT_VERTEX_LIMIT:
             raise LimitExceededError(
                 f"sample exceeds {DEFAULT_VERTEX_LIMIT} points; increase cube_side")
-    return keys, np.array(points) if points else np.zeros((0, dim))
+    return keys, points
 
 
-def borsuk_sample(n: int, a: float, cube_side: float, delta: float = 0.0) -> Graph:
-    """The graph on the sample of borsuk_points(n, a, cube_side, delta)."""
-    import numpy as np
-
-    keys, points = borsuk_points(n, a, cube_side, delta)
+def borsuk_sample(n: int, a: float, cube_side: float, delta: float = 0.0,
+                  deadline: Deadline | None = None) -> Graph:
+    """The graph on the sample of borsuk_points(n, a, cube_side, delta),
+    joining p and q when (q_k - p_k)^2 summed over k in order is >= a*a.
+    On the sphere that needs |p_0 + q_0| <= sqrt(4 - a*a), so each point
+    meets only the later points, by first coordinate, in that window
+    around -p_0. deadline (else Deadline()) is read once per point."""
+    deadline = deadline or Deadline()
+    keys, points = borsuk_points(n, a, cube_side, delta, deadline)
     seen: dict[tuple[float, ...], int] = {}
     for idx, p in enumerate(points):
-        t = tuple(float(x) for x in p)
-        if t in seen:
-            raise DichromaError(
-                f"perturbation failed to separate lattice cubes "
-                f"{keys[seen[t]]} and {keys[idx]}"
-            )
-        seen[t] = idx
-    count = len(keys)
-    edges = []
+        if seen.setdefault(p, idx) != idx:
+            raise DichromaError(f"perturbation failed to separate lattice cubes "
+                                f"{keys[seen[p]]} and {keys[idx]}")
     a2 = a * a
-    for i in range(count):
-        diffs = points[i + 1 :] - points[i]
-        dist2 = np.einsum("ij,ij->i", diffs, diffs)
-        for off in np.nonzero(dist2 >= a2)[0]:
-            edges.append((i, i + 1 + int(off)))
+    reach = math.sqrt(4.0 - a2 + 1e-9)  # the slack absorbs rounding
+    order = sorted(range(len(points)), key=lambda i: points[i][0])
+    columns = [[points[i][k] for i in order] for k in range(n + 1)]
+    edges = []
+    for pos, i in enumerate(order):
+        if deadline.expired():
+            raise BudgetExceededError("timeout during the Borsuk pair scan")
+        p = points[i]
+        lo = max(pos + 1, bisect_left(columns[0], -p[0] - reach))
+        hi = bisect_right(columns[0], -p[0] + reach)
+        dist2 = repeat(0.0)
+        for column, x in zip(columns, p):
+            diffs = [y - x for y in column[lo:hi]]
+            dist2 = list(map(add, dist2, map(mul, diffs, diffs)))
+        edges += [(i, j) for j, d2 in zip(order[lo:hi], dist2) if d2 >= a2]
     labels = ["Q(" + ",".join(str(k) for k in key) + ")" for key in keys]
-    return Graph(count, edges, labels=labels)
+    return Graph(len(keys), edges, labels=labels)
 
 
-def regular_simplex(dim: int) -> np.ndarray:
+def regular_simplex(dim: int) -> tuple[tuple[float, ...], ...]:
     """dim+1 unit vectors in R^dim with pairwise inner product -1/dim."""
-    import numpy as np
-
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    v = np.zeros((dim + 1, dim))
+    v = [[0.0] * dim for _ in range(dim + 1)]
     for i in range(dim):
-        v[i, i] = math.sqrt(max(0.0, 1.0 - float(np.dot(v[i, :i], v[i, :i]))))
+        v[i][i] = math.sqrt(max(0.0, 1.0 - _dot(v[i][:i], v[i][:i])))
         for k in range(i + 1, dim + 1):
-            v[k, i] = (-1.0 / dim - float(np.dot(v[i, :i], v[k, :i]))) / v[i, i]
-    return v
+            v[k][i] = (-1.0 / dim - _dot(v[i][:i], v[k][:i])) / v[i][i]
+    return tuple(map(tuple, v))
 
 
 def simplex_coloring(points: Sequence[Sequence[float]]) -> Coloring:
     """Colour unit vectors in R^(n+1) by the nearest-facet rule of a fixed
     inscribed regular simplex: colour = argmin_i <x, s_i>, ties to the
     lowest index. Uses n+2 colours."""
-    import numpy as np
-
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] == 0:
+    try:
+        pts = [tuple(map(float, p)) for p in points]
+    except TypeError:
+        pts = []
+    if not pts or len({len(p) for p in pts}) > 1:
         raise ValueError("need a nonempty 2d array of points")
-    dim = pts.shape[1]
+    dim = len(pts[0])
     if dim < 2:
         raise ValueError("points must live in R^(n+1) with n >= 1")
-    norms = np.linalg.norm(pts, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-9):
+    if any(abs(math.sqrt(_dot(p, p)) - 1.0) > 1e-9 for p in pts):
         raise ValueError("points must be unit vectors")
     simplex = regular_simplex(dim)
-    dots = pts @ simplex.T
-    assignment = tuple(int(np.argmin(row)) for row in dots)
-    return Coloring(tuple(range(dim + 1)), assignment)
+    dots = [[_dot(p, s) for s in simplex] for p in pts]
+    return Coloring(tuple(range(dim + 1)), tuple(row.index(min(row)) for row in dots))
 
 
 class EmbeddingWitness(_Validated, namedtuple("EmbeddingWitness", "source target mapping")):
@@ -364,8 +363,6 @@ def embed_kneser_tensor(n: int, k: int, n1: int, k1: int) -> EmbeddingWitness:
         raise ValueError("both block list sizes must be at least 1")
     if 2 * k1 > n1 or 2 * k2 > n2:
         raise ValueError("each block needs room for two disjoint subsets")
-    from .products import tensor_product
-
     source = tensor_product(kneser(n1, k1), kneser(n2, k2))
     target = kneser(n, k)
     subset_index = {

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .core import Digraph, Graph
+from .core import Digraph, Graph, _vertex_count
 from .errors import GraphFormatError
 
 __all__ = ["parse_graph_text", "parse_graph_file", "format_graph"]
@@ -40,6 +40,7 @@ def parse_graph_text(text: str) -> Union[Graph, Digraph]:
                 raise GraphFormatError("header counts must be integers", lineno)
             if n < 0 or m < 0:
                 raise GraphFormatError("header counts must be nonnegative", lineno)
+            _vertex_count(n)
             directed = tag == "d"
             header_seen = True
             continue

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from .errors import DichromaError
 
@@ -29,21 +29,21 @@ def default_threads() -> int:
     return 1
 
 
-def parallel_map(fn: Callable[[T], R], items: Iterable[T], threads: int) -> list[R]:
+def parallel_map(fn: Callable[[T], R], items: Sequence[T], threads: int) -> list[R]:
     """[fn(x) for x in items], computed by up to ``threads`` forked workers,
-    each over one contiguous chunk of the items; never more workers than
+    each over one contiguous slice of the items, which are never copied:
+    a range of any length costs nothing up front. Never more workers than
     items or CPUs, and serial where there is no fork. The parent computes
     the first chunk itself. A worker's exception is raised here with its
     type; a worker that ends without a result raises DichromaError. Rows
     come back whole and in item order, or not at all."""
-    work: Sequence[T] = list(items)
-    workers = min(threads, len(work), os.cpu_count() or 1)
+    workers = min(threads, len(items), os.cpu_count() or 1)
     if workers <= 1 or not hasattr(os, "fork"):
-        return [fn(x) for x in work]
+        return [fn(x) for x in items]
     import pickle
     import signal
 
-    cuts = [len(work) * c // workers for c in range(workers + 1)]
+    cuts = [len(items) * c // workers for c in range(workers + 1)]
     sys.stdout.flush()
     sys.stderr.flush()
     pids: list[int] = []
@@ -54,11 +54,11 @@ def parallel_map(fn: Callable[[T], R], items: Iterable[T], threads: int) -> list
             pid = os.fork()
             if pid == 0:
                 os.close(read_fd)
-                _run_chunk(fn, work[cuts[c]:cuts[c + 1]], write_fd)
+                _run_chunk(fn, items[cuts[c]:cuts[c + 1]], write_fd)
             os.close(write_fd)
             pids.append(pid)
             unread.append(read_fd)
-        results = [fn(x) for x in work[:cuts[1]]]
+        results = [fn(x) for x in items[:cuts[1]]]
         while unread:
             with os.fdopen(unread.pop(0), "rb") as pipe:
                 data = pipe.read()

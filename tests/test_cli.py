@@ -357,15 +357,18 @@ def test_cli_verify_stops_at_one_deadline(capsys):
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # catalogues are built in pure Python; the worker pool, exact bounds
-    # and CSV output import their modules only when a command runs them
+    # the package is pure Python, sphere samples and catalogues included;
+    # the worker pool, exact bounds and CSV output import their modules
+    # only when a command runs them
     src = str(Path(dichroma.__file__).resolve().parents[1])
     probe = ("import sys, dichroma.cli; print('numpy' in sys.modules); "
              "print([m for m in ('concurrent.futures', 'fractions', 'csv', 'pickle') "
              "if m in sys.modules]); "
              "from dichroma.catalogue import digraph_catalogue, graphs_up_to, "
              "oriented_catalogue; from dichroma.verify import bidirect_suite; "
+             "from dichroma.generators import borsuk_points, simplex_coloring; "
              "digraph_catalogue(4); graphs_up_to(7); oriented_catalogue(5); "
+             "simplex_coloring(borsuk_points(2, 1.5, 0.5)[1]); "
              "print(bidirect_suite().ok, 'numpy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
@@ -478,6 +481,55 @@ def test_cli_gen_borsuk_round_trip(tmp_path, capsys):
     g = parse_graph_text(out)
     assert g.n == 24
     assert parse_graph_text(format_graph(g)) == g
+
+
+def test_cli_gen_borsuk_stops_at_the_deadline(monkeypatch, capsys):
+    # every clock read says time is up, so the pair scan stops at its first row
+    monkeypatch.setattr(Deadline, "expired", lambda self: True)
+    assert run(["gen", "borsuk", "--n", "1", "--a", "1.9", "--cube-side", "0.31"]) == 3
+    assert capsys.readouterr() == (
+        "", "dichroma: budget exceeded: timeout during the Borsuk pair scan\n")
+
+
+def test_cli_gen_borsuk_prunes_a_large_lattice():
+    # 5^11 lattice keys: a scan of every key ran for minutes
+    src = str(Path(dichroma.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "dichroma.cli", "gen", "borsuk", "--n", "10",
+                           "--a", "1.5", "--cube-side", "0.9", "--timeout-s", "1"],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout) == (0, "g 0 0\n")
+
+
+@pytest.mark.parametrize("header, code", [("g 5000 0", 0), ("d 5000 0", 0),
+                                          ("g 5001 0", 2), ("d 1000000 0", 2)])
+def test_cli_refuses_a_header_past_the_vertex_limit(monkeypatch, capsys, header, code):
+    # the empty graph is decided at once; the limit stops the parser first
+    monkeypatch.setattr(sys, "stdin", io.StringIO(header + "\n"))
+    solve = "chromatic" if header[0] == "g" else "dichromatic"
+    assert run(["solve", solve]) == code
+    if code:
+        count = header.split()[1]
+        assert capsys.readouterr().err == f"dichroma: {count} vertices exceed limit 5000\n"
+
+
+@pytest.mark.parametrize("argv", [["biclique", "--graph", "K4", "--l", "1"],
+                                  ["acceptance", "-", "--l1", "2", "--l2", "1"]])
+def test_cli_mc_runs_a_billion_trials_in_bounded_memory(argv):
+    # 10^9 trials listed up front would need tens of GB; under a 1 GB
+    # address-space limit the run must still reach its deadline
+    resource = pytest.importorskip("resource")
+    src = str(Path(dichroma.__file__).resolve().parents[1])
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run([sys.executable, "-m", "dichroma.cli", "mc", *argv,
+                           "--trials", "1000000000", "--timeout-s", "1", "--threads", "1"],
+                          input="d 1 0\n", capture_output=True, text=True, timeout=120,
+                          preexec_fn=limit, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("dichroma: budget exceeded: ")
 
 
 def test_cli_orient_enumerate(tmp_path, capsys):

@@ -1,10 +1,12 @@
+import hashlib
 import math
+import random
+from itertools import count
 
-import numpy as np
 import pytest
 
 from dichroma.core import Deadline, Graph, is_proper_coloring
-from dichroma.errors import LimitExceededError
+from dichroma.errors import BudgetExceededError, LimitExceededError
 from dichroma.generators import (
     EmbeddingWitness,
     borsuk_points,
@@ -20,6 +22,7 @@ from dichroma.generators import (
     rook,
     simplex_coloring,
 )
+from dichroma.graphio import format_graph
 from dichroma.products import tensor_product
 from dichroma.solvers import chromatic_number
 
@@ -158,7 +161,7 @@ def test_borsuk_single_cube_degenerate():
 def test_borsuk_distances_never_exceed_diameter():
     _, pts = borsuk_points(n=1, a=1.9, cube_side=0.31, delta=0.05)
     dmax = max(
-        float(np.linalg.norm(pts[i] - pts[j]))
+        math.dist(pts[i], pts[j])
         for i in range(len(pts))
         for j in range(i + 1, len(pts))
     )
@@ -174,13 +177,18 @@ def test_borsuk_point_scaling():
         assert 0.5 * 2 ** (n + 1) <= ratio <= 1.5 * 2 ** (n + 1)
 
 
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
 def test_regular_simplex_geometry():
     for dim in (2, 3, 5):
         v = regular_simplex(dim)
-        gram = v @ v.T
-        assert np.allclose(np.diag(gram), 1.0)
-        off = gram[~np.eye(dim + 1, dtype=bool)]
-        assert np.allclose(off, -1.0 / dim)
+        assert len(v) == dim + 1 and all(len(row) == dim for row in v)
+        for i in range(dim + 1):
+            for j in range(dim + 1):
+                want = 1.0 if i == j else -1.0 / dim
+                assert math.isclose(_dot(v[i], v[j]), want, abs_tol=1e-12)
 
 
 def test_simplex_coloring_tie_break():
@@ -191,14 +199,17 @@ def test_simplex_coloring_tie_break():
 
 
 def test_simplex_coloring_antipodal_split():
-    rng = np.random.default_rng(12)
-    pts = rng.normal(size=(50, 3))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    both = np.vstack([pts, -pts])
+    rng = random.Random(12)
+    pts = []
+    for _ in range(50):
+        x = [rng.gauss(0.0, 1.0) for _ in range(3)]
+        norm = math.sqrt(_dot(x, x))
+        pts.append([c / norm for c in x])
+    both = pts + [[-c for c in p] for p in pts]
     colouring = simplex_coloring(both)
-    dots = both @ regular_simplex(3).T
+    simplex = regular_simplex(3)
     for i in range(50):
-        row = sorted(dots[i])
+        row = sorted(_dot(both[i], s) for s in simplex)
         if abs(row[0] - row[1]) < 1e-9:
             continue  # tie: the rule may merge antipodal colours
         assert colouring.assignment[i] != colouring.assignment[50 + i]
@@ -214,7 +225,7 @@ def test_simplex_coloring_proper_above_threshold():
             (i, j)
             for i in range(len(pts))
             for j in range(i + 1, len(pts))
-            if float(np.linalg.norm(pts[j] - pts[i])) >= a
+            if math.dist(pts[j], pts[i]) >= a
         ]
         return is_proper_coloring(Graph(len(pts), edges), colouring)
 
@@ -233,8 +244,75 @@ def test_simplex_coloring_proper_above_threshold():
 
 
 def test_simplex_coloring_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="points must be unit vectors"):
         simplex_coloring([[0.5, 0.0]])
+    for flat_empty_or_ragged in ([], [0.0, 1.0], [[0.0, 1.0], [0.0, 0.0, 1.0]]):
+        with pytest.raises(ValueError, match="need a nonempty 2d array of points"):
+            simplex_coloring(flat_empty_or_ragged)
+    with pytest.raises(ValueError, match=r"points must live in R\^\(n\+1\) with n >= 1"):
+        simplex_coloring([[1.0]])
+
+
+# SHA-256 of format_graph(borsuk_sample(*args)), recorded from the numpy
+# sampler this pure-Python one replaced: the same keys, labels and edges
+BORSUK_GOLDEN = {
+    (1, 1.2, 0.3): "6c5c2a14deb1d5005bf4d8cbbc11eeda5b36f2ae51728631507f191228f9f8df",
+    (1, 1.9, 0.26, 0.05): "b759241b5680de7705e7eb737d44aa8b34fb92856161f71b09c74dd57f48ab98",
+    (1, 1.99, 0.05): "95a4444582d00204a8c9d9ff28aaeddaf83833721a44be283366031d1dbb966b",
+    (2, 1.3, 0.4): "41e7e5258598a21f4b44bf28c96bc8cad50d065c219c88d82d566574de14c01a",
+    (2, 1.5, 0.25): "a2b27334999394ab98a1f6997d6b008ad07c2bbc1bdfabb9868d6da5bdd3dd73",
+    (2, 1.8, 0.3, 0.05): "c2eba374b6a4eda519797a4da8a8a7c9fefd2e5de433b9d9409df292c8812dcf",
+    (2, 1.95, 0.2): "22221a69dc576957ba72de9485ec7b3edb515ed1680a925b0e951a0216c351e3",
+    (3, 1.2, 0.6): "08b5c0dd12fd42c6ef747f533c25da9a46928c4c9ceb3584df84dc6f703bdef2",
+    (3, 1.7, 0.3): "bf9c29d89d51480541a602c5886f9b16b89fc4668efc46128c6ee5c97a9d704b",
+    (3, 1.9, 0.35): "27b83ea0cf4b977ff8c5c69a5b7bb24e29acd8953d5111f7cbea6896f8f0eb74",
+    (3, 1.99, 0.2): "9e6bd53869989d474380f57c4ccb0543c01828c65bed7cba3e9d48480067d62c",
+    (4, 1.5, 0.5): "a3ee6c93c4abaa54da4c410f5af9e98abe20ce82069eaab4fcbc9782193b23ff",
+    (4, 1.8, 0.35): "25f2a9e131d702634a501c005829d3ae0b0e1f4961896d011955d7c1db260410",
+    (4, 1.99, 0.4): "c4a1d5a4551c3dba907a1b85ae3b026181d490faafd5626e7141c00e8c4df16b",
+    (5, 1.5, 0.5): "d8c3631d6b93d1045557d7ac8103d98fbcd997b8fd59c4908540f868827f194c",
+    (5, 1.8, 0.45): "2665b1c6f958c3fa02ebcf4be386194db700ea9d53a0c287e1b52e24ff147ccc",
+}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("args", list(BORSUK_GOLDEN), ids=str)
+def test_borsuk_sample_matches_recorded_graphs(args):
+    assert _digest(format_graph(borsuk_sample(*args))) == BORSUK_GOLDEN[args]
+
+
+@pytest.mark.parametrize("args, digest", [
+    ((2, 1.5, 0.25), "f0bcd34568ee58e37140b5e71b525c246a6ffd4197cc74cf966a1d723465dd7c"),
+    ((3, 1.7, 0.3), "ea49106204d4be7f1ff05c836c15270fc948edf0e1795188b4663b0c6e5343c6"),
+], ids=str)
+def test_simplex_coloring_matches_recorded_assignments(args, digest):
+    # SHA-256 of the comma-joined colours, recorded from the numpy colouring
+    colouring = simplex_coloring(borsuk_points(*args)[1])
+    assert _digest(",".join(map(str, colouring.assignment))) == digest
+
+
+def test_borsuk_lattice_scan_is_pruned(monkeypatch):
+    # 5^11 = 48.8M lattice keys, none within the ball: no prefix of three
+    # coordinates stays inside it, so the scan polls 5 + 10 + 20 prefixes
+    polls = []
+    check = Deadline.check
+    monkeypatch.setattr(Deadline, "check", lambda self: polls.append(1) or check(self))
+    assert borsuk_sample(10, 1.5, 0.9).n == 0
+    assert len(polls) == 35
+
+
+@pytest.mark.parametrize("poll, calls, where", [
+    ("check", 50, "lattice scan"),  # the 1-sphere scan polls 121 prefixes
+    ("expired", 5, "pair scan"),
+])
+def test_borsuk_polls_the_deadline(monkeypatch, poll, calls, where):
+    polls = count(1)
+    monkeypatch.setattr(Deadline, poll, lambda self: next(polls) >= calls)
+    with pytest.raises(BudgetExceededError, match=f"timeout during the Borsuk {where}"):
+        borsuk_sample(1, 1.9, 0.26, 0.05, Deadline(300))
 
 
 def test_embed_rook_in_kneser_examples():

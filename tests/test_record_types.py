@@ -68,7 +68,7 @@ def test_record_defaults():
             cert.detail) == (None, None, None, "")
     keys, points = borsuk_points(1, 1.5, 0.5)
     default_keys, default_points = borsuk_points(1, 1.5, 0.5, delta=0.25)  # (2 - a) / 2
-    assert keys == default_keys and (points == default_points).all()
+    assert keys == default_keys and points == default_points
 
 
 def test_record_normalisation():
