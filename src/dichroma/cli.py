@@ -38,12 +38,13 @@ def _lazy(name: str):
     return module
 
 
-# A command runs only the modules it calls into. catalogue is registered
-# although no handler names it: bench/layers.py looks each traced module
-# up in sys.modules right after importing this one.
-graphio, parallel, products, randomized, records, solvers, verify = map(
-    _lazy, ("graphio", "parallel", "products", "randomized", "records", "solvers", "verify"))
+# A command runs only the modules it calls into. catalogue and parallel
+# are registered although no handler names them: bench/layers.py looks
+# each traced module up in sys.modules right after importing this one.
+graphio, products, randomized, records, solvers, verify = map(
+    _lazy, ("graphio", "products", "randomized", "records", "solvers", "verify"))
 _lazy("catalogue")
+_lazy("parallel")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -62,10 +63,10 @@ def _add_collection(p) -> None:
 
 
 def _add_threads(p) -> None:
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=int, default=1,
                    help="worker processes for mc, verify sabidussi and verify "
-                        "tensor-bound, at most one per CPU (default: "
-                        "DICHROMA_THREADS, else 1); the other suites run serially")
+                        "tensor-bound, at most one per CPU (default: 1); the "
+                        "other suites run serially")
 
 
 def _gen_leaves(gen, common) -> None:
@@ -265,10 +266,6 @@ def _read_json(path: str, n: int, **fields: int) -> dict:
     return payload
 
 
-def _threads(args) -> int:
-    return args.threads if args.threads is not None else parallel.default_threads()
-
-
 def _runtime_ms(started: float) -> float:
     return (time.perf_counter() - started) * 1000.0
 
@@ -415,7 +412,7 @@ def _mc_command(args, started: float):
         else:
             g = _need(_read_structure(args.input), Graph)
         payload = randomized.estimate_biclique_event(
-            g, args.l, args.trials, rng, threads=_threads(args),
+            g, args.l, args.trials, rng, threads=args.threads,
             deadline=Deadline(args.timeout_s))._asdict()
         params = {"l": args.l, "trials": args.trials,
                   "graph": args.graph or ("stdin" if args.input == "-" else args.input)}
@@ -427,7 +424,7 @@ def _mc_command(args, started: float):
         L1 = ListAssignment.uniform(d.n, range(1, args.l1 + 1))
         est = estimate_acceptance_probability(
             d, collection, L1, args.l2, args.trials, rng,
-            threads=_threads(args), deadline=Deadline(args.timeout_s),
+            threads=args.threads, deadline=Deadline(args.timeout_s),
         )
         payload = {
             **est.event._asdict(),
@@ -486,13 +483,13 @@ def _verify_command(args, started: float):
     if args.cmd == "sabidussi":
         result = verify.sabidussi_suite(max_n=args.max_n, random_pairs=args.pairs,
                                         pair_max_n=args.pair_max_n, seed=args.seed,
-                                        threads=_threads(args), deadline=deadline)
+                                        threads=args.threads, deadline=deadline)
     elif args.cmd == "bidirect":
         result = verify.bidirect_suite(max_n=args.max_n, deadline=deadline)
     elif args.cmd == "kneser-chi":
         result = verify.kneser_chi_suite(deadline=deadline)
     elif args.cmd == "tensor-bound":
-        result = verify.tensor_upper_bound_suite(max_n=args.max_n, threads=_threads(args),
+        result = verify.tensor_upper_bound_suite(max_n=args.max_n, threads=args.threads,
                                                  deadline=deadline)
     else:
         result = verify.catalogue_suite(seed=args.seed, deadline=deadline)

@@ -395,14 +395,19 @@ def is_proper_coloring(g: Graph, f: Coloring) -> bool:
     return all(a[u] != a[v] for u, v in g.edges)
 
 
+def _class_masks(f: Coloring) -> list[int]:
+    """The vertex masks of the nonempty colour classes of f."""
+    masks: dict[int, int] = {}
+    for v, c in enumerate(f.assignment):
+        masks[c] = masks.get(c, 0) | 1 << v
+    return list(masks.values())
+
+
 def is_proper_dicoloring(d: Digraph, f: Coloring) -> bool:
     """True iff every colour class induces an acyclic subdigraph of d."""
     if f.n != d.n:
         raise ValueError("colouring does not cover the vertex set")
-    masks: dict[int, int] = {}
-    for v, c in enumerate(f.assignment):
-        masks[c] = masks.get(c, 0) | 1 << v
-    return all(_subset_acyclic(d.ins, m) for m in masks.values())
+    return all(_subset_acyclic(d.ins, m) for m in _class_masks(f))
 
 
 def _maximal_acyclic_masks(d: Digraph, deadline: Optional[Deadline]) -> Iterator[int]:

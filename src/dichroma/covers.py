@@ -21,6 +21,7 @@ from .core import (
     Digraph,
     ListAssignment,
     _Validated,
+    _class_masks,
     _extension_cyclic,
     _maximal_acyclic_masks,
     _trusted_list_assignment,
@@ -109,14 +110,6 @@ def build_rook_collection(n: int, beta: Optional[int] = None) -> SetCollection:
             blocks.append(frozenset(cell(i, j) for i in rows for j in cols))
     members = tuple(line | block for line in lines for block in blocks)
     return SetCollection(members, s_declared, n + beta * beta)
-
-
-def _class_masks(f: Coloring) -> list[int]:
-    """The vertex masks of the nonempty colour classes of f."""
-    masks: dict[int, int] = {}
-    for v, c in enumerate(f.assignment):
-        masks[c] = masks.get(c, 0) | 1 << v
-    return list(masks.values())
 
 
 def _inside_some(mask: int, members: list[int]) -> bool:
@@ -235,6 +228,47 @@ def sample_sublists(L1: ListAssignment, l2: int, rng: RngSpec) -> ListAssignment
     return _trusted_list_assignment((L1.palette, tuple(lists), l2))
 
 
+def _covered_partition_search(
+    d: Digraph, C: SetCollection, deadline: Optional[Deadline]
+) -> Callable[[tuple], Optional[list[int]]]:
+    """find(lists): a colouring of d drawn from lists whose classes are
+    acyclic and each inside one member of C, or None. Set up once: a
+    solvers._ListSearch whose class test also fails once no member holds
+    every vertex of the class, polling deadline (else Deadline()) at
+    every node; find raises BudgetExceededError when it runs out. That
+    search never tests an empty class, so find is None for all lists
+    when some vertex lies in no member."""
+    from .solvers import _ListSearch, _TimeUp
+
+    n = d.n
+    members_with = [0] * n  # vertex -> the mask of the members holding it
+    for idx, mm in enumerate(C.member_masks()):
+        for v in iter_bits(mm & ((1 << n) - 1)):
+            members_with[v] |= 1 << idx
+    if not all(members_with):
+        return lambda lists: None
+    outs, ins = d.outs, d.ins
+
+    def clash(cm: int, v: int) -> bool:
+        alive = members_with[v]
+        rest = cm
+        while rest and alive:
+            low = rest & -rest
+            alive &= members_with[low.bit_length() - 1]
+            rest ^= low
+        return not alive or _extension_cyclic(outs, ins, cm, v)
+
+    search = _ListSearch(d, deadline or Deadline(), clash)
+
+    def find(lists) -> Optional[list[int]]:
+        try:
+            return search.colour if search.find(lists) else None
+        except _TimeUp:
+            raise BudgetExceededError("unknown: partition search ran out of time") from None
+
+    return find
+
+
 def exists_accepted_covered_partition(
     d: Digraph,
     C: SetCollection,
@@ -244,59 +278,17 @@ def exists_accepted_covered_partition(
     """Search for a colouring over L's palette whose classes are covered
     by C, accepted by L, and acyclic; returns the first one found, or None.
 
-    Each colour class is confined to the members still containing all of
-    its vertices (a colour no vertex takes stays unconstrained);
-    backtracking assigns vertices in index
-    order with incremental class-acyclicity and member filtering.
+    A list dicolouring whose class test also confines each class to the
+    members holding all of its vertices (a colour no vertex takes stays
+    unconstrained), searched by solvers._ListSearch: vertices in
+    smallest-last order, each list's colours in their stored order.
     ``deadline`` (else Deadline()) is polled at every node and raises
     BudgetExceededError.
     """
     if L.n != d.n:
         raise ValueError("list assignment does not cover the vertex set")
-    n = d.n
-    palette = L.palette
-    u = len(palette)
-    colour_pos = {c: i for i, c in enumerate(palette)}
-    member_masks = C.member_masks()
-    all_members = (1 << len(member_masks)) - 1
-    members_with: list[int] = []
-    for v in range(n):
-        mask = 0
-        for idx, mm in enumerate(member_masks):
-            if mm >> v & 1:
-                mask |= 1 << idx
-        members_with.append(mask)
-    outs, ins = d.outs, d.ins
-    alive = [all_members] * u
-    class_masks = [0] * u
-    assignment = [0] * n
-    deadline = deadline or Deadline()
-
-    def rec(v: int) -> bool:
-        if deadline.check():
-            raise BudgetExceededError("unknown: partition search ran out of time")
-        if v == n:
-            return True
-        for colour in L.lists[v]:
-            i = colour_pos[colour]
-            narrowed = alive[i] & members_with[v]
-            if not narrowed:
-                continue
-            if _extension_cyclic(outs, ins, class_masks[i], v):
-                continue
-            saved = alive[i]
-            alive[i] = narrowed
-            class_masks[i] |= 1 << v
-            assignment[v] = colour
-            if rec(v + 1):
-                return True
-            class_masks[i] &= ~(1 << v)
-            alive[i] = saved
-        return False
-
-    if not rec(0):
-        return None
-    return Coloring(palette, tuple(assignment))
+    colour = _covered_partition_search(d, C, deadline)(L.lists)
+    return None if colour is None else Coloring(L.palette, tuple(colour))
 
 
 class AcceptanceEstimate(NamedTuple):
@@ -327,6 +319,8 @@ def estimate_acceptance_probability(
     a partial count."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if L1.n != d.n:
+        raise ValueError("list assignment does not cover the vertex set")
     u = len(L1.palette)
     if l2 < L1.k:
         bound = g_bound(L1.k, l2, d.n, C.s, C.t, u)
@@ -336,12 +330,12 @@ def estimate_acceptance_probability(
         hypothesis_ok = False
     from .parallel import parallel_map
 
-    # shared by forked workers, as in estimate_biclique_event
-    deadline = deadline or Deadline()
+    # set up once and inherited by forked workers, with its deadline, as
+    # in estimate_biclique_event; each trial only runs its find
+    find = _covered_partition_search(d, C, deadline)
 
     def one(i: int) -> bool:
-        L2 = sample_sublists(L1, l2, rng.derive(i))
-        return exists_accepted_covered_partition(d, C, L2, deadline) is not None
+        return find(sample_sublists(L1, l2, rng.derive(i)).lists) is not None
 
     hits = parallel_map(one, range(trials), threads)
     return AcceptanceEstimate(

@@ -15,18 +15,7 @@ from .errors import DichromaError
 T = TypeVar("T")
 R = TypeVar("R")
 
-__all__ = ["default_threads", "parallel_map"]
-
-
-def default_threads() -> int:
-    """DICHROMA_THREADS when set to an integer, else 1 (serial)."""
-    env = os.environ.get("DICHROMA_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+__all__ = ["parallel_map"]
 
 
 def parallel_map(fn: Callable[[T], R], items: Sequence[T], threads: int) -> list[R]:

@@ -345,10 +345,14 @@ def _degeneracy_order(adj) -> list[int]:
 
 
 class _ListSearch:
-    """List colouring of one structure, set up once: the search order, the
-    class test clash(class mask, v) (true when v may not join the class)
-    and the solve's deadline, polled at every node when given. A graph is
-    the symmetric case outs = ins = adj with independent classes.
+    """List colouring of one structure, set up once: the search order
+    (smallest-last on the underlying graph), the class test
+    clash(class mask, v) (true when v may not join the class) and the
+    solve's deadline, polled at every node when given. The class test
+    defaults to that of _class_test, and a graph is then the symmetric
+    case outs = ins = adj with independent classes. The search never
+    tests an empty class, so a class test passed in must accept every
+    singleton class.
 
     colour holds the colouring of the last search, or None on the vertices
     it failed to colour; accepted is the lists of the last successful
@@ -357,10 +361,12 @@ class _ListSearch:
     __slots__ = ("outs", "ins", "orders", "clash", "deadline", "colour", "masks", "tried",
                  "accepted")
 
-    def __init__(self, obj, deadline: Optional[Deadline] = None):
+    def __init__(self, obj, deadline: Optional[Deadline] = None, clash=None):
         n = obj.n
         self.outs, self.ins = obj.outs, obj.ins
-        self.clash = _class_test(obj.outs, None if isinstance(obj, Graph) else obj.ins)
+        if clash is None:
+            clash = _class_test(obj.outs, None if isinstance(obj, Graph) else obj.ins)
+        self.clash = clash
         order = _degeneracy_order([o | i for o, i in zip(obj.outs, obj.ins)])
         # orders[j]: the search order restricted to the vertices j..n-1
         self.orders = [[v for v in order if v >= j] for j in range(n + 1)]

@@ -240,6 +240,19 @@ def test_cli_verify_json_deterministic_across_threads(capsys):
     assert "seed" not in a and a["params"]["seed"] == 5
 
 
+def test_cli_mc_acceptance_json_same_at_one_and_two_threads(tmp_path, capsys):
+    # the trials share one search, set up before the workers fork
+    (tmp_path / "d.g").write_text(format_graph(random_orientation(rook(3), RngSpec(2))))
+    argv = ["mc", "acceptance", str(tmp_path / "d.g"), "--beta", "1", "--l1", "3",
+            "--l2", "1", "--trials", "40", "--seed", "3", "--format", "json"]
+    code_a, out_a = _run(capsys, argv + ["--threads", "1"])
+    code_b, out_b = _run(capsys, argv + ["--threads", "2"])
+    assert code_a == code_b == 0
+    a = strip_runtime(json.loads(out_a))
+    assert a == strip_runtime(json.loads(out_b))
+    assert 0 < a["successes"] < a["trials"] == 40
+
+
 def test_cli_check_cover_with_collection_file(tmp_path, capsys):
     code, out = _run(capsys, ["gen", "named", "P3"])
     (tmp_path / "p3.g").write_text(out)
@@ -298,15 +311,8 @@ def test_cli_verify_catalogue(capsys):
 
 
 def test_cli_threads_env_fallback(monkeypatch, capsys):
+    # --threads defaults to 1; no environment variable changes that
     import dichroma.randomized as randomized
-    from dichroma.parallel import default_threads
-
-    monkeypatch.setenv("DICHROMA_THREADS", "3")
-    assert default_threads() == 3
-    monkeypatch.setenv("DICHROMA_THREADS", "junk")
-    assert default_threads() == 1
-    monkeypatch.delenv("DICHROMA_THREADS")
-    assert default_threads() == 1
 
     seen = []
     original = randomized.estimate_biclique_event
@@ -317,12 +323,9 @@ def test_cli_threads_env_fallback(monkeypatch, capsys):
 
     monkeypatch.setattr(randomized, "estimate_biclique_event", spy)
     mc = ["mc", "biclique", "--graph", "K4", "--l", "1", "--trials", "4"]
-    monkeypatch.setenv("DICHROMA_THREADS", "2")
     assert run(mc) == 0
     assert run(mc + ["--threads", "3"]) == 0
-    monkeypatch.delenv("DICHROMA_THREADS")
-    assert run(mc) == 0
-    assert seen == [2, 3, 1]
+    assert seen == [1, 3]
 
 
 @pytest.mark.parametrize("argv", [
@@ -499,6 +502,26 @@ def test_cli_gen_borsuk_prunes_a_large_lattice():
                           capture_output=True, text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": src})
     assert (proc.returncode, proc.stdout) == (0, "g 0 0\n")
+
+
+def test_cli_gen_borsuk_refuses_a_huge_lattice_at_once():
+    # the refusal bounds the per-axis table (3e9 entries here), which is
+    # built before the deadline is first polled; the child's address space
+    # is capped so that losing the refusal fails fast instead of filling RAM
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(dichroma.__file__).resolve().parents[1])
+    started = time.monotonic()
+    proc = subprocess.run([sys.executable, "-m", "dichroma.cli", "gen", "borsuk", "--n", "1",
+                           "--a", "1.5", "--cube-side", "1e-9", "--timeout-s", "10"],
+                          capture_output=True, text=True, timeout=60, preexec_fn=cap,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "lattice scan too large" in proc.stderr
+    assert time.monotonic() - started < 10
 
 
 @pytest.mark.parametrize("header, code", [("g 5000 0", 0), ("d 5000 0", 0),

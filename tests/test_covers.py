@@ -10,9 +10,11 @@ from dichroma.core import (
     Digraph,
     ListAssignment,
     bidirect,
+    is_proper_dicoloring,
 )
 from dichroma.covers import (
     SetCollection,
+    _covered_partition_search,
     accepts,
     build_rook_collection,
     estimate_acceptance_probability,
@@ -264,6 +266,22 @@ def test_acceptance_search_polls_deadline(monkeypatch):
                                         deadline=Deadline(60))
 
 
+def _brute_accepts(d: Digraph, member_sets: list[set[int]], lists) -> bool:
+    """Whether some assignment drawn from lists has every class acyclic
+    and inside a member, by trying them all."""
+    for assignment in iproduct(*lists):
+        classes: dict[int, set[int]] = {}
+        for v, c in enumerate(assignment):
+            classes.setdefault(c, set()).add(v)
+        if all(
+            any(block <= m for m in member_sets)
+            and acyclic_by_dfs(*relabel(d.arcs, block))
+            for block in classes.values()
+        ):
+            return True
+    return False
+
+
 def _exact_acceptance(d: Digraph, col: SetCollection, L1: ListAssignment, l2: int):
     """Exhaustive ground truth over every sublist assignment."""
     options = [list(combinations(sorted(lst), l2)) for lst in L1.lists]
@@ -272,22 +290,99 @@ def _exact_acceptance(d: Digraph, col: SetCollection, L1: ListAssignment, l2: in
     total = 0
     for choice in iproduct(*options):
         total += 1
-        found = False
-        for assignment in iproduct(*choice):
-            classes: dict[int, set[int]] = {}
-            for v, c in enumerate(assignment):
-                classes.setdefault(c, set()).add(v)
-            if not all(
-                any(block <= m for m in member_sets) for block in classes.values()
-            ):
-                continue
-            if all(
-                acyclic_by_dfs(*relabel(d.arcs, block)) for block in classes.values()
-            ):
-                found = True
-                break
-        hits += found
+        hits += _brute_accepts(d, member_sets, choice)
     return Fraction(hits, total)
+
+
+def _random_cover_case(rng: RngSpec, i: int):
+    """A seeded digraph on at most 5 vertices, a random collection (which
+    may leave vertices in no member), random 0..3-lists over 1..4 and a
+    sublist size."""
+    n = stream_u64(rng, 0x91, i) % 6
+    d = random_digraph(n, rng.derive(i, 0))
+    members = []
+    for j in range(stream_u64(rng, 0x92, i) % 7):
+        mask = stream_u64(rng, 0x93, i * 8 + j) & ((1 << n) - 1)
+        members.append(frozenset(v for v in range(n) if mask >> v & 1))
+    col = SetCollection(tuple(members), max(1, len(members)), max(1, n))
+    l1 = stream_u64(rng, 0x94, i) % 4
+    lists = [sorted(range(1, 5), key=lambda c: stream_u64(rng, 0x95, (i * 8 + v) * 8 + c))[:l1]
+             for v in range(n)]
+    L1 = ListAssignment((1, 2, 3, 4), lists, l1)
+    # below l1, the bound g needs l2 >= 1 and n >= 1
+    l2 = 1 + stream_u64(rng, 0x96, i) % l1 if l1 and n else l1
+    return d, col, L1, l2
+
+
+def test_reused_cover_search_matches_fresh_searches_and_brute_force():
+    """One search per estimate, reused across trials, against a fresh
+    exists_accepted_covered_partition per trial and the brute oracle."""
+    rng = RngSpec(43)
+    cases = [_random_cover_case(rng, i) for i in range(150)]
+    uncovered = SetCollection((frozenset({0, 1}),), 1, 2)  # vertex 2 in no member
+    cases += [
+        (C3, uncovered, ListAssignment.uniform(3, (1, 2, 3)), 2),
+        (Digraph(0), SetCollection((), 1, 1), ListAssignment((1,), (), 1), 1),
+        (C3, SetCollection((frozenset(range(3)),), 1, 3), ListAssignment((1,), ((),) * 3, 0), 0),
+    ]
+    seen = set()
+    for i, (d, col, L1, l2) in enumerate(cases):
+        trials = 6
+        samples = [sample_sublists(L1, l2, rng.derive(i, 1, t)) for t in range(trials)]
+        member_sets = [set(m) for m in col.members]
+        hits = 0
+        for L2 in samples:
+            found = exists_accepted_covered_partition(d, col, L2)
+            assert (found is not None) == _brute_accepts(d, member_sets, L2.lists), (i, L2)
+            if found is not None:
+                assert accepts(L2, found) and is_covered(found, col)
+                assert is_proper_dicoloring(d, found)
+            hits += found is not None
+        find = _covered_partition_search(d, col, None)
+        assert [find(L2.lists) is not None for L2 in samples] == [
+            exists_accepted_covered_partition(d, col, L2) is not None for L2 in samples]
+        est = estimate_acceptance_probability(d, col, L1, l2, trials, rng.derive(i, 1))
+        assert est.event.successes == hits, i
+        uncovered_vertex = not set(range(d.n)) <= set().union(*col.members)
+        seen.add((d.n == 0, l2 == 0, uncovered_vertex, 0 < hits < trials))
+    # an empty digraph, empty lists, a vertex in no member and mixed
+    # outcomes each occur
+    assert all(any(flags[j] for flags in seen) for j in range(4))
+    with pytest.raises(ValueError, match="does not cover the vertex set"):
+        estimate_acceptance_probability(C3, uncovered, ListAssignment.uniform(2, (1, 2)),
+                                        1, 4, RngSpec(1))
+
+
+class _FireAt(Deadline):
+    """A deadline whose poll number fire says time is up."""
+
+    def __init__(self, fire: float):
+        super().__init__(60)
+        self.fire = fire
+
+    def check(self) -> bool:
+        self.ticks += 1
+        return self.ticks >= self.fire
+
+
+def test_reused_cover_search_raises_when_its_deadline_fires():
+    d = random_orientation(rook(3), RngSpec(1))
+    col = build_rook_collection(3, 1)
+    L1 = ListAssignment.uniform(9, (1, 2, 3))
+
+    def estimate(trials, deadline):
+        return estimate_acceptance_probability(d, col, L1, 2, trials, RngSpec(7),
+                                               deadline=deadline)
+
+    first, whole = _FireAt(math.inf), _FireAt(math.inf)
+    estimate(1, first)
+    full = estimate(20, whole)
+    assert first.ticks < whole.ticks
+    # polls inside later trials, after the first trial's search succeeded
+    for fire in (first.ticks + 2, (first.ticks + whole.ticks) // 2, whole.ticks):
+        with pytest.raises(BudgetExceededError, match="partition search ran out of time"):
+            estimate(20, _FireAt(fire))
+    assert estimate(20, _FireAt(whole.ticks + 1)) == full
 
 
 def test_estimate_acceptance_probability_hypothesis_case():
