@@ -337,7 +337,7 @@ def _orient_command(args, started: float):
             deadline=Deadline(args.timeout_s))
         return None, graphio.format_graph(d), None, EXIT_OK
     count = 1 << g.m
-    listed = ["".join("1" if b else "0" for b in o.direction)
+    listed = [records.orientation_bits(o)
               for o in islice(enumerate_orientations(g), max(args.max_list, 0))]
     record = records.make_record("orient enumerate", {"max_list": args.max_list},
                                  count=count, orientations=listed)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from collections import namedtuple
 from functools import partial
+from types import GeneratorType
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError, LimitExceededError
@@ -56,6 +57,22 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _depth_first(root: Iterator) -> Iterator:
+    """The items of a recursive generator that yields each recursive call
+    (yield child) where it would delegate to it (yield from child), in the
+    same order: each child runs to its end on an explicit stack, so the
+    depth is not bounded by Python's recursion limit."""
+    stack = [root]
+    while stack:
+        for item in stack[-1]:
+            if isinstance(item, GeneratorType):
+                stack.append(item)
+                break
+            yield item
+        else:
+            stack.pop()
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -417,14 +434,14 @@ def _maximal_acyclic_masks(d: Digraph, deadline: Optional[Deadline]) -> Iterator
     outs, ins = d.outs, d.ins
     deadline = deadline or Deadline()
 
-    def rec(mask: int, start: int) -> Iterator[int]:
+    def rec(mask: int, start: int) -> Iterator:
         if deadline.check():
             raise BudgetExceededError("unknown: acyclic-set search ran out of time")
         grew = False
         for v in range(start, n):
             if not _extension_cyclic(outs, ins, mask, v):
                 grew = True
-                yield from rec(mask | 1 << v, v + 1)
+                yield rec(mask | 1 << v, v + 1)
         if grew:
             return
         for v in range(start):
@@ -432,7 +449,7 @@ def _maximal_acyclic_masks(d: Digraph, deadline: Optional[Deadline]) -> Iterator
                 return
         yield mask
 
-    return rec(0, 0)
+    return _depth_first(rec(0, 0))
 
 
 def maximal_acyclic_sets(d: Digraph, deadline: Optional[Deadline] = None) -> list[frozenset[int]]:

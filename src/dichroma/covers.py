@@ -229,16 +229,16 @@ def sample_sublists(L1: ListAssignment, l2: int, rng: RngSpec) -> ListAssignment
 
 
 def _covered_partition_search(
-    d: Digraph, C: SetCollection, deadline: Optional[Deadline]
+    d: Digraph, C: SetCollection, palette: tuple[int, ...], deadline: Optional[Deadline]
 ) -> Callable[[tuple], Optional[list[int]]]:
-    """find(lists): a colouring of d drawn from lists whose classes are
-    acyclic and each inside one member of C, or None. Set up once: a
-    solvers._ListSearch whose class test also fails once no member holds
-    every vertex of the class, polling deadline (else Deadline()) at
-    every node; find raises BudgetExceededError when it runs out. That
-    search never tests an empty class, so find is None for all lists
-    when some vertex lies in no member."""
-    from .solvers import _ListSearch, _TimeUp
+    """find(lists): a colouring of d drawn from lists over palette whose
+    classes are acyclic and each inside one member of C, or None. Set up
+    once: the solvers' list search, whose class test also fails once no
+    member holds every vertex of the class, polling deadline (else
+    Deadline()) at every node; find raises BudgetExceededError when it
+    runs out. That search never tests an empty class, so find is None for
+    all lists when some vertex lies in no member."""
+    from .solvers import _TimeUp, _degeneracy_order, _palette_search
 
     n = d.n
     members_with = [0] * n  # vertex -> the mask of the members holding it
@@ -258,11 +258,11 @@ def _covered_partition_search(
             rest ^= low
         return not alive or _extension_cyclic(outs, ins, cm, v)
 
-    search = _ListSearch(d, deadline or Deadline(), clash)
+    search = _palette_search(clash, _degeneracy_order(d), palette, deadline or Deadline())
 
     def find(lists) -> Optional[list[int]]:
         try:
-            return search.colour if search.find(lists) else None
+            return search(lists)
         except _TimeUp:
             raise BudgetExceededError("unknown: partition search ran out of time") from None
 
@@ -287,7 +287,7 @@ def exists_accepted_covered_partition(
     """
     if L.n != d.n:
         raise ValueError("list assignment does not cover the vertex set")
-    colour = _covered_partition_search(d, C, deadline)(L.lists)
+    colour = _covered_partition_search(d, C, L.palette, deadline)(L.lists)
     return None if colour is None else Coloring(L.palette, tuple(colour))
 
 
@@ -332,7 +332,7 @@ def estimate_acceptance_probability(
 
     # set up once and inherited by forked workers, with its deadline, as
     # in estimate_biclique_event; each trial only runs its find
-    find = _covered_partition_search(d, C, deadline)
+    find = _covered_partition_search(d, C, L1.palette, deadline)
 
     def one(i: int) -> bool:
         return find(sample_sublists(L1, l2, rng.derive(i)).lists) is not None

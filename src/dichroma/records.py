@@ -11,7 +11,7 @@ import json
 from typing import TYPE_CHECKING, Any, Optional
 
 from . import __version__
-from .core import Coloring, Graph, is_proper_coloring, is_proper_dicoloring
+from .core import Coloring, Graph, Orientation, is_proper_coloring, is_proper_dicoloring
 
 if TYPE_CHECKING:
     from .solvers import Certificate
@@ -67,6 +67,11 @@ def coloring_from_payload(payload: dict[str, Any]) -> Coloring:
     return Coloring(tuple(payload["palette"]), tuple(payload["assignment"]))
 
 
+def orientation_bits(o: Orientation) -> str:
+    """An orientation as text: one "1" or "0" per edge, its direction bit."""
+    return "".join("1" if b else "0" for b in o.direction)
+
+
 def certificate_payload(cert: Certificate) -> dict[str, Any]:
     out: dict[str, Any] = {
         "value": cert.value,
@@ -78,9 +83,7 @@ def certificate_payload(cert: Certificate) -> dict[str, Any]:
     if cert.witness is not None:
         out["witness"] = coloring_payload(cert.witness)
     if cert.witness_orientation is not None:
-        out["witness_orientation"] = "".join(
-            "1" if b else "0" for b in cert.witness_orientation.direction
-        )
+        out["witness_orientation"] = orientation_bits(cert.witness_orientation)
     if cert.rejecting_assignment is not None:
         out["rejecting_assignment"] = {
             "palette": list(cert.rejecting_assignment.palette),

@@ -1,11 +1,13 @@
 """Exact chromatic / dichromatic / list solvers at desk scale.
 
-All searches are deterministic: vertices branch in a fixed order, colour
-symmetry is broken by allowing at most one previously unused colour, and
-list assignments are enumerated one per colour-renaming class, in a
-canonical first-use normal form.
-Budget exhaustion never produces a silent wrong answer; it returns a
-flagged certificate carrying the best bracketing interval.
+Every colouring search is deterministic and runs one iterative
+backtracking routine, _ListSearch.find, over per-vertex colour lists in a
+vertex order the caller fixes. The k-class searches give every vertex
+the list 0..k-1 and let it open at most one unused class, which breaks
+colour symmetry; list assignments are enumerated one per colour-renaming
+class, in a canonical first-use normal form. Budget exhaustion never
+produces a silent wrong answer; it returns a flagged certificate
+carrying the best bracketing interval.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .core import (
     Graph,
     ListAssignment,
     Orientation,
+    _depth_first,
     _extension_cyclic,
     _trusted_list_assignment,
     apply_orientation,
@@ -96,19 +99,12 @@ def _class_test(outs, ins=None, forests=False):
 
 def _greedy_coloring(clash, order) -> list[int]:
     """First fit in the given order: each vertex joins the first class
-    that passes clash, or opens a new one."""
-    colour = [-1] * len(order)
-    class_masks: list[int] = []
-    for v in order:
-        for c, cm in enumerate(class_masks):
-            if not clash(cm, v):
-                colour[v] = c
-                class_masks[c] |= 1 << v
-                break
-        else:
-            colour[v] = len(class_masks)
-            class_masks.append(1 << v)
-    return colour
+    that passes clash, or opens a new one. It is the first descent of the
+    k-class search at k = n, which never backtracks and polls no deadline."""
+    n = len(order)
+    search = _ListSearch(clash, order, n)
+    search.find([tuple(range(n))] * n, 0, True)
+    return search.colour
 
 
 def _search_dicoloring(clash, order, k, deadline) -> Optional[list[int]]:
@@ -117,34 +113,12 @@ def _search_dicoloring(clash, order, k, deadline) -> Optional[list[int]]:
     colours a graph, dicolours a digraph or partitions a graph into
     induced forests.
 
-    Branches over vertices in the given order; a vertex may use at most
-    one colour beyond those already used, which breaks class-permutation
-    symmetry.
+    The list search with every list 0..k-1 and the first-use break: a
+    vertex may open at most one class beyond those already used, which
+    breaks class-permutation symmetry.
     """
-    n = len(order)
-    colour = [-1] * n
-    class_masks = [0] * k
-
-    def rec(i: int, used: int) -> bool:
-        if deadline.check():
-            raise _TimeUp
-        if i == n:
-            return True
-        v = order[i]
-        bit = 1 << v
-        cap = used + 1 if used < k else k
-        for c in range(cap):
-            if clash(class_masks[c], v):
-                continue
-            colour[v] = c
-            class_masks[c] |= bit
-            if rec(i + 1, used if c < used else c + 1):
-                return True
-            class_masks[c] &= ~bit
-        colour[v] = -1
-        return False
-
-    return list(colour) if rec(0, 0) else None
+    search = _ListSearch(clash, order, k, deadline)
+    return search.colour if search.find([tuple(range(k))] * len(order), 0, True) else None
 
 
 def _exact_certificate(k: int, assignment: list[int], detail: str) -> Certificate:
@@ -339,57 +313,56 @@ def _smallest_last(outs, ins) -> tuple[list[int], int]:
     return removed, worst
 
 
-def _degeneracy_order(adj) -> list[int]:
-    """Smallest-last elimination order of the underlying graph."""
+def _degeneracy_order(obj) -> list[int]:
+    """Smallest-last elimination order of the underlying graph of obj."""
+    adj = [o | i for o, i in zip(obj.outs, obj.ins)]
     return _smallest_last(adj, adj)[0]
 
 
 class _ListSearch:
-    """List colouring of one structure, set up once: the search order
-    (smallest-last on the underlying graph), the class test
-    clash(class mask, v) (true when v may not join the class) and the
-    solve's deadline, polled at every node when given. The class test
-    defaults to that of _class_test, and a graph is then the symmetric
-    case outs = ins = adj with independent classes. The search never
-    tests an empty class, so a class test passed in must accept every
-    singleton class.
+    """The one backtracking search of this module, set up once: the
+    vertex order, the class test clash(class mask, v) (true when v may not
+    join the class), the number of colours, 0..colours-1, which index the
+    class masks, and the deadline, polled at every node when given. The
+    search never tests an empty class, so the class test must accept
+    every singleton class.
 
     colour holds the colouring of the last search, or None on the vertices
     it failed to colour; accepted is the lists of the last successful
     search (None after a failure), which accepts reuses."""
 
-    __slots__ = ("outs", "ins", "orders", "clash", "deadline", "colour", "masks", "tried",
-                 "accepted")
+    __slots__ = ("orders", "clash", "deadline", "colour", "masks", "tried", "accepted")
 
-    def __init__(self, obj, deadline: Optional[Deadline] = None, clash=None):
-        n = obj.n
-        self.outs, self.ins = obj.outs, obj.ins
-        if clash is None:
-            clash = _class_test(obj.outs, None if isinstance(obj, Graph) else obj.ins)
+    def __init__(self, clash, order, colours: int, deadline: Optional[Deadline] = None):
+        n = len(order)
         self.clash = clash
-        order = _degeneracy_order([o | i for o, i in zip(obj.outs, obj.ins)])
-        # orders[j]: the search order restricted to the vertices j..n-1
-        self.orders = [[v for v in order if v >= j] for j in range(n + 1)]
+        self.orders = {0: order}  # j -> the order restricted to j..n-1, built on first use
         self.deadline = deadline
         self.colour: list[Optional[int]] = [None] * n
-        self.masks: dict[int, int] = {}  # colour -> the vertices colour gives it
+        self.masks = [0] * colours  # colour -> the vertices colour gives it
         self.tried = [0] * n  # per search depth, how many colours of its list were tried
         self.accepted = None
 
-    def find(self, lists, start: int = 0) -> bool:
-        """Backtracking search for a colouring drawn from the per-vertex
-        lists whose classes all pass the class test, trying each list in
-        its stored ascending order. A start above 0 needs the last search
-        to have succeeded: the vertices below start keep its colours, which
-        must still be drawn from lists, and only the rest are searched, in
-        the search order. True when found, the colouring then in colour."""
-        order, clash, deadline = self.orders[start], self.clash, self.deadline
-        colour, masks, tried = self.colour, self.masks, self.tried
+    def find(self, lists, start: int = 0, first_use: bool = False) -> bool:
+        """Search for a colouring drawn from the per-vertex lists whose
+        classes all pass the class test, trying each list in its stored
+        order; with first_use a vertex tries nothing after the first empty
+        class on its list (when all lists are equal, empty classes differ
+        only by name). A start above 0 needs the last search to have
+        succeeded: the vertices below start keep its colours, which must
+        still be drawn from lists, and only the rest are searched. True
+        when found, the colouring then in colour."""
+        order = self.orders.get(start)
+        if order is None:
+            order = self.orders[start] = [v for v in self.orders[0] if v >= start]
+        clash, deadline = self.clash, self.deadline
+        colour, tried = self.colour, self.tried
         if start:
+            masks = self.masks
             for v in order:
                 masks[colour[v]] ^= 1 << v
         else:
-            masks.clear()
+            masks = self.masks = [0] * len(self.masks)
         n = len(order)
         i = p = 0  # the depth of the current node, and its next colour's index
         if deadline is not None and deadline.check():
@@ -397,18 +370,24 @@ class _ListSearch:
         while i < n:
             v = order[i]
             lst = lists[v]
-            for p in range(p, len(lst)):
+            end = len(lst)
+            while p < end:
                 c = lst[p]
-                cm = masks.get(c, 0)
-                if not cm or not clash(cm, v):
-                    colour[v] = c
-                    masks[c] = cm | 1 << v
-                    tried[i] = p + 1
-                    i += 1
-                    p = 0
-                    if deadline is not None and deadline.check():
-                        raise _TimeUp
-                    break
+                cm = masks[c]
+                p += 1
+                if cm:
+                    if clash(cm, v):
+                        continue
+                elif first_use:
+                    p = end
+                colour[v] = c
+                masks[c] = cm | 1 << v
+                tried[i] = p
+                i += 1
+                p = 0
+                if deadline is not None and deadline.check():
+                    raise _TimeUp
+                break
             else:
                 colour[v] = None
                 if not i:
@@ -438,15 +417,26 @@ class _ListSearch:
         return False
 
 
+def _palette_search(clash, order, palette, deadline: Optional[Deadline] = None):
+    """find(lists): a colouring drawn from lists over palette whose classes
+    all pass clash, or None, by one _ListSearch that sees each colour as
+    its index in palette; each list is still tried in its stored order."""
+    index = {c: i for i, c in enumerate(palette)}
+    search = _ListSearch(clash, order, len(palette), deadline)
+
+    def find(lists) -> Optional[list[int]]:
+        found = search.find([tuple([index[c] for c in lst]) for lst in lists])
+        return [palette[i] for i in search.colour] if found else None
+
+    return find
+
+
 def _find_acceptable(obj, L: ListAssignment) -> Optional[Coloring]:
     if L.n != obj.n:
         raise ValueError("list assignment does not cover the vertex set")
-    if obj.n == 0:
-        return Coloring(L.palette, ())
-    search = _ListSearch(obj)
-    if not search.find(L.lists):
-        return None
-    return Coloring(L.palette, tuple(search.colour))
+    clash = _class_test(obj.outs, None if isinstance(obj, Graph) else obj.ins)
+    colour = _palette_search(clash, _degeneracy_order(obj), L.palette)(L.lists)
+    return None if colour is None else Coloring(L.palette, tuple(colour))
 
 
 def find_acceptable_dicoloring(d: Digraph, L: ListAssignment) -> Optional[Coloring]:
@@ -475,16 +465,13 @@ def canonical_list_assignments(n: int, k: int) -> Iterator[ListAssignment]:
     if n == 0:
         yield ListAssignment((), (), k)
         return
-    if k == 0:
-        yield ListAssignment((), ((),) * n, 0)
-        return
 
     palettes = [tuple(range(1, top + 1)) for top in range(n * k + 1)]
     lists: list[tuple[int, ...]] = []
     columns = [0] * (n * k + 1)
     last = n - 1
 
-    def rec(i: int, top: int) -> Iterator[ListAssignment]:
+    def rec(i: int, top: int) -> Iterator:
         # twin[c]: the largest lower colour whose column equals c's, or 0
         twin, seen = [0] * (top + 1), {}
         for c in range(1, top + 1):
@@ -507,12 +494,12 @@ def canonical_list_assignments(n: int, k: int) -> Iterator[ListAssignment]:
                 for c in lst:
                     columns[c] |= bit
                 lists.append(lst)
-                yield from rec(i + 1, top + fresh)
+                yield rec(i + 1, top + fresh)
                 lists.pop()
                 for c in lst:
                     columns[c] ^= bit
 
-    yield from rec(0, 0)
+    yield from _depth_first(rec(0, 0))
 
 
 def _list_number(obj, deadline: Optional[Deadline]) -> Certificate:
@@ -526,9 +513,12 @@ def _list_number(obj, deadline: Optional[Deadline]) -> Certificate:
     n = obj.n
     if n == 0:
         return Certificate(0, True, 0, 0, detail="empty")
-    search = _ListSearch(obj, deadline or Deadline())
-    bound = "degeneracy" if isinstance(obj, Graph) else "in/out-degeneracy"
-    upper = 1 + _smallest_last(search.outs, search.ins)[1]
+    deadline = deadline or Deadline()
+    graph = isinstance(obj, Graph)
+    clash = _class_test(obj.outs, None if graph else obj.ins)
+    order = _degeneracy_order(obj)
+    bound = "degeneracy" if graph else "in/out-degeneracy"
+    upper = 1 + _smallest_last(obj.outs, obj.ins)[1]
     rejecting: Optional[ListAssignment] = None
     k = 1
     while True:
@@ -537,6 +527,8 @@ def _list_number(obj, deadline: Optional[Deadline]) -> Certificate:
                 k, True, k, k, rejecting_assignment=rejecting,
                 detail=f"{k} meets the upper bound 1 + {bound}",
             )
+        # the canonical k-assignments draw from the palette 1..n*k
+        search = _ListSearch(clash, order, n * k + 1, deadline)
         tested = 0
         try:
             for L in canonical_list_assignments(n, k):

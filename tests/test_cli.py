@@ -15,7 +15,7 @@ import dichroma
 from dichroma.cli import run
 from dichroma.core import Deadline, Digraph, Graph, bidirect
 from dichroma.errors import GraphFormatError
-from dichroma.generators import kneser, rook
+from dichroma.generators import kneser, named_graph, rook
 from dichroma.graphio import format_graph, parse_graph_text
 from dichroma.randomized import RngSpec, random_orientation
 from dichroma.records import revalidate_coloring, strip_runtime
@@ -109,6 +109,41 @@ def test_cli_solve_has_no_size_cap(tmp_path, capsys):
     assert code == 0
     code, out = _run(capsys, ["solve", "chromatic", str(tmp_path / "rook9.g")])
     assert code == 0 and out == "chromatic 9\n"
+
+
+def _deep_input(name: str) -> str:
+    """Graph text for a named graph (C999), or for a directed cycle,
+    bidirected cycle or directed path ("directed C1200", "bidirected
+    C999", "directed P1024")."""
+    kind, _, named = name.rpartition(" ")
+    n = int(named[1:])
+    if not kind:
+        return format_graph(named_graph(named))
+    arcs = [(i, i + 1) for i in range(n - 1)]
+    if named[0] == "C":
+        arcs.append((n - 1, 0))
+    if kind == "bidirected":
+        arcs += [(v, u) for u, v in arcs]
+    return format_graph(Digraph(n, arcs))
+
+
+# inputs about 1,000 vertices deep, past Python's default recursion limit;
+# the orientation sweep of C999 cannot finish, so it ends at its deadline
+@pytest.mark.parametrize("source, argv, code, out", [
+    ("C999", ["solve", "chromatic"], 0, "chromatic 3"),
+    ("bidirected C999", ["solve", "dichromatic"], 0, "dichromatic 3"),
+    ("C999", ["solve", "graph-dichromatic", "--timeout-s", "1"], 3, "graph-dichromatic in [1,2]"),
+    ("P1200", ["solve", "list-chromatic"], 0, "list-chromatic 2"),
+    ("C1201", ["solve", "list-chromatic"], 0, "list-chromatic 3"),
+    ("directed C1200", ["solve", "list-dichromatic"], 0, "list-dichromatic 2"),
+    ("directed P1024", ["check", "cover", "--beta", "1"], 0, "covers_all_acyclic False"),
+    ("directed P2048", ["check", "semicover", "--beta", "1"], 0, "semicovers_all_acyclic False"),
+])
+def test_cli_deep_inputs_finish(tmp_path, capsys, source, argv, code, out):
+    path = tmp_path / "deep.txt"
+    path.write_text(_deep_input(source))
+    got_code, got = _run(capsys, argv + [str(path)])
+    assert (got_code, got.splitlines()[0]) == (code, out)
 
 
 def test_cli_solve_json_certificate_revalidates(tmp_path, capsys):

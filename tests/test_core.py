@@ -9,6 +9,8 @@ from dichroma.core import (
     Digraph,
     Graph,
     Orientation,
+    _extension_cyclic,
+    _maximal_acyclic_masks,
     apply_orientation,
     bidirect,
     enumerate_orientations,
@@ -145,6 +147,39 @@ def test_deadline_must_be_positive():
     for seconds in (0, -1):
         with pytest.raises(ValueError, match="timeout must be positive"):
             Deadline(seconds)
+
+
+def _reference_maximal_masks(d, deadline):
+    """The maximal acyclic set search written recursively, polling
+    deadline at every node: the reference for _maximal_acyclic_masks."""
+    def rec(mask, start):
+        if deadline.check():
+            raise BudgetExceededError("unknown: acyclic-set search ran out of time")
+        grew = False
+        for v in range(start, d.n):
+            if not _extension_cyclic(d.outs, d.ins, mask, v):
+                grew = True
+                yield from rec(mask | 1 << v, v + 1)
+        if grew:
+            return
+        for v in range(start):
+            if not mask >> v & 1 and not _extension_cyclic(d.outs, d.ins, mask, v):
+                return
+        yield mask
+
+    return rec(0, 0)
+
+
+def test_maximal_acyclic_masks_match_recursive_reference():
+    # the same sets in the same order, each yielded after the same number
+    # of deadline polls, so each as soon as it is found
+    rng = RngSpec(99)
+    cases = [Digraph(0)] + [random_digraph(1 + i % 8, rng.derive(i)) for i in range(60)]
+    for d in cases:
+        ours, theirs = Deadline(60), Deadline(60)
+        got = [(m, ours.ticks) for m in _maximal_acyclic_masks(d, ours)]
+        assert got == [(m, theirs.ticks) for m in _reference_maximal_masks(d, theirs)]
+        assert ours.ticks == theirs.ticks
 
 
 def test_maximal_acyclic_sets_against_oracle():

@@ -324,6 +324,10 @@ def test_reused_cover_search_matches_fresh_searches_and_brute_force():
         (C3, uncovered, ListAssignment.uniform(3, (1, 2, 3)), 2),
         (Digraph(0), SetCollection((), 1, 1), ListAssignment((1,), (), 1), 1),
         (C3, SetCollection((frozenset(range(3)),), 1, 3), ListAssignment((1,), ((),) * 3, 0), 0),
+        # an unsorted palette of negative and huge colours
+        (C3, SetCollection((frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})), 3, 2),
+         ListAssignment((10**9, -10**9, -1, 7),
+                        ((10**9, -10**9, -1), (-1, 7, 10**9), (-10**9, 7, -1)), 3), 2),
     ]
     seen = set()
     for i, (d, col, L1, l2) in enumerate(cases):
@@ -338,7 +342,7 @@ def test_reused_cover_search_matches_fresh_searches_and_brute_force():
                 assert accepts(L2, found) and is_covered(found, col)
                 assert is_proper_dicoloring(d, found)
             hits += found is not None
-        find = _covered_partition_search(d, col, None)
+        find = _covered_partition_search(d, col, L1.palette, None)
         assert [find(L2.lists) is not None for L2 in samples] == [
             exists_accepted_covered_partition(d, col, L2) is not None for L2 in samples]
         est = estimate_acceptance_probability(d, col, L1, l2, trials, rng.derive(i, 1))

@@ -29,7 +29,11 @@ from dichroma.products import cartesian_product
 from dichroma.randomized import RngSpec, random_orientation
 from dichroma import solvers
 from dichroma.solvers import (
+    _class_test,
+    _degree_order,
     _forest_clash,
+    _greedy_coloring,
+    _search_dicoloring,
     _smallest_last,
     _vertex_arboricity,
     canonical_list_assignments,
@@ -269,6 +273,73 @@ def test_list_dichromatic_examples():
     assert list_dichromatic_number(c4, Deadline(300)).value == 2
 
 
+def _reference_greedy(clash, order):
+    """First fit as a loop of its own: the reference for _greedy_coloring."""
+    colour = [-1] * len(order)
+    class_masks = []
+    for v in order:
+        for c, cm in enumerate(class_masks):
+            if not clash(cm, v):
+                colour[v] = c
+                class_masks[c] |= 1 << v
+                break
+        else:
+            colour[v] = len(class_masks)
+            class_masks.append(1 << v)
+    return colour
+
+
+def _reference_search(clash, order, k, deadline):
+    """The k-class search written recursively, polling deadline at every
+    node, each vertex trying the used classes and one unused one: the
+    reference for _search_dicoloring."""
+    n = len(order)
+    colour = [-1] * n
+    class_masks = [0] * k
+
+    def rec(i, used):
+        if deadline.check():
+            raise solvers._TimeUp
+        if i == n:
+            return True
+        v = order[i]
+        for c in range(used + 1 if used < k else k):
+            if clash(class_masks[c], v):
+                continue
+            colour[v] = c
+            class_masks[c] |= 1 << v
+            if rec(i + 1, used if c < used else c + 1):
+                return True
+            class_masks[c] &= ~(1 << v)
+        colour[v] = -1
+        return False
+
+    return list(colour) if rec(0, 0) else None
+
+
+def test_k_search_and_first_fit_match_recursive_references():
+    # same colouring or None and the same number of deadline polls, for
+    # every k up to the first-fit count, under all three class tests
+    rng = RngSpec(77)
+    structures = list(digraph_catalogue(4)) + list(graph_catalogue(5))
+    structures += [random_digraph(n, rng.derive(n, i)) for n in (6, 7, 8) for i in range(8)]
+    searched = 0
+    for obj in structures:
+        adj = [o | i for o, i in zip(obj.outs, obj.ins)]
+        order = _degree_order(adj)
+        for clash in (_class_test(adj), _class_test(obj.outs, obj.ins),
+                      _class_test(adj, forests=True)):
+            greedy = _greedy_coloring(clash, order)
+            assert greedy == _reference_greedy(clash, order)
+            for k in range(1, max(greedy, default=-1) + 2):
+                ours, theirs = Deadline(300), Deadline(300)
+                assert (_search_dicoloring(clash, order, k, ours)
+                        == _reference_search(clash, order, k, theirs)), (obj, k)
+                assert ours.ticks == theirs.ticks
+                searched += 1
+    assert searched > 800
+
+
 def test_list_chromatic_examples():
     from dichroma.generators import complete_bipartite
 
@@ -327,7 +398,13 @@ def test_canonical_assignments_are_first_of_each_renaming_class(n, k):
         if key not in seen:
             seen.add(key)
             firsts.append(L)
-    assert list(canonical_list_assignments(n, k)) == firsts
+    got = list(canonical_list_assignments(n, k))
+    assert got == firsts
+    # consecutive assignments share the list objects up to their first
+    # different list, which _ListSearch.accepts relies on
+    for a, b in zip(got, got[1:]):
+        j = next(j for j, (x, y) in enumerate(zip(a.lists, b.lists)) if x != y)
+        assert all(a.lists[i] is b.lists[i] for i in range(j))
 
 
 @pytest.mark.parametrize("n,k,classes", [
@@ -359,6 +436,8 @@ ODD_PALETTES = [
     (complete_bipartite(3, 3), (-9, BIG - 1), ({-9, BIG - 1},) * 6,
      (BIG - 1, BIG - 1, BIG - 1, -9, -9, -9)),
     (cycle_graph(5), (-4, 0, BIG - 1), ({-4, 0},) * 4 + ({BIG - 1, -4},), (0, -4, 0, -4, BIG - 1)),
+    # an unsorted palette: the search still tries each list in ascending order
+    (C3, (BIG + 3, -BIG, 0, -1), ({BIG + 3, -BIG}, {-BIG, 0}, {-1, -BIG}), (BIG + 3, -BIG, -BIG)),
 ]
 
 
