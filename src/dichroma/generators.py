@@ -211,10 +211,12 @@ def borsuk_points(n: int, a: float, cube_side: float, delta: float = 0.0,
     c = cube_side
     radius = 1.0 + 2.0 * delta
     span = int(math.floor(radius / c)) + 1
-    # the pruned scan does not need this bound, but the per-axis table far
-    # below has 2*span+1 entries and is built before the first deadline
-    # poll: without it a tiny cube_side runs out of memory, not time
-    if (2 * span + 1) ** dim > 50_000_000:
+    # the per-axis table far below has 2*span+1 entries and is built before
+    # the first deadline poll: without a bound a tiny cube_side runs out of
+    # memory, not time. A table this long would also break the vertex
+    # limit, since the cubes along one axis through the centre number
+    # about 2*span.
+    if 2 * span + 1 > 4 * DEFAULT_VERTEX_LIMIT:
         raise LimitExceededError("lattice scan too large; increase cube_side")
     eps = c * 1e-3
     r2 = radius * radius

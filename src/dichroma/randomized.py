@@ -18,6 +18,7 @@ from .core import (
     Graph,
     Orientation,
     _Validated,
+    _depth_first,
     _subset_acyclic,
     apply_orientation,
     iter_bits,
@@ -190,7 +191,9 @@ def _first_chain(cols: list[Optional[int]], l: int) -> Optional[list[int]]:
     pairwise comparable under inclusion, skipping None entries, or None.
 
     Comparability is pairwise, so the search is a clique search in the
-    comparability graph, cut as soon as too few positions remain."""
+    comparability graph, cut as soon as too few positions remain. It runs
+    on an explicit stack (core._depth_first), so l may pass the recursion
+    limit."""
     usable = 0
     comp = [0] * len(cols)
     for i, ci in enumerate(cols):
@@ -204,20 +207,18 @@ def _first_chain(cols: list[Optional[int]], l: int) -> Optional[list[int]]:
                 comp[j] |= 1 << i
         usable |= 1 << i
 
-    def rec(chosen: list[int], allowed: int) -> Optional[list[int]]:
+    def rec(chosen: list[int], allowed: int):
         need = l - len(chosen)
         if not need:
-            return chosen
+            yield chosen
+            return
         while allowed.bit_count() >= need:
             low = allowed & -allowed
             allowed ^= low
             i = low.bit_length() - 1
-            hit = rec(chosen + [i], allowed & comp[i])
-            if hit is not None:
-                return hit
-        return None
+            yield rec(chosen + [i], allowed & comp[i])
 
-    return rec([], usable)
+    return next(_depth_first(rec([], usable)), None)
 
 
 def find_acyclic_biclique(
@@ -278,7 +279,8 @@ def find_acyclic_biclique(
 def find_acyclic_clique(d: Digraph, l: int, deadline: Optional[Deadline] = None):
     """Search for an l-clique of the underlying graph whose induced
     orientation in d is acyclic (i.e. a transitive tournament).
-    ``deadline`` is polled at every node, as in find_acyclic_biclique."""
+    ``deadline`` is polled at every node, as in find_acyclic_biclique; the
+    search runs on an explicit stack, as _first_chain does."""
     if l < 1:
         raise ValueError("l must be at least 1")
     n = d.n
@@ -290,16 +292,13 @@ def find_acyclic_clique(d: Digraph, l: int, deadline: Optional[Deadline] = None)
             raise BudgetExceededError("unknown: clique scan ran out of time")
         if len(clique) == l:
             if _subset_acyclic(d.ins, mask_of(clique)):
-                return tuple(clique)
-            return None
+                yield tuple(clique)
+            return
         start = clique[-1] + 1 if clique else 0
         for v in iter_bits(allowed & ~((1 << start) - 1)):
-            hit = rec(clique + [v], allowed & adj[v])
-            if hit is not None:
-                return hit
-        return None
+            yield rec(clique + [v], allowed & adj[v])
 
-    return rec([], (1 << n) - 1)
+    return next(_depth_first(rec([], (1 << n) - 1)), None)
 
 
 def certified_breaking_orientation(

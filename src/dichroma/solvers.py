@@ -5,7 +5,9 @@ backtracking routine, _ListSearch.find, over per-vertex colour lists in a
 vertex order the caller fixes. The k-class searches give every vertex
 the list 0..k-1 and let it open at most one unused class, which breaks
 colour symmetry; list assignments are enumerated one per colour-renaming
-class, in a canonical first-use normal form. Budget exhaustion never
+class, in a canonical first-use normal form, over the in/out k-core only:
+one bucket-queue peel by min(d+, d-) gives every level's core, the search
+order and the 1 + in/out-degeneracy bound. Budget exhaustion never
 produces a silent wrong answer; it returns a flagged certificate
 carrying the best bracketing interval.
 """
@@ -287,30 +289,56 @@ def dichromatic_number_of_graph(g: Graph, deadline: Optional[Deadline] = None) -
     )
 
 
-def _smallest_last(outs, ins) -> tuple[list[int], int]:
-    """Smallest-last elimination by min(d+, d-) in what remains (lowest
-    index first on ties): the reversed removal order, and the largest
-    minimum met at a removal, the in/out-degeneracy. A graph passes
-    outs = ins = adj and gets its degeneracy."""
+def _smallest_last(outs, ins, deadline: Optional[Deadline] = None) -> tuple[list[int], list[int]]:
+    """Smallest-last elimination by min(d+, d-) in what remains, lowest
+    index first on ties: the reversed removal order, and each vertex's
+    core number, the largest minimum met at a removal up to its own. The
+    vertices of core number at least k, a prefix of the order, are the
+    in/out k-core: what is left once every vertex with min(d+, d-) < k is
+    peeled. A graph passes outs = ins = adj and gets its k-cores.
+
+    Bucket d is the mask of the vertices whose minimum is d; a removal
+    moves each neighbour down at most one bucket. The clock of deadline,
+    when given, is read at every removal (_TimeUp)."""
     n = len(outs)
+    d_out = [o.bit_count() for o in outs]
+    d_in = [i.bit_count() for i in ins]
+    key = [min(a, b) for a, b in zip(d_out, d_in)]
+    buckets = [0] * (n + 1)
+    for v, d in enumerate(key):
+        buckets[d] |= 1 << v
     alive = (1 << n) - 1
-    removed = []
-    worst = 0
+    removed: list[int] = []
+    core = [0] * n
+    low = worst = 0
     for _ in range(n):
-        best_v, best_d = -1, n + 1
-        rest = alive
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
-            dv = min((outs[v] & alive).bit_count(), (ins[v] & alive).bit_count())
-            if dv < best_d:
-                best_v, best_d = v, dv
-        removed.append(best_v)
-        worst = max(worst, best_d)
-        alive &= ~(1 << best_v)
+        if deadline is not None and deadline.expired():
+            raise _TimeUp
+        while not buckets[low]:
+            low += 1
+        bucket = buckets[low]
+        bit = bucket & -bucket
+        u = bit.bit_length() - 1
+        buckets[low] = bucket ^ bit
+        alive ^= bit
+        worst = max(worst, low)
+        core[u] = worst
+        removed.append(u)
+        # u's out-neighbours lose an in-arc, its in-neighbours an out-arc
+        for rest, degrees in ((outs[u] & alive, d_in), (ins[u] & alive, d_out)):
+            while rest:
+                wbit = rest & -rest
+                rest ^= wbit
+                w = wbit.bit_length() - 1
+                degrees[w] -= 1
+                d = min(d_out[w], d_in[w])
+                if d != key[w]:
+                    buckets[key[w]] ^= wbit
+                    buckets[d] |= wbit
+                    key[w] = d
+        low = max(low - 1, 0)
     removed.reverse()
-    return removed, worst
+    return removed, core
 
 
 def _degeneracy_order(obj) -> list[int]:
@@ -502,44 +530,93 @@ def canonical_list_assignments(n: int, k: int) -> Iterator[ListAssignment]:
     yield from _depth_first(rec(0, 0))
 
 
+def _core_structure(outs, ins, core_order: list[int]):
+    """The subdigraph induced by the vertices of core_order: those vertices
+    in increasing order, its masks re-indexed in that order, and
+    core_order re-indexed."""
+    members = sorted(core_order)
+    index = {v: i for i, v in enumerate(members)}
+    inside = 0
+    for v in members:
+        inside |= 1 << v
+
+    def squeeze(mask: int) -> int:
+        mask &= inside
+        out = 0
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            out |= 1 << index[low.bit_length() - 1]
+        return out
+
+    return (members, [squeeze(outs[v]) for v in members], [squeeze(ins[v]) for v in members],
+            [index[v] for v in core_order])
+
+
+def _lift(L: ListAssignment, members: list[int], n: int) -> ListAssignment:
+    """L, an assignment of the vertices of members in their order, on all
+    n vertices: the others get the list 1..k, which the palette holds."""
+    lists = [tuple(range(1, L.k + 1))] * n
+    for v, lst in zip(members, L.lists):
+        lists[v] = lst
+    return _trusted_list_assignment((L.palette, tuple(lists), L.k))
+
+
 def _list_number(obj, deadline: Optional[Deadline]) -> Certificate:
-    """Smallest k at which every canonical k-assignment accepts, with
-    chi_l <= 1 + in/out-degeneracy (Bensmail, Harutyunyan and Le, 2018)
-    closing the search: k levels below it end at their first rejecting
-    assignment, and the level that reaches it needs no sweep. Consecutive
-    assignments share their leading list objects, so each is decided by
-    search.accepts, which searches only the vertices from the first
+    """Smallest k at which every canonical k-assignment of the in/out
+    k-core accepts (Bensmail, Harutyunyan and Le, 2018).
+
+    A vertex with fewer than k out- (or in-) neighbours among those peeled
+    after it keeps a colour of its k-list that none of them uses, so,
+    coloured in reverse peeling order, it closes no monochromatic cycle
+    (in a graph: with degree below k, it meets no neighbour of its colour).
+    So obj is k-list-colourable iff its k-core is. A rejecting assignment
+    of the core is lifted to obj by giving each peeled vertex the list
+    1..k, and an empty k-core is the bound chi_l <= 1 + in/out-degeneracy.
+    Each level searches along the peel's order restricted to the core;
+    search.accepts searches only the vertices from an assignment's first
     changed list on while it can."""
     n = obj.n
     if n == 0:
         return Certificate(0, True, 0, 0, detail="empty")
     deadline = deadline or Deadline()
     graph = isinstance(obj, Graph)
-    clash = _class_test(obj.outs, None if graph else obj.ins)
-    order = _degeneracy_order(obj)
+    kind = "" if graph else "in/out "
     bound = "degeneracy" if graph else "in/out-degeneracy"
-    upper = 1 + _smallest_last(obj.outs, obj.ins)[1]
+    try:
+        order, core = _smallest_last(obj.outs, obj.ins, deadline)
+    except _TimeUp:
+        return Certificate(None, False, 1, n, detail="timeout while peeling the k-cores")
+    upper = 1 + max(core)
     rejecting: Optional[ListAssignment] = None
     k = 1
     while True:
-        if k >= upper:
+        size = sum(c >= k for c in core)
+        if not size:
             return Certificate(
                 k, True, k, k, rejecting_assignment=rejecting,
                 detail=f"{k} meets the upper bound 1 + {bound}",
             )
-        # the canonical k-assignments draw from the palette 1..n*k
-        search = _ListSearch(clash, order, n * k + 1, deadline)
+        # the k-core is the prefix of order whose core numbers reach k
+        if size == n:
+            members, outs, ins, sub_order = None, obj.outs, obj.ins, order
+        else:
+            members, outs, ins, sub_order = _core_structure(obj.outs, obj.ins, order[:size])
+        # the canonical k-assignments draw from the palette 1..size*k
+        search = _ListSearch(_class_test(outs, None if graph else ins), sub_order,
+                             size * k + 1, deadline)
         tested = 0
         try:
-            for L in canonical_list_assignments(n, k):
+            for L in canonical_list_assignments(size, k):
                 tested += 1
                 if not search.accepts(L.lists):
-                    rejecting = L
+                    rejecting = L if members is None else _lift(L, members, n)
                     break
             else:
+                where = "" if members is None else f" on the {size}-vertex {kind}{k}-core"
                 return Certificate(
                     k, True, k, k, rejecting_assignment=rejecting,
-                    detail=f"every canonical {k}-assignment accepts a colouring",
+                    detail=f"every canonical {k}-assignment{where} accepts a colouring",
                 )
         except _TimeUp:
             return Certificate(

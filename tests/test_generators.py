@@ -304,6 +304,17 @@ def test_borsuk_lattice_scan_is_pruned(monkeypatch):
     assert len(polls) == 35
 
 
+def test_borsuk_refusal_bounds_the_axis_table_not_the_lattice():
+    # 5^21 lattice keys, none within the ball, on an axis table of 5 entries
+    assert borsuk_sample(20, 1.5, 0.9).n == 0
+    # radius 1.5: a table of 18,753 entries is scanned until the sample
+    # passes the vertex limit, one of 21,429 is refused before it is built
+    with pytest.raises(LimitExceededError, match="sample exceeds 5000 points"):
+        borsuk_points(1, 1.5, 1.6e-4)
+    with pytest.raises(LimitExceededError, match="lattice scan too large"):
+        borsuk_points(1, 1.5, 1.4e-4)
+
+
 @pytest.mark.parametrize("poll, calls, where", [
     ("check", 50, "lattice scan"),  # the 1-sphere scan polls 121 prefixes
     ("expired", 5, "pair scan"),

@@ -28,6 +28,7 @@ from dichroma.generators import (
 from dichroma.randomized import (
     DOMAIN_ORIENTATION,
     _cross_arcs_acyclic,
+    _first_chain,
     RngSpec,
     certified_breaking_orientation,
     concentration_bound,
@@ -179,6 +180,76 @@ def test_find_acyclic_clique():
     assert find_acyclic_clique(transitive, 3) == (0, 1, 2)
     cyclic = Digraph(3, [(0, 1), (1, 2), (2, 0)])
     assert find_acyclic_clique(cyclic, 3) is None
+
+
+def _recursive_acyclic_clique(d, l, deadline):
+    """Reference for find_acyclic_clique: the same search, recursing once
+    per clique vertex."""
+    adj = [o | i for o, i in zip(d.outs, d.ins)]
+
+    def rec(clique, allowed):
+        if deadline.check():
+            raise BudgetExceededError("unknown: clique scan ran out of time")
+        if len(clique) == l:
+            return tuple(clique) if acyclic_by_dfs(*_induced_arcs(d, clique)) else None
+        start = clique[-1] + 1 if clique else 0
+        for v in iter_bits(allowed & ~((1 << start) - 1)):
+            hit = rec(clique + [v], allowed & adj[v])
+            if hit is not None:
+                return hit
+        return None
+
+    return rec([], (1 << d.n) - 1)
+
+
+def _induced_arcs(d, vertices):
+    index = {v: i for i, v in enumerate(vertices)}
+    return len(vertices), [(index[u], index[v]) for u, v in d.arcs if u in index and v in index]
+
+
+def _recursive_first_chain(cols, l):
+    """Reference for _first_chain: the lexicographically first l positions
+    of pairwise comparable entries, recursing once per position."""
+    usable = [i for i, c in enumerate(cols) if c is not None]
+
+    def comparable(i, j):
+        both = cols[i] & cols[j]
+        return both in (cols[i], cols[j])
+
+    def rec(chosen, allowed):
+        if len(chosen) == l:
+            return chosen
+        while len(allowed) >= l - len(chosen):
+            i, allowed = allowed[0], allowed[1:]
+            hit = rec(chosen + [i], [j for j in allowed if comparable(i, j)])
+            if hit is not None:
+                return hit
+        return None
+
+    return rec([], usable)
+
+
+def test_clique_and_chain_searches_match_recursive_references():
+    # same answer and the same number of deadline polls as the recursive
+    # searches they replace
+    rng = random.Random(26)
+    for trial in range(60):
+        d = random_digraph(4 + trial % 6, RngSpec(300 + trial))
+        for l in range(1, 5):
+            mine, ref = Deadline(300), Deadline(300)
+            assert find_acyclic_clique(d, l, mine) == _recursive_acyclic_clique(d, l, ref)
+            assert mine.ticks == ref.ticks
+        cols = [None if rng.random() < 0.2 else rng.getrandbits(4) for _ in range(rng.randrange(9))]
+        for l in range(1, 6):
+            assert _first_chain(cols, l) == _recursive_first_chain(cols, l)
+
+
+def test_clique_and_chain_searches_go_deeper_than_the_recursion_limit():
+    n = 1100  # past Python's default recursion limit of 1000
+    transitive = Digraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    assert find_acyclic_clique(transitive, n) == tuple(range(n))
+    chain = [(1 << i) - 1 for i in range(n)]
+    assert _first_chain(chain, n) == list(range(n))
 
 
 def test_certified_breaking_single_biclique():

@@ -1,4 +1,7 @@
+import json
+import time
 from itertools import combinations, count, product as iproduct
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,7 @@ from dichroma.core import (
     Orientation,
     apply_orientation,
     bidirect,
+    induced_subdigraph,
     is_acyclic,
     is_proper_coloring,
     is_proper_dicoloring,
@@ -559,11 +563,32 @@ def test_list_dichromatic_below_bound_on_five_vertices():
     assert rej.k == 2 and not brute_list_dicolourable(5, FIVE.arcs, rej.lists)
 
 
+def _rescanning_smallest_last(outs, ins):
+    """Reference for _smallest_last: rescan every remaining vertex for the
+    least min(d+, d-) at each removal, lowest index first on ties; the
+    reversed removal order and the largest minimum met."""
+    n = len(outs)
+    alive = (1 << n) - 1
+    removed = []
+    worst = 0
+    for _ in range(n):
+        best_v, best_d = -1, n + 1
+        for v in range(n):
+            if alive >> v & 1:
+                dv = min((outs[v] & alive).bit_count(), (ins[v] & alive).bit_count())
+                if dv < best_d:
+                    best_v, best_d = v, dv
+        removed.append(best_v)
+        worst = max(worst, best_d)
+        alive &= ~(1 << best_v)
+    return removed[::-1], worst
+
+
 def _fresh_sweep(obj, finder):
-    """List number by the canonical sweep up to 1 + in/out-degeneracy,
-    with the search set up afresh for every assignment, and the first
-    rejecting assignment of the level below it."""
-    upper = 1 + _smallest_last(obj.outs, obj.ins)[1]
+    """List number by the canonical sweep of all of obj up to 1 +
+    in/out-degeneracy, with the search set up afresh for every assignment,
+    and the first rejecting assignment of the level below it."""
+    upper = 1 + _rescanning_smallest_last(obj.outs, obj.ins)[1]
     rejecting = None
     for k in range(1, upper):
         first = next((L for L in canonical_list_assignments(obj.n, k) if finder(obj, L) is None),
@@ -574,11 +599,25 @@ def _fresh_sweep(obj, finder):
     return upper, rejecting
 
 
+def _k_core(obj, k):
+    """The vertices left once every vertex with fewer than k out- or
+    in-neighbours among those left is removed, in increasing order."""
+    alive = set(range(obj.n))
+    while True:
+        mask = sum(1 << v for v in alive)
+        low = {v for v in alive
+               if min((obj.outs[v] & mask).bit_count(), (obj.ins[v] & mask).bit_count()) < k}
+        if not low:
+            return sorted(alive)
+        alive -= low
+
+
 def test_list_sweep_reusing_colourings_matches_fresh_searches(monkeypatch):
     # the sweep keeps the last accepted colouring on the leading vertices
     # whose lists did not change; searching every assignment afresh must
     # give the same value and rejecting assignment, and every colouring the
-    # sweep accepts must be drawn from the lists and pass the core checker
+    # sweep accepts, which covers the level's k-core, must be drawn from the
+    # lists and pass the core checker on the subdigraph the k-core induces
     accepts = solvers._ListSearch.accepts
     checked = []
 
@@ -586,8 +625,11 @@ def test_list_sweep_reusing_colourings_matches_fresh_searches(monkeypatch):
         found = accepts(self, lists)
         if found:
             colour = tuple(self.colour)
+            members = _k_core(obj, len(lists[0]))
+            assert len(colour) == len(lists) == len(members)
             assert all(c in lst for c, lst in zip(colour, lists))
-            assert proper(obj, Coloring(tuple(sorted(set(colour))), colour))
+            sub = induced_subdigraph(obj, members)
+            assert proper(sub, Coloring(tuple(sorted(set(colour))), colour))
             checked.append(True)
         return found
 
@@ -601,6 +643,87 @@ def test_list_sweep_reusing_colourings_matches_fresh_searches(monkeypatch):
         assert cert.exact
         assert (cert.value, cert.rejecting_assignment) == _fresh_sweep(obj, finder)
     assert len(checked) > 10_000
+
+
+def test_bucket_peel_matches_rescanning_reference():
+    # same order and degeneracy, for min(d+, d-) and for the underlying
+    # graph's degree; the vertices of core number >= k are the k-core
+    objs = list(digraph_catalogue(5)) + list(graph_catalogue(6))
+    objs += [random_digraph(n, RngSpec(70 + n)) for n in range(6, 13)]
+    for obj in objs:
+        adj = [o | i for o, i in zip(obj.outs, obj.ins)]
+        for outs, ins in ((obj.outs, obj.ins), (adj, adj)):
+            order, core = _smallest_last(outs, ins)
+            assert (order, max(core, default=0)) == _rescanning_smallest_last(outs, ins)
+        order, core = _smallest_last(obj.outs, obj.ins)
+        for k in range(1, max(core, default=0) + 2):
+            members = _k_core(obj, k)
+            assert sorted(order[:len(members)]) == members == [v for v in range(obj.n)
+                                                                  if core[v] >= k]
+
+
+def test_bucket_peel_reads_the_clock_at_every_removal(monkeypatch):
+    path = Digraph(4000, [(i, i + 1) for i in range(3999)])
+    reads = []
+    monkeypatch.setattr(Deadline, "expired", lambda self: reads.append(1) or len(reads) > 50)
+    with pytest.raises(solvers._TimeUp):
+        _smallest_last(path.outs, path.ins, Deadline(300))
+    assert len(reads) == 51
+    cert = list_dichromatic_number(path, Deadline(300))
+    assert not cert.exact and (cert.lower, cert.upper) == (1, 4000)
+    assert cert.detail == "timeout while peeling the k-cores"
+
+
+def _bench_list_instances():
+    ref = json.loads((Path(__file__).resolve().parents[1] / "bench" / "reference.json").read_text())
+    return ([Digraph(d["n"], [tuple(a) for a in d["arcs"]]) for d in ref["list_digraphs"]]
+            + [Graph(g["n"], [tuple(e) for e in g["edges"]]) for g in ref["list_graphs"]])
+
+
+def test_list_core_sweep_matches_full_sweep():
+    # levels sweep only their k-core: the value is the full sweep's, the
+    # lifted rejecting assignment is rejected by the oracle, and it is the
+    # full sweep's own whenever the swept levels' cores are all of V
+    objs = list(digraph_catalogue(4)) + list(graph_catalogue(5))
+    objs += [random_digraph(5 + i % 2, RngSpec(1000 + i)) for i in range(40)]
+    objs += _bench_list_instances()
+    shrunk = 0
+    for obj in objs:
+        graph = isinstance(obj, Graph)
+        finder = find_acceptable_coloring if graph else find_acceptable_dicoloring
+        cert = (list_chromatic_number if graph else list_dichromatic_number)(obj, Deadline(300))
+        value, rejecting = _fresh_sweep(obj, finder)
+        assert cert.exact and cert.value == value
+        if value > 1:
+            rej = cert.rejecting_assignment
+            assert rej == ListAssignment(rej.palette, rej.lists, rej.k)
+            assert rej.k == value - 1 and len(rej.lists) == obj.n
+            core = _k_core(obj, value - 1)
+            assert all(rej.lists[v] == tuple(range(1, value)) for v in range(obj.n)
+                       if v not in core)
+            # a digon is a directed cycle, so a graph's lists are tried on
+            # its bidirection
+            arcs = (bidirect(obj) if graph else obj).arcs
+            assert not brute_list_dicolourable(obj.n, arcs, rej.lists)
+            if len(core) == obj.n:
+                assert rej == rejecting
+            else:
+                shrunk += 1
+    assert shrunk > 5
+
+
+def test_list_core_sweep_reaches_eight_vertices():
+    # FIVE with a pendant directed path: the k = 3 level sweeps the five
+    # vertices of the 3-core, where the full sweep would face 8 vertices
+    d = Digraph(8, list(FIVE.arcs) + [(0, 5), (5, 6), (6, 7)])
+    started = time.monotonic()
+    cert = list_dichromatic_number(d, Deadline(60))
+    assert time.monotonic() - started < 1
+    assert cert.exact and cert.value == 3
+    assert cert.detail == ("every canonical 3-assignment on the 5-vertex in/out 3-core "
+                           "accepts a colouring")
+    rej = cert.rejecting_assignment
+    assert rej.k == 2 and not brute_list_dicolourable(8, d.arcs, rej.lists)
 
 
 def _fire_after(monkeypatch, calls: int, poll: str = "check") -> None:
