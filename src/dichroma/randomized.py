@@ -239,6 +239,8 @@ def find_acyclic_biclique(
     grown one vertex at a time while at least l common neighbours remain;
     T is grown only while the chain condition holds. ``deadline`` (else
     Deadline()) is polled at every S node and raises BudgetExceededError.
+    S is grown on an explicit stack (core._depth_first), so l is not
+    bounded by Python's recursion limit.
     """
     if l < 1:
         raise ValueError("l must be at least 1")
@@ -257,7 +259,9 @@ def find_acyclic_biclique(
             raise BudgetExceededError("unknown: biclique scan ran out of time")
         if len(s_tuple) == l:
             t_tuple = scan_t(s_mask, common)
-            return None if t_tuple is None else (s_tuple, t_tuple)
+            if t_tuple is not None:
+                yield s_tuple, t_tuple
+            return
         for v in range(start, n - (l - len(s_tuple)) + 1):
             c = common & adj[v]
             if not s_tuple:
@@ -265,12 +269,9 @@ def find_acyclic_biclique(
                 c &= ~((2 << v) - 1)
             # adj[v] excludes v, so S never meets its own common neighbours
             if c.bit_count() >= l:
-                hit = scan_s(v + 1, s_tuple + (v,), s_mask | 1 << v, c)
-                if hit is not None:
-                    return hit
-        return None
+                yield scan_s(v + 1, s_tuple + (v,), s_mask | 1 << v, c)
 
-    hit = scan_s(0, (), 0, (1 << n) - 1)
+    hit = next(_depth_first(scan_s(0, (), 0, (1 << n) - 1)), None)
     if hit is not None and not _cross_arcs_acyclic(d, mask_of(hit[0]), mask_of(hit[1])):
         raise RuntimeError(f"chain test and Kahn's algorithm disagree on {hit}")
     return hit

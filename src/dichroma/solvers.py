@@ -7,7 +7,13 @@ the list 0..k-1 and let it open at most one unused class, which breaks
 colour symmetry; list assignments are enumerated one per colour-renaming
 class, in a canonical first-use normal form, over the in/out k-core only:
 one bucket-queue peel by min(d+, d-) gives every level's core, the search
-order and the 1 + in/out-degeneracy bound. Budget exhaustion never
+order and the 1 + in/out-degeneracy bound. The list sweep searches once
+per canonical prefix (all lists but the last vertex's): a last list
+holding a colour that the last vertex may take beside the prefix's
+colouring accepts unsearched, so K3,3 and K_{2,2,2} search about 36,000
+and 60,000 of their 2,406,208 level-3 classes (0.35 s and 0.51 s per
+`solve list-chromatic` process on a 2-core x86 host, against 7.4 s and
+6.8 s for the sweep that searched them all). Budget exhaustion never
 produces a silent wrong answer; it returns a flagged certificate
 carrying the best bracketing interval.
 """
@@ -31,6 +37,7 @@ from .core import (
     apply_orientation,
     enumerate_orientations,
     is_acyclic,
+    iter_bits,
 )
 
 __all__ = [
@@ -444,6 +451,19 @@ class _ListSearch:
             return True
         return False
 
+    def blocked(self, v: int, colours: int) -> int:
+        """The colours of the mask colours (bit c for colour c) whose class
+        in the last colouring, v left out, v may not join."""
+        masks, clash, out = self.masks, self.clash, 0
+        off = ~(1 << v)
+        while colours:
+            bit = colours & -colours
+            colours ^= bit
+            mask = masks[bit.bit_length() - 1] & off
+            if mask and clash(mask, v):
+                out |= bit
+        return out
+
 
 def _palette_search(clash, order, palette, deadline: Optional[Deadline] = None):
     """find(lists): a colouring drawn from lists over palette whose classes
@@ -477,6 +497,59 @@ def find_acceptable_coloring(g: Graph, L: ListAssignment) -> Optional[Coloring]:
     return _find_acceptable(g, L)
 
 
+def _holds_twins(colours: tuple[int, ...], twin: list[int]) -> bool:
+    """Whether colours holds the twin of each of its colours (0: none)."""
+    return not any(twin[c] and twin[c] not in colours for c in colours)
+
+
+def _vertex_lists(top: int, twin: list[int], k: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The canonical k-lists of a vertex met after the colours 1..top, in
+    order, each with the largest colour in use after it: those with fewer
+    fresh colours first, the old colours in lexicographic order, and an old
+    colour only together with its twin (see canonical_list_assignments)."""
+    for fresh in range(0, k + 1):
+        if k - fresh > top:
+            continue
+        new_part = tuple(range(top + 1, top + fresh + 1))
+        for old in combinations(range(1, top + 1), k - fresh):
+            if not _holds_twins(old, twin):
+                continue
+            # every colour of old is below those of new_part: the list is sorted
+            yield old + new_part, top + fresh
+
+
+def _canonical_prefixes(n: int, k: int) -> Iterator[tuple[list, int, list[int]]]:
+    """The canonical lists of vertices 0..n-2 (n >= 1), in the order of
+    canonical_list_assignments: for each, the lists (one list object the
+    walk reuses, so copy what is kept), the largest colour on them, and
+    the last vertex's twin table, where twin[c] is the largest lower colour
+    whose column equals c's, or 0. Consecutive prefixes share the tuple
+    objects of their leading lists."""
+    lists: list[tuple[int, ...]] = []
+    columns = [0] * (n * k + 1)
+    last = n - 1
+
+    def rec(i: int, top: int) -> Iterator:
+        twin, seen = [0] * (top + 1), {}
+        for c in range(1, top + 1):
+            twin[c] = seen.get(columns[c], 0)
+            seen[columns[c]] = c
+        if i == last:
+            yield lists, top, twin
+            return
+        bit = 1 << i
+        for lst, new_top in _vertex_lists(top, twin, k):
+            for c in lst:
+                columns[c] |= bit
+            lists.append(lst)
+            yield rec(i + 1, new_top)
+            lists.pop()
+            for c in lst:
+                columns[c] ^= bit
+
+    return _depth_first(rec(0, 0))
+
+
 def canonical_list_assignments(n: int, k: int) -> Iterator[ListAssignment]:
     """One k-list assignment on n vertices per colour-renaming class.
 
@@ -489,45 +562,55 @@ def canonical_list_assignments(n: int, k: int) -> Iterator[ListAssignment]:
     assignment over any palette is a renaming of exactly one of these,
     and renaming preserves colourability, so quantifying over them
     decides list colourability; a palette of n*k colours suffices.
+
+    Each canonical prefix (_canonical_prefixes) is followed by the last
+    vertex's lists (_vertex_lists); _list_number walks the same two pieces.
     """
     if n == 0:
         yield ListAssignment((), (), k)
         return
-
     palettes = [tuple(range(1, top + 1)) for top in range(n * k + 1)]
-    lists: list[tuple[int, ...]] = []
-    columns = [0] * (n * k + 1)
-    last = n - 1
+    for lists, top, twin in _canonical_prefixes(n, k):
+        for lst, new_top in _vertex_lists(top, twin, k):
+            yield _trusted_list_assignment((palettes[new_top], (*lists, lst), k))
 
-    def rec(i: int, top: int) -> Iterator:
-        # twin[c]: the largest lower colour whose column equals c's, or 0
-        twin, seen = [0] * (top + 1), {}
-        for c in range(1, top + 1):
-            twin[c] = seen.get(columns[c], 0)
-            seen[columns[c]] = c
-        bit = 1 << i
-        for fresh in range(0, k + 1):
-            if k - fresh > top:
-                continue
-            new_part = tuple(range(top + 1, top + fresh + 1))
-            palette = palettes[top + fresh]
-            for old in combinations(range(1, top + 1), k - fresh):
-                if any(twin[c] and twin[c] not in old for c in old):
-                    continue
-                # every colour of old is below those of new_part: lst is sorted
-                lst = old + new_part
-                if i == last:
-                    yield _trusted_list_assignment((palette, (*lists, lst), k))
-                    continue
-                for c in lst:
-                    columns[c] |= bit
-                lists.append(lst)
-                yield rec(i + 1, top + fresh)
-                lists.pop()
-                for c in lst:
-                    columns[c] ^= bit
 
-    yield from _depth_first(rec(0, 0))
+def _undecided_assignments(search: _ListSearch, n: int, k: int) -> Iterator:
+    """The canonical k-assignments of n >= 1 vertices that the colourings
+    found so far leave undecided, in canonical order, each as (top, lists)
+    with palette 1..top. The caller searches each with search.accepts and
+    stops at the first rejection: every assignment left out accepts.
+
+    Per canonical prefix (the lists of vertices 0..n-2) the first last
+    list, 1..k, is yielded. Its colouring colours the prefix, and the last
+    vertex w accepts any colour whose class in it, w left out, w may join:
+    every colour beyond the prefix's, and every old colour not blocked
+    (_ListSearch.blocked). So a last list holding such a safe colour
+    accepts, and only the lists made wholly of blocked old colours are
+    yielded, in lexicographic order, which is canonical order. Each
+    colouring found only shrinks the blocked set, and once fewer than k
+    colours are blocked the rest of the prefix accepts unenumerated.
+    A full assignment accepts iff some colour of L(w) is safe under some
+    colouring of the prefix, so the first rejection is the first
+    rejecting canonical assignment."""
+    first = tuple(range(1, k + 1))
+    w = n - 1
+    for prefix, top, twin in _canonical_prefixes(n, k):
+        yield max(top, k), (*prefix, first)
+        blocked = search.blocked(w, (2 << top) - 2)  # among colours 1..top
+        last = first
+        while blocked.bit_count() >= k:
+            for lst in combinations(iter_bits(blocked), k):
+                if lst > last and _holds_twins(lst, twin):
+                    break
+            else:
+                break
+            # the last colouring blocks every colour of lst, so accepts
+            # goes straight to the full search
+            search.accepted = None
+            yield top, (*prefix, lst)
+            blocked &= search.blocked(w, blocked)
+            last = lst
 
 
 def _core_structure(outs, ins, core_order: list[int]):
@@ -575,7 +658,13 @@ def _list_number(obj, deadline: Optional[Deadline]) -> Certificate:
     1..k, and an empty k-core is the bound chi_l <= 1 + in/out-degeneracy.
     Each level searches along the peel's order restricted to the core;
     search.accepts searches only the vertices from an assignment's first
-    changed list on while it can."""
+    changed list on while it can. Only the assignments that
+    _undecided_assignments yields are searched: an assignment accepts iff
+    its last vertex has a safe colour, one whose class it may join in
+    some colouring of the other vertices' lists, and the colourings found
+    for the same prefix show most of them. So the value and the first
+    rejecting assignment are those of the sweep over every canonical
+    assignment; a timeout's detail counts the assignments searched."""
     n = obj.n
     if n == 0:
         return Certificate(0, True, 0, 0, detail="empty")
@@ -605,11 +694,12 @@ def _list_number(obj, deadline: Optional[Deadline]) -> Certificate:
         # the canonical k-assignments draw from the palette 1..size*k
         search = _ListSearch(_class_test(outs, None if graph else ins), sub_order,
                              size * k + 1, deadline)
-        tested = 0
+        searched = 0
         try:
-            for L in canonical_list_assignments(size, k):
-                tested += 1
-                if not search.accepts(L.lists):
+            for top, lists in _undecided_assignments(search, size, k):
+                searched += 1
+                if not search.accepts(lists):
+                    L = _trusted_list_assignment((tuple(range(1, top + 1)), lists, k))
                     rejecting = L if members is None else _lift(L, members, n)
                     break
             else:
@@ -621,7 +711,7 @@ def _list_number(obj, deadline: Optional[Deadline]) -> Certificate:
         except _TimeUp:
             return Certificate(
                 None, False, k, upper, rejecting_assignment=rejecting,
-                detail=f"timeout at k={k} after {tested} assignments",
+                detail=f"timeout at k={k} after {searched} searched assignments",
             )
         k += 1
 

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -145,14 +146,36 @@ def test_find_acyclic_biclique_oracle_all_orientations():
 
 
 def test_find_acyclic_biclique_k10_10():
+    # the S nodes visited, one deadline poll each, are those of the
+    # recursive scan the explicit stack replaced: 270 to the hit, 848 for
+    # the verified miss
     k = complete_bipartite(10, 10)
     d = random_orientation(k, RngSpec(3))
     hit = ((0, 3, 4, 5, 6, 8), (10, 11, 14, 17, 18, 19))
-    assert find_acyclic_biclique(d, 6) == hit
+    deadline = Deadline(300)
+    assert find_acyclic_biclique(d, 6, deadline) == hit and deadline.ticks == 270
     cross = [(u, v) for u, v in d.arcs if {u, v} <= set(hit[0] + hit[1])]
     assert acyclic_by_dfs(d.n, cross)
     miss = random_orientation(k, RngSpec(5))
-    assert find_acyclic_biclique(miss, 6) is None
+    deadline = Deadline(300)
+    assert find_acyclic_biclique(miss, 6, deadline) is None and deadline.ticks == 848
+
+
+def test_biclique_scan_goes_deeper_than_the_recursion_limit():
+    # S grows one vertex per level; with the limit lowered to 60 frames
+    # above this one, l = 200 is past it
+    l = 200
+    one_way = Digraph(2 * l, [(u, v) for u in range(l) for v in range(l, 2 * l)])
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        hit = find_acyclic_biclique(one_way, l)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert hit == (tuple(range(l)), tuple(range(l, 2 * l)))
 
 
 def test_biclique_scans_poll_deadline(monkeypatch):

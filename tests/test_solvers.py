@@ -1,5 +1,6 @@
 import json
 import time
+from collections import Counter
 from itertools import combinations, count, product as iproduct
 from pathlib import Path
 
@@ -344,12 +345,33 @@ def test_k_search_and_first_fit_match_recursive_references():
     assert searched > 800
 
 
-def test_list_chromatic_examples():
-    from dichroma.generators import complete_bipartite
-
+def test_list_chromatic_examples(monkeypatch):
     assert list_chromatic_number(complete_bipartite(2, 2), Deadline(300)).value == 2
     assert list_chromatic_number(complete_graph(3), Deadline(300)).value == 3
     assert list_chromatic_number(Graph(4), Deadline(300)).value == 1
+    # ch(K_{2*r}) = r (Erdos, Rubin and Taylor, 1979); value and rejecting
+    # 2-assignment are pinned from the sweep that searched every canonical
+    # assignment, whose k = 3 level (2,406,208 classes) is too slow to rerun
+    accepts = solvers._ListSearch.accepts
+    searched = Counter()
+
+    def spy(self, lists):
+        searched[len(lists[0])] += 1
+        return accepts(self, lists)
+
+    monkeypatch.setattr(solvers._ListSearch, "accepts", spy)
+    # each k = 3 level searches the first last list of its 35,775 canonical
+    # prefixes, then only the last lists made wholly of blocked colours
+    for g, lists, palette, blocked_lists in (
+        (complete_bipartite(3, 3), ((1, 2), (1, 3), (2, 3)) * 2, (1, 2, 3), 201),
+        (complete_multipartite(2, 3), ((1, 2),) * 6, (1, 2), 23_961),
+    ):
+        searched.clear()
+        cert = list_chromatic_number(g, Deadline(300))
+        assert cert.exact and cert.value == 3
+        assert cert.detail == "every canonical 3-assignment accepts a colouring"
+        assert cert.rejecting_assignment == ListAssignment(palette, lists, 2)
+        assert searched[3] == 35_775 + blocked_lists
 
 
 def _first_use_assignments(n, k):
@@ -417,6 +439,51 @@ def test_canonical_assignments_are_first_of_each_renaming_class(n, k):
 def test_canonical_assignments_count_renaming_classes(n, k, classes):
     yielded = sum(1 for _ in canonical_list_assignments(n, k))
     assert yielded == classes == sum(1 for _ in _column_multisets(n, k))
+
+
+def _single_walk_assignments(n, k):
+    """Reference for canonical_list_assignments: the same enumeration as
+    one recursive walk that builds the last vertex's lists in place, each
+    assignment as a (palette, lists, k) tuple."""
+    if n == 0:
+        yield (), (), k
+        return
+    lists = []
+    columns = [0] * (n * k + 1)
+
+    def rec(i, top):
+        twin, seen = [0] * (top + 1), {}
+        for c in range(1, top + 1):
+            twin[c] = seen.get(columns[c], 0)
+            seen[columns[c]] = c
+        for fresh in range(0, k + 1):
+            if k - fresh > top:
+                continue
+            new_part = tuple(range(top + 1, top + fresh + 1))
+            for old in combinations(range(1, top + 1), k - fresh):
+                if any(twin[c] and twin[c] not in old for c in old):
+                    continue
+                lst = old + new_part
+                if i == n - 1:
+                    yield tuple(range(1, top + fresh + 1)), (*lists, lst), k
+                    continue
+                for c in lst:
+                    columns[c] |= 1 << i
+                lists.append(lst)
+                yield from rec(i + 1, top + fresh)
+                lists.pop()
+                for c in lst:
+                    columns[c] ^= 1 << i
+
+    yield from rec(0, 0)
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(6) for k in range(4)] + [(6, 2)])
+def test_canonical_assignments_match_the_single_walk(n, k):
+    # the prefix walk followed by the last vertex's lists yields exactly
+    # what one walk over all n vertices yields
+    got = [tuple(L) for L in canonical_list_assignments(n, k)]
+    assert got == list(_single_walk_assignments(n, k))
 
 
 @pytest.mark.parametrize("n,k", CLASS_SIZES)
@@ -634,15 +701,17 @@ def test_list_sweep_reusing_colourings_matches_fresh_searches(monkeypatch):
         return found
 
     monkeypatch.setattr(solvers._ListSearch, "accepts", spy)
-    cases = [(random_digraph(5, RngSpec(s)), list_dichromatic_number, find_acceptable_dicoloring,
-              is_proper_dicoloring) for s in range(20)]
+    digraphs = [random_digraph(5, RngSpec(s)) for s in range(20)] + list(digraph_catalogue(4))
+    digraphs += [random_digraph(5 + i % 2, RngSpec(2000 + i)) for i in range(40)]
+    cases = [(d, list_dichromatic_number, find_acceptable_dicoloring, is_proper_dicoloring)
+             for d in digraphs]
     cases += [(g, list_chromatic_number, find_acceptable_coloring, is_proper_coloring)
               for g in graph_catalogue(5)]
     for obj, solve, finder, proper in cases:
         cert = solve(obj, Deadline(300))
         assert cert.exact
         assert (cert.value, cert.rejecting_assignment) == _fresh_sweep(obj, finder)
-    assert len(checked) > 10_000
+    assert len(checked) > 2_000
 
 
 def test_bucket_peel_matches_rescanning_reference():
@@ -739,7 +808,7 @@ def test_list_search_polls_deadline(monkeypatch):
     cert = list_dichromatic_number(d, Deadline(300))
     assert not cert.exact and (cert.lower, cert.upper) == (1, 3)
     assert "timeout at k=1" in cert.detail
-    _fire_after(monkeypatch, 200)  # inside the k = 2 sweep
+    _fire_after(monkeypatch, 100)  # inside the k = 2 sweep
     cert = list_dichromatic_number(d, Deadline(300))
     assert not cert.exact and cert.value is None
     assert (cert.lower, cert.upper) == (2, 3) and "timeout at k=2" in cert.detail
@@ -750,8 +819,8 @@ def test_list_search_polls_deadline(monkeypatch):
 
 
 @pytest.mark.parametrize("obj, solve, calls, k", [
-    (cycle_graph(4), list_chromatic_number, 250, 2),
-    (FIVE, list_dichromatic_number, 20_000, 3),
+    (cycle_graph(4), list_chromatic_number, 100, 2),
+    (FIVE, list_dichromatic_number, 2_000, 3),
 ], ids=["C4", "five"])
 def test_list_sweep_polls_deadline_in_prefix_searches(monkeypatch, obj, solve, calls, k):
     # the deadline fires inside a search that kept the last accepted
