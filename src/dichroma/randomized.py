@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
+from functools import partial
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .core import (
@@ -19,6 +20,7 @@ from .core import (
     Orientation,
     _Validated,
     _depth_first,
+    _extension_cyclic,
     _subset_acyclic,
     apply_orientation,
     iter_bits,
@@ -186,14 +188,42 @@ def _cross_arcs_acyclic(d: Digraph, s_mask: int, t_mask: int) -> bool:
     return _subset_acyclic(ins, (1 << len(verts)) - 1)
 
 
+def _first_clique(adj, allowed: int, l: int, clash=None,
+                  deadline: Optional[Deadline] = None) -> Optional[list[int]]:
+    """The lexicographically first l vertices of the mask allowed that are
+    pairwise adjacent under the neighbour masks adj, or None. With clash,
+    a vertex v joins the vertices chosen before it (mask) only when
+    clash(mask, v) is false; for a hereditary property this test on each
+    prefix finds the first clique that has it.
+
+    A branch stops once fewer allowed vertices remain than it still needs.
+    deadline, when given, is polled at every node. The search runs on an
+    explicit stack (core._depth_first), so l may pass the recursion limit."""
+
+    def rec(mask: int, allowed: int):
+        if deadline is not None and deadline.check():
+            raise BudgetExceededError("unknown: clique scan ran out of time")
+        need = l - mask.bit_count()
+        if not need:
+            yield mask
+            return
+        while allowed.bit_count() >= need:
+            low = allowed & -allowed
+            allowed ^= low
+            v = low.bit_length() - 1
+            if clash is None or not clash(mask, v):
+                yield rec(mask | low, allowed & adj[v])
+
+    hit = next(_depth_first(rec(0, allowed)), None)
+    return None if hit is None else list(iter_bits(hit))
+
+
 def _first_chain(cols: list[Optional[int]], l: int) -> Optional[list[int]]:
     """Positions of the lexicographically first l entries of cols that are
     pairwise comparable under inclusion, skipping None entries, or None.
 
-    Comparability is pairwise, so the search is a clique search in the
-    comparability graph, cut as soon as too few positions remain. It runs
-    on an explicit stack (core._depth_first), so l may pass the recursion
-    limit."""
+    Comparability is pairwise, so this is the first l-clique
+    (_first_clique) of the comparability graph."""
     usable = 0
     comp = [0] * len(cols)
     for i, ci in enumerate(cols):
@@ -206,19 +236,7 @@ def _first_chain(cols: list[Optional[int]], l: int) -> Optional[list[int]]:
                 comp[i] |= 1 << j
                 comp[j] |= 1 << i
         usable |= 1 << i
-
-    def rec(chosen: list[int], allowed: int):
-        need = l - len(chosen)
-        if not need:
-            yield chosen
-            return
-        while allowed.bit_count() >= need:
-            low = allowed & -allowed
-            allowed ^= low
-            i = low.bit_length() - 1
-            yield rec(chosen + [i], allowed & comp[i])
-
-    return next(_depth_first(rec([], usable)), None)
+    return _first_clique(comp, usable, l)
 
 
 def find_acyclic_biclique(
@@ -278,28 +296,19 @@ def find_acyclic_biclique(
 
 
 def find_acyclic_clique(d: Digraph, l: int, deadline: Optional[Deadline] = None):
-    """Search for an l-clique of the underlying graph whose induced
-    orientation in d is acyclic (i.e. a transitive tournament).
-    ``deadline`` is polled at every node, as in find_acyclic_biclique; the
-    search runs on an explicit stack, as _first_chain does."""
+    """The lexicographically first l-clique of the underlying graph whose
+    induced orientation in d is acyclic (i.e. a transitive tournament), or
+    None. Acyclicity is hereditary, so each vertex joins the clique only
+    when it closes no cycle with those before it (_extension_cyclic).
+    ``deadline`` (else Deadline()) is polled at every node and raises
+    BudgetExceededError, as in find_acyclic_biclique."""
     if l < 1:
         raise ValueError("l must be at least 1")
-    n = d.n
-    adj = [o | i for o, i in zip(d.outs, d.ins)]
-    deadline = deadline or Deadline()
-
-    def rec(clique: list[int], allowed: int):
-        if deadline.check():
-            raise BudgetExceededError("unknown: clique scan ran out of time")
-        if len(clique) == l:
-            if _subset_acyclic(d.ins, mask_of(clique)):
-                yield tuple(clique)
-            return
-        start = clique[-1] + 1 if clique else 0
-        for v in iter_bits(allowed & ~((1 << start) - 1)):
-            yield rec(clique + [v], allowed & adj[v])
-
-    return next(_depth_first(rec([], (1 << n) - 1)), None)
+    outs, ins = d.outs, d.ins
+    adj = [o | i for o, i in zip(outs, ins)]
+    hit = _first_clique(adj, (1 << d.n) - 1, l, partial(_extension_cyclic, outs, ins),
+                        deadline or Deadline())
+    return None if hit is None else tuple(hit)
 
 
 def certified_breaking_orientation(

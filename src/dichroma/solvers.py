@@ -11,9 +11,7 @@ order and the 1 + in/out-degeneracy bound. The list sweep searches once
 per canonical prefix (all lists but the last vertex's): a last list
 holding a colour that the last vertex may take beside the prefix's
 colouring accepts unsearched, so K3,3 and K_{2,2,2} search about 36,000
-and 60,000 of their 2,406,208 level-3 classes (0.35 s and 0.51 s per
-`solve list-chromatic` process on a 2-core x86 host, against 7.4 s and
-6.8 s for the sweep that searched them all). Budget exhaustion never
+and 60,000 of their 2,406,208 level-3 classes. Budget exhaustion never
 produces a silent wrong answer; it returns a flagged certificate
 carrying the best bracketing interval.
 """
@@ -36,6 +34,7 @@ from .core import (
     _trusted_list_assignment,
     apply_orientation,
     enumerate_orientations,
+    induced_subdigraph,
     is_acyclic,
     iter_bits,
 )
@@ -613,29 +612,6 @@ def _undecided_assignments(search: _ListSearch, n: int, k: int) -> Iterator:
             last = lst
 
 
-def _core_structure(outs, ins, core_order: list[int]):
-    """The subdigraph induced by the vertices of core_order: those vertices
-    in increasing order, its masks re-indexed in that order, and
-    core_order re-indexed."""
-    members = sorted(core_order)
-    index = {v: i for i, v in enumerate(members)}
-    inside = 0
-    for v in members:
-        inside |= 1 << v
-
-    def squeeze(mask: int) -> int:
-        mask &= inside
-        out = 0
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            out |= 1 << index[low.bit_length() - 1]
-        return out
-
-    return (members, [squeeze(outs[v]) for v in members], [squeeze(ins[v]) for v in members],
-            [index[v] for v in core_order])
-
-
 def _lift(L: ListAssignment, members: list[int], n: int) -> ListAssignment:
     """L, an assignment of the vertices of members in their order, on all
     n vertices: the others get the list 1..k, which the palette holds."""
@@ -688,11 +664,14 @@ def _list_number(obj, deadline: Optional[Deadline]) -> Certificate:
             )
         # the k-core is the prefix of order whose core numbers reach k
         if size == n:
-            members, outs, ins, sub_order = None, obj.outs, obj.ins, order
+            members, sub, sub_order = None, obj, order
         else:
-            members, outs, ins, sub_order = _core_structure(obj.outs, obj.ins, order[:size])
+            # induced_subdigraph re-indexes the core in increasing order
+            members = sorted(order[:size])
+            index = {v: i for i, v in enumerate(members)}
+            sub, sub_order = induced_subdigraph(obj, members), [index[v] for v in order[:size]]
         # the canonical k-assignments draw from the palette 1..size*k
-        search = _ListSearch(_class_test(outs, None if graph else ins), sub_order,
+        search = _ListSearch(_class_test(sub.outs, None if graph else sub.ins), sub_order,
                              size * k + 1, deadline)
         searched = 0
         try:

@@ -22,7 +22,6 @@ from .core import (
     bidirect,
     is_acyclic,
     is_proper_dicoloring,
-    iter_bits,
     mask_of,
 )
 from .parallel import parallel_map
@@ -30,6 +29,7 @@ from .products import cartesian_product, tensor_product
 from .randomized import RngSpec, uniform_below
 from .solvers import (
     Certificate,
+    _smallest_last,
     chromatic_number,
     dichromatic_number,
     dichromatic_number_of_graph,
@@ -130,54 +130,29 @@ def exhaustive_dichromatic(d: Digraph) -> int:
     return best
 
 
-def _find_cycle(g: Graph) -> Optional[list[int]]:
-    """Vertices of some simple cycle of g in traversal order, or None.
-
-    In an undirected depth-first search every non-tree edge reaches an
-    ancestor, so the parent chain from v closes the cycle at w.
-    """
-    visited = [False] * g.n
-    parent = [-1] * g.n
-
-    def dfs(v: int, par: int) -> Optional[list[int]]:
-        visited[v] = True
-        for w in iter_bits(g.adj[v]):
-            if w == par:
-                continue
-            if visited[w]:
-                path = [v]
-                x = v
-                while x != w:
-                    x = parent[x]
-                    path.append(x)
-                return path
-            parent[w] = v
-            hit = dfs(w, v)
-            if hit is not None:
-                return hit
-        return None
-
-    for root in range(g.n):
-        if not visited[root]:
-            hit = dfs(root, -1)
-            if hit is not None:
-                return hit
-    return None
-
-
 def cycle_orientation(g: Graph) -> Optional[Orientation]:
     """An orientation turning one cycle of g into a directed cycle (other
-    edges run low to high); None when g is a forest."""
-    seq = _find_cycle(g)
-    if seq is None:
+    edges run low to high); None when g is a forest.
+
+    The cycle comes from the 2-core, the vertices of core number at least
+    2 (solvers._smallest_last), empty iff g is a forest. Each of them has
+    two neighbours in it, so a walk inside it that never steps straight
+    back closes a simple cycle at its first repeated vertex."""
+    core = _smallest_last(g.adj, g.adj)[1]
+    inside = mask_of(v for v in range(g.n) if core[v] >= 2)
+    if not inside:
         return None
-    want: dict[tuple[int, int], tuple[int, int]] = {}
-    for a, b in zip(seq, seq[1:] + seq[:1]):
-        want[(min(a, b), max(a, b))] = (a, b)
-    direction = []
-    for u, v in g.edges:
-        direction.append(want.get((u, v)) == (v, u))
-    return Orientation(g, tuple(direction))
+    seq: list[int] = []
+    seen = back = 0
+    v = (inside & -inside).bit_length() - 1
+    while not seen >> v & 1:
+        seen |= 1 << v
+        seq.append(v)
+        step = g.adj[v] & inside & ~back
+        v, back = (step & -step).bit_length() - 1, 1 << v
+    seq = seq[seq.index(v):]
+    arcs = set(zip(seq, seq[1:] + seq[:1]))
+    return Orientation(g, tuple((v, u) in arcs for u, v in g.edges))
 
 
 def _random_pair(rng: RngSpec, i: int, max_n: int) -> tuple[Digraph, Digraph]:

@@ -207,12 +207,34 @@ def test_find_acyclic_clique():
 
 def _recursive_acyclic_clique(d, l, deadline):
     """Reference for find_acyclic_clique: the same search, recursing once
-    per clique vertex."""
+    per clique vertex, with the same cut (a branch stops once fewer
+    allowed vertices remain than it still needs) and the same prefix test,
+    here by depth-first search on each grown clique."""
     adj = [o | i for o, i in zip(d.outs, d.ins)]
 
     def rec(clique, allowed):
         if deadline.check():
             raise BudgetExceededError("unknown: clique scan ran out of time")
+        if len(clique) == l:
+            return tuple(clique)
+        rest = list(iter_bits(allowed))
+        while len(rest) >= l - len(clique):
+            v, rest = rest[0], rest[1:]
+            if acyclic_by_dfs(*_induced_arcs(d, clique + [v])):
+                hit = rec(clique + [v], mask_of(rest) & adj[v])
+                if hit is not None:
+                    return hit
+        return None
+
+    return rec([], (1 << d.n) - 1)
+
+
+def _leaf_checked_acyclic_clique(d, l):
+    """Reference for find_acyclic_clique without cut or prefix test: every
+    l-clique in lexicographic order, each tested for acyclicity whole."""
+    adj = [o | i for o, i in zip(d.outs, d.ins)]
+
+    def rec(clique, allowed):
         if len(clique) == l:
             return tuple(clique) if acyclic_by_dfs(*_induced_arcs(d, clique)) else None
         start = clique[-1] + 1 if clique else 0
@@ -253,15 +275,17 @@ def _recursive_first_chain(cols, l):
 
 
 def test_clique_and_chain_searches_match_recursive_references():
-    # same answer and the same number of deadline polls as the recursive
-    # searches they replace
+    # same answer and the same number of deadline polls as recursive
+    # searches, and the same clique as testing whole cliques
     rng = random.Random(26)
     for trial in range(60):
         d = random_digraph(4 + trial % 6, RngSpec(300 + trial))
         for l in range(1, 5):
             mine, ref = Deadline(300), Deadline(300)
-            assert find_acyclic_clique(d, l, mine) == _recursive_acyclic_clique(d, l, ref)
+            hit = find_acyclic_clique(d, l, mine)
+            assert hit == _recursive_acyclic_clique(d, l, ref)
             assert mine.ticks == ref.ticks
+            assert hit == _leaf_checked_acyclic_clique(d, l)
         cols = [None if rng.random() < 0.2 else rng.getrandbits(4) for _ in range(rng.randrange(9))]
         for l in range(1, 6):
             assert _first_chain(cols, l) == _recursive_first_chain(cols, l)
@@ -271,6 +295,9 @@ def test_clique_and_chain_searches_go_deeper_than_the_recursion_limit():
     n = 1100  # past Python's default recursion limit of 1000
     transitive = Digraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
     assert find_acyclic_clique(transitive, n) == tuple(range(n))
+    # the cut ends a near-complete search at once: K60 holds 60 59-cliques
+    tournament = random_orientation(complete_graph(60), RngSpec(0))
+    assert find_acyclic_clique(tournament, 59, Deadline(5)) is None
     chain = [(1 << i) - 1 for i in range(n)]
     assert _first_chain(chain, n) == list(range(n))
 

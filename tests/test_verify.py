@@ -3,7 +3,7 @@ import os
 import pytest
 
 from dichroma.catalogue import digraph_catalogue, graphs_up_to, random_digraph
-from dichroma.core import Deadline, apply_orientation, is_acyclic
+from dichroma.core import Deadline, Graph, apply_orientation, is_acyclic
 from dichroma.generators import complete_graph, cycle_graph, path_graph
 from dichroma.randomized import RngSpec
 from dichroma.solvers import dichromatic_number
@@ -35,7 +35,10 @@ def test_two_strategies_agree_on_catalogue():
 
 def test_cycle_orientation_properties():
     assert cycle_orientation(path_graph(5)) is None
-    for g in (cycle_graph(5), complete_graph(4), cycle_graph(3)):
+    # deeper than the recursion limit: a long cycle, and a short cycle at
+    # the end of a 1,500-vertex path
+    pendant = Graph(1504, [(i, i + 1) for i in range(1503)] + [(1499, 1503)])
+    for g in (cycle_graph(5), complete_graph(4), cycle_graph(3), cycle_graph(1500), pendant):
         o = cycle_orientation(g)
         assert o is not None
         assert not is_acyclic(apply_orientation(g, o))
