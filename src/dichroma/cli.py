@@ -52,6 +52,14 @@ EXIT_BUDGET = 3
 EXIT_VIOLATED = 4
 
 
+def _positive(text: str) -> int:
+    """The argparse type of a count that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_seed(p) -> None:
     p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
 
@@ -63,7 +71,7 @@ def _add_collection(p) -> None:
 
 
 def _add_threads(p) -> None:
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--threads", type=_positive, default=1,
                    help="worker processes for mc, verify sabidussi and verify "
                         "tensor-bound, at most one per CPU (default: 1); the "
                         "other suites run serially")
@@ -105,7 +113,7 @@ def _orient_leaves(orient, common) -> None:
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("--l", type=int, required=True, help="biclique/clique side size")
     _add_seed(p)
-    p.add_argument("--max-attempts", type=int, default=200, dest="max_attempts")
+    p.add_argument("--max-attempts", type=_positive, default=200, dest="max_attempts")
     p.add_argument("--break-cliques", action="store_true", dest="break_cliques")
 
 

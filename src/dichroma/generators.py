@@ -334,6 +334,14 @@ class EmbeddingWitness(_Validated, namedtuple("EmbeddingWitness", "source target
         return super().__new__(cls, source, target, mapping)
 
 
+def _kneser_vertices(n: int, k: int, subsets) -> tuple[Graph, tuple[int, ...]]:
+    """kneser(n, k), and the vertex of it that is each k-subset of
+    subsets, found in one index of its colex-ordered vertices."""
+    target = kneser(n, k)
+    index = {frozenset(s): i for i, s in enumerate(_colex_subsets(n, k))}
+    return target, tuple(index[frozenset(s)] for s in subsets)
+
+
 def embed_rook_in_kneser(n: int, k: int) -> EmbeddingWitness:
     """Embed the q x q rook graph, q = floor(n/k), into the Kneser graph of
     k-subsets of {1..n}: cell (i,j) becomes {i} joined with the j-th of q
@@ -347,15 +355,8 @@ def embed_rook_in_kneser(n: int, k: int) -> EmbeddingWitness:
         tuple(range(q + j * (k - 1) + 1, q + (j + 1) * (k - 1) + 1))
         for j in range(q)
     ]
-    target = kneser(n, k)
-    subset_index = {
-        frozenset(s): idx for idx, s in enumerate(_colex_subsets(n, k))
-    }
-    mapping = []
-    for cell in range(q * q):
-        i, j = divmod(cell, q)
-        mapping.append(subset_index[frozenset((i + 1,) + blocks[j])])
-    return EmbeddingWitness(rook(q), target, tuple(mapping))
+    target, mapping = _kneser_vertices(n, k, [(i + 1,) + b for i in range(q) for b in blocks])
+    return EmbeddingWitness(rook(q), target, mapping)
 
 
 def embed_kneser_tensor(n: int, k: int, n1: int, k1: int) -> EmbeddingWitness:
@@ -369,17 +370,7 @@ def embed_kneser_tensor(n: int, k: int, n1: int, k1: int) -> EmbeddingWitness:
     if 2 * k1 > n1 or 2 * k2 > n2:
         raise ValueError("each block needs room for two disjoint subsets")
     source = tensor_product(kneser(n1, k1), kneser(n2, k2))
-    target = kneser(n, k)
-    subset_index = {
-        frozenset(s): idx for idx, s in enumerate(_colex_subsets(n, k))
-    }
-    first = _colex_subsets(n1, k1)
-    second = _colex_subsets(n2, k2)
-    mapping = []
-    for a_idx in range(len(first)):
-        for b_idx in range(len(second)):
-            united = frozenset(first[a_idx]) | frozenset(
-                x + n1 for x in second[b_idx]
-            )
-            mapping.append(subset_index[united])
-    return EmbeddingWitness(source, target, tuple(mapping))
+    second = [tuple(x + n1 for x in b) for b in _colex_subsets(n2, k2)]
+    united = [a + b for a in _colex_subsets(n1, k1) for b in second]
+    target, mapping = _kneser_vertices(n, k, united)
+    return EmbeddingWitness(source, target, mapping)

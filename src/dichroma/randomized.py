@@ -178,14 +178,8 @@ def count_acyclic_orientations(g: Graph, deadline: Optional[Deadline] = None) ->
 
 def _cross_arcs_acyclic(d: Digraph, s_mask: int, t_mask: int) -> bool:
     """Acyclicity of the bipartite subdigraph spanned by arcs between S and T."""
-    verts = list(iter_bits(s_mask | t_mask))
-    index = {v: i for i, v in enumerate(verts)}
-    ins = [0] * len(verts)
-    for v in verts:
-        other_side = t_mask if s_mask >> v & 1 else s_mask
-        for u in iter_bits(d.ins[v] & other_side):
-            ins[index[v]] |= 1 << index[u]
-    return _subset_acyclic(ins, (1 << len(verts)) - 1)
+    ins = [i & (t_mask if s_mask >> v & 1 else s_mask) for v, i in enumerate(d.ins)]
+    return _subset_acyclic(ins, s_mask | t_mask)
 
 
 def _first_clique(adj, allowed: int, l: int, clash=None,

@@ -362,10 +362,9 @@ class _ListSearch:
     every singleton class.
 
     colour holds the colouring of the last search, or None on the vertices
-    it failed to colour; accepted is the lists of the last successful
-    search (None after a failure), which accepts reuses."""
+    it failed to colour."""
 
-    __slots__ = ("orders", "clash", "deadline", "colour", "masks", "tried", "accepted")
+    __slots__ = ("orders", "clash", "deadline", "colour", "masks", "tried")
 
     def __init__(self, clash, order, colours: int, deadline: Optional[Deadline] = None):
         n = len(order)
@@ -375,7 +374,6 @@ class _ListSearch:
         self.colour: list[Optional[int]] = [None] * n
         self.masks = [0] * colours  # colour -> the vertices colour gives it
         self.tried = [0] * n  # per search depth, how many colours of its list were tried
-        self.accepted = None
 
     def find(self, lists, start: int = 0, first_use: bool = False) -> bool:
         """Search for a colouring drawn from the per-vertex lists whose
@@ -431,24 +429,6 @@ class _ListSearch:
                 masks[colour[v]] ^= 1 << v
                 p = tried[i]
         return True
-
-    def accepts(self, lists) -> bool:
-        """Whether the lists accept a colouring, found as by find. The
-        leading vertices whose list objects are those of the last accepted
-        lists keep that colouring's colours, and only the vertices after
-        them are searched; the full search runs only when that fails. A
-        sweep whose consecutive assignments share their leading list
-        objects thus searches only the lists that changed."""
-        last, start = self.accepted, 0
-        if last is not None:
-            n = len(lists)
-            while start < n and lists[start] is last[start]:
-                start += 1
-        self.accepted = None
-        if start and self.find(lists, start) or self.find(lists):
-            self.accepted = lists
-            return True
-        return False
 
     def blocked(self, v: int, colours: int) -> int:
         """The colours of the mask colours (bit c for colour c) whose class
@@ -517,36 +497,38 @@ def _vertex_lists(top: int, twin: list[int], k: int) -> Iterator[tuple[tuple[int
             yield old + new_part, top + fresh
 
 
-def _canonical_prefixes(n: int, k: int) -> Iterator[tuple[list, int, list[int]]]:
+def _canonical_prefixes(n: int, k: int) -> Iterator[tuple[list, int, list[int], int]]:
     """The canonical lists of vertices 0..n-2 (n >= 1), in the order of
     canonical_list_assignments: for each, the lists (one list object the
-    walk reuses, so copy what is kept), the largest colour on them, and
-    the last vertex's twin table, where twin[c] is the largest lower colour
-    whose column equals c's, or 0. Consecutive prefixes share the tuple
-    objects of their leading lists."""
+    walk reuses, so copy what is kept), the largest colour on them, the
+    last vertex's twin table, where twin[c] is the largest lower colour
+    whose column equals c's, or 0, and the first vertex whose list differs
+    from the previous prefix's (0 for the first prefix)."""
     lists: list[tuple[int, ...]] = []
     columns = [0] * (n * k + 1)
     last = n - 1
 
-    def rec(i: int, top: int) -> Iterator:
+    def rec(i: int, top: int, start: int) -> Iterator:
+        # start: the first changed list of the first prefix below this node
         twin, seen = [0] * (top + 1), {}
         for c in range(1, top + 1):
             twin[c] = seen.get(columns[c], 0)
             seen[columns[c]] = c
         if i == last:
-            yield lists, top, twin
+            yield lists, top, twin, start
             return
         bit = 1 << i
         for lst, new_top in _vertex_lists(top, twin, k):
             for c in lst:
                 columns[c] |= bit
             lists.append(lst)
-            yield rec(i + 1, new_top)
+            yield rec(i + 1, new_top, start)
+            start = i
             lists.pop()
             for c in lst:
                 columns[c] ^= bit
 
-    return _depth_first(rec(0, 0))
+    return _depth_first(rec(0, 0, 0))
 
 
 def canonical_list_assignments(n: int, k: int) -> Iterator[ListAssignment]:
@@ -569,16 +551,18 @@ def canonical_list_assignments(n: int, k: int) -> Iterator[ListAssignment]:
         yield ListAssignment((), (), k)
         return
     palettes = [tuple(range(1, top + 1)) for top in range(n * k + 1)]
-    for lists, top, twin in _canonical_prefixes(n, k):
+    for lists, top, twin, _ in _canonical_prefixes(n, k):
         for lst, new_top in _vertex_lists(top, twin, k):
             yield _trusted_list_assignment((palettes[new_top], (*lists, lst), k))
 
 
 def _undecided_assignments(search: _ListSearch, n: int, k: int) -> Iterator:
     """The canonical k-assignments of n >= 1 vertices that the colourings
-    found so far leave undecided, in canonical order, each as (top, lists)
-    with palette 1..top. The caller searches each with search.accepts and
-    stops at the first rejection: every assignment left out accepts.
+    found so far leave undecided, in canonical order, each as (top, lists,
+    start) with palette 1..top, the lists below start those of the one
+    before. The caller searches each with search.find from start > 0, else
+    or on failure from 0, and stops at the first rejection: every
+    assignment left out accepts.
 
     Per canonical prefix (the lists of vertices 0..n-2) the first last
     list, 1..k, is yielded. Its colouring colours the prefix, and the last
@@ -586,16 +570,17 @@ def _undecided_assignments(search: _ListSearch, n: int, k: int) -> Iterator:
     every colour beyond the prefix's, and every old colour not blocked
     (_ListSearch.blocked). So a last list holding such a safe colour
     accepts, and only the lists made wholly of blocked old colours are
-    yielded, in lexicographic order, which is canonical order. Each
-    colouring found only shrinks the blocked set, and once fewer than k
-    colours are blocked the rest of the prefix accepts unenumerated.
+    yielded, in lexicographic order, which is canonical order, with start
+    0, since the last colouring blocks all their colours. Each colouring
+    found only shrinks the blocked set, and once fewer than k colours are
+    blocked the rest of the prefix accepts unenumerated.
     A full assignment accepts iff some colour of L(w) is safe under some
     colouring of the prefix, so the first rejection is the first
     rejecting canonical assignment."""
     first = tuple(range(1, k + 1))
     w = n - 1
-    for prefix, top, twin in _canonical_prefixes(n, k):
-        yield max(top, k), (*prefix, first)
+    for prefix, top, twin, start in _canonical_prefixes(n, k):
+        yield max(top, k), (*prefix, first), start
         blocked = search.blocked(w, (2 << top) - 2)  # among colours 1..top
         last = first
         while blocked.bit_count() >= k:
@@ -604,10 +589,7 @@ def _undecided_assignments(search: _ListSearch, n: int, k: int) -> Iterator:
                     break
             else:
                 break
-            # the last colouring blocks every colour of lst, so accepts
-            # goes straight to the full search
-            search.accepted = None
-            yield top, (*prefix, lst)
+            yield top, (*prefix, lst), 0
             blocked &= search.blocked(w, blocked)
             last = lst
 
@@ -633,9 +615,9 @@ def _list_number(obj, deadline: Optional[Deadline]) -> Certificate:
     of the core is lifted to obj by giving each peeled vertex the list
     1..k, and an empty k-core is the bound chi_l <= 1 + in/out-degeneracy.
     Each level searches along the peel's order restricted to the core;
-    search.accepts searches only the vertices from an assignment's first
-    changed list on while it can. Only the assignments that
-    _undecided_assignments yields are searched: an assignment accepts iff
+    while it can, it searches only the vertices from the first list that
+    changed on, the last colouring kept below them. Only the assignments
+    that _undecided_assignments yields are searched: an assignment accepts iff
     its last vertex has a safe colour, one whose class it may join in
     some colouring of the other vertices' lists, and the colourings found
     for the same prefix show most of them. So the value and the first
@@ -675,9 +657,9 @@ def _list_number(obj, deadline: Optional[Deadline]) -> Certificate:
                              size * k + 1, deadline)
         searched = 0
         try:
-            for top, lists in _undecided_assignments(search, size, k):
+            for top, lists, start in _undecided_assignments(search, size, k):
                 searched += 1
-                if not search.accepts(lists):
+                if not (start and search.find(lists, start) or search.find(lists)):
                     L = _trusted_list_assignment((tuple(range(1, top + 1)), lists, k))
                     rejecting = L if members is None else _lift(L, members, n)
                     break

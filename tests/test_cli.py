@@ -794,6 +794,21 @@ def test_cli_size_limit_is_a_usage_error(capsys):
     assert captured.err == "dichroma: C(40,10) = 847660528 exceeds limit 5000\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["orient", "certified", "{graph}", "--l", "2", "--max-attempts", "0"],
+    ["mc", "biclique", "--graph", "K4", "--l", "2", "--trials", "3", "--threads", "-5"],
+    ["mc", "acceptance", "{graph}", "--l1", "2", "--l2", "1", "--trials", "3", "--threads", "0"],
+    ["verify", "sabidussi", "--threads", "x"],
+])
+def test_cli_counts_must_be_positive(tmp_path, capsys, argv):
+    # a malformed count is a usage error, before any search or worker starts
+    (tmp_path / "k3.g").write_text(format_graph(kneser(3, 1)))
+    assert run([a.format(graph=tmp_path / "k3.g") for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "budget exceeded" not in captured.err
+    assert f"error: argument {argv[-2]}: " in captured.err and "Traceback" not in captured.err
+
+
 def test_cli_certification_failure_exits_3(tmp_path, capsys):
     code, out = _run(capsys, ["gen", "multipartite", "2", "4"])
     path = tmp_path / "k2222.g"

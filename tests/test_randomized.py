@@ -133,6 +133,23 @@ def test_find_acyclic_biclique_matches_reference_scan():
             assert find_acyclic_biclique(d, l) == _reference_biclique_scan(d, l), (seed, l)
 
 
+def test_cross_arcs_acyclic_matches_dfs_oracle():
+    # digons included; S and T are random disjoint vertex sets, either empty
+    pick = random.Random(31)
+    cyclic = 0
+    for seed in range(400):
+        n = pick.randint(1, 9)
+        d = random_digraph(n, RngSpec(700 + seed))
+        side = [pick.randrange(3) for _ in range(n)]  # 0: in S, 1: in T, 2: in neither
+        s = {v for v in range(n) if side[v] == 0}
+        t = {v for v in range(n) if side[v] == 1}
+        cross = [(u, v) for u, v in d.arcs if u in s and v in t or u in t and v in s]
+        expected = acyclic_by_dfs(n, cross)
+        assert _cross_arcs_acyclic(d, mask_of(s), mask_of(t)) == expected, seed
+        cyclic += not expected
+    assert 50 < cyclic < 350
+
+
 def test_find_acyclic_biclique_oracle_all_orientations():
     for g in (complete_bipartite(2, 3), complete_bipartite(3, 3)):
         for o in enumerate_orientations(g):

@@ -34,6 +34,7 @@ from dichroma.products import cartesian_product
 from dichroma.randomized import RngSpec, random_orientation
 from dichroma import solvers
 from dichroma.solvers import (
+    _canonical_prefixes,
     _class_test,
     _degree_order,
     _forest_clash,
@@ -352,14 +353,15 @@ def test_list_chromatic_examples(monkeypatch):
     # ch(K_{2*r}) = r (Erdos, Rubin and Taylor, 1979); value and rejecting
     # 2-assignment are pinned from the sweep that searched every canonical
     # assignment, whose k = 3 level (2,406,208 classes) is too slow to rerun
-    accepts = solvers._ListSearch.accepts
+    undecided = solvers._undecided_assignments
     searched = Counter()
 
-    def spy(self, lists):
-        searched[len(lists[0])] += 1
-        return accepts(self, lists)
+    def spy(search, n, k):
+        for item in undecided(search, n, k):
+            searched[k] += 1
+            yield item
 
-    monkeypatch.setattr(solvers._ListSearch, "accepts", spy)
+    monkeypatch.setattr(solvers, "_undecided_assignments", spy)
     # each k = 3 level searches the first last list of its 35,775 canonical
     # prefixes, then only the last lists made wholly of blocked colours
     for g, lists, palette, blocked_lists in (
@@ -426,11 +428,22 @@ def test_canonical_assignments_are_first_of_each_renaming_class(n, k):
             firsts.append(L)
     got = list(canonical_list_assignments(n, k))
     assert got == firsts
-    # consecutive assignments share the list objects up to their first
-    # different list, which _ListSearch.accepts relies on
+    # each assignment is built from the lists of the one before: consecutive
+    # assignments share the list objects up to their first different list
     for a, b in zip(got, got[1:]):
         j = next(j for j, (x, y) in enumerate(zip(a.lists, b.lists)) if x != y)
         assert all(a.lists[i] is b.lists[i] for i in range(j))
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n, k in CLASS_SIZES if n])
+def test_prefix_walk_yields_the_first_changed_list(n, k):
+    # the sweep restarts its search at this index, keeping the colours of
+    # the vertices below it, so it must be where the prefix's lists first
+    # differ in value from the previous prefix's
+    walk = [(tuple(lists), start) for lists, _, _, start in _canonical_prefixes(n, k)]
+    assert walk[0][1] == 0
+    for (a, _), (b, start) in zip(walk, walk[1:]):
+        assert start == next(j for j, (x, y) in enumerate(zip(a, b)) if x != y)
 
 
 @pytest.mark.parametrize("n,k,classes", [
@@ -685,22 +698,22 @@ def test_list_sweep_reusing_colourings_matches_fresh_searches(monkeypatch):
     # give the same value and rejecting assignment, and every colouring the
     # sweep accepts, which covers the level's k-core, must be drawn from the
     # lists and pass the core checker on the subdigraph the k-core induces
-    accepts = solvers._ListSearch.accepts
+    undecided = solvers._undecided_assignments
     checked = []
 
-    def spy(self, lists):
-        found = accepts(self, lists)
-        if found:
-            colour = tuple(self.colour)
-            members = _k_core(obj, len(lists[0]))
-            assert len(colour) == len(lists) == len(members)
+    def spy(search, n, k):
+        for top, lists, start in undecided(search, n, k):
+            yield top, lists, start
+            # resumed only once the search accepted lists
+            colour = tuple(search.colour)
+            members = _k_core(obj, k)
+            assert len(colour) == len(lists) == len(members) == n
             assert all(c in lst for c, lst in zip(colour, lists))
             sub = induced_subdigraph(obj, members)
             assert proper(sub, Coloring(tuple(sorted(set(colour))), colour))
             checked.append(True)
-        return found
 
-    monkeypatch.setattr(solvers._ListSearch, "accepts", spy)
+    monkeypatch.setattr(solvers, "_undecided_assignments", spy)
     digraphs = [random_digraph(5, RngSpec(s)) for s in range(20)] + list(digraph_catalogue(4))
     digraphs += [random_digraph(5 + i % 2, RngSpec(2000 + i)) for i in range(40)]
     cases = [(d, list_dichromatic_number, find_acceptable_dicoloring, is_proper_dicoloring)
