@@ -52,12 +52,14 @@ EXIT_BUDGET = 3
 EXIT_VIOLATED = 4
 
 
-def _positive(text: str) -> int:
-    """The argparse type of a count that must be at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _at_least(least: int):
+    """The argparse type of an integer count of at least least."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return count
 
 
 def _add_seed(p) -> None:
@@ -71,7 +73,7 @@ def _add_collection(p) -> None:
 
 
 def _add_threads(p) -> None:
-    p.add_argument("--threads", type=_positive, default=1,
+    p.add_argument("--threads", type=_at_least(1), default=1,
                    help="worker processes for mc, verify sabidussi and verify "
                         "tensor-bound, at most one per CPU (default: 1); the "
                         "other suites run serially")
@@ -108,12 +110,12 @@ def _orient_leaves(orient, common) -> None:
     _add_seed(p)
     p = orient.add_parser("enumerate", parents=[common])
     p.add_argument("input", nargs="?", default="-")
-    p.add_argument("--max-list", type=int, default=64, dest="max_list")
+    p.add_argument("--max-list", type=_at_least(0), default=64, dest="max_list")
     p = orient.add_parser("certified", parents=[common])
     p.add_argument("input", nargs="?", default="-")
     p.add_argument("--l", type=int, required=True, help="biclique/clique side size")
     _add_seed(p)
-    p.add_argument("--max-attempts", type=_positive, default=200, dest="max_attempts")
+    p.add_argument("--max-attempts", type=_at_least(1), default=200, dest="max_attempts")
     p.add_argument("--break-cliques", action="store_true", dest="break_cliques")
 
 
@@ -185,7 +187,7 @@ def _verify_leaves(suites, common) -> None:
         _add_threads(p)
     p = leaves["sabidussi"]
     p.add_argument("--max-n", type=int, default=4, dest="max_n")
-    p.add_argument("--pairs", type=int, default=200)
+    p.add_argument("--pairs", type=_at_least(0), default=200)
     p.add_argument("--pair-max-n", type=int, default=5, dest="pair_max_n")
     leaves["bidirect"].add_argument("--max-n", type=int, default=6, dest="max_n")
     leaves["tensor-bound"].add_argument("--max-n", type=int, default=4, dest="max_n")
@@ -346,7 +348,7 @@ def _orient_command(args, started: float):
         return None, graphio.format_graph(d), None, EXIT_OK
     count = 1 << g.m
     listed = [records.orientation_bits(o)
-              for o in islice(enumerate_orientations(g), max(args.max_list, 0))]
+              for o in islice(enumerate_orientations(g), args.max_list)]
     record = records.make_record("orient enumerate", {"max_list": args.max_list},
                                  count=count, orientations=listed)
     return record, f"orientations {count}\n", None, EXIT_OK

@@ -41,13 +41,11 @@ __all__ = [
     "SetCollection",
     "AcceptanceEstimate",
     "build_rook_collection",
-    "is_covered",
     "accepts",
     "verify_cover_all_acyclic",
     "is_semicovered",
     "verify_semicover_all_acyclic",
     "sample_sublists",
-    "exists_accepted_covered_partition",
     "estimate_acceptance_probability",
 ]
 
@@ -147,12 +145,6 @@ def _first_maximal_failing(
         if not holds(mask):
             return frozenset(iter_bits(mask))
     return None
-
-
-def is_covered(f: Coloring, C: SetCollection) -> bool:
-    """True iff every nonempty colour class sits inside some member."""
-    members = C.member_masks()
-    return all(_inside_some(part, members) for part in _class_masks(f))
 
 
 def accepts(L: ListAssignment, f: Coloring) -> bool:
@@ -267,28 +259,6 @@ def _covered_partition_search(
             raise BudgetExceededError("unknown: partition search ran out of time") from None
 
     return find
-
-
-def exists_accepted_covered_partition(
-    d: Digraph,
-    C: SetCollection,
-    L: ListAssignment,
-    deadline: Optional[Deadline] = None,
-) -> Optional[Coloring]:
-    """Search for a colouring over L's palette whose classes are covered
-    by C, accepted by L, and acyclic; returns the first one found, or None.
-
-    A list dicolouring whose class test also confines each class to the
-    members holding all of its vertices (a colour no vertex takes stays
-    unconstrained), searched by solvers._ListSearch: vertices in
-    smallest-last order, each list's colours in their stored order.
-    ``deadline`` (else Deadline()) is polled at every node and raises
-    BudgetExceededError.
-    """
-    if L.n != d.n:
-        raise ValueError("list assignment does not cover the vertex set")
-    colour = _covered_partition_search(d, C, L.palette, deadline)(L.lists)
-    return None if colour is None else Coloring(L.palette, tuple(colour))
 
 
 class AcceptanceEstimate(NamedTuple):

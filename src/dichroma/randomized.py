@@ -23,6 +23,8 @@ from .core import (
     _extension_cyclic,
     _subset_acyclic,
     apply_orientation,
+    enumerate_orientations,
+    is_acyclic,
     iter_bits,
     mask_of,
 )
@@ -156,23 +158,12 @@ def count_acyclic_orientations(g: Graph, deadline: Optional[Deadline] = None) ->
     """Exact number of acyclic orientations of g, by full enumeration of
     its 2^m orientations. deadline (else Deadline()) is polled at every
     orientation and raises BudgetExceededError."""
-    m = g.m
-    n = g.n
-    edges = g.edges
-    full = (1 << n) - 1
-    count = 0
     deadline = deadline or Deadline()
-    for code in range(1 << m):
+    count = 0
+    for o in enumerate_orientations(g):
         if deadline.check():
             raise BudgetExceededError("unknown: orientation count ran out of time")
-        ins = [0] * n
-        for j, (u, v) in enumerate(edges):
-            if code >> j & 1:
-                ins[u] |= 1 << v
-            else:
-                ins[v] |= 1 << u
-        if _subset_acyclic(ins, full):
-            count += 1
+        count += is_acyclic(apply_orientation(g, o))
     return count
 
 

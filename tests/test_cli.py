@@ -799,6 +799,8 @@ def test_cli_size_limit_is_a_usage_error(capsys):
     ["mc", "biclique", "--graph", "K4", "--l", "2", "--trials", "3", "--threads", "-5"],
     ["mc", "acceptance", "{graph}", "--l1", "2", "--l2", "1", "--trials", "3", "--threads", "0"],
     ["verify", "sabidussi", "--threads", "x"],
+    ["orient", "enumerate", "{graph}", "--max-list", "-1"],
+    ["verify", "sabidussi", "--max-n", "3", "--pairs", "-1"],
 ])
 def test_cli_counts_must_be_positive(tmp_path, capsys, argv):
     # a malformed count is a usage error, before any search or worker starts
@@ -807,6 +809,17 @@ def test_cli_counts_must_be_positive(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == "" and "budget exceeded" not in captured.err
     assert f"error: argument {argv[-2]}: " in captured.err and "Traceback" not in captured.err
+
+
+def test_cli_zero_counts_are_accepted(tmp_path, capsys):
+    (tmp_path / "k3.g").write_text(format_graph(kneser(3, 1)))
+    code, out = _run(capsys, ["orient", "enumerate", str(tmp_path / "k3.g"),
+                              "--max-list", "0", "--format", "json"])
+    assert code == 0 and json.loads(out)["orientations"] == []
+    code, out = _run(capsys, ["verify", "sabidussi", "--max-n", "3", "--pairs", "0",
+                              "--format", "json"])
+    params = json.loads(out)["params"]
+    assert code == 0 and params["random_pairs"] == 0 and params["pairs"] == 105
 
 
 def test_cli_certification_failure_exits_3(tmp_path, capsys):

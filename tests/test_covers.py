@@ -18,8 +18,6 @@ from dichroma.covers import (
     accepts,
     build_rook_collection,
     estimate_acceptance_probability,
-    exists_accepted_covered_partition,
-    is_covered,
     is_semicovered,
     sample_sublists,
     verify_cover_all_acyclic,
@@ -81,17 +79,6 @@ def test_rook_collection_declared_bounds_grid():
                 assert col.t == n + beta * beta
                 if beta <= n - 1:
                     assert max(len(m) for m in col.members) == col.t
-
-
-def test_is_covered_examples():
-    singletons = SetCollection(tuple(frozenset({v}) for v in range(3)), 3, 1)
-    all_single = Coloring((0, 1, 2), (0, 1, 2))
-    assert is_covered(all_single, singletons)
-    whole = Coloring((0, 1, 2), (0, 0, 0))
-    assert not is_covered(whole, singletons)
-    col = build_rook_collection(3, 1)
-    rows = Coloring(tuple(range(9)), tuple(v // 3 for v in range(9)))  # six colours unused
-    assert is_covered(rows, col)
 
 
 def test_accepts_examples():
@@ -232,21 +219,30 @@ def test_sample_sublists_uniform():
         assert abs(value - 5_000) <= 3 * sigma_c
 
 
-def test_exists_accepted_covered_partition_examples():
+def _fresh_search(d, C, L, deadline=None):
+    """One covered-partition search for L alone, as mc acceptance runs it,
+    with its colours as a Coloring over L's palette, or None."""
+    colour = _covered_partition_search(d, C, L.palette, deadline)(L.lists)
+    return None if colour is None else Coloring(L.palette, tuple(colour))
+
+
+def test_covered_partition_search_examples():
     whole = SetCollection((frozenset(range(3)),), 1, 3)
     acyclic = Digraph(3, [(0, 1), (1, 2)])
     full = ListAssignment.uniform(3, (1,))
-    found = exists_accepted_covered_partition(acyclic, whole, full)
+    found = _fresh_search(acyclic, whole, full)
     assert found == Coloring((1,), (1, 1, 1))
     empty_lists = ListAssignment((1, 2), (frozenset(),) * 3, 0)
-    assert exists_accepted_covered_partition(acyclic, whole, empty_lists) is None
+    assert _fresh_search(acyclic, whole, empty_lists) is None
     two_subsets = SetCollection(
         tuple(frozenset(c) for c in combinations(range(3), 2)), 3, 2
     )
     lists12 = ListAssignment.uniform(3, (1, 2))
-    found = exists_accepted_covered_partition(C3, two_subsets, lists12)
+    found = _fresh_search(C3, two_subsets, lists12)
     assert found is not None
-    assert is_covered(found, two_subsets)
+    # each nonempty class inside some member
+    assert all(any(part <= m for m in two_subsets.members)
+               for part in found.classes().values() if part)
     assert accepts(lists12, found)
     for part in found.classes().values():
         assert acyclic_by_dfs(*relabel(C3.arcs, part))
@@ -255,12 +251,12 @@ def test_exists_accepted_covered_partition_examples():
 def test_acceptance_search_polls_deadline(monkeypatch):
     whole = SetCollection((frozenset(range(3)),), 1, 3)
     L1 = ListAssignment.uniform(3, (1, 2))
-    assert exists_accepted_covered_partition(C3, whole, L1, Deadline(60)) is not None
+    assert _fresh_search(C3, whole, L1, Deadline(60)) is not None
     monkeypatch.setattr(Deadline, "check", lambda self: True)
     # a given deadline, and without one Deadline()
     for deadline in (Deadline(60), None):
         with pytest.raises(BudgetExceededError):
-            exists_accepted_covered_partition(C3, whole, L1, deadline)
+            _fresh_search(C3, whole, L1, deadline)
     with pytest.raises(BudgetExceededError):
         estimate_acceptance_probability(C3, whole, L1, 1, 4, RngSpec(1),
                                         deadline=Deadline(60))
@@ -316,7 +312,7 @@ def _random_cover_case(rng: RngSpec, i: int):
 
 def test_reused_cover_search_matches_fresh_searches_and_brute_force():
     """One search per estimate, reused across trials, against a fresh
-    exists_accepted_covered_partition per trial and the brute oracle."""
+    search set up per trial and the brute oracle."""
     rng = RngSpec(43)
     cases = [_random_cover_case(rng, i) for i in range(150)]
     uncovered = SetCollection((frozenset({0, 1}),), 1, 2)  # vertex 2 in no member
@@ -336,15 +332,17 @@ def test_reused_cover_search_matches_fresh_searches_and_brute_force():
         member_sets = [set(m) for m in col.members]
         hits = 0
         for L2 in samples:
-            found = exists_accepted_covered_partition(d, col, L2)
+            found = _fresh_search(d, col, L2)
             assert (found is not None) == _brute_accepts(d, member_sets, L2.lists), (i, L2)
             if found is not None:
-                assert accepts(L2, found) and is_covered(found, col)
+                assert accepts(L2, found)
+                assert all(any(part <= m for m in col.members)
+                           for part in found.classes().values() if part)
                 assert is_proper_dicoloring(d, found)
             hits += found is not None
         find = _covered_partition_search(d, col, L1.palette, None)
         assert [find(L2.lists) is not None for L2 in samples] == [
-            exists_accepted_covered_partition(d, col, L2) is not None for L2 in samples]
+            _fresh_search(d, col, L2) is not None for L2 in samples]
         est = estimate_acceptance_probability(d, col, L1, l2, trials, rng.derive(i, 1))
         assert est.event.successes == hits, i
         uncovered_vertex = not set(range(d.n)) <= set().union(*col.members)

@@ -6,8 +6,9 @@ from itertools import combinations
 
 import pytest
 
-from dichroma.catalogue import graph_catalogue, random_digraph
+from dichroma.catalogue import graph_catalogue, graphs_up_to, random_digraph
 from dichroma.core import (
+    _subset_acyclic,
     Deadline,
     Digraph,
     Graph,
@@ -84,8 +85,43 @@ def test_count_acyclic_orientations_examples(monkeypatch):
             count_acyclic_orientations(rook(3), deadline)
 
 
+def _reference_acyclic_orientation_count(g, deadline):
+    """The count count_acyclic_orientations replaced: each orientation
+    built as in-masks from a code whose bit j orients edge j backwards,
+    polling deadline once per code."""
+    full = (1 << g.n) - 1
+    count = 0
+    for code in range(1 << g.m):
+        if deadline.check():
+            raise BudgetExceededError("unknown: orientation count ran out of time")
+        ins = [0] * g.n
+        for j, (u, v) in enumerate(g.edges):
+            if code >> j & 1:
+                ins[u] |= 1 << v
+            else:
+                ins[v] |= 1 << u
+        count += _subset_acyclic(ins, full)
+    return count
+
+
+def test_count_acyclic_orientations_matches_mask_loop():
+    for g in graphs_up_to(5) + [complete_bipartite(3, 3), complete_bipartite(3, 4)]:
+        new, old = Deadline(), Deadline()
+        count = count_acyclic_orientations(g, new)
+        assert count == _reference_acyclic_orientation_count(g, old), g.edges
+        assert new.ticks == old.ticks == 1 << g.m
+    # a spent deadline stops both at the same poll, its first clock reading
+    for count in (count_acyclic_orientations, _reference_acyclic_orientation_count):
+        spent = Deadline()
+        spent.at = 0.0
+        with pytest.raises(BudgetExceededError,
+                           match="^unknown: orientation count ran out of time$"):
+            count(complete_bipartite(3, 4), spent)
+        assert spent.ticks == 1024
+
+
 def test_count_acyclic_orientations_oracles():
-    for g in graph_catalogue(4):
+    for g in graph_catalogue(5):
         direct = count_acyclic_orientations(g)
         assert direct == brute_count_acyclic_orientations(g.n, g.edges)
         assert direct == abs(chromatic_polynomial(g.n, g.edges, -1))
