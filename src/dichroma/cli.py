@@ -186,11 +186,11 @@ def _verify_leaves(suites, common) -> None:
             _add_seed(p)
         _add_threads(p)
     p = leaves["sabidussi"]
-    p.add_argument("--max-n", type=int, default=4, dest="max_n")
+    p.add_argument("--max-n", type=_at_least(0), default=4, dest="max_n")
     p.add_argument("--pairs", type=_at_least(0), default=200)
-    p.add_argument("--pair-max-n", type=int, default=5, dest="pair_max_n")
-    leaves["bidirect"].add_argument("--max-n", type=int, default=6, dest="max_n")
-    leaves["tensor-bound"].add_argument("--max-n", type=int, default=4, dest="max_n")
+    p.add_argument("--pair-max-n", type=_at_least(1), default=5, dest="pair_max_n")
+    leaves["bidirect"].add_argument("--max-n", type=_at_least(1), default=6, dest="max_n")
+    leaves["tensor-bound"].add_argument("--max-n", type=_at_least(1), default=4, dest="max_n")
 
 
 def _embed_leaves(embed, common) -> None:

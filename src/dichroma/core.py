@@ -200,9 +200,6 @@ class Graph(_Structure):
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.outs[u] >> v & 1)
 
-    def degree(self, v: int) -> int:
-        return self.outs[v].bit_count()
-
 
 class Digraph(_Structure):
     """Directed graph with no loops and at most one arc per ordered pair.
@@ -217,10 +214,6 @@ class Digraph(_Structure):
         super().__init__(n, arcs, labels)
 
     arcs = property(lambda self: self.pairs, doc="The arcs: a read-only view of pairs.")
-
-    def digon_mask(self, v: int) -> int:
-        """Vertices joined to v by arcs in both directions."""
-        return self.outs[v] & self.ins[v]
 
     def underlying_graph(self) -> Graph:
         """The graph with an edge wherever an arc runs either way; both
@@ -279,16 +272,6 @@ class Coloring(_Validated, namedtuple("Coloring", "palette assignment")):
     @property
     def n(self) -> int:
         return len(self.assignment)
-
-    def classes(self) -> dict[int, frozenset[int]]:
-        """Colour -> set of vertices, including empty classes."""
-        out: dict[int, set[int]] = {c: set() for c in self.palette}
-        for v, c in enumerate(self.assignment):
-            out[c].add(v)
-        return {c: frozenset(s) for c, s in out.items()}
-
-    def class_count(self) -> int:
-        return len(set(self.assignment))
 
 
 class ListAssignment(_Validated, namedtuple("ListAssignment", "palette lists k")):

@@ -16,12 +16,10 @@ from itertools import combinations
 from typing import Callable, NamedTuple, Optional
 
 from .core import (
-    Coloring,
     Deadline,
     Digraph,
     ListAssignment,
     _Validated,
-    _class_masks,
     _extension_cyclic,
     _maximal_acyclic_masks,
     _trusted_list_assignment,
@@ -41,9 +39,7 @@ __all__ = [
     "SetCollection",
     "AcceptanceEstimate",
     "build_rook_collection",
-    "accepts",
     "verify_cover_all_acyclic",
-    "is_semicovered",
     "verify_semicover_all_acyclic",
     "sample_sublists",
     "estimate_acceptance_probability",
@@ -147,15 +143,6 @@ def _first_maximal_failing(
     return None
 
 
-def accepts(L: ListAssignment, f: Coloring) -> bool:
-    """True iff each vertex's colour appears on that vertex's list."""
-    if L.palette != f.palette:
-        raise ValueError("list assignment and colouring use different palettes")
-    if L.n != f.n:
-        raise ValueError("list assignment and colouring cover different vertex sets")
-    return all(c in lst for c, lst in zip(f.assignment, L.lists))
-
-
 def verify_cover_all_acyclic(
     d: Digraph, C: SetCollection, deadline: Optional[Deadline] = None
 ) -> Optional[frozenset[int]]:
@@ -166,22 +153,14 @@ def verify_cover_all_acyclic(
     return _first_maximal_failing(d, lambda mask: _inside_some(mask, members), deadline)
 
 
-def is_semicovered(f: Coloring, C: SetCollection, lam: float) -> bool:
-    """Semicover test for a colouring of a doubled vertex set {1,2} x V(H):
-    each nonempty class must have both sides inside members, or one side
-    inside a member and smaller than the threshold lam > 0."""
-    n_half = _half(f.n, lam)
-    members = C.member_masks()
-    return all(_semicovered(part, n_half, members, lam) for part in _class_masks(f))
-
-
 def verify_semicover_all_acyclic(
     d: Digraph, C: SetCollection, lam: float, deadline: Optional[Deadline] = None
 ) -> Optional[frozenset[int]]:
     """The first maximal acyclic set of d (on {1,2} x V(H)) that is not
-    semicovered with threshold lam, as in is_semicovered, or None when
-    every acyclic partition of d is; deadline as in
-    verify_cover_all_acyclic."""
+    semicovered with threshold lam > 0, or None when every acyclic
+    partition of d is: a part is semicovered when both its sides lie
+    inside members, or one side lies inside a member and has fewer than
+    lam vertices. deadline as in verify_cover_all_acyclic."""
     n_half = _half(d.n, lam)
     members = C.member_masks()
     return _first_maximal_failing(

@@ -11,7 +11,7 @@ import json
 from typing import TYPE_CHECKING, Any, Optional
 
 from . import __version__
-from .core import Coloring, Graph, Orientation, is_proper_coloring, is_proper_dicoloring
+from .core import Coloring, Orientation
 
 if TYPE_CHECKING:
     from .solvers import Certificate
@@ -26,7 +26,6 @@ __all__ = [
     "certificate_payload",
     "coloring_payload",
     "coloring_from_payload",
-    "revalidate_coloring",
 ]
 
 
@@ -92,9 +91,3 @@ def certificate_payload(cert: Certificate) -> dict[str, Any]:
         }
     return out
 
-
-def revalidate_coloring(obj, payload: dict[str, Any]) -> bool:
-    """Re-check a serialized witness against the structure it colours: a
-    proper colouring of a Graph, a dicolouring of a Digraph."""
-    check = is_proper_coloring if isinstance(obj, Graph) else is_proper_dicoloring
-    return check(obj, coloring_from_payload(payload))

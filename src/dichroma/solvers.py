@@ -228,11 +228,10 @@ def _forest_clash(adj, mask: int, v: int) -> bool:
     return False
 
 
-def _vertex_arboricity(adj, deadline: Deadline) -> int:
-    """The fewest induced forests partitioning the vertices."""
-    return _exact_value(_least_classes(
-        _class_test(adj, forests=True), _degree_order(adj), 1, deadline
-    ))
+def _vertex_arboricity(adj, deadline: Deadline) -> Certificate:
+    """The fewest induced forests partitioning the vertices; on a timeout,
+    the bracket ends at the first-fit forest count."""
+    return _least_classes(_class_test(adj, forests=True), _degree_order(adj), 1, deadline)
 
 
 def dichromatic_number_of_graph(g: Graph, deadline: Optional[Deadline] = None) -> Certificate:
@@ -240,24 +239,23 @@ def dichromatic_number_of_graph(g: Graph, deadline: Optional[Deadline] = None) -
 
     Orientations paired by full reversal have equal value, so only one of
     each pair is solved, in lexicographic order. The sweep stops once the
-    maximum meets the smaller of two bounds on every orientation: the
-    chromatic number of g, and its vertex arboricity, the fewest induced
-    forests partitioning V (a forest is acyclic under every orientation;
-    Chartrand, Kronk and Wall, 1968). One deadline (else Deadline())
-    covers the chromatic, arboricity and orientation solves; the sweep
-    reads its clock after every orientation, since most orientation
-    solves close on bounds after a poll or two.
+    maximum meets the vertex arboricity of g, the fewest induced forests
+    partitioning V, which bounds every orientation: a forest is acyclic
+    under every orientation (Chartrand, Kronk and Wall, 1968). It is at
+    most the chromatic number, since each colour class is an independent
+    set and so a forest. One deadline (else Deadline()) covers the
+    arboricity and orientation solves; the sweep reads its clock after
+    every orientation, since most orientation solves close on bounds
+    after a poll or two.
     """
     deadline = deadline or Deadline()
-    chi = chromatic_number(g, deadline)
-    try:
-        bound = min(_vertex_arboricity(g.adj, deadline), chi.upper)
-    except _TimeUp:
+    forests = _vertex_arboricity(g.adj, deadline)
+    if not forests.exact:
         return Certificate(
-            None, False, 1, chi.upper,
+            None, False, 1, forests.upper,
             detail="timeout while partitioning into induced forests",
         )
-    closer = "vertex-arboricity" if bound < chi.upper else "chromatic"
+    bound = forests.value
     best = -1  # the empty graph's one orientation still becomes the witness
     best_orientation = None
     best_witness = None
@@ -278,7 +276,7 @@ def dichromatic_number_of_graph(g: Graph, deadline: Optional[Deadline] = None) -
             best_orientation = o
             best_witness = cert.witness
         if best == bound:
-            detail = f"stopped at the {closer} bound {bound}"
+            detail = f"stopped at the vertex-arboricity bound {bound}"
             break
         if deadline.expired():
             return Certificate(

@@ -13,12 +13,14 @@ import pytest
 
 import dichroma
 from dichroma.cli import run
-from dichroma.core import Deadline, Digraph, Graph, bidirect
+from dichroma.core import (
+    Deadline, Digraph, Graph, bidirect, is_proper_coloring, is_proper_dicoloring,
+)
 from dichroma.errors import GraphFormatError
 from dichroma.generators import kneser, named_graph, rook
 from dichroma.graphio import format_graph, parse_graph_text
 from dichroma.randomized import RngSpec, random_orientation
-from dichroma.records import revalidate_coloring, strip_runtime
+from dichroma.records import coloring_from_payload, strip_runtime
 
 
 def test_parse_examples():
@@ -157,7 +159,7 @@ def test_cli_solve_json_certificate_revalidates(tmp_path, capsys):
     cert = record["certificate"]
     assert cert["exact"] and cert["value"] == 2
     graph = parse_graph_text(path.read_text())
-    assert revalidate_coloring(graph, cert["witness"])
+    assert is_proper_coloring(graph, coloring_from_payload(cert["witness"]))
 
 
 def test_cli_dicoloring_certificate_revalidates(tmp_path, capsys):
@@ -170,7 +172,7 @@ def test_cli_dicoloring_certificate_revalidates(tmp_path, capsys):
     record = json.loads(out)
     cert = record["certificate"]
     digraph = parse_graph_text(path.read_text())
-    assert revalidate_coloring(digraph, cert["witness"])
+    assert is_proper_dicoloring(digraph, coloring_from_payload(cert["witness"]))
 
 
 def test_cli_check_coloring(tmp_path, capsys):
@@ -664,7 +666,7 @@ def test_cli_timeout_in_arboricity_search(monkeypatch, tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 3 and "Traceback" not in captured.err
     cert = json.loads(captured.out)["certificate"]
-    assert not cert["exact"] and cert["lower"] <= 2 <= cert["upper"] == 3
+    assert not cert["exact"] and cert["lower"] <= 2 <= cert["upper"] == 2
 
 
 def test_cli_output_is_pinned(tmp_path, capsys):
@@ -739,7 +741,7 @@ def test_cli_solve_csv_reads_back(monkeypatch, tmp_path, capsys):
     assert code == 3
     assert list(csv.DictReader(out.splitlines())) == [
         {"command": "solve graph-dichromatic", "exact": "False",
-         "lower": "1", "upper": "3", "value": ""}]
+         "lower": "1", "upper": "2", "value": ""}]
 
 
 @pytest.mark.parametrize("argv", [
@@ -801,6 +803,10 @@ def test_cli_size_limit_is_a_usage_error(capsys):
     ["verify", "sabidussi", "--threads", "x"],
     ["orient", "enumerate", "{graph}", "--max-list", "-1"],
     ["verify", "sabidussi", "--max-n", "3", "--pairs", "-1"],
+    ["verify", "bidirect", "--max-n", "-1"],
+    ["verify", "tensor-bound", "--max-n", "0"],
+    ["verify", "sabidussi", "--max-n", "-1"],
+    ["verify", "sabidussi", "--pairs", "3", "--pair-max-n", "0"],
 ])
 def test_cli_counts_must_be_positive(tmp_path, capsys, argv):
     # a malformed count is a usage error, before any search or worker starts
@@ -820,6 +826,11 @@ def test_cli_zero_counts_are_accepted(tmp_path, capsys):
                               "--format", "json"])
     params = json.loads(out)["params"]
     assert code == 0 and params["random_pairs"] == 0 and params["pairs"] == 105
+    # --max-n 0 leaves only the random pairs
+    code, out = _run(capsys, ["verify", "sabidussi", "--max-n", "0", "--pairs", "2",
+                              "--format", "json"])
+    params = json.loads(out)["params"]
+    assert code == 0 and params["random_pairs"] == 2 and params["pairs"] == 2
 
 
 def test_cli_certification_failure_exits_3(tmp_path, capsys):

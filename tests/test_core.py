@@ -49,7 +49,7 @@ def test_digraph_validation():
         Digraph(3, [(0, 1), (0, 1)])
     # opposite arcs are fine
     d = Digraph(2, [(0, 1), (1, 0)])
-    assert d.m == 2 and d.digon_mask(0) == 0b10
+    assert d.m == 2 and d.outs[0] & d.ins[0] == 0b10
 
 
 def test_is_acyclic_examples():

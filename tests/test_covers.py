@@ -15,10 +15,8 @@ from dichroma.core import (
 from dichroma.covers import (
     SetCollection,
     _covered_partition_search,
-    accepts,
     build_rook_collection,
     estimate_acceptance_probability,
-    is_semicovered,
     sample_sublists,
     verify_cover_all_acyclic,
     verify_semicover_all_acyclic,
@@ -81,20 +79,6 @@ def test_rook_collection_declared_bounds_grid():
                     assert max(len(m) for m in col.members) == col.t
 
 
-def test_accepts_examples():
-    full = ListAssignment.uniform(3, (1, 2, 3))
-    some = Coloring((1, 2, 3), (1, 2, 1))
-    assert accepts(full, some)
-    narrow = ListAssignment((1, 2), (frozenset({1}),) * 3, 1)
-    part = Coloring((1, 2), (1, 1, 2))
-    assert not accepts(narrow, part)  # vertex 2 has colour 2 but lists only 1
-    lists12 = ListAssignment.uniform(3, (1, 2))
-    split = Coloring((1, 2), (1, 1, 2))
-    assert accepts(lists12, split)
-    with pytest.raises(ValueError):
-        accepts(full, split)
-
-
 def test_verify_cover_examples():
     acyclic = Digraph(3, [(0, 1), (1, 2)])
     whole = SetCollection((frozenset(range(3)),), 1, 3)
@@ -124,50 +108,6 @@ def test_verify_cover_stops_at_first_counterexample():
     missed = verify_cover_all_acyclic(d, build_rook_collection(5, 2), deadline)
     assert sorted(missed) == [0, 1, 2, 3, 4, 5, 6, 11, 16]
     assert deadline.ticks < 100
-
-
-def test_is_semicovered_examples():
-    members = SetCollection((frozenset({0, 1}), frozenset({2, 3})), 2, 2)
-    # a class whose second side is empty passes through the threshold clause
-    p = Coloring(tuple(range(8)), (0, 0, 1, 2, 3, 4, 5, 6))
-    assert is_semicovered(p, members, 2.0)
-
-    def oracle(colouring, collection, lam):
-        n_half = colouring.n // 2
-        for part in colouring.classes().values():
-            if not part:
-                continue
-            s1 = {v for v in part if v < n_half}
-            s2 = {v - n_half for v in part if v >= n_half}
-            both = any(
-                s1 <= set(c1) and s2 <= set(c2)
-                for c1 in collection.members
-                for c2 in collection.members
-            )
-            one = any(
-                (s <= set(c) and len(s) < lam)
-                for s in (s1, s2)
-                for c in collection.members
-            )
-            if not (both or one):
-                return False
-        return True
-
-    # hand-built four-vertex half: sweep several colourings against the oracle
-    import itertools
-
-    palette = tuple(range(8))
-    for assignment in itertools.islice(itertools.product(range(3), repeat=8), 0, 3**8, 37):
-        colouring = Coloring(palette, assignment)
-        for lam in (1.0, 2.0, 9.0):
-            assert is_semicovered(colouring, members, lam) == oracle(colouring, members, lam)
-
-
-def test_semicover_threshold_never_binds_when_huge():
-    members = SetCollection((frozenset({0, 1}), frozenset({2})), 2, 2)
-    p = Coloring(tuple(range(6)), (0, 0, 1, 0, 1, 2))
-    # every side fits some member, so the huge threshold accepts everything
-    assert is_semicovered(p, members, 100.0)
 
 
 def test_verify_semicover_bidirected_k2xh():
@@ -219,6 +159,12 @@ def test_sample_sublists_uniform():
         assert abs(value - 5_000) <= 3 * sigma_c
 
 
+def _parts(f: Coloring) -> list[frozenset[int]]:
+    """The nonempty colour classes of f."""
+    return [frozenset(v for v, c in enumerate(f.assignment) if c == colour)
+            for colour in set(f.assignment)]
+
+
 def _fresh_search(d, C, L, deadline=None):
     """One covered-partition search for L alone, as mc acceptance runs it,
     with its colours as a Coloring over L's palette, or None."""
@@ -241,10 +187,9 @@ def test_covered_partition_search_examples():
     found = _fresh_search(C3, two_subsets, lists12)
     assert found is not None
     # each nonempty class inside some member
-    assert all(any(part <= m for m in two_subsets.members)
-               for part in found.classes().values() if part)
-    assert accepts(lists12, found)
-    for part in found.classes().values():
+    assert all(any(part <= m for m in two_subsets.members) for part in _parts(found))
+    assert all(c in lst for c, lst in zip(found.assignment, lists12.lists))
+    for part in _parts(found):
         assert acyclic_by_dfs(*relabel(C3.arcs, part))
 
 
@@ -335,9 +280,8 @@ def test_reused_cover_search_matches_fresh_searches_and_brute_force():
             found = _fresh_search(d, col, L2)
             assert (found is not None) == _brute_accepts(d, member_sets, L2.lists), (i, L2)
             if found is not None:
-                assert accepts(L2, found)
-                assert all(any(part <= m for m in col.members)
-                           for part in found.classes().values() if part)
+                assert all(c in lst for c, lst in zip(found.assignment, L2.lists))
+                assert all(any(part <= m for m in col.members) for part in _parts(found))
                 assert is_proper_dicoloring(d, found)
             hits += found is not None
         find = _covered_partition_search(d, col, L1.palette, None)

@@ -50,7 +50,7 @@ def test_orientations_cover_and_never_digon(g):
     for o in enumerate_orientations(g):
         d = apply_orientation(g, o)
         assert d.underlying_graph().edges == g.edges
-        assert all(d.digon_mask(v) == 0 for v in range(d.n))
+        assert all(d.outs[v] & d.ins[v] == 0 for v in range(d.n))
 
 
 @given(graphs())

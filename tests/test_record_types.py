@@ -11,7 +11,6 @@ from dichroma.covers import (
     AcceptanceEstimate,
     SetCollection,
     build_rook_collection,
-    is_semicovered,
     verify_semicover_all_acyclic,
 )
 from dichroma.generators import EmbeddingWitness, borsuk_points, complete_graph
@@ -169,7 +168,7 @@ def test_replace_and_make_normalise():
     # the threshold is checked before the parity of the odd vertex set
     (lambda: verify_semicover_all_acyclic(Digraph(3), COLLECTION, 0),
      "the threshold must be positive"),
-    (lambda: is_semicovered(Coloring((0,), (0, 0, 0)), COLLECTION, 1),
+    (lambda: verify_semicover_all_acyclic(Digraph(3), COLLECTION, 1),
      "vertex set must split into two equal sides"),
     (lambda: build_rook_collection(0), "n must be at least 1"),
     (lambda: build_rook_collection(3, -1), "beta must be nonnegative"),

@@ -80,7 +80,7 @@ def test_chromatic_witness_revalidates():
     g = kneser(5, 2)
     cert = chromatic_number(g, Deadline(300))
     assert cert.exact and is_proper_coloring(g, cert.witness)
-    assert cert.witness.class_count() == cert.value
+    assert len(set(cert.witness.assignment)) == cert.value
 
 
 def test_chromatic_against_oracle():
@@ -178,11 +178,24 @@ def test_dichromatic_number_of_graph_names_its_bound():
     assert cert.detail.startswith("stopped at the vertex-arboricity bound 2 after 26 ")
     cert = dichromatic_number_of_graph(complete_multipartite(2, 3), Deadline(300))
     assert cert.detail.startswith("stopped at the vertex-arboricity bound 2 after 7 ")
-    # K_{3,3}: the chromatic number 2 is below any further arboricity level
     cert = dichromatic_number_of_graph(complete_bipartite(3, 3), Deadline(300))
-    assert cert.detail.startswith("stopped at the chromatic bound 2 after ")
+    assert cert.detail.startswith("stopped at the vertex-arboricity bound 2 after ")
     cert = dichromatic_number_of_graph(complete_graph(6), Deadline(300))
     assert cert.value == 2 and cert.detail.startswith("full sweep after 16384 ")
+
+
+def test_orientation_sweep_runs_no_chromatic_solve(monkeypatch):
+    # a(G) <= chi(G): each colour class is independent, so a forest, and
+    # the chromatic number never lowers the sweep's bound
+    from dichroma.catalogue import graphs_up_to
+
+    calls = []
+    chromatic = solvers.chromatic_number
+    monkeypatch.setattr(solvers, "chromatic_number",
+                        lambda *args: calls.append(args) or chromatic(*args))
+    for g in graphs_up_to(5) + [complete_bipartite(3, 3), kneser(5, 2)]:
+        assert dichromatic_number_of_graph(g, Deadline(300)).exact
+    assert calls == []
 
 
 def test_forest_clash_against_oracle():
@@ -200,7 +213,7 @@ def test_forest_clash_against_oracle():
 
 
 def _arboricity(g):
-    return _vertex_arboricity(g.adj, Deadline(300))
+    return _vertex_arboricity(g.adj, Deadline(300)).value
 
 
 def test_vertex_arboricity_known_values():
@@ -217,14 +230,14 @@ def test_vertex_arboricity_known_values():
 
 def test_dichromatic_number_of_graph_limit(monkeypatch):
     # no edge cap: the deadline alone stops KG(6,2)'s sweep of 2^44
-    # reversal pairs, with chi = 4 and a = 3 bounding every orientation;
+    # reversal pairs, with a = 3 bounding every orientation;
     # the sweep reads the clock after every orientation
     _fire_after(monkeypatch, 3000, "expired")
     cert = dichromatic_number_of_graph(kneser(6, 2), Deadline(300))
     assert not cert.exact and (cert.lower, cert.upper) == (2, 3)
     assert "timeout during the orientation sweep" in cert.detail
     d = apply_orientation(kneser(6, 2), cert.witness_orientation)
-    assert is_proper_dicoloring(d, cert.witness) and cert.witness.class_count() == 2
+    assert is_proper_dicoloring(d, cert.witness) and len(set(cert.witness.assignment)) == 2
 
 
 def test_orientation_sweep_reads_the_clock_per_orientation(monkeypatch):
@@ -247,7 +260,7 @@ def test_orientation_sweep_reads_the_clock_per_orientation(monkeypatch):
 
 def test_dichromatic_number_of_graph_past_64_edges(monkeypatch):
     # 66 edges: the sweep's 2^65 reversal pairs exceed sys.maxsize, and the
-    # deadline still ends it with chi = 12 and a = 6 bounding every orientation
+    # deadline still ends it with a = 6 bounding every orientation
     g = complete_graph(12)
     _fire_after(monkeypatch, 5000)
     cert = dichromatic_number_of_graph(g, Deadline(300))
@@ -864,21 +877,21 @@ def test_dichromatic_timeout_keeps_bracket(monkeypatch):
         assert not cert.exact and cert.value is None
         assert cert.lower == lower and cert.upper is not None
         assert is_proper_dicoloring(d, cert.witness)
-        assert cert.witness.class_count() <= cert.upper
+        assert len(set(cert.witness.assignment)) <= cert.upper
     assert dichromatic_number(tournament, Deadline(300)).lower <= full.value
 
 
 def test_graph_dichromatic_timeout_keeps_bracket(monkeypatch):
-    # Petersen: chi = 3 needs a search past the clique bound 2, and every
-    # orientation has dichromatic number 2
+    # Petersen: the forest first fit finds 2 forests, and every orientation
+    # has dichromatic number 2
     petersen = kneser(5, 2)
     _fire_after(monkeypatch, 1)
     cert = dichromatic_number_of_graph(petersen, Deadline(300))
     assert not cert.exact and cert.value is None
-    assert cert.upper == chromatic_number(petersen, Deadline(300)).upper == 3
+    assert cert.upper == 2
     assert cert.lower <= 2 <= cert.upper
     # a deadline that fires during the sweep keeps the maximum so far; K6
-    # sweeps in full (a(K6) = 3 > 2), and its bracket ends at a, not chi = 6
+    # sweeps in full (a(K6) = 3 > 2), and its bracket ends at a
     _fire_after(monkeypatch, 2000)
     cert = dichromatic_number_of_graph(complete_graph(6), Deadline(300))
     assert not cert.exact and cert.lower == 2 and cert.upper == 3
@@ -903,7 +916,7 @@ def test_graph_dichromatic_timeout_in_arboricity_search(monkeypatch):
     _fire_in_arboricity_search(monkeypatch)
     cert = dichromatic_number_of_graph(petersen, Deadline(300))
     assert not cert.exact and cert.value is None
-    assert cert.lower <= 2 <= cert.upper == 3
+    assert cert.lower <= 2 <= cert.upper == 2
     assert "timeout" in cert.detail
 
 
