@@ -35,7 +35,7 @@ from itertools import combinations, compress, count, permutations
 from operator import or_
 from typing import Optional
 
-from .core import Deadline, Digraph, Graph, bidirect
+from .core import Deadline, Digraph, Graph, bidirect, iter_bits
 from .errors import BudgetExceededError, LimitExceededError
 from .randomized import DOMAIN_PAIR, RngSpec, stream_u64
 
@@ -191,7 +191,14 @@ def _masks(pair_lists, positions) -> list[int]:
 
 
 def _from_mask(cls, n: int, positions, mask: int):
-    return cls(n, [p for i, p in enumerate(positions) if mask >> i & 1])
+    """The member whose pairs are the positions of mask's set bits."""
+    outs = [0] * n
+    ins = outs if cls is Graph else [0] * n
+    for i in iter_bits(mask):
+        u, v = positions[i]
+        outs[u] |= 1 << v
+        ins[v] |= 1 << u
+    return cls._from_masks(n, outs, ins, None)
 
 
 @_cached_on_n

@@ -239,10 +239,12 @@ def _build_parser(group: str | None = None) -> argparse.ArgumentParser:
     return top
 
 
-def _read_structure(path: str):
+def _read_structure(path: str, deadline: Deadline | None = None):
+    """The graph or digraph in path (stdin for "-"); deadline, if given,
+    is polled while the text is parsed."""
     if path in (None, "-"):
-        return graphio.parse_graph_text(sys.stdin.read())
-    return graphio.parse_graph_file(path)
+        return graphio.parse_graph_text(sys.stdin.read(), deadline)
+    return graphio.parse_graph_file(path, deadline)
 
 
 def _need(obj, kind):
@@ -324,8 +326,9 @@ def _gen_command(args, started: float):
 
 
 def _product_command(args, started: float):
-    left = _read_structure(args.left)
-    right = _read_structure(args.right)
+    deadline = Deadline(args.timeout_s)
+    left = _read_structure(args.left, deadline)
+    right = _read_structure(args.right, deadline)
     fn = products.cartesian_product if args.cmd == "cartesian" else products.tensor_product
     try:
         product = fn(left, right)
@@ -335,7 +338,8 @@ def _product_command(args, started: float):
 
 
 def _orient_command(args, started: float):
-    g = _need(_read_structure(args.input), Graph)
+    deadline = Deadline(args.timeout_s)
+    g = _need(_read_structure(args.input, deadline), Graph)
     if args.cmd == "random":
         d = randomized.random_orientation(g, randomized.RngSpec(args.seed))
         return None, graphio.format_graph(d), None, EXIT_OK
@@ -344,7 +348,7 @@ def _orient_command(args, started: float):
             g, args.l, randomized.RngSpec(args.seed),
             max_attempts=args.max_attempts,
             break_cliques=args.break_cliques,
-            deadline=Deadline(args.timeout_s))
+            deadline=deadline)
         return None, graphio.format_graph(d), None, EXIT_OK
     count = 1 << g.m
     listed = [records.orientation_bits(o)
@@ -355,8 +359,8 @@ def _orient_command(args, started: float):
 
 
 def _solve_command(args, started: float):
-    obj = _read_structure(args.input)
     deadline = Deadline(args.timeout_s)
+    obj = _read_structure(args.input, deadline)
     if args.cmd == "chromatic":
         cert = solvers.chromatic_number(_need(obj, Graph), deadline)
     elif args.cmd == "graph-dichromatic":
@@ -380,7 +384,8 @@ def _solve_command(args, started: float):
 
 
 def _check_command(args, started: float):
-    obj = _read_structure(args.input)
+    deadline = Deadline(args.timeout_s)
+    obj = _read_structure(args.input, deadline)
     if args.cmd in ("coloring", "dicoloring"):
         colouring = records.coloring_from_payload(
             _read_json(args.coloring_path, obj.n, palette=1, assignment=1))
@@ -396,14 +401,13 @@ def _check_command(args, started: float):
         d = _need(obj, Digraph)
         collection = _load_collection(args, d)
         if args.cmd == "cover":
-            missed = verify_cover_all_acyclic(d, collection, Deadline(args.timeout_s))
+            missed = verify_cover_all_acyclic(d, collection, deadline)
             detail = {"covers_all_acyclic": missed is None}
         else:
             lam = args.lam
             if lam is None:
                 lam = (2 ** 13) * math.log(max(math.isqrt(d.n // 2), 2)) ** 2
-            missed = verify_semicover_all_acyclic(d, collection, lam,
-                                                  Deadline(args.timeout_s))
+            missed = verify_semicover_all_acyclic(d, collection, lam, deadline)
             detail = {"semicovers_all_acyclic": missed is None, "lambda": lam}
         if missed is not None:
             detail["counterexample"] = sorted(missed)
@@ -414,27 +418,27 @@ def _check_command(args, started: float):
 
 def _mc_command(args, started: float):
     rng = randomized.RngSpec(args.seed)
+    deadline = Deadline(args.timeout_s)
     if args.cmd == "biclique":
         if args.graph:
             from .generators import named_graph
 
             g = named_graph(args.graph)
         else:
-            g = _need(_read_structure(args.input), Graph)
+            g = _need(_read_structure(args.input, deadline), Graph)
         payload = randomized.estimate_biclique_event(
-            g, args.l, args.trials, rng, threads=args.threads,
-            deadline=Deadline(args.timeout_s))._asdict()
+            g, args.l, args.trials, rng, threads=args.threads, deadline=deadline)._asdict()
         params = {"l": args.l, "trials": args.trials,
                   "graph": args.graph or ("stdin" if args.input == "-" else args.input)}
     else:
-        d = _need(_read_structure(args.input), Digraph)
+        d = _need(_read_structure(args.input, deadline), Digraph)
         collection = _load_collection(args, d)
         from .covers import estimate_acceptance_probability
 
         L1 = ListAssignment.uniform(d.n, range(1, args.l1 + 1))
         est = estimate_acceptance_probability(
             d, collection, L1, args.l2, args.trials, rng,
-            threads=args.threads, deadline=Deadline(args.timeout_s),
+            threads=args.threads, deadline=deadline,
         )
         payload = {
             **est.event._asdict(),

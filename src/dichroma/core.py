@@ -5,7 +5,12 @@ lattice point, a coordinate pair) lives in an optional per-vertex label.
 Adjacency is kept as one integer bitmask per vertex so that subset and
 neighbourhood tests are single machine operations. All values here but a
 Deadline's poll counter are immutable after construction and safe to
-share between threads.
+share between threads (a structure's pairs are cached on first use, the
+same tuple whoever computes it).
+
+Graph(...) and Digraph(...) validate outside input. Every builder in the
+package whose output is valid by construction fills the masks itself and
+hands them to the one trusted constructor, _Structure._from_masks.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import time
 from collections import namedtuple
 from functools import partial
+from operator import or_
 from types import GeneratorType
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -124,9 +130,14 @@ class _Structure:
     """What a graph and a digraph share: n vertices, the sorted tuple of
     pairs (no loops, none repeated), optional distinct labels, and one
     out- and one in-neighbour bitmask per vertex. A structure equals only
-    one of its own kind."""
+    one of its own kind.
 
-    __slots__ = ("n", "pairs", "labels", "outs", "ins")
+    __init__ checks every pair and label; _from_masks checks nothing.
+    Either way the masks are what is kept; the sorted pairs are read off
+    them row by row on first use, so a structure nobody lists, such as a
+    product a solver only searches, never builds them."""
+
+    __slots__ = ("n", "_pairs", "labels", "outs", "ins")
     _noun = "arc"
     _symmetric = False
 
@@ -134,7 +145,8 @@ class _Structure:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         noun, symmetric = self._noun, self._symmetric
-        seen: set[tuple[int, int]] = set()
+        outs = [0] * n
+        ins = outs if symmetric else [0] * n  # a graph's one mask list takes both ends
         for u, v in pairs:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"{noun} ({u},{v}) out of range for n={n}")
@@ -142,19 +154,42 @@ class _Structure:
                 raise ValueError(f"loop at vertex {u}")
             if symmetric and v < u:
                 u, v = v, u
-            if (u, v) in seen:
+            if outs[u] >> v & 1:
                 raise ValueError(f"duplicate {noun} ({u},{v})")
-            seen.add((u, v))
-        self.n = n
-        self.pairs: tuple[tuple[int, int], ...] = tuple(sorted(seen))
-        self.labels = _check_labels(n, labels)
-        outs = [0] * n
-        ins = outs if symmetric else [0] * n  # a graph's one mask list takes both ends
-        for u, v in self.pairs:
             outs[u] |= 1 << v
             ins[v] |= 1 << u
-        self.outs = tuple(outs)
-        self.ins = self.outs if symmetric else tuple(ins)
+        self._fill(n, outs, ins, _check_labels(n, labels))
+
+    @classmethod
+    def _from_masks(cls, n: int, outs: Iterable[int], ins: Optional[Iterable[int]], labels):
+        """The structure with these out- and in-neighbour masks (ins is
+        not read for a graph) and these labels (a tuple of distinct
+        strings, or None), taken as they are: the caller guarantees that
+        the masks agree and hold no loop and no bit at or above n."""
+        self = object.__new__(cls)
+        self._fill(n, outs, ins, labels)
+        return self
+
+    def _fill(self, n: int, outs, ins, labels) -> None:
+        self.n = n
+        self.labels = labels
+        self.outs = outs = tuple(outs)
+        self.ins = outs if self._symmetric else tuple(ins)
+        self._pairs = None
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        if self._pairs is None:
+            pairs = []
+            for u, row in enumerate(self.outs):
+                if self._symmetric:
+                    row = row >> u << u  # each edge once, from its lower end
+                while row:
+                    low = row & -row
+                    pairs.append((u, low.bit_length() - 1))
+                    row ^= low
+            self._pairs = tuple(pairs)
+        return self._pairs
 
     @property
     def m(self) -> int:
@@ -167,7 +202,7 @@ class _Structure:
         return (
             type(other) is type(self)
             and self.n == other.n
-            and self.pairs == other.pairs
+            and self.outs == other.outs  # the masks hold the same pairs
             and self.labels == other.labels
         )
 
@@ -218,8 +253,7 @@ class Digraph(_Structure):
     def underlying_graph(self) -> Graph:
         """The graph with an edge wherever an arc runs either way; both
         arcs of a digon become one edge."""
-        return Graph(self.n, {(min(u, v), max(u, v)) for u, v in self.pairs},
-                     labels=self.labels)
+        return Graph._from_masks(self.n, map(or_, self.outs, self.ins), None, self.labels)
 
 
 class _Validated:
@@ -247,12 +281,6 @@ class Orientation(_Validated, namedtuple("Orientation", "base direction")):
         if len(direction) != base.m:
             raise ValueError(f"{len(direction)} direction bits for {base.m} edges")
         return super().__new__(cls, base, direction)
-
-    def arcs(self) -> list[tuple[int, int]]:
-        out = []
-        for (u, v), rev in zip(self.base.edges, self.direction):
-            out.append((v, u) if rev else (u, v))
-        return out
 
 
 class Coloring(_Validated, namedtuple("Coloring", "palette assignment")):
@@ -364,14 +392,20 @@ def is_acyclic(d: Digraph) -> bool:
 
 def bidirect(g: Graph) -> Digraph:
     """Replace every edge by the two opposite arcs."""
-    return Digraph(g.n, g.pairs + tuple((v, u) for u, v in g.pairs), labels=g.labels)
+    return Digraph._from_masks(g.n, g.outs, g.outs, g.labels)
 
 
 def apply_orientation(g: Graph, o: Orientation) -> Digraph:
     """Turn g into the oriented digraph selected by o."""
     if o.base is not g and o.base != g:
         raise ValueError("orientation was built for a different graph")
-    return Digraph(g.n, o.arcs(), labels=g.labels)
+    outs, ins = [0] * g.n, [0] * g.n
+    for (u, v), rev in zip(g.pairs, o.direction):
+        if rev:
+            u, v = v, u
+        outs[u] |= 1 << v
+        ins[v] |= 1 << u
+    return Digraph._from_masks(g.n, outs, ins, g.labels)
 
 
 def enumerate_orientations(g: Graph) -> Iterator[Orientation]:
@@ -462,11 +496,19 @@ def induced_subdigraph(x: Digraph | Graph, s: Iterable[int]) -> Digraph | Graph:
             raise ValueError(f"vertex {v} out of range")
     index = {v: i for i, v in enumerate(keep)}
     keep_mask = mask_of(keep)
-    pairs = [
-        (index[u], index[v]) for u, v in x.pairs if keep_mask >> u & 1 and keep_mask >> v & 1
-    ]
-    labels = [x.label(v) for v in keep]
-    return type(x)(len(keep), pairs, labels=labels)
+
+    def rows(masks: Sequence[int]) -> list[int]:
+        out = []
+        for v in keep:
+            row = 0
+            for w in iter_bits(masks[v] & keep_mask):
+                row |= 1 << index[w]
+            out.append(row)
+        return out
+
+    outs = rows(x.outs)
+    ins = None if x._symmetric else rows(x.ins)
+    return type(x)._from_masks(len(keep), outs, ins, tuple(x.label(v) for v in keep))
 
 
 induced_subgraph = induced_subdigraph

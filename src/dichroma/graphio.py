@@ -4,98 +4,111 @@ Format: a header line ``g <n> <m>`` or ``d <n> <m>``, then one line per
 edge ``e u v`` (or arc ``a u v``) with 0-based endpoints, optional label
 lines ``l v <utf8-label>``, blank lines, and ``#`` comments. The writer
 emits a canonical ordering so write/parse round-trips are byte-stable.
+
+The parser reads the text in one pass. It checks each edge or arc line
+and sets it straight into the per-vertex neighbour masks, where a repeat
+is one bit test, and hands the masks to the trusted constructor
+(core._Structure._from_masks), which checks nothing again; only the
+labels are checked once more, for distinctness. A deadline passed in is
+polled once per line.
 """
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Optional, Union
 
-from .core import Digraph, Graph, _vertex_count
-from .errors import GraphFormatError
+from .core import Deadline, Digraph, Graph, _check_labels, _vertex_count
+from .errors import BudgetExceededError, GraphFormatError
 
 __all__ = ["parse_graph_text", "parse_graph_file", "format_graph"]
 
+_OUT_OF_TIME = "unknown: reading the input ran out of time"
 
-def parse_graph_text(text: str) -> Union[Graph, Digraph]:
-    n = m = None
-    directed = False
-    header_seen = False
-    links: list[tuple[int, int]] = []
-    link_set: set[tuple[int, int]] = set()
+
+def parse_graph_text(text: str, deadline: Optional[Deadline] = None) -> Union[Graph, Digraph]:
+    """The graph or digraph the text describes; GraphFormatError, with
+    the line number where one is at fault, when it breaks the format.
+    deadline, if given, is polled once per line and raises
+    BudgetExceededError."""
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:
+        if deadline is not None and deadline.check():
+            raise BudgetExceededError(_OUT_OF_TIME)
+        fields = raw.split()
+        if fields and fields[0][0] != "#":
+            break
+    else:
+        raise GraphFormatError("missing header line")
+    if fields[0] not in ("g", "d") or len(fields) != 3:
+        raise GraphFormatError("expected header 'g <n> <m>' or 'd <n> <m>'", lineno)
+    try:
+        n, m = int(fields[1]), int(fields[2])
+    except ValueError:
+        raise GraphFormatError("header counts must be integers", lineno)
+    if n < 0 or m < 0:
+        raise GraphFormatError("header counts must be nonnegative", lineno)
+    _vertex_count(n)
+    directed = fields[0] == "d"
+    tag, kind = ("a", "arc") if directed else ("e", "edge")
+    outs = [0] * n
+    ins = [0] * n if directed else outs
     labels: dict[int, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        tag = fields[0]
-        if not header_seen:
-            if tag not in ("g", "d") or len(fields) != 3:
-                raise GraphFormatError(
-                    "expected header 'g <n> <m>' or 'd <n> <m>'", lineno
-                )
-            try:
-                n, m = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise GraphFormatError("header counts must be integers", lineno)
-            if n < 0 or m < 0:
-                raise GraphFormatError("header counts must be nonnegative", lineno)
-            _vertex_count(n)
-            directed = tag == "d"
-            header_seen = True
-            continue
-        if tag == "l":
-            if len(fields) < 3:
-                raise GraphFormatError("label line needs 'l <v> <label>'", lineno)
-            try:
-                v = int(fields[1])
-            except ValueError:
-                raise GraphFormatError("label vertex must be an integer", lineno)
-            if not 0 <= v < n:
-                raise GraphFormatError(f"label vertex {v} out of range", lineno)
-            if v in labels:
-                raise GraphFormatError(f"duplicate label for vertex {v}", lineno)
-            labels[v] = line.split(None, 2)[2]
-            continue
-        if tag not in ("e", "a") or len(fields) != 3:
-            raise GraphFormatError(f"unrecognised line {line!r}", lineno)
-        if directed and tag == "e":
-            raise GraphFormatError("edge line 'e' inside a digraph file", lineno)
-        if not directed and tag == "a":
+    links = 0
+    for lineno, raw in lines:
+        if deadline is not None and deadline.check():
+            raise BudgetExceededError(_OUT_OF_TIME)
+        fields = raw.split()
+        if len(fields) != 3 or fields[0] != tag:  # all but a well-formed link line
+            if not fields or fields[0][0] == "#":
+                continue
+            line = raw.strip()
+            if fields[0] == "l":
+                if len(fields) < 3:
+                    raise GraphFormatError("label line needs 'l <v> <label>'", lineno)
+                try:
+                    v = int(fields[1])
+                except ValueError:
+                    raise GraphFormatError("label vertex must be an integer", lineno)
+                if not 0 <= v < n:
+                    raise GraphFormatError(f"label vertex {v} out of range", lineno)
+                if v in labels:
+                    raise GraphFormatError(f"duplicate label for vertex {v}", lineno)
+                labels[v] = line.split(None, 2)[2]
+                continue
+            if fields[0] not in ("e", "a") or len(fields) != 3:
+                raise GraphFormatError(f"unrecognised line {line!r}", lineno)
+            if directed:
+                raise GraphFormatError("edge line 'e' inside a digraph file", lineno)
             raise GraphFormatError("arc line 'a' inside a graph file", lineno)
         try:
             u, v = int(fields[1]), int(fields[2])
         except ValueError:
             raise GraphFormatError("endpoints must be integers", lineno)
         if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError(f"endpoint out of range in {line!r}", lineno)
+            raise GraphFormatError(f"endpoint out of range in {raw.strip()!r}", lineno)
         if u == v:
             raise GraphFormatError(f"loop at vertex {u}", lineno)
-        key = (u, v) if directed else (min(u, v), max(u, v))
-        if key in link_set:
-            kind = "arc" if directed else "edge"
+        if outs[u] >> v & 1:
+            key = (u, v) if directed else (min(u, v), max(u, v))
             raise GraphFormatError(f"duplicate {kind} {key}", lineno)
-        links.append(key)
-        link_set.add(key)
-    if not header_seen:
-        raise GraphFormatError("missing header line")
-    if len(links) != m:
-        raise GraphFormatError(f"header announced {m} links, file has {len(links)}")
-    label_list = None
+        outs[u] |= 1 << v
+        ins[v] |= 1 << u
+        links += 1
+    if links != m:
+        raise GraphFormatError(f"header announced {m} links, file has {links}")
+    label_tuple = None
     if labels:
         if len(labels) != n:
             raise GraphFormatError(
                 f"labels must cover all {n} vertices or none (got {len(labels)})"
             )
-        label_list = [labels[v] for v in range(n)]
-    if directed:
-        return Digraph(n, links, labels=label_list)
-    return Graph(n, links, labels=label_list)
+        label_tuple = _check_labels(n, [labels[v] for v in range(n)])
+    return (Digraph if directed else Graph)._from_masks(n, outs, ins, label_tuple)
 
 
-def parse_graph_file(path) -> Union[Graph, Digraph]:
+def parse_graph_file(path, deadline: Optional[Deadline] = None) -> Union[Graph, Digraph]:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph_text(fh.read())
+        return parse_graph_text(fh.read(), deadline)
 
 
 def format_graph(obj: Union[Graph, Digraph]) -> str:

@@ -147,10 +147,11 @@ class EventEstimate(NamedTuple):
 
 
 def random_orientation(g: Graph, rng: RngSpec) -> Digraph:
-    """Orient every edge by an independent fair bit from its own stream."""
-    direction = tuple(
-        bool(stream_u64(rng, DOMAIN_ORIENTATION, j) >> 63) for j in range(g.m)
-    )
+    """Orient every edge by an independent fair bit from its own stream:
+    edge j gets the top bit of stream_u64(rng, DOMAIN_ORIENTATION, j),
+    whose prefix, the same for every edge, is mixed once."""
+    prefix = mix64(rng.seed ^ mix64(DOMAIN_ORIENTATION))
+    direction = tuple(mix64(mix64(prefix ^ mix64(j))) >> 63 == 1 for j in range(g.m))
     return apply_orientation(g, Orientation(g, direction))
 
 

@@ -736,7 +736,16 @@ def test_cli_solve_csv_reads_back(monkeypatch, tmp_path, capsys):
     assert code == 0 and reader.fieldnames == ["command", "exact", "lower", "upper", "value"]
     assert list(reader) == [{"command": "solve graph-dichromatic", "exact": "True",
                              "lower": "2", "upper": "2", "value": "2"}]
-    monkeypatch.setattr(Deadline, "check", lambda self: True)
+    # the command's deadline also runs while the input is parsed; it
+    # reports time up from the solve's first poll on
+    parse = dichroma.graphio.parse_graph_text
+
+    def parse_then_expire(text, deadline=None):
+        obj = parse(text, deadline)
+        monkeypatch.setattr(Deadline, "check", lambda self: True)
+        return obj
+
+    monkeypatch.setattr(dichroma.graphio, "parse_graph_text", parse_then_expire)
     code, out = _run(capsys, solve)
     assert code == 3
     assert list(csv.DictReader(out.splitlines())) == [

@@ -67,6 +67,16 @@ def test_random_orientation_reproducible_golden():
     assert again.arcs == d.arcs
 
 
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**63 + 5, 2**64 - 1, -3])
+def test_random_orientation_bits_are_the_stream_top_bits(seed):
+    # the hoisted prefix leaves every draw as stream_u64 makes it
+    spec = RngSpec(seed)
+    for g in (Graph(3), path_graph(2), complete_graph(80), path_graph(3001)):
+        arcs = [(v, u) if stream_u64(spec, DOMAIN_ORIENTATION, j) >> 63 else (u, v)
+                for j, (u, v) in enumerate(g.edges)]
+        assert random_orientation(g, spec) == Digraph(g.n, arcs, labels=g.labels)
+
+
 def test_orientation_bits_are_fair():
     spec = RngSpec(123)
     bits = [stream_u64(spec, DOMAIN_ORIENTATION, j) >> 63 for j in range(10_000)]
