@@ -1,31 +1,31 @@
 """Canonical catalogues of small graphs and digraphs.
 
 A graph or digraph on n vertices is a bit mask over vertex pairs: bit i
-stands for the i-th unordered pair in `combinations` order (graphs) or
-the i-th ordered pair in row-major order (digraphs). Its canonical form
-is the least mask over all n! vertex permutations. One relabelling
+stands for the i-th unordered pair in `combinations` order (graphs), or
+the i-th ordered pair in star-first order (digraphs): the arcs (0, v),
+(v, 0) for each v, then the order on the other n-1 vertices. Its canonical
+form is the least mask over all n! vertex permutations. One relabelling
 primitive tabulates, per slice of five positions, the image of each slice
 value under each of a list of permutations, so all images of a mask are
 a few list slices ORed by `map`.
 
-Graphs come by canonical augmentation (McKay, "Isomorph-free exhaustive
-generation", J. Algorithms 1998). The pairs that avoid vertex 0 are the
-top C(n-1, 2) bits, so the least mask of G is least(G - v) << (n-1) | N(v)
-for the vertex v placed at 0. A canonical parent P on n-1 vertices with a
-new vertex 0 joined to x is thus canonical exactly when x is least in its
-Aut(P)-orbit and no vertex w gives a smaller (least(G - w), N(w) mapped
-onto it). An orbit table of every mask on n-1 vertices, filled by
-relabelling the parents, gives least(G - w) and that map, and Aut(P).
-The row-major arc order has no such prefix, so each canonical oriented
-digraph on n-1 vertices gets a new last vertex joined in every possible
-way, and each orbit met among these candidates is expanded once. Class
-counts are asserted in the tests (1, 2, 4, 11, 34, 156, 1044, 12346 for
-graphs; 1, 2, 7, 42, 582 for oriented digraphs; 1, 1, 2, 4 for
-tournaments).
+Both catalogues come by canonical augmentation (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 1998). In either order the pairs
+that avoid vertex 0 are the top bits, the order on n-1 vertices shifted up
+by one vertex, so the least mask of G is least(G - v) << s(n-1) | N(v) for
+the vertex v placed at 0, where vertex 0 has s = 1 position per other
+vertex for graphs and s = 2 for digraphs. A canonical parent P on n-1
+vertices with a new vertex 0 joined to x (never by both arcs, for oriented
+digraphs) is thus canonical exactly when x is least in its Aut(P)-orbit
+and no vertex w gives a smaller (least(G - w), N(w) mapped onto it). An
+orbit table of every mask on n-1 vertices, filled by relabelling the
+parents, gives least(G - w) and that map, and Aut(P). Class counts are
+asserted in the tests (1, 2, 4, 11, 34, 156, 1044, 12346 for graphs;
+1, 2, 7, 42, 582, 21480 for oriented digraphs; 1, 1, 2, 4 for tournaments).
 
-Catalogues are cached per n. A deadline passed in is polled per parent
-(per orbit for oriented digraphs) while a level is built; a build it cuts
-short raises BudgetExceededError and caches nothing.
+Catalogues are cached per n. A deadline passed in is polled per parent,
+in each of two passes, while a level is built; a build it cuts short
+raises BudgetExceededError and caches nothing.
 """
 
 from __future__ import annotations
@@ -60,7 +60,12 @@ def _edge_positions(n: int) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=None)
 def _arc_positions(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((u, v) for u in range(n) for v in range(n) if u != v)
+    """Star-first: the arcs (0, v), (v, 0) for each v, then the order on
+    n - 1 vertices shifted up by one vertex."""
+    if n <= 1:
+        return ()
+    star = tuple(arc for v in range(1, n) for arc in ((0, v), (v, 0)))
+    return star + tuple((u + 1, v + 1) for u, v in _arc_positions(n - 1))
 
 
 def _table(columns: list[list[int]], perms: int) -> list[int]:
@@ -72,15 +77,13 @@ def _table(columns: list[list[int]], perms: int) -> list[int]:
     return table
 
 
-def _relabeller(perms, positions, symmetric: bool) -> tuple[int, list[list[int]]]:
+def _relabeller(perms, positions) -> tuple[int, list[list[int]]]:
     """Tables for _images: permutation p moves vertex u to p[u], so bit i
-    (positions[i], unordered when symmetric) moves to the bit of the
-    permuted pair."""
-    index = {}
-    for i, (u, v) in enumerate(positions):
-        index[(u, v)] = i
-        if symmetric:
-            index[(v, u)] = i
+    moves to the bit of the permuted pair. A pair whose reverse is not a
+    position of its own is unordered."""
+    index = {pair: i for i, pair in enumerate(positions)}
+    for (u, v), i in list(index.items()):
+        index.setdefault((v, u), i)
     moves = [[1 << index[(p[u], p[v])] for p in perms] for u, v in positions]
     return len(perms), [_table(moves[s : s + _SLICE], len(perms))
                         for s in range(0, len(moves), _SLICE)]
@@ -102,40 +105,25 @@ def _poll(deadline: Optional[Deadline], n: int) -> None:
         raise BudgetExceededError(f"deadline reached building the {n}-vertex catalogue")
 
 
-def _canonical_masks(n: int, masks: list[int], positions, symmetric: bool,
-                     deadline: Optional[Deadline] = None) -> list[int]:
-    """Least mask over all vertex permutations, for each input mask. Bit i
-    stands for positions[i]; symmetric means the positions are unordered
-    pairs. Each orbit is expanded once, at its first input mask."""
-    if n <= 1 or not masks:
-        return list(masks)
-    relabeller = _relabeller(list(permutations(range(n))), positions, symmetric)
-    wanted = set(masks)
-    least: dict[int, int] = {}
-    for x in masks:
-        if x not in least:
-            _poll(deadline, n)
-            images = _images(relabeller, x)
-            lowest = min(images)
-            for y in wanted.intersection(images):
-                least[y] = lowest
-    return [least[x] for x in masks]
-
-
-def _augment(k: int, parents: list[int], deadline: Optional[Deadline]) -> list[int]:
-    """Ascending least masks of the graphs on k + 1 vertices, from the
-    ascending least masks of those on k vertices (see the module doc)."""
+def _augment(k: int, parents: list[int], positions, stride: int,
+             deadline: Optional[Deadline]) -> list[int]:
+    """Ascending least masks of the members on k + 1 vertices, from the
+    ascending least masks of those on k vertices (see the module doc).
+    positions(n) orders the pairs on n vertices; the new vertex 0 has
+    stride positions per old vertex, and a join may set at most one."""
     from array import array  # here, so that importing the CLI does not load it
 
     perms = list(permutations(range(k)))
     f = len(perms)
-    relabeller = _relabeller(perms, _edge_positions(k), True)
-    # entry y * f + i: the vertex set y moved by the inverse of perms[i]
+    star = stride * k
+    relabeller = _relabeller(perms, positions(k))
+    # entry y * f + i: the join y moved by the inverse of perms[i]
     inverses = [sorted(range(k), key=p.__getitem__) for p in perms]
-    inverse = _table([[1 << q[v] for q in inverses] for v in range(k)], f)
+    inverse = _table([[1 << stride * q[v] + b for q in inverses]
+                      for v in range(k) for b in range(stride)], f)
     # entry of mask Q: p * f + i where perms[i] moves parents[p] onto Q
-    orbits = array("i", bytes(4 << len(_edge_positions(k))))
-    least = []  # per parent, the least vertex set in each Aut(P)-orbit
+    orbits = array("i", bytes(4 << len(positions(k))))
+    least = []  # per parent, the least join in each Aut(P)-orbit
     for p, mask in enumerate(parents):
         _poll(deadline, k + 1)
         images = _images(relabeller, mask)
@@ -143,29 +131,30 @@ def _augment(k: int, parents: list[int], deadline: Optional[Deadline]) -> list[i
             orbits[q] = entry
         automorphisms = compress(count(), map(mask.__eq__, images))
         least.append(list(map(min, zip(*(inverse[a::f] for a in automorphisms)))))
-    # moving vertex w to 0 turns the mask of G into (G - w) << k | N(w); a
-    # relabelling maps ORs to ORs, so the images of P << k | x are those of
-    # P << k ORed with those of x
+    # moving vertex w to 0 turns the mask of G into (G - w) << star | N(w);
+    # a relabelling maps ORs to ORs, so the images of P << star | x are
+    # those of P << star ORed with those of x
     fronts = _relabeller([(*range(1, w + 1), 0, *range(w + 1, k + 1)) for w in range(1, k + 1)],
-                         _edge_positions(k + 1), True)
-    joins = [_images(fronts, x) for x in range(1 << k)]
-    low = (1 << k) - 1
+                         positions(k + 1))
+    joins = [_images(fronts, x) for x in range(1 << star)]
+    low = (1 << star) - 1
+    both = sum(1 << 2 * v for v in range(k)) if stride == 2 else 0  # arcs (0, v), (v, 0)
     out = []
     for p, mask in enumerate(parents):
         _poll(deadline, k + 1)
         lo, hi, orbit_least = p * f, p * f + f, least[p]
-        rest = _images(fronts, mask << k)
-        for x in range(1 << k):
-            if orbit_least[x] != x:
+        rest = _images(fronts, mask << star)
+        for x in range(1 << star):
+            if orbit_least[x] != x or x & x >> 1 & both:
                 continue
             for image in map(or_, rest, joins[x]):
-                entry = orbits[image >> k]
+                entry = orbits[image >> star]
                 if entry < lo:
                     break  # G - w is a smaller parent
                 if entry < hi and orbit_least[inverse[(image & low) * f + entry - lo]] < x:
                     break  # G - w is P, and N(w) maps below x
             else:
-                out.append(mask << k | x)
+                out.append(mask << star | x)
     return out
 
 
@@ -210,8 +199,8 @@ def graph_catalogue(n: int, deadline: Optional[Deadline] = None) -> tuple[Graph,
     if n > 8:  # the orbit table on 8 vertices would hold 2**28 entries (1 GiB)
         raise LimitExceededError("graph catalogues stop at 8 vertices")
     parents = _masks((g.edges for g in graph_catalogue(n - 1, deadline)), _edge_positions(n - 1))
-    positions = _edge_positions(n)
-    return tuple(_from_mask(Graph, n, positions, m) for m in _augment(n - 1, parents, deadline))
+    masks = _augment(n - 1, parents, _edge_positions, 1, deadline)
+    return tuple(_from_mask(Graph, n, _edge_positions(n), m) for m in masks)
 
 
 def graphs_up_to(max_n: int, deadline: Optional[Deadline] = None) -> list[Graph]:
@@ -227,23 +216,14 @@ def graphs_up_to(max_n: int, deadline: Optional[Deadline] = None) -> list[Graph]
 @_cached_on_n
 def oriented_catalogue(n: int, deadline: Optional[Deadline] = None) -> tuple[Digraph, ...]:
     """All orientations of graphs on n vertices (no digons), one per
-    isomorphism class."""
+    isomorphism class, in ascending least mask."""
     if n <= 1:
         return (Digraph(n),)
-    if n > 6:  # the 21,480 parents on 6 vertices give 15.6 million candidates
+    if n > 6:  # the orbit table on 6 vertices would hold 2**30 entries (4 GiB)
         raise LimitExceededError("oriented catalogues stop at 6 vertices")
-    positions = _arc_positions(n)
-    index = {p: i for i, p in enumerate(positions)}
-    joins = [0]  # the new last vertex: no arc, or an arc either way, to each other
-    for v in range(n - 1):
-        ways = (0, 1 << index[(v, n - 1)], 1 << index[(n - 1, v)])
-        joins = [x | way for x in joins for way in ways]
-    parents = _masks((d.arcs for d in oriented_catalogue(n - 1, deadline)), positions)
-    candidates = [base | x for base in parents for x in joins]
-    masks = sorted(set(_canonical_masks(n, candidates, positions, False, deadline)))
-    out = [_from_mask(Digraph, n, positions, m) for m in masks]
-    out.sort(key=lambda d: (d.m, d.arcs))
-    return tuple(out)
+    parents = _masks((d.arcs for d in oriented_catalogue(n - 1, deadline)), _arc_positions(n - 1))
+    masks = _augment(n - 1, parents, _arc_positions, 2, deadline)
+    return tuple(_from_mask(Digraph, n, _arc_positions(n), m) for m in masks)
 
 
 @_cached_on_n

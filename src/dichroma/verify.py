@@ -24,6 +24,7 @@ from .core import (
     is_proper_dicoloring,
     mask_of,
 )
+from .errors import LimitExceededError
 from .parallel import parallel_map
 from .products import cartesian_product, tensor_product
 from .randomized import RngSpec, uniform_below
@@ -53,6 +54,10 @@ __all__ = [
 KNESER_CHI_CASES = ((4, 1), (5, 1), (5, 2), (6, 2), (7, 2), (7, 3))
 
 _DOM_SIZE = 0x51
+
+# admits the 232,221 pairs of the 681 digraphs on at most 5 vertices, and
+# refuses the 6-vertex catalogue's quarter of a billion before they are listed
+_MAX_CATALOGUE_PAIRS = 1_000_000
 
 
 class SuiteResult(namedtuple("SuiteResult", "name ok rows summary unknown")):
@@ -171,27 +176,29 @@ def _product_rows(pairs: list[tuple[str, Digraph, Digraph]], solves: _SuiteSolve
     cache: dict[Digraph, Optional[Certificate]] = {}
 
     def factor(d: Digraph) -> Optional[Certificate]:
-        if d not in cache:
-            cache[d] = solves.cert(dichromatic_number, d)
-        return cache[d]
+        cert = cache.get(d, cache)  # one hash per factor of each pair
+        if cert is cache:
+            cert = cache[d] = solves.cert(dichromatic_number, d)
+        return cert
 
-    for _, g, h in pairs:
-        factor(g)
-        factor(h)
+    tasks = [(tag, g, h, factor(g), factor(h)) for tag, g, h in pairs]
 
-    def solve(task: tuple[str, Digraph, Digraph]) -> dict:
-        tag, g, h = task
-        factors = factor(g), factor(h)
+    def solve(task: tuple) -> dict:
+        tag, g, h, *factors = task
         cg, ch = map(_exact_value, factors)
         known = cg is not None and ch is not None and not solves.deadline.expired()
         return {"pair": tag, "n_left": g.n, "n_right": h.n, "chi_left": cg, "chi_right": ch,
                 **fill(g, h, factors if known else None)}
 
-    return parallel_map(solve, pairs, threads)
+    return parallel_map(solve, tasks, threads)
 
 
 def _catalogue_pairs(max_n: int, deadline: Deadline) -> list[tuple[str, Digraph, Digraph]]:
     entries = digraph_catalogue(max_n, deadline)
+    count = len(entries) * (len(entries) + 1) // 2
+    if count > _MAX_CATALOGUE_PAIRS:
+        raise LimitExceededError(f"the catalogue on at most {max_n} vertices gives {count:,} "
+                                 f"pairs; product suites stop at {_MAX_CATALOGUE_PAIRS:,}")
     return [(f"cat:{i}x{j}", entries[i], entries[j])
             for i in range(len(entries)) for j in range(i, len(entries))]
 

@@ -8,7 +8,6 @@ from dichroma import catalogue
 from dichroma.catalogue import (
     _arc_positions,
     _augment,
-    _canonical_masks,
     _edge_positions,
     bidirected_catalogue,
     digraph_catalogue,
@@ -24,15 +23,19 @@ from dichroma.randomized import RngSpec
 from oracles import brute_canonical_masks, isomorphic_graphs
 
 KNOWN_GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
-KNOWN_ORIENTED_COUNTS = {1: 1, 2: 2, 3: 7, 4: 42, 5: 582}
+KNOWN_ORIENTED_COUNTS = {1: 1, 2: 2, 3: 7, 4: 42, 5: 582, 6: 21480}
 
 # sha256 of repr() of the (n, edges) tuples of graph_catalogue(1..7) and of
-# the (n, arcs) tuples of oriented_catalogue(1..5), in catalogue order, as
-# the per-permutation loop canonicalisers produced them
+# the (n, arcs) tuples of oriented_catalogue(1..5), in catalogue order: the
+# graphs as the per-permutation loop canonicalisers produced them, the
+# oriented digraphs once every member was checked to be the brute-force least
+# mask in the star-first arc order
 GRAPH_DIGEST = "6d3f70d7b79652338613bf1e5f0548d7f8061dd1a0a17dfef7722a6c87789ae3"
-ORIENTED_DIGEST = "566cb674fc72839c301862926341a87a066bd811e4d194c1ce0753c666cf10d8"
+ORIENTED_DIGEST = "09deb067b5aef641747085d63db8890377c895ff92b8fa2aef3422acab733725"
 
-EDGES, ARCS = (_edge_positions, True), (_arc_positions, False)
+# (pair order, unordered pairs, catalogue)
+EDGES = (_edge_positions, True, graph_catalogue)
+ARCS = (_arc_positions, False, oriented_catalogue)
 
 
 def _relabel(mask, perm, positions, symmetric):
@@ -60,33 +63,50 @@ def test_catalogues_pinned():
     _assert_pinned()
 
 
+def _member_masks(kind, n):
+    pairs, _, build = kind
+    index = {p: i for i, p in enumerate(pairs(n))}
+    return [sum(1 << index[p] for p in member.pairs) for member in build(n)]
+
+
+def _pair_states(n, kind, states):
+    """The mask of each tuple of per-pair states: for each unordered pair u < v
+    in combinations order, 0 leaves it empty, 1 sets (u, v) and 2 (v, u)."""
+    pairs, symmetric, _ = kind
+    index = {p: i for i, p in enumerate(pairs(n))}
+    ways = [(0, 1 << index[(u, v)]) if symmetric else (0, 1 << index[(u, v)], 1 << index[(v, u)])
+            for u, v in itertools.combinations(range(n), 2)]
+    return [sum(way[s] for way, s in zip(ways, state)) for state in states]
+
+
 @pytest.mark.parametrize("kind, max_n", [(EDGES, 5), (ARCS, 4)])
 def test_canonical_masks_match_brute_force_on_every_mask(kind, max_n):
-    pairs, symmetric = kind
+    # the members are exactly the least masks of every graph or oriented
+    # digraph, so each member is its own least mask and each class has one
+    pairs, symmetric, _ = kind
     for n in range(max_n + 1):
-        positions = pairs(n)
-        masks = list(range(1 << len(positions)))
-        assert _canonical_masks(n, masks, positions, symmetric) == brute_canonical_masks(
-            n, masks, positions, symmetric)
+        states = itertools.product(range(3 - symmetric), repeat=n * (n - 1) // 2)
+        masks = _pair_states(n, kind, states)
+        least = sorted(set(brute_canonical_masks(n, masks, pairs(n), symmetric)))
+        assert _member_masks(kind, n) == least
 
 
-@pytest.mark.parametrize("kind, n, count", [(EDGES, 7, 500), (ARCS, 5, 500), (ARCS, 7, 20)])
+@pytest.mark.parametrize("kind, n, count", [(EDGES, 7, 500), (ARCS, 5, 500), (ARCS, 6, 200)])
 def test_canonical_masks_on_random_masks(kind, n, count):
-    # arcs on 7 vertices: 42-bit masks and 5,040 permutations
-    pairs, symmetric = kind
-    positions = pairs(n)
+    # the least mask of each random graph or oriented digraph is a member
+    pairs, symmetric, _ = kind
     rng = random.Random(1998 + n)
-    masks = [rng.getrandbits(len(positions)) for _ in range(count)]
-    canonical = _canonical_masks(n, masks, positions, symmetric)
-    assert canonical == brute_canonical_masks(n, masks, positions, symmetric)
-    relabelled = [_relabel(m, rng.sample(range(n), n), positions, symmetric) for m in masks]
-    assert _canonical_masks(n, relabelled, positions, symmetric) == canonical
+    states = [[rng.randrange(3 - symmetric) for _ in range(n * (n - 1) // 2)] for _ in range(count)]
+    least = brute_canonical_masks(n, _pair_states(n, kind, states), pairs(n), symmetric)
+    assert set(least) <= set(_member_masks(kind, n))
 
 
-def _extension_masks(n, parents, positions, symmetric):
+def _extension_masks(n, kind):
     """The canonical extension path: sorted distinct least masks of every
-    parent (the pairs of a member on n-1 vertices) with a new last vertex
-    joined to the others in every possible way."""
+    member on n-1 vertices with a new last vertex joined to the others in
+    every possible way."""
+    pairs, symmetric, build = kind
+    positions = pairs(n)
     index = {p: i for i, p in enumerate(positions)}
     joins = [0]
     for v in range(n - 1):
@@ -94,17 +114,19 @@ def _extension_masks(n, parents, positions, symmetric):
         if not symmetric:
             ways.append(1 << index[(n - 1, v)])
         joins = [x | way for x in joins for way in ways]
-    candidates = [sum(1 << index[p] for p in pairs) | x for pairs in parents for x in joins]
-    return sorted(set(_canonical_masks(n, candidates, positions, symmetric)))
+    candidates = [sum(1 << index[p] for p in member.pairs) | x
+                  for member in build(n - 1) for x in joins]
+    return sorted(set(brute_canonical_masks(n, candidates, positions, symmetric)))
 
 
 def test_augmentation_matches_extension():
-    for n in range(2, 7):
-        parents = [g.edges for g in graph_catalogue(n - 1)]
-        index = {p: i for i, p in enumerate(_edge_positions(n - 1))}
-        parent_masks = [sum(1 << index[e] for e in edges) for edges in parents]
-        assert _augment(n - 1, parent_masks, None) == _extension_masks(
-            n, parents, _edge_positions(n), True)
+    # so every member on up to 6 vertices (graphs) or 5 (oriented digraphs)
+    # is the brute-force least mask of its class, and each class has one
+    for kind, stride, max_n in ((EDGES, 1, 6), (ARCS, 2, 5)):
+        for n in range(2, max_n + 1):
+            parents = _member_masks(kind, n - 1)
+            assert (_augment(n - 1, parents, kind[0], stride, None) == _extension_masks(n, kind)
+                    == _member_masks(kind, n))
 
 
 def _clear_catalogues():
@@ -120,7 +142,8 @@ def test_catalogue_builds_poll_the_deadline(monkeypatch):
     with pytest.raises(BudgetExceededError, match="7-vertex"):
         graphs_up_to(7, Deadline(60))
     polls = itertools.count(1)
-    # oriented digraphs poll once per orbit: 2 + 7 + 42 on 2..4 vertices
+    monkeypatch.setattr(Deadline, "expired", lambda self: next(polls) > 50)
+    # oriented levels poll the same way: 20 polls build 2..4 vertices
     with pytest.raises(BudgetExceededError, match="5-vertex"):
         digraph_catalogue(5, Deadline(60))
     # the levels finished before the deadline are cached, on n alone, and
@@ -144,7 +167,6 @@ def test_catalogues_past_their_memory_limit_are_refused(monkeypatch):
         raise AssertionError("a catalogue level was built")
 
     monkeypatch.setattr(catalogue, "_augment", build_level)
-    monkeypatch.setattr(catalogue, "_canonical_masks", build_level)
     for build, n in ((graph_catalogue, 9), (oriented_catalogue, 7),
                      (graphs_up_to, 9), (digraph_catalogue, 7)):
         with pytest.raises(LimitExceededError, match="catalogues stop at"):
@@ -152,10 +174,11 @@ def test_catalogues_past_their_memory_limit_are_refused(monkeypatch):
 
 
 def test_canonical_masks_trivial_inputs():
-    assert _canonical_masks(0, [0], (), True) == [0]
-    assert _canonical_masks(2, [1], _edge_positions(2), True) == [1]
-    assert _canonical_masks(1, [0], (), False) == [0]
-    assert _canonical_masks(4, [], _edge_positions(4), True) == []
+    assert _augment(0, [0], _edge_positions, 1, None) == [0]
+    assert _augment(0, [0], _arc_positions, 2, None) == [0]
+    assert _augment(1, [0], _edge_positions, 1, None) == [0, 1]
+    assert _augment(1, [0], _arc_positions, 2, None) == [0, 1]
+    assert _augment(4, [], _edge_positions, 1, None) == []
 
 
 def test_graph_class_counts():

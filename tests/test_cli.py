@@ -415,19 +415,32 @@ def test_cli_import_leaves_numpy_unloaded():
     assert out.split() == ["False", "[]", "True", "False"]
 
 
-@pytest.mark.parametrize("argv", [["verify", "bidirect", "--max-n", "8"],
-                                  ["verify", "tensor-bound", "--max-n", "6"]])
+@pytest.mark.parametrize("argv", [["verify", "bidirect", "--max-n", "8", "--timeout-s", "1"],
+                                  ["verify", "tensor-bound", "--max-n", "6", "--timeout-s", "5"]])
 def test_cli_catalogue_build_stops_at_the_deadline(argv):
-    # the 8-vertex graph catalogue and the 6-vertex oriented one each take
-    # seconds to build; a one-second deadline cuts the build short
+    # the 8-vertex graph catalogue takes seconds to build, and a one-second
+    # deadline cuts the build short; the 6-vertex oriented one builds in
+    # time, and its 249 million product pairs are refused before they are
+    # listed. A 2 GiB address-space cap turns a list that outgrows memory
+    # into a failure of this test alone.
+    import resource
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
     src = str(Path(dichroma.__file__).resolve().parents[1])
     started = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "dichroma.cli", *argv, "--timeout-s", "1"],
-                          capture_output=True, text=True, timeout=120,
+    proc = subprocess.run([sys.executable, "-m", "dichroma.cli", *argv],
+                          capture_output=True, text=True, timeout=120, preexec_fn=cap_memory,
                           env={**os.environ, "PYTHONPATH": src})
-    assert (proc.returncode, proc.stdout) == (3, "")
-    assert proc.stderr.startswith("dichroma: budget exceeded: deadline reached building the ")
-    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("-vertex catalogue\n")
+    if argv[1] == "bidirect":
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.startswith("dichroma: budget exceeded: deadline reached building the ")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("-vertex catalogue\n")
+    else:
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == ("dichroma: the catalogue on at most 6 vertices gives 249,013,086 "
+                               "pairs; product suites stop at 1,000,000\n")
     assert time.perf_counter() - started < 30
 
 
