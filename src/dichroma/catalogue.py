@@ -43,7 +43,6 @@ __all__ = [
     "graph_catalogue",
     "graphs_up_to",
     "oriented_catalogue",
-    "bidirected_catalogue",
     "digraph_catalogue",
     "random_digraph",
 ]
@@ -226,24 +225,17 @@ def oriented_catalogue(n: int, deadline: Optional[Deadline] = None) -> tuple[Dig
     return tuple(_from_mask(Digraph, n, _arc_positions(n), m) for m in masks)
 
 
-@_cached_on_n
-def bidirected_catalogue(n: int, deadline: Optional[Deadline] = None) -> tuple[Digraph, ...]:
-    """Bidirected versions of the canonical graphs on n vertices."""
-    return tuple(bidirect(g) for g in graph_catalogue(n, deadline))
-
-
 def digraph_catalogue(max_n: int, deadline: Optional[Deadline] = None) -> list[Digraph]:
-    """Oriented plus bidirected representatives on 1..max_n vertices, with
-    the shared edgeless digraphs listed once."""
+    """Oriented plus bidirected representatives on 1..max_n vertices. Both
+    catalogues list ascending least masks, so each starts with the
+    edgeless digraph, listed once; every other bidirected member has a
+    digon, and no oriented one has."""
     if max_n >= 1:
         oriented_catalogue(max_n, deadline)  # a size past the limit fails before any build
     out: list[Digraph] = []
     for n in range(1, max_n + 1):
-        seen: set[Digraph] = set()
-        for d in oriented_catalogue(n, deadline) + bidirected_catalogue(n, deadline):
-            if d not in seen:
-                seen.add(d)
-                out.append(d)
+        out.extend(oriented_catalogue(n, deadline))
+        out.extend(bidirect(g) for g in graph_catalogue(n, deadline)[1:])
     return out
 
 

@@ -26,7 +26,7 @@ from .core import (
     iter_bits,
     mask_of,
 )
-from .errors import BudgetExceededError, LimitExceededError
+from .errors import LimitExceededError
 from .randomized import (
     DOMAIN_SUBLIST,
     EventEstimate,
@@ -209,7 +209,7 @@ def _covered_partition_search(
     Deadline()) at every node; find raises BudgetExceededError when it
     runs out. That search never tests an empty class, so find is None for
     all lists when some vertex lies in no member."""
-    from .solvers import _TimeUp, _degeneracy_order, _palette_search
+    from .solvers import _degeneracy_order, _palette_search
 
     n = d.n
     members_with = [0] * n  # vertex -> the mask of the members holding it
@@ -229,15 +229,7 @@ def _covered_partition_search(
             rest ^= low
         return not alive or _extension_cyclic(outs, ins, cm, v)
 
-    search = _palette_search(clash, _degeneracy_order(d), palette, deadline or Deadline())
-
-    def find(lists) -> Optional[list[int]]:
-        try:
-            return search(lists)
-        except _TimeUp:
-            raise BudgetExceededError("unknown: partition search ran out of time") from None
-
-    return find
+    return _palette_search(clash, _degeneracy_order(d), palette, deadline or Deadline())
 
 
 class AcceptanceEstimate(NamedTuple):

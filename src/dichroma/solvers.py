@@ -38,6 +38,7 @@ from .core import (
     is_acyclic,
     iter_bits,
 )
+from .errors import BudgetExceededError
 
 __all__ = [
     "Certificate",
@@ -72,10 +73,6 @@ class Certificate(NamedTuple):
     detail: str = ""
 
 
-class _TimeUp(Exception):
-    pass
-
-
 def _degree_order(masks) -> list[int]:
     return sorted(range(len(masks)), key=lambda v: (-masks[v].bit_count(), v))
 
@@ -91,42 +88,29 @@ def _greedy_clique(adj) -> list[int]:
     return clique
 
 
-def _class_test(outs, ins=None, forests=False):
+def _class_test(outs, ins=None):
     """The class test clash(class mask, v), true when v may not join the
-    class: v has a neighbour in it (a graph, outs = adj), v closes a
-    directed cycle in it (a digraph, outs and ins), or, with forests, v
-    closes a cycle in the forest it induces (outs = adj). Closures, not
-    partial objects: Python-to-Python calls are cheaper, and
-    _extension_cyclic and _forest_clash are looked up at each call."""
-    if forests:
-        return lambda mask, v: _forest_clash(outs, mask, v)
+    class: v has a neighbour in it (a graph, outs = adj) or v closes a
+    directed cycle in it (a digraph, outs and ins). Closures, not partial
+    objects: Python-to-Python calls are cheaper, and _extension_cyclic is
+    looked up at each call."""
     if ins is None:
         return lambda mask, v: outs[v] & mask
     return lambda mask, v: _extension_cyclic(outs, ins, mask, v)
 
 
-def _greedy_coloring(clash, order) -> list[int]:
-    """First fit in the given order: each vertex joins the first class
-    that passes clash, or opens a new one. It is the first descent of the
-    k-class search at k = n, which never backtracks and polls no deadline."""
-    n = len(order)
-    search = _ListSearch(clash, order, n)
-    search.find([tuple(range(n))] * n, 0, True)
-    return search.colour
-
-
-def _search_dicoloring(clash, order, k, deadline) -> Optional[list[int]]:
-    """Find a colouring of the vertices of order with k classes that all
-    pass clash, or prove none exists; with the tests of _class_test it
-    colours a graph, dicolours a digraph or partitions a graph into
-    induced forests.
+def _search_dicoloring(search, k) -> Optional[list[int]]:
+    """Find a colouring of the vertices of search with k classes that all
+    pass its class test, or prove none exists; with the tests of
+    _class_test it colours a graph or dicolours a digraph, with
+    _forest_clash it partitions a graph into induced forests.
 
     The list search with every list 0..k-1 and the first-use break: a
     vertex may open at most one class beyond those already used, which
     breaks class-permutation symmetry.
     """
-    search = _ListSearch(clash, order, k, deadline)
-    return search.colour if search.find([tuple(range(k))] * len(order), 0, True) else None
+    found = search.find([tuple(range(k))] * len(search.colour), 0, True)
+    return search.colour if found else None
 
 
 def _exact_certificate(k: int, assignment: list[int], detail: str) -> Certificate:
@@ -137,13 +121,20 @@ def _exact_certificate(k: int, assignment: list[int], detail: str) -> Certificat
 def _least_classes(clash, order, lower, deadline, raise_lower=None) -> Certificate:
     """The fewest classes passing clash that partition the vertices of
     order, searched upward from lower (first raised to raise_lower() when
-    given) to the class count of the first-fit colouring in order. On a
-    timeout the bracket is [classes under test, first fit], with the
-    first-fit colouring as witness."""
-    if not order:
+    given) to the class count of the first-fit colouring in order. One
+    _ListSearch with n colours serves the solve: first fit is its first
+    descent at k = n, which never backtracks and runs before the search
+    gets deadline, and every k-level reuses it. On a timeout the bracket
+    is [classes under test, first fit], with the first-fit colouring as
+    witness."""
+    n = len(order)
+    if not n:
         return Certificate(0, True, 0, 0, witness=Coloring((), ()), detail="empty")
-    greedy = _greedy_coloring(clash, order)
+    search = _ListSearch(clash, order, n)
+    search.find([tuple(range(n))] * n, 0, True)
+    greedy = list(search.colour)
     upper = max(greedy) + 1
+    search.deadline = deadline
     k = lower
     try:
         if raise_lower is not None:
@@ -151,11 +142,11 @@ def _least_classes(clash, order, lower, deadline, raise_lower=None) -> Certifica
         if lower >= upper:
             return _exact_certificate(upper, greedy, f"lower bound {lower} meets greedy")
         while k < upper:
-            found = _search_dicoloring(clash, order, k, deadline)
+            found = _search_dicoloring(search, k)
             if found is not None:
                 return _exact_certificate(k, found, f"refuted {k - 1}" if k > lower else "found at lower bound")
             k += 1
-    except _TimeUp:
+    except BudgetExceededError:
         witness = Coloring(tuple(range(upper)), tuple(greedy))
         return Certificate(
             None, False, k, upper, witness=witness,
@@ -165,9 +156,10 @@ def _least_classes(clash, order, lower, deadline, raise_lower=None) -> Certifica
 
 
 def _exact_value(cert: Certificate) -> int:
-    """The value of an exact certificate; _TimeUp for a timed-out one."""
+    """The value of an exact certificate; BudgetExceededError for a
+    timed-out one."""
     if not cert.exact:
-        raise _TimeUp
+        raise BudgetExceededError(f"unknown: {cert.detail}")
     return cert.value
 
 
@@ -231,7 +223,8 @@ def _forest_clash(adj, mask: int, v: int) -> bool:
 def _vertex_arboricity(adj, deadline: Deadline) -> Certificate:
     """The fewest induced forests partitioning the vertices; on a timeout,
     the bracket ends at the first-fit forest count."""
-    return _least_classes(_class_test(adj, forests=True), _degree_order(adj), 1, deadline)
+    return _least_classes(lambda mask, v: _forest_clash(adj, mask, v), _degree_order(adj), 1,
+                          deadline)
 
 
 def dichromatic_number_of_graph(g: Graph, deadline: Optional[Deadline] = None) -> Certificate:
@@ -303,7 +296,7 @@ def _smallest_last(outs, ins, deadline: Optional[Deadline] = None) -> tuple[list
 
     Bucket d is the mask of the vertices whose minimum is d; a removal
     moves each neighbour down at most one bucket. The clock of deadline,
-    when given, is read at every removal (_TimeUp)."""
+    when given, is read at every removal (BudgetExceededError)."""
     n = len(outs)
     d_out = [o.bit_count() for o in outs]
     d_in = [i.bit_count() for i in ins]
@@ -317,7 +310,7 @@ def _smallest_last(outs, ins, deadline: Optional[Deadline] = None) -> tuple[list
     low = worst = 0
     for _ in range(n):
         if deadline is not None and deadline.expired():
-            raise _TimeUp
+            raise BudgetExceededError("unknown: peeling the k-cores ran out of time")
         while not buckets[low]:
             low += 1
         bucket = buckets[low]
@@ -355,7 +348,8 @@ class _ListSearch:
     """The one backtracking search of this module, set up once: the
     vertex order, the class test clash(class mask, v) (true when v may not
     join the class), the number of colours, 0..colours-1, which index the
-    class masks, and the deadline, polled at every node when given. The
+    class masks, and the deadline, polled at every node when given (it
+    raises BudgetExceededError), which may be set between searches. The
     search never tests an empty class, so the class test must accept
     every singleton class.
 
@@ -396,7 +390,7 @@ class _ListSearch:
         n = len(order)
         i = p = 0  # the depth of the current node, and its next colour's index
         if deadline is not None and deadline.check():
-            raise _TimeUp
+            raise BudgetExceededError("unknown: partition search ran out of time")
         while i < n:
             v = order[i]
             lst = lists[v]
@@ -416,7 +410,7 @@ class _ListSearch:
                 i += 1
                 p = 0
                 if deadline is not None and deadline.check():
-                    raise _TimeUp
+                    raise BudgetExceededError("unknown: partition search ran out of time")
                 break
             else:
                 colour[v] = None
@@ -630,7 +624,7 @@ def _list_number(obj, deadline: Optional[Deadline]) -> Certificate:
     bound = "degeneracy" if graph else "in/out-degeneracy"
     try:
         order, core = _smallest_last(obj.outs, obj.ins, deadline)
-    except _TimeUp:
+    except BudgetExceededError:
         return Certificate(None, False, 1, n, detail="timeout while peeling the k-cores")
     upper = 1 + max(core)
     rejecting: Optional[ListAssignment] = None
@@ -667,7 +661,7 @@ def _list_number(obj, deadline: Optional[Deadline]) -> Certificate:
                     k, True, k, k, rejecting_assignment=rejecting,
                     detail=f"every canonical {k}-assignment{where} accepts a colouring",
                 )
-        except _TimeUp:
+        except BudgetExceededError:
             return Certificate(
                 None, False, k, upper, rejecting_assignment=rejecting,
                 detail=f"timeout at k={k} after {searched} searched assignments",

@@ -24,7 +24,7 @@ from .core import (
     is_proper_dicoloring,
     mask_of,
 )
-from .errors import LimitExceededError
+from .errors import BudgetExceededError, LimitExceededError
 from .parallel import parallel_map
 from .products import cartesian_product, tensor_product
 from .randomized import RngSpec, uniform_below
@@ -77,8 +77,8 @@ class _SuiteSolves:
     Deadline()), shared by forked workers because its instant is an
     absolute clock reading. A solve due after the deadline is not started:
     it gives None, so its row reads unknown. The suite's catalogue builds
-    poll the same deadline, and one it cuts short raises
-    BudgetExceededError, since no row exists yet."""
+    and random-pair draws poll the same deadline, and one it cuts short
+    raises BudgetExceededError, since no row exists yet."""
 
     def __init__(self, deadline: Optional[Deadline]):
         self.deadline = deadline or Deadline()
@@ -193,11 +193,15 @@ def _product_rows(pairs: list[tuple[str, Digraph, Digraph]], solves: _SuiteSolve
     return parallel_map(solve, tasks, threads)
 
 
-def _catalogue_pairs(max_n: int, deadline: Deadline) -> list[tuple[str, Digraph, Digraph]]:
+def _catalogue_pairs(max_n: int, deadline: Deadline,
+                     random_pairs: int = 0) -> list[tuple[str, Digraph, Digraph]]:
+    """The catalogue's pairs, refused when they and the random pairs still
+    to be drawn exceed _MAX_CATALOGUE_PAIRS."""
     entries = digraph_catalogue(max_n, deadline)
-    count = len(entries) * (len(entries) + 1) // 2
+    count = len(entries) * (len(entries) + 1) // 2 + random_pairs
     if count > _MAX_CATALOGUE_PAIRS:
-        raise LimitExceededError(f"the catalogue on at most {max_n} vertices gives {count:,} "
+        gives = f" and {random_pairs:,} random pairs give" if random_pairs else " gives"
+        raise LimitExceededError(f"the catalogue on at most {max_n} vertices{gives} {count:,} "
                                  f"pairs; product suites stop at {_MAX_CATALOGUE_PAIRS:,}")
     return [(f"cat:{i}x{j}", entries[i], entries[j])
             for i in range(len(entries)) for j in range(i, len(entries))]
@@ -215,9 +219,11 @@ def sabidussi_suite(
     the factors, and the modular sum colouring of optimal factor
     colourings is proper."""
     solves = _SuiteSolves(deadline)
-    pairs = _catalogue_pairs(max_n, solves.deadline)
+    pairs = _catalogue_pairs(max_n, solves.deadline, random_pairs)
     rng = RngSpec(seed)
     for i in range(random_pairs):
+        if solves.deadline.expired():
+            raise BudgetExceededError("deadline reached drawing the random pairs")
         g, h = _random_pair(rng, i, pair_max_n)
         pairs.append((f"rand:{i}", g, h))
 

@@ -444,6 +444,30 @@ def test_cli_catalogue_build_stops_at_the_deadline(argv):
     assert time.perf_counter() - started < 30
 
 
+def test_cli_sabidussi_random_pairs_are_bounded(monkeypatch, capsys):
+    # random pairs count against the pair limit, refused before any is drawn
+    from dichroma import verify
+
+    drawn = []
+    draw = verify._random_pair
+    monkeypatch.setattr(verify, "_random_pair", lambda *args: drawn.append(1) or draw(*args))
+    code = run(["verify", "sabidussi", "--max-n", "0", "--pairs", "1000001"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, drawn) == (2, "", [])
+    assert captured.err == ("dichroma: the catalogue on at most 0 vertices and 1,000,001 "
+                            "random pairs give 1,000,001 pairs; product suites stop at "
+                            "1,000,000\n")
+    # the draw polls the deadline once per pair, and one it cuts short
+    # prints no rows
+    monkeypatch.undo()
+    started = time.perf_counter()
+    code = run(["verify", "sabidussi", "--max-n", "0", "--pairs", "100000", "--timeout-s", "1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == "dichroma: budget exceeded: deadline reached drawing the random pairs\n"
+    assert time.perf_counter() - started < 3
+
+
 def test_traced_layer_targets_resolve():
     # the benchmark's tracer wraps each (module, attribute) of TARGETS in
     # bench/layers.py by getattr after importing dichroma.cli, so a rename

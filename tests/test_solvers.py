@@ -21,6 +21,7 @@ from dichroma.core import (
     is_proper_coloring,
     is_proper_dicoloring,
 )
+from dichroma.errors import BudgetExceededError
 from dichroma.generators import (
     complete_bipartite,
     complete_graph,
@@ -38,7 +39,7 @@ from dichroma.solvers import (
     _class_test,
     _degree_order,
     _forest_clash,
-    _greedy_coloring,
+    _ListSearch,
     _search_dicoloring,
     _smallest_last,
     _vertex_arboricity,
@@ -293,7 +294,8 @@ def test_list_dichromatic_examples():
 
 
 def _reference_greedy(clash, order):
-    """First fit as a loop of its own: the reference for _greedy_coloring."""
+    """First fit as a loop of its own: the reference for the first descent
+    of the k-class search at k = n."""
     colour = [-1] * len(order)
     class_masks = []
     for v in order:
@@ -318,7 +320,7 @@ def _reference_search(clash, order, k, deadline):
 
     def rec(i, used):
         if deadline.check():
-            raise solvers._TimeUp
+            raise BudgetExceededError("unknown: partition search ran out of time")
         if i == n:
             return True
         v = order[i]
@@ -338,7 +340,9 @@ def _reference_search(clash, order, k, deadline):
 
 def test_k_search_and_first_fit_match_recursive_references():
     # same colouring or None and the same number of deadline polls, for
-    # every k up to the first-fit count, under all three class tests
+    # every k up to the first-fit count, under all three class tests; as
+    # in _least_classes, one search runs first fit and then every k in
+    # ascending order, each k under a fresh deadline
     rng = RngSpec(77)
     structures = list(digraph_catalogue(4)) + list(graph_catalogue(5))
     structures += [random_digraph(n, rng.derive(n, i)) for n in (6, 7, 8) for i in range(8)]
@@ -346,17 +350,46 @@ def test_k_search_and_first_fit_match_recursive_references():
     for obj in structures:
         adj = [o | i for o, i in zip(obj.outs, obj.ins)]
         order = _degree_order(adj)
+        n = len(order)
         for clash in (_class_test(adj), _class_test(obj.outs, obj.ins),
-                      _class_test(adj, forests=True)):
-            greedy = _greedy_coloring(clash, order)
+                      lambda mask, v: _forest_clash(adj, mask, v)):
+            search = _ListSearch(clash, order, n)
+            assert search.find([tuple(range(n))] * n, 0, True)
+            greedy = list(search.colour)
             assert greedy == _reference_greedy(clash, order)
             for k in range(1, max(greedy, default=-1) + 2):
                 ours, theirs = Deadline(300), Deadline(300)
-                assert (_search_dicoloring(clash, order, k, ours)
+                search.deadline = ours
+                assert (_search_dicoloring(search, k)
                         == _reference_search(clash, order, k, theirs)), (obj, k)
                 assert ours.ticks == theirs.ticks
                 searched += 1
     assert searched > 800
+
+
+def test_each_class_solve_builds_one_search(monkeypatch):
+    # first fit and every k-level of a _least_classes call share one
+    # _ListSearch; each instance below refutes at least one k-level
+    solves, inits, levels = [], [], []
+    least, init, level = solvers._least_classes, _ListSearch.__init__, solvers._search_dicoloring
+    monkeypatch.setattr(solvers, "_least_classes",
+                        lambda *args: solves.append(1) or least(*args))
+    monkeypatch.setattr(_ListSearch, "__init__",
+                        lambda self, *args: inits.append(1) or init(self, *args))
+    monkeypatch.setattr(solvers, "_search_dicoloring",
+                        lambda *args: levels.append(args[1]) or level(*args))
+    # C5 refutes its greedy clique's 2; K5 refutes 1 and 2 forests; the
+    # bidirected C5's digon graph, C5, refutes 2, and its main solve
+    # starts at 3, which first fit meets
+    for solve, calls in (
+        (lambda: chromatic_number(cycle_graph(5), Deadline(300)), 1),
+        (lambda: _vertex_arboricity(complete_graph(5).adj, Deadline(300)), 1),
+        (lambda: dichromatic_number(bidirect(cycle_graph(5)), Deadline(300)), 2),
+    ):
+        solves.clear(), inits.clear(), levels.clear()
+        assert solve().exact
+        assert len(solves) == len(inits) == calls
+        assert levels
 
 
 def test_list_chromatic_examples(monkeypatch):
@@ -761,7 +794,7 @@ def test_bucket_peel_reads_the_clock_at_every_removal(monkeypatch):
     path = Digraph(4000, [(i, i + 1) for i in range(3999)])
     reads = []
     monkeypatch.setattr(Deadline, "expired", lambda self: reads.append(1) or len(reads) > 50)
-    with pytest.raises(solvers._TimeUp):
+    with pytest.raises(BudgetExceededError):
         _smallest_last(path.outs, path.ins, Deadline(300))
     assert len(reads) == 51
     cert = list_dichromatic_number(path, Deadline(300))

@@ -1,9 +1,12 @@
 import os
+from itertools import count
 
 import pytest
 
+from dichroma import verify
 from dichroma.catalogue import digraph_catalogue, graphs_up_to, random_digraph
 from dichroma.core import Deadline, Graph, apply_orientation, is_acyclic
+from dichroma.errors import BudgetExceededError
 from dichroma.generators import complete_graph, cycle_graph, path_graph
 from dichroma.randomized import RngSpec
 from dichroma.solvers import dichromatic_number
@@ -96,19 +99,43 @@ def test_suite_solves_share_one_deadline(monkeypatch, suite, kwargs):
     assert result.summary["unknown"] == result.unknown
 
 
+def _late_from_the_first_solve(monkeypatch) -> list:
+    """Make the deadline pass at the next suite's first solve, until the
+    list returned is cleared: a catalogue build and sabidussi's
+    random-pair draw poll it too, and one cut short raises. Forked
+    workers inherit the passed deadline."""
+    late = []
+    cert = verify._SuiteSolves.cert
+    monkeypatch.setattr(verify._SuiteSolves, "cert",
+                        lambda self, *args: late.append(1) or cert(self, *args))
+    monkeypatch.setattr(Deadline, "expired", lambda self: bool(late))
+    return late
+
+
 def test_suite_rows_after_the_deadline_read_unknown(monkeypatch):
     # a catalogue build polls the deadline too, and one cut short raises;
     # build the suites' catalogues first so that only their solves are late
     digraph_catalogue(4)
     graphs_up_to(7)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(Deadline, "expired", lambda self: True)
+    late = _late_from_the_first_solve(monkeypatch)
     for threads in (1, 2):  # forked workers see the same deadline
+        late.clear()
         result = sabidussi_suite(max_n=2, random_pairs=5, pair_max_n=3, threads=threads)
         assert result.ok and result.unknown == len(result.rows)
         assert all(row["chi_product"] is None for row in result.rows)
+    late.clear()
     result = catalogue_suite()
     assert result.ok and result.unknown > 0
+
+
+def test_sabidussi_draw_polls_the_deadline_once_per_pair(monkeypatch):
+    # a draw cut short raises, with no rows, as a cut-short catalogue build does
+    polls = count(1)
+    monkeypatch.setattr(Deadline, "expired", lambda self: next(polls) >= 7)
+    with pytest.raises(BudgetExceededError, match="deadline reached drawing the random pairs"):
+        sabidussi_suite(max_n=0, random_pairs=20)
+    assert next(polls) == 8
 
 
 def test_result_counts_a_failed_check_before_an_undecided_one():
@@ -130,7 +157,7 @@ def test_every_suite_summary_counts_violations_and_unknown(monkeypatch, suite, k
     # build the catalogues first, then let every solve come after the deadline
     digraph_catalogue(4)
     graphs_up_to(7)
-    monkeypatch.setattr(Deadline, "expired", lambda self: True)
+    _late_from_the_first_solve(monkeypatch)
     result = suite(**kwargs)
     assert result.summary[count] == len(result.rows)
     assert result.summary["violations"] == 0 and result.ok
